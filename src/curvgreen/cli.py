@@ -1,10 +1,9 @@
 """Command-line front end: eval, expand, verify, sweep, poles, special.
 
 Configuration may come from flags or from a single JSON document passed
-via --config; flags override config-file keys.  The CURVGREEN_TOL
-environment variable overrides the default check tolerance.  Output is
-JSON (default) or CSV with 17-significant-digit numbers; complex values
-are always serialized as paired *_re / *_im fields.  Exit status: 0 on
+via --config; flags override config-file keys.  Output is JSON
+(default) or CSV with 17-significant-digit numbers; complex values are
+always serialized as paired *_re / *_im fields.  Exit status: 0 on
 success (all checks PASS), 2 if any check FAILs, 1 on usage or domain
 errors.
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -25,8 +23,6 @@ from .greens import (CANDIDATE_VARIANTS, MINUS, PLUS, WaveParams,
                      eigenvalue_poles, euclidean_green, green_value,
                      pole_proximity, sphere_candidate_minus)
 from .verify import check_normalization, default_suite
-
-_DEF_TOL = float(os.environ.get("CURVGREEN_TOL", "1e-10"))
 
 
 def _fmt(x: float) -> str:
@@ -249,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override")
         p.add_argument("--output", choices=("json", "csv"), default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eval", help="evaluate a Green's function")
     common(p)
@@ -339,7 +333,6 @@ def run(argv=None, stdout=None) -> int:
         if v is not None:
             cfg[k] = v
     cfg.setdefault("output", "json")
-    cfg.setdefault("tol", _DEF_TOL)
     try:
         return _COMMANDS[ns.command](cfg, stdout)
     except CurvGreenError as e:

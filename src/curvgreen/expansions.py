@@ -1,19 +1,32 @@
 """Addition theorems and series expansions of the Green's functions.
 
-The two-point kernels of the closed-form solutions separate into
-products of single-point Legendre/Ferrers functions weighted by
-Gegenbauer polynomials of the separation angle.  This module evaluates
+Every series here is one sum, evaluated by one engine:
 
-* the associated Legendre addition theorems (P and Q kinds) on the
-  hyperboloid composite argument cosh rho,
-* the six Ferrers addition theorems on cos Theta, with the mu -> 0
-  Chebyshev limits and the degree-equals-order special cases,
-* the Gegenbauer expansions of every Green's-function variant (d >= 3)
-  and the azimuthal Fourier expansions in d = 2,
-* the flat-space Gegenbauer-Bessel expansions used as the Euclidean
-  comparison,
-* the convergence-domain predicate tan(th</2) tan(th>/2) < 1 with its
-  geometric tail-rate estimate.
+    const + prefactor * sum_{l < l_max} radial(l) w_l^mu(cos gamma).
+
+* The angular basis is w_l^mu(x) = Gamma(mu) (l + mu) C_l^mu(x).  Its
+  mu -> 0 limit is eps_l T_l(x) (DLMF 18.7), so the Chebyshev forms of
+  the addition theorems and the d = 2 Fourier series are the mu = 0
+  rows of the same sums, not separate bodies.
+* The radial factor is a Legendre/Ferrers pair: P^{-(mu+l)} (or
+  FP^{-(mu+l)}) at the smaller radius times a combination of functions
+  at the larger one.  An unreflected function there carries (-1)^l and
+  a reflected argument -x does not.  A lowered pair, whose larger-radius
+  order is -(mu+l), also carries the Pochhammer weight
+  (nu + mu + 1)_l (mu - nu)_l.  The flat-space Gegenbauer-Bessel
+  expansion uses Bessel pairs in the same place.
+* The prefactor and the reference value come from the kind's row.
+
+The kinds are rows over that engine: the associated Legendre addition
+theorems (P, Q) on cosh rho, the six Ferrers addition theorems on
+cos Theta, the degree-equals-order and hyperbolic closed-form
+corollaries, the Gegenbauer (d >= 3) and azimuthal Fourier (d = 2)
+expansions of every Green's-function variant, and the Euclidean
+comparison.  The only bespoke radial term is the elementary one of
+log cot(Theta/2).  The basis and the Pochhammer weight are carried
+along l by their recurrences and products.  The hypersphere rows check
+the convergence-domain predicate tan(th</2) tan(th>/2) < 1 and report
+its geometric tail-rate estimate.
 
 Every series is reported through a SeriesReport holding the truncated
 value, the directly evaluated closed-form reference and their relative
@@ -26,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import count
 
 import scipy.special as _sp
 
@@ -36,8 +50,7 @@ from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      S_PLUS, SF_MINUS, WaveParams, green_value)
 from .legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
 from .result import NONCONVERGENT
-from .specfun import _cgamma, _near_nonpos_int, chebyshev_t, epsilon_n, \
-    gegenbauer_c
+from .specfun import _cgamma, _near_nonpos_int
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -121,20 +134,87 @@ def convergence_domain(theta_lt: float, theta_gt: float,
     return ok, ratio
 
 
-def _run_series(term_fn, n_max: int, prefactor, reference, est_ratio,
-                domain_ok: bool) -> SeriesReport:
-    """Accumulate prefactor * sum of term_fn(n) with the standard
-    truncation policy and tail diagnostics; n_max caps the number of
-    terms consumed."""
+# ----------------------------------------------------------------------
+# The series engine
+# ----------------------------------------------------------------------
+
+def _basis(mu, x):
+    """Yield w_l(x) = Gamma(mu) (l + mu) C_l^mu(x) for l = 0, 1, ...
+
+    At mu = 0 this is the limit eps_l T_l(x).  C_l^mu and T_l are
+    carried by the three-term recurrences of gegenbauer_c and
+    chebyshev_t, and they reproduce those functions exactly.
+    """
+    if mu == 0:
+        t_prev, t = 1.0, x
+        yield 1.0
+        while True:
+            yield 2.0 * t
+            t_prev, t = t, 2.0 * x * t - t_prev
+    g, mu = _cgamma(mu), complex(mu)
+    c_prev, c = 1.0 + 0.0j, 2.0 * mu * x
+    yield g * mu
+    for k in count(2):
+        yield g * (k - 1 + mu) * c
+        c_prev, c = c, (2.0 * x * (k + mu - 1.0) * c
+                        - (k + 2.0 * mu - 2.0) * c_prev) / k
+
+
+def _poch_undefined_check(nu, order) -> bool:
+    """True if FQ_nu^{order} hits an undefined parameter combination."""
+    s = complex(nu) + complex(order)
+    hit, n = _near_nonpos_int(s + 1.0)
+    if not hit:
+        return False
+    anom, _ = _near_nonpos_int(complex(nu) + 1.5)
+    return not anom
+
+
+def _at(fn, nu, x, lowered: bool):
+    """The order function m -> fn(nu, -m or m, x).value of one side of a
+    pair; a Ferrers Q refuses an undefined order before evaluating."""
+    def value(m):
+        order = -m if lowered else m
+        if fn is ferrers_q and _poch_undefined_check(nu, order):
+            raise UndefinedError("FQ undefined at an interior series order")
+        return fn(nu, order, x).value
+    return value
+
+
+def _pairs(mu, small, parts, nu=None):
+    """Yield the radial factors of a pair series for l = 0, 1, ...
+
+    With m = mu + l the factor is small(m) times the sum of
+    c * s**l * large(m) over ``parts`` = ((large, c, s), ...).  A
+    lowered pair (``nu`` given) also carries the Pochhammer weight
+    (nu + mu + 1)_l (mu - nu)_l.  A zero weight does not skip the
+    pair: an FQ at such an order is a 0 * infinity limit and refuses.
+    """
+    weight = 1.0 + 0.0j
+    for l in count():
+        m = mu + l
+        big = sum(c * s ** l * large(m) for large, c, s in parts)
+        yield weight * big * small(m)
+        if nu is not None:
+            weight *= (nu + mu + 1.0 + l) * (mu - nu + l)
+
+
+def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
+            const=0.0) -> SeriesReport:
+    """const + pre * sum of radial(l) w_l^mu(x) over at most n_max terms.
+
+    The sum stops after _TRUNC_RUN consecutive terms below _TRUNC_REL of
+    the running total.  The tail diagnostics go into the report.
+    """
+    if n_max < 1:
+        raise DomainError(f"a series needs at least one term, got {n_max}")
     total = 0.0 + 0.0j
     mags = []
     small = 0
-    used = 0
-    for n in range(n_max):
-        t = complex(term_fn(n))
+    for _, r, w in zip(range(n_max), radial, _basis(mu, x)):
+        t = complex(r * w)
         total += t
         mags.append(abs(t))
-        used = n + 1
         if abs(t) <= _TRUNC_REL * max(abs(total), 1e-300):
             small += 1
             if small >= _TRUNC_RUN:
@@ -145,13 +225,42 @@ def _run_series(term_fn, n_max: int, prefactor, reference, est_ratio,
     if len(mags) >= 5 and all(mags[-i] >= mags[-i - 1] * (1.0 - 1e-12)
                               for i in range(1, 5)) and mags[-1] > 0:
         flags.add(NONCONVERGENT)
-    value = prefactor * total
+    value = const + pre * total
     rel = None
     if reference is not None:
         rel = abs(value - reference) / max(abs(reference), 1e-300)
-    return SeriesReport(value, used, abs(prefactor) * mags[-1],
-                        float(est_ratio), domain_ok, reference,
-                        rel, frozenset(flags))
+    return SeriesReport(value, len(mags), abs(pre) * mags[-1],
+                        float(est_ratio), True, reference, rel,
+                        frozenset(flags))
+
+
+def _hyperbolic(c, nu, mu, cfg: TwoPointConfig, large, reference,
+                n_max: int) -> SeriesReport:
+    """c (sinh r< sinh r>)^-mu times the pair series over
+    P_nu^{-(mu+l)}(cosh r<) large_nu^{mu+l}(cosh r>) (-1)^l."""
+    r_lt, r_gt = cfg.lt, cfg.gt
+    pre = c / (math.sinh(r_lt) * math.sinh(r_gt)) ** mu
+    radial = _pairs(mu, _at(legendre_p, nu, math.cosh(r_lt), True),
+                    [(_at(large, nu, math.cosh(r_gt), False), 1.0, -1.0)])
+    ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
+    return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio)
+
+
+def _spherical(c, nu, mu, cfg: TwoPointConfig, parts, reference, ratio,
+               n_max: int, lowered: bool = False,
+               const=0.0) -> SeriesReport:
+    """c (sin th< sin th>)^-mu times the pair series over
+    FP_nu^{-(mu+l)}(cos th<) and, for each (fn, reflected, coef) of
+    ``parts``, coef fn_nu^{+-(mu+l)}(+-cos th>) with (-1)^l when not
+    reflected; ``lowered`` takes the order -(mu+l) and the weight."""
+    x_gt = math.cos(cfg.gt)
+    pre = c / (math.sin(cfg.lt) * math.sin(cfg.gt)) ** mu
+    large = [(_at(fn, nu, -x_gt if reflected else x_gt, lowered), coef,
+              1.0 if reflected else -1.0) for fn, reflected, coef in parts]
+    radial = _pairs(mu, _at(ferrers_p, nu, math.cos(cfg.lt), True), large,
+                    nu if lowered else None)
+    return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio,
+                   const)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +272,7 @@ def addition_legendre(kind: str, nu, mu, cfg: TwoPointConfig,
     """Addition theorem for P_nu^mu(cosh rho)/sinh^mu rho (kind 'P') or
     Q_nu^mu(cosh rho)/sinh^mu rho (kind 'Q'), r != r'.
 
-    mu = 0 dispatches to the Chebyshev form with Neumann factors.  The
+    mu = 0 gives the Chebyshev form with Neumann factors.  The
     reference value is the directly evaluated left-hand side at the
     recomputed composite rho.
     """
@@ -177,52 +286,25 @@ def addition_legendre(kind: str, nu, mu, cfg: TwoPointConfig,
     if hit:
         raise DomainError("degree nu must avoid the negative integers")
     nu, mu = complex(nu), complex(mu)
-    r_lt, r_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-    rho = cfg.rho_hyperbolic()
-    z_lt, z_gt, zr = math.cosh(r_lt), math.cosh(r_gt), math.cosh(rho)
     outer = legendre_p if kind == "P" else legendre_q
-    ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
-
-    if mu == 0:
-        ref = outer(nu, 0.0, zr).value
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (epsilon_n(n) * sgn
-                    * legendre_p(nu, -float(n), z_lt).value
-                    * outer(nu, float(n), z_gt).value
-                    * chebyshev_t(n, cg))
-
-        return _run_series(term, n_max, 1.0, ref, ratio, True)
-
-    ref = outer(nu, mu, zr).value / math.sinh(rho) ** mu
-    pre = (2.0 ** mu * _cgamma(mu)
-           / (math.sinh(r_lt) * math.sinh(r_gt)) ** mu)
-
-    def term(n):
-        sgn = -1.0 if n % 2 else 1.0
-        p_small = legendre_p(nu, -(mu + n), z_lt).value
-        f_large = outer(nu, mu + n, z_gt).value
-        return sgn * (n + mu) * (p_small * f_large) * gegenbauer_c(n, mu, cg)
-
-    return _run_series(term, n_max, pre, ref, ratio, True)
+    rho = cfg.rho_hyperbolic()
+    ref = outer(nu, mu, math.cosh(rho)).value / math.sinh(rho) ** mu
+    return _hyperbolic(2.0 ** mu, nu, mu, cfg, outer, ref, n_max)
 
 
 # ----------------------------------------------------------------------
 # Ferrers addition theorems (hypersphere composite)
 # ----------------------------------------------------------------------
 
-_FERRERS_ADD_KINDS = ("PmPp", "PmQp", "PmPm", "PmQm", "PmPmmx", "QmPmmx")
-
-
-def _poch_undefined_check(nu, order) -> bool:
-    """True if FQ_nu^{order} hits an undefined parameter combination."""
-    s = complex(nu) + complex(order)
-    hit, n = _near_nonpos_int(s + 1.0)
-    if not hit:
-        return False
-    anom, _ = _near_nonpos_int(complex(nu) + 1.5)
-    return not anom
+# kind: (FQ rather than FP at the larger angle, lowered, reflected)
+_FERRERS_KINDS = {
+    "PmPp": (False, False, False),
+    "PmQp": (True, False, False),
+    "PmPm": (False, True, False),
+    "PmQm": (True, True, False),
+    "PmPmmx": (False, True, True),
+    "QmPmmx": (True, True, True),
+}
 
 
 def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
@@ -233,12 +315,12 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
     from FP^{-(mu+n)} FP^{+(mu+n)} pairs, 'PmQp' the FQ^{+mu} analog,
     'PmPm'/'PmQm' the negative-order pair forms carrying Pochhammer
     weights, 'PmPmmx'/'QmPmmx' the reflected-argument forms.  Requires
-    Re mu > -1/2; mu = 0 dispatches to the Chebyshev limit forms.  The
+    Re mu > -1/2; mu = 0 gives the Chebyshev limit forms.  The
     convergence predicate is evaluated first; all kinds except 'PmPm'
     also require theta != theta'.
     """
-    if kind not in _FERRERS_ADD_KINDS:
-        raise DomainError(f"kind must be one of {_FERRERS_ADD_KINDS}")
+    if kind not in _FERRERS_KINDS:
+        raise DomainError(f"kind must be one of {tuple(_FERRERS_KINDS)}")
     if not (0.0 < cfg.r1 < math.pi and 0.0 < cfg.r2 < math.pi):
         raise DomainError("angles must lie in (0, pi)")
     nu, mu = complex(nu), complex(mu)
@@ -254,147 +336,27 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
             "outside the convergence domain: tan(th</2) tan(th>/2) >= 1"
             if math.tan(0.5 * cfg.lt) * math.tan(0.5 * cfg.gt) >= 1.0
             else "theta = theta' not allowed for this kind")
+    second, lowered, reflected = _FERRERS_KINDS[kind]
+    fn = ferrers_q if second else ferrers_p
+    big_theta = cfg.theta_spherical()
+    x_th = math.cos(big_theta)
+    ref = (fn(nu, -mu if lowered else mu, -x_th if reflected else x_th).value
+           / math.sin(big_theta) ** mu)
 
     if kind == "PmQm" and abs(nu - mu) < 1e-8:
         # removable term-by-term singularity: evaluate at perturbed
         # degrees (well outside this detection window) and average
-        d = mu * 1e-7 if mu != 0 else 1e-7
-        up = addition_ferrers(kind, mu + d, mu, cfg, n_max)
-        dn = addition_ferrers(kind, mu - d, mu, cfg, n_max)
-        ref = (ferrers_q(nu, -mu, math.cos(cfg.theta_spherical())).value
-               / math.sin(cfg.theta_spherical()) ** mu)
+        step = 1e-7 * (mu or 1.0)
+        up = addition_ferrers(kind, mu + step, mu, cfg, n_max)
+        dn = addition_ferrers(kind, mu - step, mu, cfg, n_max)
         val = 0.5 * (up.value + dn.value)
         return SeriesReport(val, up.terms + dn.terms, up.last_term_mag,
                             up.est_ratio, True, ref,
                             abs(val - ref) / max(abs(ref), 1e-300),
                             up.flags | dn.flags)
 
-    th_lt, th_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-    x_lt, x_gt = math.cos(th_lt), math.cos(th_gt)
-    big_theta = cfg.theta_spherical()
-    x_th = math.cos(big_theta)
-
-    if mu == 0:
-        return _ferrers_addition_mu0(kind, nu, cfg, n_max, ratio)
-
-    sin_pow = math.sin(big_theta) ** mu
-    pre = (2.0 ** mu * _cgamma(mu)
-           / (math.sin(th_lt) * math.sin(th_gt)) ** mu)
-
-    if kind == "PmPp":
-        ref = ferrers_p(nu, mu, x_th).value / sin_pow
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (n + mu)
-                    * ferrers_p(nu, -(mu + n), x_lt).value
-                    * ferrers_p(nu, mu + n, x_gt).value
-                    * gegenbauer_c(n, mu, cg))
-    elif kind == "PmQp":
-        ref = ferrers_q(nu, mu, x_th).value / sin_pow
-
-        def term(n):
-            if _poch_undefined_check(nu, mu + n):
-                raise UndefinedError(
-                    "FQ undefined at an interior series order")
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (n + mu)
-                    * ferrers_p(nu, -(mu + n), x_lt).value
-                    * ferrers_q(nu, mu + n, x_gt).value
-                    * gegenbauer_c(n, mu, cg))
-    elif kind in ("PmPm", "PmQm"):
-        fn = ferrers_p if kind == "PmPm" else ferrers_q
-        ref = fn(nu, -mu, x_th).value / sin_pow
-
-        def term(n):
-            if kind == "PmQm":
-                poch = _poch(nu, mu, n)
-                if poch == 0.0:
-                    return 0.0
-                if _poch_undefined_check(nu, -(mu + n)):
-                    raise UndefinedError(
-                        "FQ undefined at an interior series order")
-            else:
-                poch = _poch(nu, mu, n)
-            sgn = -1.0 if n % 2 else 1.0
-            a = ferrers_p(nu, -(mu + n), x_lt).value
-            b = fn(nu, -(mu + n), x_gt).value
-            return sgn * (n + mu) * poch * (a * b) * gegenbauer_c(n, mu, cg)
-    else:  # PmPmmx / QmPmmx: reflected argument, no (-1)^n factor
-        fn = ferrers_p if kind == "PmPmmx" else ferrers_q
-        ref = fn(nu, -mu, -x_th).value / sin_pow
-
-        def term(n):
-            if kind == "QmPmmx":
-                poch = _poch(nu, mu, n)
-                if poch == 0.0:
-                    return 0.0
-                if _poch_undefined_check(nu, -(mu + n)):
-                    raise UndefinedError(
-                        "FQ undefined at an interior series order")
-            else:
-                poch = _poch(nu, mu, n)
-            a = ferrers_p(nu, -(mu + n), x_lt).value
-            b = fn(nu, -(mu + n), -x_gt).value
-            return (n + mu) * poch * (a * b) * gegenbauer_c(n, mu, cg)
-
-    return _run_series(term, n_max, pre, ref, ratio, ok)
-
-
-def _poch(nu, mu, n: int) -> complex:
-    """(nu + mu + 1)_n (mu - nu)_n accumulated as an exact product."""
-    acc = 1.0 + 0.0j
-    for k in range(n):
-        acc *= (nu + mu + 1.0 + k) * (mu - nu + k)
-    return acc
-
-
-def _ferrers_addition_mu0(kind, nu, cfg, n_max, ratio) -> SeriesReport:
-    """mu -> 0 Chebyshev limits of the six Ferrers addition theorems."""
-    th_lt, th_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-    x_lt, x_gt = math.cos(th_lt), math.cos(th_gt)
-    x_th = math.cos(cfg.theta_spherical())
-
-    def poch0(n):
-        acc = 1.0 + 0.0j
-        for k in range(n):
-            acc *= (nu + 1.0 + k) * (-nu + k)
-        return acc
-
-    if kind in ("PmPp", "PmPm"):
-        ref = ferrers_p(nu, 0.0, x_th).value
-    elif kind in ("PmQp", "PmQm"):
-        ref = ferrers_q(nu, 0.0, x_th).value
-    elif kind == "PmPmmx":
-        ref = ferrers_p(nu, 0.0, -x_th).value
-    else:
-        ref = ferrers_q(nu, 0.0, -x_th).value
-
-    if kind in ("PmPp", "PmQp"):
-        fn = ferrers_p if kind == "PmPp" else ferrers_q
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (epsilon_n(n) * sgn
-                    * ferrers_p(nu, -float(n), x_lt).value
-                    * fn(nu, float(n), x_gt).value * chebyshev_t(n, cg))
-    elif kind in ("PmPm", "PmQm"):
-        fn = ferrers_p if kind == "PmPm" else ferrers_q
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (epsilon_n(n) * sgn * poch0(n)
-                    * ferrers_p(nu, -float(n), x_lt).value
-                    * fn(nu, -float(n), x_gt).value * chebyshev_t(n, cg))
-    else:
-        fn = ferrers_p if kind == "PmPmmx" else ferrers_q
-
-        def term(n):
-            return (epsilon_n(n) * poch0(n)
-                    * ferrers_p(nu, -float(n), x_lt).value
-                    * fn(nu, -float(n), -x_gt).value * chebyshev_t(n, cg))
-
-    return _run_series(term, n_max, 1.0, ref, ratio, True)
+    return _spherical(2.0 ** mu, nu, mu, cfg, [(fn, reflected, 1.0)], ref,
+                      ratio, n_max, lowered)
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +382,10 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
       'COSH_SINH_LEGENDRE' {nu, form}: the hyperbolic closed forms
           cosh((nu+1/2) rho)/sinh rho (form='cosh') and
           exp(-(nu+1/2) rho)/sinh rho (form='exp').
+
+    'Q_K_MK' and 'Q_MH_MMH' are the first and second FQ_mu^{-mu}
+    series at integer and half-odd mu, where the constant term of the
+    general forms vanishes.
     """
     if case not in _SPECIAL_CASES:
         raise WrongCaseError(f"case must be one of {_SPECIAL_CASES}")
@@ -430,33 +396,15 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
         if not (cfg.r1 > 0 and cfg.r2 > 0 and cfg.distinct):
             raise DomainViolationError("requires 0 < r != r'")
         rho = cfg.rho_hyperbolic()
-        r_lt, r_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-        z_lt, z_gt = math.cosh(r_lt), math.cosh(r_gt)
-        root = math.sqrt(math.sinh(r_lt) * math.sinh(r_gt))
-        ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
         if form == "cosh":
             ref = cmath.cosh((nu + 0.5) * rho) / math.sinh(rho)
-            pre = 0.5 * math.pi / root
-
-            def term(n):
-                sgn = -1.0 if n % 2 else 1.0
-                return (sgn * (2 * n + 1)
-                        * legendre_p(nu, -(n + 0.5), z_lt).value
-                        * legendre_p(nu, n + 0.5, z_gt).value
-                        * gegenbauer_c(n, 0.5, cg))
+            c, large = math.sqrt(math.pi), legendre_p
         elif form == "exp":
             ref = cmath.exp(-(nu + 0.5) * rho) / math.sinh(rho)
-            pre = -1j / root
-
-            def term(n):
-                sgn = -1.0 if n % 2 else 1.0
-                return (sgn * (2 * n + 1)
-                        * legendre_p(nu, -(n + 0.5), z_lt).value
-                        * legendre_q(nu, n + 0.5, z_gt).value
-                        * gegenbauer_c(n, 0.5, cg))
+            c, large = -2j / math.sqrt(math.pi), legendre_q
         else:
             raise WrongCaseError("form must be 'cosh' or 'exp'")
-        return _run_series(term, n_max, pre, ref, ratio, True)
+        return _hyperbolic(c, nu, 0.5, cfg, large, ref, n_max)
 
     # spherical cases below
     if not (0.0 < cfg.r1 < math.pi and 0.0 < cfg.r2 < math.pi):
@@ -464,8 +412,7 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
     ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
     if not ok:
         raise DomainViolationError("outside the convergence domain")
-    th_lt, th_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-    x_lt, x_gt = math.cos(th_lt), math.cos(th_gt)
+    th_lt, th_gt = cfg.lt, cfg.gt
     big_theta = cfg.theta_spherical()
 
     if case == "LOGCOT":
@@ -473,120 +420,102 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
         base = math.log(1.0 / math.tan(0.5 * th_gt))
         c2, s2 = math.cos(0.5 * th_gt) ** 2, math.sin(0.5 * th_gt) ** 2
         tfac = math.tan(0.5 * th_lt) / math.sin(th_gt)
+        # the elementary radial term; w_n^0 = 2 T_n carries the 2
+        radial = (2.0 ** (n - 1) / n * tfac ** n
+                  * (c2 ** n - (-1.0) ** n * s2 ** n) if n else base
+                  for n in count())
+        return _series(1.0, 0.0, cfg.cos_gamma, radial, n_max, ref, ratio)
 
-        def term(n):
-            if n == 0:
-                return base
-            sgn = -1.0 if n % 2 else 1.0
-            return (2.0 ** n / n * tfac ** n * (c2 ** n - sgn * s2 ** n)
-                    * chebyshev_t(n, cg))
-
-        return _run_series(term, n_max, 1.0, ref, ratio, ok)
-
+    # degree = order: the first (FP FQ) and second (FP FP) forms, whose
+    # constant term vanishes at the integer and half-odd mu of Q_K_MK
+    # and Q_MH_MMH
+    const = 0.0
     if case == "Q_K_MK":
-        k = int(params["k"])
-        if k < 1:
+        mu = int(params["k"])
+        if mu < 1:
             raise WrongCaseError("k must be a positive integer")
-        ref = (ferrers_q(k, -k, math.cos(big_theta)).value
-               / math.sin(big_theta) ** k)
-        pre = (math.sqrt(math.pi) * (-1.0) ** k
-               / (k * 2.0 ** k * _cgamma(k + 0.5)
-                  * (math.sin(th_lt) * math.sin(th_gt)) ** k))
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (n + k)
-                    * ferrers_p(k, -(n + k), x_lt).value
-                    * ferrers_q(k, float(n + k), x_gt).value
-                    * gegenbauer_c(n, k, cg))
-
-        return _run_series(term, n_max, pre, ref, ratio, ok)
-
-    if case == "Q_MH_MMH":
+    elif case == "Q_MH_MMH":
         m = int(params["m"])
         if m < 0:
             raise WrongCaseError("m must be a nonnegative integer")
-        muh = m + 0.5
-        ref = (ferrers_q(muh, -muh, math.cos(big_theta)).value
-               / math.sin(big_theta) ** muh)
-        pre = ((-1.0) ** m * math.pi ** 1.5
-               / ((2 * m + 1) * 2.0 ** (m + 1.5) * math.gamma(m + 1.0)
-                  * (math.sin(th_lt) * math.sin(th_gt)) ** muh))
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (2 * n + 2 * m + 1)
-                    * ferrers_p(muh, -(n + muh), x_lt).value
-                    * ferrers_p(muh, n + muh, x_gt).value
-                    * gegenbauer_c(n, muh, cg))
-
-        return _run_series(term, n_max, pre, ref, ratio, ok)
-
-    mu = complex(params["mu"])
-    if mu == 0 or mu.real <= -0.5:
-        raise WrongCaseError("requires mu > -1/2, mu != 0")
-    half = 2.0 * mu
-    if case == "NU_EQ_MU_HALFINT" and abs(half.imag) < 1e-12 \
-            and abs(half.real - round(half.real)) < 1e-10 \
-            and round(half.real) % 2 == 1:
-        raise WrongCaseError("first equality invalid at half-odd mu")
-    if case == "NU_EQ_MU_INT" and abs(mu.imag) < 1e-12 \
-            and abs(mu.real - round(mu.real)) < 1e-10:
-        raise WrongCaseError("second equality invalid at integer mu")
-    ref = (ferrers_q(mu, -mu, math.cos(big_theta)).value
-           / cmath.exp(mu * cmath.log(math.sin(big_theta))))
-    sins = (math.sin(th_lt) * math.sin(th_gt)) ** mu
-    if case == "NU_EQ_MU_HALFINT":
-        const = (math.pi * cmath.tan(math.pi * mu)
-                 / (2.0 ** (mu + 1.0) * _cgamma(mu + 1.0)))
-        pre = (math.sqrt(math.pi) / cmath.cos(math.pi * mu)
-               / (mu * 2.0 ** mu * _cgamma(mu + 0.5) * sins))
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (n + mu)
-                    * ferrers_p(mu, -(n + mu), x_lt).value
-                    * ferrers_q(mu, n + mu, x_gt).value
-                    * gegenbauer_c(n, mu, cg))
+        mu = m + 0.5
     else:
-        const = (-math.pi / cmath.tan(math.pi * mu)
-                 / (2.0 ** (mu + 1.0) * _cgamma(mu + 1.0)))
-        pre = (math.pi ** 1.5 / cmath.sin(math.pi * mu)
-               / (mu * 2.0 ** (mu + 1.0) * _cgamma(mu + 0.5) * sins))
-
-        def term(n):
-            sgn = -1.0 if n % 2 else 1.0
-            return (sgn * (n + mu)
-                    * ferrers_p(mu, -(n + mu), x_lt).value
-                    * ferrers_p(mu, n + mu, x_gt).value
-                    * gegenbauer_c(n, mu, cg))
-
-    inner = _run_series(term, n_max, pre, None, ratio, ok)
-    value = const + inner.value
-    rel = abs(value - ref) / max(abs(ref), 1e-300)
-    return SeriesReport(value, inner.terms, inner.last_term_mag,
-                        inner.est_ratio, ok, ref, rel, inner.flags)
+        mu = complex(params["mu"])
+        if mu == 0 or mu.real <= -0.5:
+            raise WrongCaseError("requires mu > -1/2, mu != 0")
+        half = 2.0 * mu
+        if case == "NU_EQ_MU_HALFINT" and abs(half.imag) < 1e-12 \
+                and abs(half.real - round(half.real)) < 1e-10 \
+                and round(half.real) % 2 == 1:
+            raise WrongCaseError("first equality invalid at half-odd mu")
+        if case == "NU_EQ_MU_INT" and abs(mu.imag) < 1e-12 \
+                and abs(mu.real - round(mu.real)) < 1e-10:
+            raise WrongCaseError("second equality invalid at integer mu")
+        const = (math.pi * cmath.tan(math.pi * mu)
+                 if case == "NU_EQ_MU_HALFINT"
+                 else -math.pi / cmath.tan(math.pi * mu))
+        const /= 2.0 ** (mu + 1.0) * _cgamma(mu + 1.0)
+    if case in ("NU_EQ_MU_HALFINT", "Q_K_MK"):
+        large = ferrers_q
+        c = math.sqrt(math.pi) / (cmath.cos(math.pi * mu) * 2.0 ** mu)
+    else:
+        large = ferrers_p
+        c = math.pi ** 1.5 / (cmath.sin(math.pi * mu) * 2.0 ** (mu + 1.0))
+    c /= _cgamma(mu + 1.0) * _cgamma(mu + 0.5)
+    ref = (ferrers_q(mu, -mu, math.cos(big_theta)).value
+           / math.sin(big_theta) ** mu)
+    return _spherical(c, mu, mu, cfg, [(large, False, 1.0)], ref, ratio,
+                      n_max, const=const)
 
 
 # ----------------------------------------------------------------------
-# Gegenbauer expansions of the Green's functions (d >= 3)
+# Gegenbauer (d >= 3) and Fourier (d = 2) expansions of the Green's
+# functions
 # ----------------------------------------------------------------------
 
 def _const_a(d: int, R: float) -> float:
+    """The constant A_d of the d >= 3 closed forms.  The expansions
+    use 2 A_d / Gamma(mu) = 1 / (2 pi^{d/2} R^{d-2}), finite at d = 2."""
     return _cgamma(0.5 * d).real / (2.0 * (d - 2.0)
                                     * math.pi ** (0.5 * d) * R ** (d - 2))
 
 
-def _const_b(wp: WaveParams) -> complex:
-    d, R = wp.manifold.d, wp.manifold.R
-    mu, nu = wp.mu, wp.nu
-    return (2.0 ** mu * _cgamma(mu) * _cgamma(nu + mu + 1.0)
-            * _cgamma(mu - nu)
-            / (2.0 ** (0.5 * d + 2.0) * math.pi ** (0.5 * d)
-               * R ** (d - 2)))
-
-
 _EXPANDABLE = (H_PLUS, H_MINUS, S_PLUS, A_PLUS, SF_MINUS, FRAK_MINUS)
+
+
+def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
+                  l_max: int) -> SeriesReport:
+    """The expansion of a Green's function in any d >= 2 (the Fourier
+    series is its mu = 0 row)."""
+    if not cfg.distinct:
+        raise DomainViolationError("expansion requires distinct radii")
+    m, mu, nu = wp.manifold, wp.mu, wp.nu
+    norm = 1.0 / (2.0 * math.pi ** (0.5 * m.d) * m.R ** (m.d - 2))
+
+    if variant in (H_PLUS, H_MINUS):
+        if not (cfg.r1 > 0 and cfg.r2 > 0):
+            raise DomainError("radial coordinates must be positive")
+        ref = green_value(variant, m, wp.beta, cfg.rho_hyperbolic()).value
+        return _hyperbolic(cmath.exp(-1j * math.pi * mu) * norm, nu, mu, cfg,
+                           legendre_q, ref, l_max)
+
+    # hypersphere variants
+    ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
+    if not ok:
+        raise DomainViolationError("outside the convergence domain")
+    ref = green_value(variant, m, wp.beta, cfg.theta_spherical()).value
+    if variant == FRAK_MINUS:
+        c = _cgamma(nu + mu + 1.0) / _cgamma(nu - mu + 1.0)
+        parts = [(ferrers_q, False, 1.0), (ferrers_p, False, 0.5j * math.pi)]
+    else:
+        c = 0.5 * _cgamma(nu + mu + 1.0) * _cgamma(mu - nu)
+        parts = [(ferrers_p, True, 1.0)]
+        if variant == A_PLUS:
+            # antipodal bracket: the unreflected parent series carries
+            # (-1)^l, so odd orders add instead of subtract
+            parts.append((ferrers_p, False, -1.0))
+    return _spherical(norm * c, nu, mu, cfg, parts, ref, ratio, l_max,
+                      lowered=True)
 
 
 def green_expansion(variant: str, wp: WaveParams, cfg: TwoPointConfig,
@@ -599,76 +528,10 @@ def green_expansion(variant: str, wp: WaveParams, cfg: TwoPointConfig,
     """
     if variant not in _EXPANDABLE:
         raise DomainError(f"no Gegenbauer expansion for {variant!r}")
-    d = wp.manifold.d
-    if d < 3:
+    if wp.manifold.d < 3:
         raise DomainError("Gegenbauer expansions require d >= 3; "
                           "use fourier_2d for d = 2")
-    mu, nu = wp.mu, wp.nu
-    if not cfg.distinct:
-        raise DomainViolationError("expansion requires distinct radii")
-
-    if variant in (H_PLUS, H_MINUS):
-        if not (cfg.r1 > 0 and cfg.r2 > 0):
-            raise DomainError("radial coordinates must be positive")
-        rho = cfg.rho_hyperbolic()
-        ref = green_value(variant, wp.manifold, wp.beta, rho).value
-        r_lt, r_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-        z_lt, z_gt = math.cosh(r_lt), math.cosh(r_gt)
-        ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
-        pre = (cmath.exp(-1j * math.pi * mu) * _const_a(d, wp.manifold.R)
-               / (math.sinh(r_lt) * math.sinh(r_gt)) ** mu)
-
-        def term(l):
-            sgn = -1.0 if l % 2 else 1.0
-            return (sgn * (2 * l + d - 2)
-                    * legendre_p(nu, -(mu + l), z_lt).value
-                    * legendre_q(nu, mu + l, z_gt).value
-                    * gegenbauer_c(l, mu, cg))
-
-        return _run_series(term, l_max, pre, ref, ratio, True)
-
-    # hypersphere variants
-    ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
-    if not ok:
-        raise DomainViolationError("outside the convergence domain")
-    th_lt, th_gt, cg = cfg.lt, cfg.gt, cfg.cos_gamma
-    x_lt, x_gt = math.cos(th_lt), math.cos(th_gt)
-    big_theta = cfg.theta_spherical()
-    ref = green_value(variant, wp.manifold, wp.beta, big_theta).value
-    sins = (math.sin(th_lt) * math.sin(th_gt)) ** mu
-
-    if variant in (S_PLUS, A_PLUS, SF_MINUS):
-        pre = _const_b(wp) / sins
-
-        def term(l):
-            poch = _poch(nu, mu, l)
-            a = ferrers_p(nu, -(mu + l), x_lt).value
-            if variant == A_PLUS:
-                # antipodal bracket: the unreflected parent series
-                # carries (-1)^l, so odd orders add instead of subtract
-                sgn = -1.0 if l % 2 else 1.0
-                b = (ferrers_p(nu, -(mu + l), -x_gt).value
-                     - sgn * ferrers_p(nu, -(mu + l), x_gt).value)
-            else:
-                b = ferrers_p(nu, -(mu + l), -x_gt).value
-            return ((2 * l + d - 2) * poch * (a * b)
-                    * gegenbauer_c(l, mu, cg))
-
-        return _run_series(term, l_max, pre, ref, ratio, ok)
-
-    # FRAK_MINUS
-    pre = (_const_a(d, wp.manifold.R)
-           * _cgamma(nu + 0.5 * d) / _cgamma(nu - 0.5 * d + 2.0) / sins)
-
-    def term(l):
-        sgn = -1.0 if l % 2 else 1.0
-        poch = _poch(nu, mu, l)
-        a = ferrers_p(nu, -(mu + l), x_lt).value
-        b = (ferrers_q(nu, -(mu + l), x_gt).value
-             + 0.5j * math.pi * ferrers_p(nu, -(mu + l), x_gt).value)
-        return sgn * (2 * l + d - 2) * poch * (a * b) * gegenbauer_c(l, mu, cg)
-
-    return _run_series(term, l_max, pre, ref, ratio, ok)
+    return _green_series(variant, wp, cfg, l_max)
 
 
 def fourier_2d(variant: str, wp: WaveParams, cfg: TwoPointConfig,
@@ -678,64 +541,7 @@ def fourier_2d(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         raise DomainError(f"no Fourier expansion for {variant!r}")
     if wp.manifold.d != 2:
         raise DomainError("fourier_2d requires d = 2")
-    nu = wp.nu
-    if not cfg.distinct:
-        raise DomainViolationError("expansion requires distinct radii")
-    cg = cfg.cos_gamma
-
-    if variant in (H_PLUS, H_MINUS):
-        rho = cfg.rho_hyperbolic()
-        ref = green_value(variant, wp.manifold, wp.beta, rho).value
-        z_lt, z_gt = math.cosh(cfg.lt), math.cosh(cfg.gt)
-        ratio = math.tanh(0.5 * cfg.lt) / math.tanh(0.5 * cfg.gt)
-
-        def term(l):
-            sgn = -1.0 if l % 2 else 1.0
-            return (epsilon_n(l) * sgn
-                    * legendre_p(nu, -float(l), z_lt).value
-                    * legendre_q(nu, float(l), z_gt).value
-                    * chebyshev_t(l, cg))
-
-        return _run_series(term, l_max, 1.0 / (2.0 * math.pi), ref, ratio,
-                           True)
-
-    ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
-    if not ok:
-        raise DomainViolationError("outside the convergence domain")
-    x_lt, x_gt = math.cos(cfg.lt), math.cos(cfg.gt)
-    big_theta = cfg.theta_spherical()
-    ref = green_value(variant, wp.manifold, wp.beta, big_theta).value
-
-    def poch0(n):
-        acc = 1.0 + 0.0j
-        for k in range(n):
-            acc *= (nu + 1.0 + k) * (-nu + k)
-        return acc
-
-    if variant in (S_PLUS, A_PLUS, SF_MINUS):
-        pre = -1.0 / (4.0 * cmath.sin(math.pi * nu))
-
-        def term(l):
-            a = ferrers_p(nu, -float(l), x_lt).value
-            if variant == A_PLUS:
-                sgn = -1.0 if l % 2 else 1.0
-                b = (ferrers_p(nu, -float(l), -x_gt).value
-                     - sgn * ferrers_p(nu, -float(l), x_gt).value)
-            else:
-                b = ferrers_p(nu, -float(l), -x_gt).value
-            return epsilon_n(l) * poch0(l) * (a * b) * chebyshev_t(l, cg)
-
-        return _run_series(term, l_max, pre, ref, ratio, ok)
-
-    # FRAK_MINUS in d = 2
-    def term(l):
-        sgn = -1.0 if l % 2 else 1.0
-        a = ferrers_p(nu, -float(l), x_lt).value
-        b = (ferrers_q(nu, float(l), x_gt).value
-             + 0.5j * math.pi * ferrers_p(nu, float(l), x_gt).value)
-        return epsilon_n(l) * sgn * (a * b) * chebyshev_t(l, cg)
-
-    return _run_series(term, l_max, 1.0 / (2.0 * math.pi), ref, ratio, ok)
+    return _green_series(variant, wp, cfg, l_max)
 
 
 def euclidean_expansion(sign: str, d: int, beta: float, r: float,
@@ -757,31 +563,19 @@ def euclidean_expansion(sign: str, d: int, beta: float, r: float,
     cfg = TwoPointConfig(r, r_prime, gamma_angle)
     dist = cfg.euclidean_distance()
     mu = 0.5 * d - 1.0
-    cg = cfg.cos_gamma
-    r_lt, r_gt = cfg.lt, cfg.gt
     if sign == PLUS:
         ref = ((2.0 * math.pi) ** (-0.5 * d) * (beta / dist) ** mu
                * _sp.kv(mu, beta * dist))
-        small, large = _sp.iv, _sp.kv
-        pre = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu * 2.0 ** mu
-               * (_cgamma(mu).real if d > 2 else 1.0)
-               / (beta * r * r_prime) ** mu)
+        c, small, large = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu,
+                           _sp.iv, _sp.kv)
     else:
         ref = (0.25j * (beta / (2.0 * math.pi * dist)) ** mu
                * _sp.hankel1(mu, beta * dist))
-        small, large = _sp.jv, _sp.hankel1
-        pre = (0.25j * (beta / (2.0 * math.pi)) ** mu * 2.0 ** mu
-               * (_cgamma(mu).real if d > 2 else 1.0)
-               / (beta * r * r_prime) ** mu)
-    ratio = r_lt / r_gt
-
-    if d == 2:
-        def term(l):
-            return (epsilon_n(l) * small(l, beta * r_lt)
-                    * large(l, beta * r_gt) * chebyshev_t(l, cg))
-    else:
-        def term(l):
-            return ((l + mu) * small(mu + l, beta * r_lt)
-                    * large(mu + l, beta * r_gt) * gegenbauer_c(l, mu, cg))
-
-    return _run_series(term, l_max, pre, complex(ref), ratio, True)
+        c, small, large = (0.25j * (beta / (2.0 * math.pi)) ** mu,
+                           _sp.jv, _sp.hankel1)
+    pre = c * 2.0 ** mu / (beta * r * r_prime) ** mu
+    a, b = beta * cfg.lt, beta * cfg.gt
+    radial = _pairs(mu, lambda m: small(m, a), [(lambda m: large(m, b),
+                                                 1.0, 1.0)])
+    return _series(pre, mu, cfg.cos_gamma, radial, l_max, complex(ref),
+                   cfg.lt / cfg.gt)

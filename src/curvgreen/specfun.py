@@ -151,8 +151,6 @@ def pochhammer(z, n: int) -> complex:
     z = complex(z)
     for k in range(n):
         acc *= z + k
-    if acc.imag == 0.0:
-        return acc
     return acc
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from curvgreen.errors import DomainViolationError, WrongCaseError
+from curvgreen.errors import (DomainError, DomainViolationError,
+                             WrongCaseError)
 from curvgreen.expansions import (TwoPointConfig,
                                   addition_ferrers, addition_legendre,
                                   addition_special, convergence_domain,
@@ -204,6 +205,14 @@ class TestFourier2d:
         rep = fourier_2d(variant, wp, cfg, 40)
         assert rep.rel_err < 1e-7, variant
 
+    def test_rejects_nonpositive_radii(self):
+        # the d = 2 rows share the radius check of the d >= 3 rows
+        cfg = TwoPointConfig(-0.5, 1.0, 0.7)
+        for d, series in ((2, fourier_2d), (3, green_expansion)):
+            wp = WaveParams(ManifoldSpec(HYPERBOLOID, d, 1.0), 1.0, PLUS)
+            with pytest.raises(DomainError):
+                series("H_PLUS", wp, cfg, 40)
+
     def test_elliptic_integral_identity(self):
         # beta = 1/(2R): closed form (1/2pi) sech(rho/2) K(sech(rho/2)),
         # with K from an independent quadrature oracle
@@ -230,6 +239,9 @@ class TestFourier2d:
         r1, r2 = 0.6, 1.1
         rep = fourier_2d("H_PLUS", wp, TwoPointConfig(r1, r2, 0.7), 1)
         assert rep.terms == 1
+        # l_max = 0 keeps no term at all and is refused
+        with pytest.raises(DomainError):
+            fourier_2d("H_PLUS", wp, TwoPointConfig(r1, r2, 0.7), 0)
 
         def f(phi):
             cfg = TwoPointConfig(r1, r2, phi)
@@ -281,13 +293,18 @@ class TestCandidatesCommonDomain:
             rep = green_expansion(variant, wp, cfg, 40)
             assert rep.rel_err < 1e-6, variant
 
-    def test_mu_to_zero_consistency(self):
-        # PmQp at mu = 1e-6 approaches the mu = 0 Chebyshev series; the
-        # configuration keeps the value O(1) so the relative comparison
-        # is not inflated by a nearby zero of the second-kind function
-        cfg = TwoPointConfig(0.4, 0.7, 0.9)
-        small = addition_ferrers("PmQp", 0.7, 1e-6, cfg, 60)
-        zero = addition_ferrers("PmQp", 0.7, 0.0, cfg, 60)
+    @pytest.mark.parametrize("series,kind,nu,cfg", [
+        (addition_ferrers, kind, 0.7, TwoPointConfig(0.4, 0.7, 0.9))
+        for kind in TestAdditionFerrers.KINDS] + [
+        (addition_legendre, kind, 1.3, TwoPointConfig(0.6, 1.1, 0.7))
+        for kind in ("P", "Q")], ids=TestAdditionFerrers.KINDS + ("P", "Q"))
+    def test_mu_to_zero_consistency(self, series, kind, nu, cfg):
+        # each kind at mu = 1e-6 approaches its mu = 0 Chebyshev series;
+        # the configurations keep the values O(1) so the relative
+        # comparison is not inflated by a nearby zero of the
+        # second-kind function
+        small = series(kind, nu, 1e-6, cfg, 60)
+        zero = series(kind, nu, 0.0, cfg, 60)
         assert abs(small.value - zero.value) < 1e-5 * abs(zero.value)
 
     def test_gegenbauer_coefficient_growth(self):
