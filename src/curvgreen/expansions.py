@@ -54,6 +54,8 @@ from .specfun import _cgamma, _near_nonpos_int
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
+# the loosest accuracy the acceptance gate asks of a series
+_CUT_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,9 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
     """const + pre * sum of radial(l) w_l^mu(x) over at most n_max terms.
 
     The sum stops after _TRUNC_RUN consecutive terms below _TRUNC_REL of
-    the running total.  The tail diagnostics go into the report.
+    the running total.  The tail diagnostics go into the report;
+    NONCONVERGENT marks a tail whose last terms do not decrease, or a
+    sum cut off at n_max with its last term above _CUT_REL of the total.
     """
     if n_max < 1:
         raise DomainError(f"a series needs at least one term, got {n_max}")
@@ -224,6 +228,8 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
     flags = set()
     if len(mags) >= 5 and all(mags[-i] >= mags[-i - 1] * (1.0 - 1e-12)
                               for i in range(1, 5)) and mags[-1] > 0:
+        flags.add(NONCONVERGENT)
+    if small < _TRUNC_RUN and mags[-1] > _CUT_REL * abs(total):
         flags.add(NONCONVERGENT)
     value = const + pre * total
     rel = None

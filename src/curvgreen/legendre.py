@@ -31,7 +31,7 @@ import math
 
 from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
-                     UndefinedError)
+                     RangeError, UndefinedError)
 from .result import (NEAR_POLE, RECURRENCE_UNSTABLE, SLOW_CONVERGENCE,
                      EvalResult, merge_flags)
 from .specfun import (_cgamma, _lgamma, _near_nonpos_int, gamma_ratio,
@@ -196,22 +196,28 @@ def _legendre_q_series(nu, mu, z: float) -> EvalResult:
     if top_pole:
         raise ParamPoleError("Q_nu^mu pole: nu + mu is a negative integer")
     c_pole, _ = _near_nonpos_int(c)
-    if c_pole:
-        # anomalous degree: regularized engine absorbs the Gamma(c) pole
-        h = regularized_2f1(a, b, c, w)
-        pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-               * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
-               * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
-        return EvalResult(pre * h.value, abs(pre) * h.abs_err_est,
-                          h.terms_used, h.flags)
-    h = gauss_2f1(a, b, c, w)
-    # log-space prefactor keeps large real degrees inside double range
-    lg = (_lgamma(nu + mu + 1.0) - _lgamma(c)
-          - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
-    pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-           * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
-    return EvalResult(pre * h.value, abs(pre) * h.abs_err_est,
-                      h.terms_used, h.flags)
+    try:
+        if c_pole:
+            # anomalous degree: regularized engine absorbs the Gamma(c) pole
+            h = regularized_2f1(a, b, c, w)
+            pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
+                   * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
+                   * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
+        else:
+            h = gauss_2f1(a, b, c, w)
+            # log-space prefactor keeps large real degrees inside double
+            # range
+            lg = (_lgamma(nu + mu + 1.0) - _lgamma(c)
+                  - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
+            pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
+                   * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
+        val, err = pre * h.value, abs(pre) * h.abs_err_est
+    except OverflowError:
+        val = err = math.inf
+    if not (cmath.isfinite(val) and math.isfinite(err)):
+        raise RangeError(f"Q_nu^mu overflows the double range at "
+                         f"nu = {nu}, mu = {mu}")
+    return EvalResult(val, err, h.terms_used, h.flags)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,24 @@ Provides the scalar kernels everything else is built on:
 
 All functions are pure; coefficient tables are immutable module
 constants, so every operation is safe to call concurrently.
+
+Fast path of the 2F1 engine.  Its results are bit-identical to the
+term-by-term complex evaluation (value, error estimate, term count,
+flags and every exception), and it changes no tolerance:
+
+* When a, b, c and z are finite with zero imaginary parts, the defining
+  series runs in float.  CPython's complex +, *, / and abs give, on
+  operands whose imaginary parts are zero and whose parts stay finite,
+  exactly the real part the float operation gives, and the imaginary
+  parts stay zero.  If a float term or sum overflows, the complex loop
+  runs instead, because its inf/nan parts propagate differently.
+* The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
+  -Re c, so the series evaluates it there alone.
+* The logarithmic 1-z case takes each block of digamma values from one
+  scipy ufunc call on complex arguments, which applies the scalar
+  routine element by element.
+* Each parameter is checked against the poles once per call, and the
+  snapped a and b are passed down to the series.
 """
 
 from __future__ import annotations
@@ -23,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import scipy.special as _sp
 
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
@@ -85,21 +104,9 @@ def _cgamma(z) -> complex:
     return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def _rgamma(z) -> complex:
-    """1/Gamma(z); exactly 0 at the poles."""
-    hit, _ = _near_nonpos_int(z, tol=1e-13)
-    if hit:
-        return 0.0
-    return 1.0 / _cgamma(z)
-
-
 def _lgamma(z) -> complex:
     """Principal log-gamma (scipy backend, complex-capable)."""
     return complex(_sp.loggamma(complex(z)))
-
-
-def _digamma(z) -> complex:
-    return complex(_sp.digamma(complex(z)))
 
 
 def gamma(z) -> EvalResult:
@@ -172,45 +179,65 @@ def gamma_ratio_asymptotic(a, b, tau: float, sign: int = +1) -> complex:
 # Gauss hypergeometric engine
 # ----------------------------------------------------------------------
 
-def _snap_param(a):
-    """Snap a parameter sitting (numerically) on a nonpositive integer."""
-    hit, n = _near_nonpos_int(a, tol=1e-12)
-    return complex(-n) if hit else complex(a)
-
-
 def _series_2f1(a, b, c, z, max_terms=_MAX_TERMS):
-    """Defining series, unregularized.  Caller ensures c is pole-free."""
-    a, b, c, z = _snap_param(a), _snap_param(b), complex(c), complex(z)
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
+    """Defining series, unregularized.
+
+    Takes complex arguments.  The caller has snapped a and b onto the
+    nonpositive integers within 1e-12 of them and ensures c is
+    pole-free.  Real finite arguments run the loop in float (see the
+    module docstring); if that loop overflows, the complex loop runs.
+    """
+    out = None
+    if (not (a.imag or b.imag or c.imag or z.imag)
+            and math.isfinite(a.real + b.real + c.real + z.real)):
+        out = _series_loop(a.real, b.real, c.real, z.real, 1.0, max_terms)
+        if not math.isfinite(out[1]):
+            out = None  # complex inf/nan parts propagate differently
+    if out is None:
+        out = _series_loop(a, b, c, z, 1.0 + 0.0j, max_terms)
+    total, total_abs, term, terms_used, near = out
+    if not terms_used:
+        raise NoConvergenceError("2F1 series did not settle within budget")
+    err = 2.0 * _EPS * total_abs + abs(term)
+    flags = {NEAR_POLE} if near else set()
+    if total_abs > 1e8 * max(abs(total), 1e-300):
+        flags.add(NEAR_POLE)  # severe cancellation across the sum
+    return complex(total), err, terms_used, frozenset(flags)
+
+
+def _series_loop(a, b, c, z, one, max_terms):
+    """The loop of _series_2f1 in the arithmetic of ``one`` (float or
+    complex): (total, sum of |terms|, last term, terms used or 0 if the
+    budget ran out, whether a denominator fell below 1e-8)."""
+    # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
+    # can set NEAR_POLE, and only if the loop reaches it
+    n0 = float(round(-c.real)) if -0.5 < -c.real < max_terms else -1.0
+    n_max = float(max_terms)  # float-float comparisons are the fast ones
+    near = False
+    term = total = one
     total_abs = 1.0
-    flags = set()
     small = 0
-    n = 0
-    terms_used = 1  # the n = 0 term
-    while n < max_terms:
-        denom = (c + n) * (n + 1)
-        if abs(denom) < 1e-8:
-            flags.add(NEAR_POLE)
+    n = 0.0
+    while n < n_max:
+        denom = (c + n) * (n + 1.0)
+        if n == n0:
+            near = abs(denom) < 1e-8
         term = term * (a + n) * (b + n) / denom * z
-        if term == 0:
+        if term == 0.0:
             break  # terminating polynomial: count nonzero terms only
+        mag = abs(term)
         total += term
-        total_abs += abs(term)
-        terms_used += 1
-        n += 1
-        if abs(term) <= 1e-15 * abs(total):
+        total_abs += mag
+        n += 1.0
+        if mag <= 1e-15 * abs(total):
             small += 1
             if small >= 3:
                 break
         else:
             small = 0
     else:
-        raise NoConvergenceError("2F1 series did not settle within budget")
-    err = 2.0 * _EPS * total_abs + abs(term)
-    if total_abs > 1e8 * max(abs(total), 1e-300):
-        flags.add(NEAR_POLE)  # severe cancellation across the sum
-    return total, err, terms_used, frozenset(flags)
+        return total, total_abs, term, 0, near
+    return total, total_abs, term, int(n) + 1, near
 
 
 def _coeff(num, den):
@@ -265,25 +292,47 @@ def _lin_1mz_generic(a, b, c, z, depth):
     return total, err, t1 + t2, frozenset(fl)
 
 
+def _psi_brackets(logw, m, psi_a, psi_b):
+    """Yield log w - psi(k+1) - psi(k+m+1) + psi(psi_a+k) + psi(psi_b+k)
+    for k = 0, 1, ... below _MAX_TERMS.
+
+    Each block of terms takes one digamma ufunc call on complex
+    arguments.  The ufunc applies the scalar routine element by element
+    and the bracket is summed in the same order, so every bracket is
+    bitwise the one computed term by term.
+    """
+    k0, size = 0, 32
+    while k0 < _MAX_TERMS:
+        size = min(size, _MAX_TERMS - k0)
+        k = np.arange(k0, k0 + size, dtype=float)
+        # psi(k+1) and psi(k+m+1) are windows of one integer run
+        ints = np.arange(k0 + 1, k0 + size + m + 1, dtype=complex)
+        psi = _sp.digamma(np.concatenate((ints, psi_a + k, psi_b + k)))
+        j = size + m
+        yield from (logw - psi[:size] - psi[m:j] + psi[j:j + size]
+                    + psi[j + size:]).tolist()
+        k0 += size
+        size *= 2
+
+
 def _log_sum(a_s, b_s, m, w, psi_shift_a, psi_shift_b):
     """sum_k (a_s)_k (b_s)_k / (k! (k+m)!) w^k * bracket(k), where
     bracket = log w - psi(k+1) - psi(k+m+1) + psi(a_psi+k) + psi(b_psi+k).
     """
-    logw = cmath.log(w)
     coef = 1.0 / math.gamma(m + 1)
     total = 0.0 + 0.0j
     total_abs = 0.0
     small = 0
-    for k in range(_MAX_TERMS):
-        bracket = (logw - _digamma(k + 1) - _digamma(k + m + 1)
-                   + _digamma(psi_shift_a + k) + _digamma(psi_shift_b + k))
+    brackets = _psi_brackets(cmath.log(w), m, psi_shift_a, psi_shift_b)
+    for k, bracket in enumerate(brackets):
         term = coef * bracket
+        mag = abs(term)
         total += term
-        total_abs += abs(term)
-        if abs(term) <= 1e-16 * max(abs(total), 1e-300):
+        total_abs += mag
+        if mag <= 1e-16 * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
-                return total, 2.0 * _EPS * total_abs + abs(term), k + 1
+                return total, 2.0 * _EPS * total_abs + mag, k + 1
         else:
             small = 0
         coef = coef * (a_s + k) * (b_s + k) / ((k + 1.0) * (k + m + 1.0)) * w
@@ -350,13 +399,19 @@ def _hyp2f1_core(a, b, c, z, depth=0):
     if hit:
         raise ParamPoleError("2F1 parameter c is a nonpositive integer; "
                              "use regularized_2f1")
+    return _hyp2f1_route(a, b, c, z, depth)
+
+
+def _hyp2f1_route(a, b, c, z, depth):
+    """_hyp2f1_core past its checks: complex arguments, c pole-free."""
     if z == 0:
         return 1.0 + 0.0j, 0.0, 1, frozenset()
     # terminating polynomial works for any argument
     ta, na = _near_nonpos_int(a, tol=1e-12)
     tb, nb = _near_nonpos_int(b, tol=1e-12)
     if ta or tb:
-        return _series_2f1(a, b, c, z)
+        return _series_2f1(complex(-na) if ta else a,
+                           complex(-nb) if tb else b, c, z)
     if abs(z) <= 0.75:
         return _series_2f1(a, b, c, z)
     if z.real < 0.0:
@@ -407,13 +462,15 @@ def regularized_2f1(a, b, c, z) -> EvalResult:
                 / math.gamma(m + 2)) * z ** (m + 1)
         if pref == 0.0:
             return EvalResult(0.0, 0.0, 1, frozenset())
-        v, e, t, f = _hyp2f1_core(a + m + 1.0, b + m + 1.0, m + 2.0, z)
+        v, e, t, f = _hyp2f1_route(a + m + 1.0, b + m + 1.0,
+                                   complex(m + 2.0), z, 0)
         return EvalResult(pref * v, abs(pref) * e, t, f)
-    v, e, t, f = _hyp2f1_core(a, b, c, z)
+    # c is more than 1e-10 (so more than 1/Gamma's 1e-13) from a pole
+    v, e, t, f = _hyp2f1_route(a, b, c, z, 0)
     if max(abs(c), abs(a), abs(b)) > 100.0:
         rg = cmath.exp(-_lgamma(c))
     else:
-        rg = _rgamma(c)
+        rg = 1.0 / _cgamma(c)
     return EvalResult(v * rg, e * abs(rg), t, f)
 
 

@@ -83,6 +83,16 @@ class TestExpand:
         assert out == ""
         assert capsys.readouterr().err.startswith("error[")
 
+    def test_overflowing_term_is_a_range_error(self, capsys):
+        # orders up to 300 overflow Q_nu^mu: a refusal, not a traceback
+        code, out = capture([
+            "expand", "--variant", "H_PLUS", "--manifold", "hyperboloid",
+            "--d", "5", "--R", "2.5", "--beta", "3.4434", "--r", "1.8056",
+            "--r-prime", "1.3587", "--gamma", "2.445", "--lmax", "300"])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error[RANGE]")
+
 
 class TestVerify:
     def test_csv_rows(self):

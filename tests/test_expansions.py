@@ -15,6 +15,7 @@ from curvgreen.expansions import (TwoPointConfig,
 from curvgreen.geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from curvgreen.greens import (MINUS, PLUS, WaveParams, green_value)
 from curvgreen.legendre import legendre_p, legendre_q
+from curvgreen.result import NONCONVERGENT
 from curvgreen.specfun import gegenbauer_c
 
 CFG_H = TwoPointConfig(0.5, 1.2, 0.8)
@@ -185,6 +186,20 @@ class TestGreenExpansions:
         assert cfg.rho_hyperbolic() == pytest.approx(0.5, rel=1e-10)
         rep = green_expansion("H_PLUS", wp, cfg, 40)
         assert rep.rel_err < 1e-8
+
+    @pytest.mark.parametrize("l_max", [40, 120])
+    def test_cut_off_series_is_flagged(self, l_max):
+        # tail ratio ~0.82: cut off far from convergence, terms still large
+        wp = WaveParams(ManifoldSpec(HYPERBOLOID, 5, 2.5), 3.4434, PLUS)
+        cfg = TwoPointConfig(1.8056, 1.3587, 2.4451)
+        rep = green_expansion("H_PLUS", wp, cfg, l_max)
+        assert rep.terms == l_max and rep.rel_err > 1.0
+        assert NONCONVERGENT in rep.flags
+
+    def test_converged_series_is_not_flagged(self):
+        wp = WaveParams(ManifoldSpec(HYPERBOLOID, 3, 1.0), 1.0, PLUS)
+        rep = green_expansion("H_PLUS", wp, TwoPointConfig(0.6, 1.1, 0.7), 40)
+        assert NONCONVERGENT not in rep.flags
 
     def test_rejects_equal_radii(self):
         wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 1.3, PLUS)

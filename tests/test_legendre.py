@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvgreen.errors import DomainError, UndefinedError
+from curvgreen.errors import DomainError, RangeError, UndefinedError
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
@@ -70,6 +70,13 @@ class TestLegendreQ:
                 * cmath.exp(1j * math.pi * mu)
                 / (math.gamma(nu + 1.5) * (2.0 * z) ** (nu + 1.0)))
         assert relerr(got, lead) < 0.02
+
+    @pytest.mark.parametrize("mu", [170.5, 200.5, 300.0])
+    def test_large_order_overflow_refuses(self, mu):
+        # |Q| exceeds the double range; a nan/inf value or a bare
+        # OverflowError must not escape
+        with pytest.raises(RangeError):
+            legendre_q(8.3378, mu, math.cosh(1.8056))
 
     def test_half_odd_closed_form(self):
         r = 1.0

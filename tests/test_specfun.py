@@ -1,15 +1,23 @@
 """Foundation special functions: values, identities, error behavior."""
 
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvgreen.errors import (DomainError, NoConvergenceError, ParamPoleError,
                               PoleError)
-from curvgreen.specfun import (_cgamma, chebyshev_t, cyl, env_h, env_j, gamma,
-                               gamma_ratio, gamma_ratio_asymptotic, gauss_2f1,
+from curvgreen.result import NEAR_POLE
+from curvgreen.specfun import (_cgamma, _lin_1mz_log, _near_nonpos_int,
+                               _psi_brackets, _series_2f1, chebyshev_t, cyl,
+                               env_h, env_j, gamma, gamma_ratio,
+                               gamma_ratio_asymptotic, gauss_2f1,
                                gegenbauer_c, pochhammer, regularized_2f1)
 
 SQRT_PI = 1.7724538509055160273
@@ -153,6 +161,162 @@ class TestGauss2F1:
         mid = gauss_2f1(a, b, c, 0.75).value
         assert abs(direct - mid) < 0.05 * abs(mid)
         assert abs(forced - mid) < 0.05 * abs(mid)
+
+
+def _snap(a):
+    """Snap a parameter within 1e-12 of a nonpositive integer onto it."""
+    hit, n = _near_nonpos_int(a, tol=1e-12)
+    return complex(-n) if hit else complex(a)
+
+
+def _reference_series(a, b, c, z, max_terms=6000):
+    """The defining series term by term in complex arithmetic, with the
+    NEAR_POLE test on every denominator: the reference _series_2f1 must
+    match bit for bit."""
+    a, b, c, z = _snap(a), _snap(b), complex(c), complex(z)
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    total_abs = 1.0
+    flags = set()
+    small = 0
+    n = 0
+    terms_used = 1
+    while n < max_terms:
+        denom = (c + n) * (n + 1)
+        if abs(denom) < 1e-8:
+            flags.add(NEAR_POLE)
+        term = term * (a + n) * (b + n) / denom * z
+        if term == 0:
+            break
+        total += term
+        total_abs += abs(term)
+        terms_used += 1
+        n += 1
+        if abs(term) <= 1e-15 * abs(total):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    else:
+        raise NoConvergenceError("2F1 series did not settle within budget")
+    err = 2.0 * 2.220446049250313e-16 * total_abs + abs(term)
+    if total_abs > 1e8 * max(abs(total), 1e-300):
+        flags.add(NEAR_POLE)
+    return total, err, terms_used, frozenset(flags)
+
+
+def _outcome(fn, *args):
+    """Bitwise-comparable outcome: reprs of the floats (which keep the
+    sign of zero), terms, flags, or the exception type and message."""
+    try:
+        v, e, t, f = fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc).__name__, str(exc)
+    return repr(v.real), repr(v.imag), repr(e), t, sorted(f)
+
+
+def _engine_series(a, b, c, z):
+    return _series_2f1(_snap(a), _snap(b), complex(c), complex(z))
+
+
+_REAL = st.one_of(st.floats(-12.0, 12.0),
+                  st.integers(-8, 0).map(float))        # terminating
+_PARAM = st.one_of(_REAL, st.builds(complex, _REAL, st.floats(-3.0, 3.0)))
+_REAL_ARG = st.floats(-0.75, 0.75)
+_ARG = st.one_of(_REAL_ARG,
+                 st.builds(lambda r, t: r * cmath.exp(1j * t),
+                           st.floats(0.0, 0.75), st.floats(-math.pi, math.pi)))
+
+
+@st.composite
+def _c_near_pole(draw):
+    """c within (1e-10, 1e-8/(n+1)) of -n, real or slightly complex."""
+    n = draw(st.integers(0, 20))
+    d = draw(st.floats(1.01e-10, 0.99e-8 / (n + 1)))
+    d *= draw(st.sampled_from((1.0, -1.0)))
+    return complex(-n + d, draw(st.sampled_from((0.0, 1e-12, -3e-11))))
+
+
+class TestSeriesBitIdentity:
+    """_series_2f1 (float fast path, hoisted NEAR_POLE test) against the
+    term-by-term complex reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_REAL, _REAL, _REAL, _REAL_ARG)
+    def test_real_matches_reference(self, a, b, c, z):
+        self.check(a, b, c, z)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_PARAM, _PARAM, _PARAM, _ARG)
+    def test_complex_matches_reference(self, a, b, c, z):
+        self.check(a, b, c, z)
+
+    @staticmethod
+    def check(a, b, c, z):
+        if _near_nonpos_int(c)[0]:
+            return  # the engine refuses these c before the series
+        assert (_outcome(_engine_series, a, b, c, z)
+                == _outcome(_reference_series, a, b, c, z))
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(_PARAM, _PARAM, _c_near_pole(), _ARG)
+    def test_near_pole_c(self, a, b, c, z):
+        self.check(a, b, c, z)
+
+    def test_near_pole_c_is_flagged(self):
+        got = _series_2f1(0.5 + 0j, 1.5 + 0j, complex(-3 + 2e-9), 0.5 + 0j)
+        assert NEAR_POLE in got[3]
+
+    @pytest.mark.parametrize("args", [
+        (700, 700, 1.5, 0.74),       # terms overflow: no convergence
+        (-1270, 2, 2, -0.75),        # finite terms, the sum overflows
+        (-1250, 2, 2, -0.75),        # huge but finite polynomial
+        (-400, 500, 1.5, 0.74),
+        (-2, 1e200, 1e-200, 0.5),
+    ])
+    def test_overflow_matches_reference(self, args):
+        assert (_outcome(_engine_series, *args)
+                == _outcome(_reference_series, *args))
+
+
+def test_psi_brackets_match_scalar_digamma():
+    """Block digamma brackets equal the term-by-term scalar ones bitwise,
+    across block boundaries."""
+    logw = cmath.log(0.2 - 0.1j)
+    for m, pa, pb in ((0, 0.3 + 0.2j, 1.7 + 0j), (2, 2.3 - 0j, -0.45 + 0.1j)):
+        got = list(itertools.islice(_psi_brackets(logw, m, pa, pb), 100))
+        want = [logw - _psi(k + 1) - _psi(k + m + 1) + _psi(pa + k)
+                + _psi(pb + k) for k in range(100)]
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+
+
+def _psi(x):
+    return complex(scipy.special.digamma(complex(x)))
+
+
+class TestLogCase:
+    """1-z connection with integer c - a - b = m (the logarithmic case)
+    against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("a,b,z", [
+        (0.3, 1.45, 0.8),
+        (0.3, 1.45, 0.9 + 0.2j),
+        (0.4 + 0.3j, 1.1 - 0.2j, 0.85),
+        (0.4 + 0.3j, 1.1 - 0.2j, 0.95 - 0.1j),
+    ])
+    def test_against_mpmath(self, m, a, b, z):
+        a, b, z = complex(a), complex(b), complex(z)
+        c = a + b + m
+        v, err, _, _ = _lin_1mz_log(a, b, c, m, z, 0)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(v - ref) <= 1e-13 * abs(ref)
+        assert err < 1e-12 * abs(ref)
 
 
 class TestRegularized2F1:
