@@ -19,7 +19,7 @@ from .errors import CurvGreenError
 from .expansions import (TwoPointConfig, addition_special, euclidean_expansion,
                          fourier_2d, green_expansion)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .greens import (CANDIDATE_VARIANTS, MINUS, PLUS, WaveParams,
+from .greens import (MINUS, PLUS, VARIANT_SPACES, WaveParams,
                      eigenvalue_poles, euclidean_green, green_value,
                      pole_proximity, sphere_candidate_minus)
 from .verify import check_normalization, default_suite
@@ -39,14 +39,9 @@ def _emit(doc: dict, config: dict, output: str, stream) -> None:
         return
     rows = doc.pop("rows", None)
     if rows is None:
-        # flatten a single record
-        keys = sorted(k for k in doc if k not in ("tool_version",
-                                                  "config_echo"))
-        stream.write(",".join(keys) + "\n")
-        stream.write(",".join(_fmt(doc[k]) if isinstance(doc[k], (int, float))
-                              and not isinstance(doc[k], bool)
-                              else str(doc[k]) for k in keys) + "\n")
-        return
+        # a single record is a one-row table of its sorted keys
+        rows = [{k: doc[k] for k in sorted(doc)
+                 if k not in ("tool_version", "config_echo")}]
     if rows:
         keys = list(rows[0].keys())
         stream.write(",".join(keys) + "\n")
@@ -66,11 +61,9 @@ def _manifold(cfg: dict) -> ManifoldSpec:
 
 
 def _eval_result_doc(res) -> dict:
+    v = complex(res.value)
     return {
-        "value_re": res.value.real if isinstance(res.value, complex)
-        else float(res.value),
-        "value_im": res.value.imag if isinstance(res.value, complex)
-        else 0.0,
+        "value_re": v.real, "value_im": v.imag,
         "abs_err_est": res.abs_err_est,
         "terms_used": res.terms_used,
         "flags": sorted(res.flags),
@@ -175,8 +168,8 @@ def _cmd_sweep(cfg, out):
     d = int(cfg["d"])
     r_phys = float(cfg["r_phys"])
     r_list = [float(x) for x in str(cfg["R_list"]).split(",")]
-    sign = MINUS if variant in ("H_MINUS", "EUCLID_MINUS") \
-        or variant in CANDIDATE_VARIANTS else PLUS
+    # an unknown tag takes the + sign here and is refused by green_value
+    sign = VARIANT_SPACES.get(variant, (None, PLUS))[1]
     ref = euclidean_green(sign, d, beta, r_phys).value
     rows = []
     for R in r_list:

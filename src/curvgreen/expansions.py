@@ -479,13 +479,6 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
 # functions
 # ----------------------------------------------------------------------
 
-def _const_a(d: int, R: float) -> float:
-    """The constant A_d of the d >= 3 closed forms.  The expansions
-    use 2 A_d / Gamma(mu) = 1 / (2 pi^{d/2} R^{d-2}), finite at d = 2."""
-    return _cgamma(0.5 * d).real / (2.0 * (d - 2.0)
-                                    * math.pi ** (0.5 * d) * R ** (d - 2))
-
-
 _EXPANDABLE = (H_PLUS, H_MINUS, S_PLUS, A_PLUS, SF_MINUS, FRAK_MINUS)
 
 

@@ -20,6 +20,10 @@ Degrees attached to each operator/manifold combination:
     hypersphere  -beta^2 : nu = -1/2 + sqrt((d-1)^2 + 4 b^2 R^2)/2
 
 with mu = d/2 - 1 throughout.
+
+Each closed form is written once, in one hyperboloid and one sphere body.
+``green_value`` dispatches through ``VARIANT_SPACES``, which maps each
+variant tag to its manifold kind and operator sign.
 """
 
 from __future__ import annotations
@@ -57,6 +61,24 @@ LAPLACE_S = "LAPLACE_S"
 
 CANDIDATE_VARIANTS = (SF_MINUS, FRAK_MINUS, AF_MINUS, FRAKA_MINUS)
 ALL_VARIANTS = (H_PLUS, H_MINUS, S_PLUS, A_PLUS) + CANDIDATE_VARIANTS
+
+
+class _VariantTable(dict):
+    """Variant tag -> (manifold kind, operator sign); an unknown tag raises
+    WrongVariantError.  The Laplace references count as beta -> 0 limits
+    of the + sign."""
+
+    def __missing__(self, variant):
+        raise WrongVariantError(f"unknown variant {variant!r}")
+
+
+VARIANT_SPACES = _VariantTable({
+    H_PLUS: (HYPERBOLOID, PLUS), H_MINUS: (HYPERBOLOID, MINUS),
+    S_PLUS: (HYPERSPHERE, PLUS), A_PLUS: (HYPERSPHERE, PLUS),
+    **{v: (HYPERSPHERE, MINUS) for v in CANDIDATE_VARIANTS},
+    EUCLID_PLUS: (EUCLIDEAN, PLUS), EUCLID_MINUS: (EUCLIDEAN, MINUS),
+    LAPLACE_H: (HYPERBOLOID, PLUS), LAPLACE_S: (HYPERSPHERE, PLUS),
+})
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,15 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
     raise DomainError("sign must be 'plus' or 'minus'")
 
 
+def _hyperboloid_body(m: ManifoldSpec, nu, mu: float,
+                      rho: float) -> EvalResult:
+    """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d} sinh(rho)^{-mu} Q_nu^mu(cosh rho)."""
+    q = legendre_q(nu, mu, math.cosh(rho))
+    return q.scaled(cmath.exp(-1j * math.pi * mu)
+                    * (2.0 * math.pi) ** (-0.5 * m.d) * m.R ** (2 - m.d)
+                    * math.sinh(rho) ** (-mu))
+
+
 def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
     """Green's function on the hyperboloid at geodesic separation
     rho = d(x, x')/R > 0 (value real; imaginary residue is roundoff)."""
@@ -139,21 +170,17 @@ def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
         raise WrongVariantError("WaveParams is not a hyperboloid case")
     if not rho > 0:
         raise DomainError("rho must be positive")
-    d, R, mu = wp.manifold.d, wp.manifold.R, wp.mu
-    q = legendre_q(wp.nu, mu, math.cosh(rho))
-    pre = (cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * d)
-           * R ** (2 - d) * math.sinh(rho) ** (-mu))
-    return EvalResult(pre * q.value, abs(pre) * q.abs_err_est,
-                      q.terms_used, q.flags)
+    return _hyperboloid_body(wp.manifold, wp.nu, wp.mu, rho)
 
 
-def _sphere_prefactor(wp: WaveParams) -> complex:
-    """Gamma(nu+mu+1) Gamma(mu-nu) / (2^{d/2+1} pi^{d/2} R^{d-2})."""
+def _sphere_prefactor(wp: WaveParams, rho: float) -> complex:
+    """Gamma(nu+mu+1) Gamma(mu-nu) sin(rho)^{-mu}
+    / (2^{d/2+1} pi^{d/2} R^{d-2})."""
     d, R = wp.manifold.d, wp.manifold.R
     lg = _lgamma(wp.nu + wp.mu + 1.0) + _lgamma(wp.mu - wp.nu)
     lg -= ((0.5 * d + 1.0) * math.log(2.0) + 0.5 * d * math.log(math.pi)
            + (d - 2.0) * math.log(R))
-    return cmath.exp(lg)
+    return cmath.exp(lg) * math.sin(rho) ** (-wp.mu)
 
 
 def _p_reflected(nu, mu: float, rho: float) -> EvalResult:
@@ -163,30 +190,36 @@ def _p_reflected(nu, mu: float, rho: float) -> EvalResult:
     return ferrers_p(nu, -mu, -math.cos(rho))
 
 
-def sphere_green_plus(wp: WaveParams, rho: float) -> EvalResult:
-    """Single-source Green's function of (-Delta + beta^2) on the sphere."""
-    if wp.manifold.kind != HYPERSPHERE or wp.sign != PLUS:
-        raise WrongVariantError("WaveParams is not the sphere plus case")
+def _sphere_body(wp: WaveParams, rho: float, antipodal: bool,
+                 fac=None) -> EvalResult:
+    """pre FP_nu^{-mu}(-cos rho) (S_PLUS, SF_MINUS), or pre times fac
+    times f_nu^{-mu}(cos rho) (A_PLUS, AF_MINUS, FRAKA_MINUS)."""
+    pre = _sphere_prefactor(wp, rho)
+    if not antipodal:
+        return _p_reflected(wp.nu, wp.mu, rho).scaled(pre)
+    f = odd_ferrers_f(wp.nu, -wp.mu, math.cos(rho))
+    return f.scaled(pre if fac is None else pre * fac)
+
+
+def _check_sphere(wp: WaveParams, sign: str, rho: float) -> None:
+    if wp.manifold.kind != HYPERSPHERE or wp.sign != sign:
+        raise WrongVariantError(f"WaveParams is not the sphere {sign} case")
     if not 0.0 < rho < math.pi:
         raise RangeError("rho must lie in (0, pi)")
+
+
+def sphere_green_plus(wp: WaveParams, rho: float) -> EvalResult:
+    """Single-source Green's function of (-Delta + beta^2) on the sphere."""
+    _check_sphere(wp, PLUS, rho)
     # Gamma(mu - nu) cannot pole here: nu < mu for every beta > 0
-    pre = _sphere_prefactor(wp) * math.sin(rho) ** (-wp.mu)
-    p = _p_reflected(wp.nu, wp.mu, rho)
-    return EvalResult(pre * p.value, abs(pre) * p.abs_err_est,
-                      p.terms_used, p.flags)
+    return _sphere_body(wp, rho, antipodal=False)
 
 
 def sphere_green_antipodal_plus(wp: WaveParams, rho: float) -> EvalResult:
     """Antipodal (+delta at the origin, -delta at the opposite pole)
     solution of (-Delta + beta^2) on the sphere; odd about rho = pi/2."""
-    if wp.manifold.kind != HYPERSPHERE or wp.sign != PLUS:
-        raise WrongVariantError("WaveParams is not the sphere plus case")
-    if not 0.0 < rho < math.pi:
-        raise RangeError("rho must lie in (0, pi)")
-    pre = _sphere_prefactor(wp) * math.sin(rho) ** (-wp.mu)
-    f = odd_ferrers_f(wp.nu, -wp.mu, math.cos(rho))
-    return EvalResult(pre * f.value, abs(pre) * f.abs_err_est,
-                      f.terms_used, f.flags)
+    _check_sphere(wp, PLUS, rho)
+    return _sphere_body(wp, rho, antipodal=True)
 
 
 def eigenvalue_poles(wp: WaveParams, count: int) -> list:
@@ -226,39 +259,26 @@ def sphere_candidate_minus(variant: str, wp: WaveParams,
     1e-6 of an eigenvalue pole evaluation refuses instead of returning
     huge values.
     """
-    if wp.manifold.kind != HYPERSPHERE or wp.sign != MINUS:
-        raise WrongVariantError("WaveParams is not the sphere minus case")
-    if not 0.0 < rho < math.pi:
-        raise RangeError("rho must lie in (0, pi)")
+    _check_sphere(wp, MINUS, rho)
     variant = variant.upper().replace("_MINUS", "")
     if variant not in ("SF", "FRAK", "AF", "FRAKA"):
         raise WrongVariantError(f"unknown candidate variant {variant!r}")
     if pole_proximity(wp) < 1e-6:
         raise EigenvaluePoleError(
             "beta within refusal window of a Laplace-Beltrami eigenvalue")
-    nu, mu = wp.nu, wp.mu
-    pre = _sphere_prefactor(wp) * math.sin(rho) ** (-mu)
-    if variant == "SF":
-        p = _p_reflected(nu, mu, rho)
-        out = EvalResult(pre * p.value, abs(pre) * p.abs_err_est,
-                         p.terms_used, p.flags)
-    elif variant == "FRAK":
-        pm = _p_reflected(nu, mu, rho)
-        pp = ferrers_p(nu, -mu, math.cos(rho))
-        phase = cmath.exp(1j * math.pi * (nu - mu))
-        out = EvalResult(pre * (pm.value - phase * pp.value),
-                         abs(pre) * (pm.abs_err_est + pp.abs_err_est),
-                         pm.terms_used + pp.terms_used, merge_flags(pm, pp))
-    elif variant == "AF":
-        f = odd_ferrers_f(nu, -mu, math.cos(rho))
-        out = EvalResult(pre * f.value, abs(pre) * f.abs_err_est,
-                         f.terms_used, f.flags)
-    else:  # FRAKA
-        f = odd_ferrers_f(nu, -mu, math.cos(rho))
-        fac = 1.0 + cmath.exp(1j * math.pi * (nu - mu))
-        out = EvalResult(pre * fac * f.value,
-                         abs(pre * fac) * f.abs_err_est,
-                         f.terms_used, f.flags)
+    if variant == "FRAK":
+        pre = _sphere_prefactor(wp, rho)
+        pm = _p_reflected(wp.nu, wp.mu, rho)
+        pp = ferrers_p(wp.nu, -wp.mu, math.cos(rho))
+        phase = cmath.exp(1j * math.pi * (wp.nu - wp.mu))
+        out = EvalResult(pm.value - phase * pp.value,
+                         pm.abs_err_est + pp.abs_err_est,
+                         pm.terms_used + pp.terms_used,
+                         merge_flags(pm, pp)).scaled(pre)
+    else:
+        fac = (1.0 + cmath.exp(1j * math.pi * (wp.nu - wp.mu))
+               if variant == "FRAKA" else None)
+        out = _sphere_body(wp, rho, variant != "SF", fac)
     return out.with_flags(CANDIDATE)
 
 
@@ -276,42 +296,30 @@ def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
     if m.kind == HYPERBOLOID:
         if not rho > 0:
             raise RangeError("rho must be positive")
-        q = legendre_q(mu, mu, math.cosh(rho))
-        pre = (cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * d)
-               * R ** (2 - d) * math.sinh(rho) ** (-mu))
-        return EvalResult(pre * q.value, abs(pre) * q.abs_err_est,
-                          q.terms_used, q.flags)
+        return _hyperboloid_body(m, mu, mu, rho)
     if m.kind == HYPERSPHERE:
         if not 0.0 < rho < math.pi:
             raise RangeError("rho must lie in (0, pi)")
         fq = ferrers_q(mu, -mu, math.cos(rho))
-        pre = (math.gamma(d - 1.0) * (2.0 * math.pi) ** (-0.5 * d)
-               * R ** (2 - d) * math.sin(rho) ** (-mu))
-        return EvalResult(pre * fq.value, abs(pre) * fq.abs_err_est,
-                          fq.terms_used, fq.flags)
+        return fq.scaled(math.gamma(d - 1.0) * (2.0 * math.pi) ** (-0.5 * d)
+                         * R ** (2 - d) * math.sin(rho) ** (-mu))
     raise WrongVariantError("Laplace reference covers the curved manifolds")
 
 
 def green_value(variant: str, m: ManifoldSpec, beta: float,
                 rho: float) -> EvalResult:
-    """Dispatch a variant tag to its closed-form evaluation."""
-    if variant == EUCLID_PLUS:
-        return euclidean_green(PLUS, m.d, beta, rho)
-    if variant == EUCLID_MINUS:
-        return euclidean_green(MINUS, m.d, beta, rho)
-    if variant == LAPLACE_H:
-        return laplace_green(ManifoldSpec(HYPERBOLOID, m.d, m.R), rho)
-    if variant == LAPLACE_S:
-        return laplace_green(ManifoldSpec(HYPERSPHERE, m.d, m.R), rho)
-    if variant == H_PLUS:
-        return hyperboloid_green(WaveParams(m, beta, PLUS), rho)
-    if variant == H_MINUS:
-        return hyperboloid_green(WaveParams(m, beta, MINUS), rho)
+    """Dispatch a variant tag to its closed-form evaluation through
+    VARIANT_SPACES."""
+    kind, sign = VARIANT_SPACES[variant]
+    if kind == EUCLIDEAN:
+        return euclidean_green(sign, m.d, beta, rho)
+    if variant in (LAPLACE_H, LAPLACE_S):
+        return laplace_green(ManifoldSpec(kind, m.d, m.R), rho)
+    wp = WaveParams(m, beta, sign)
+    if kind == HYPERBOLOID:
+        return hyperboloid_green(wp, rho)
+    if sign == MINUS:
+        return sphere_candidate_minus(variant, wp, rho)
     if variant == S_PLUS:
-        return sphere_green_plus(WaveParams(m, beta, PLUS), rho)
-    if variant == A_PLUS:
-        return sphere_green_antipodal_plus(WaveParams(m, beta, PLUS), rho)
-    if variant in CANDIDATE_VARIANTS:
-        return sphere_candidate_minus(variant, WaveParams(m, beta, MINUS),
-                                      rho)
-    raise WrongVariantError(f"unknown variant {variant!r}")
+        return sphere_green_plus(wp, rho)
+    return sphere_green_antipodal_plus(wp, rho)

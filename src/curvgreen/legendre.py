@@ -17,16 +17,20 @@ functions,
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
 digits of precision at large degree (w the series argument), so above a
-fixed loss threshold evaluation switches to cosine-kernel integral
-representations (first kind), a contour-rotated Laplace-type integral
+fixed loss threshold evaluation switches to the Mehler-Dirichlet
+integral (first kind; one kernel for Legendre and Ferrers, with
+sinh/cosh in place of sin/cos), a contour-rotated Laplace-type integral
 (second kind, conical, |order| < 1/2), or connection formulas that
-reduce to those building blocks.  All functions are pure and
-thread-safe.
+reduce to those building blocks.  The first-kind series is likewise one
+routine for both families.  A value beyond the double range is refused
+with RangeError by every public function, never returned as inf/nan.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from . import quadrature
@@ -69,6 +73,12 @@ def _halfodd_part(mu) -> int | None:
     return None
 
 
+def _slow(out: EvalResult, floor: float) -> EvalResult:
+    """out flagged SLOW_CONVERGENCE, its estimate raised to at least floor."""
+    return EvalResult(out.value, max(out.abs_err_est, floor), out.terms_used,
+                      out.flags | {SLOW_CONVERGENCE})
+
+
 def _degree_loss(nu, sqrt_w: float) -> float:
     """Estimated exponent of peak-to-sum growth in the defining series."""
     return 2.0 * abs(complex(nu) + 0.5) * sqrt_w
@@ -78,46 +88,30 @@ def _degree_loss(nu, sqrt_w: float) -> float:
 # Integral representations (large-degree backends)
 # ----------------------------------------------------------------------
 
-def _mehler_ferrers_p(nu, m, theta: float) -> EvalResult:
-    """FP_nu^{-m}(cos theta) by the cosine-kernel integral, Re m > -1/2.
+def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
+    """FP_nu^{-m}(cos angle), or P_nu^{-m}(cosh angle) if hyperbolic, by
+    the Mehler-Dirichlet integral (DLMF 14.12), Re m > -1/2.
 
-    Integrates in the distance h from the singular endpoint so that
-    cos t - cos theta can be formed as 2 sin(theta - h/2) sin(h/2).
+    One integral on both geometries: sin/cos on the sphere, sinh/cosh
+    on the hyperboloid, where the kernel cosh((nu + 1/2) t) oscillates
+    for conical degrees and grows for real ones, matching the I/J
+    character of the function.  Integrates in the distance h from the
+    singular endpoint so that cos t - cos angle can be formed as
+    2 sin(angle - h/2) sin(h/2).
     """
     nu = complex(nu)
     m = float(complex(m).real)
-    sth = math.sin(theta)
+    sin, cos = (math.sinh, cmath.cosh) if hyperbolic else (math.sin, cmath.cos)
     kern = nu + 0.5
 
     def f(h):
-        base = 2.0 * math.sin(theta - 0.5 * h) * math.sin(0.5 * h)
-        return cmath.cos(kern * (theta - h)) * base ** (m - 0.5)
+        base = 2.0 * sin(angle - 0.5 * h) * sin(0.5 * h)
+        return cos(kern * (angle - h)) * base ** (m - 0.5)
 
-    q = quadrature.quad(f, 0.0, theta, tol=1e-260, rel_tol=_QUAD_RTOL,
+    q = quadrature.quad(f, 0.0, angle, tol=1e-260, rel_tol=_QUAD_RTOL,
                         hint=("left_alg", 0.5 - m), max_panels=60000)
-    pre = math.sqrt(2.0 / math.pi) * sth ** (-m) / _cgamma(m + 0.5)
-    return EvalResult(pre * q.value, abs(pre) * q.abs_err_est, q.terms_used)
-
-
-def _mehler_legendre_p(nu, m, xi: float) -> EvalResult:
-    """P_nu^{-m}(cosh xi) by the cosh-kernel integral, Re m > -1/2.
-
-    The kernel cosh((nu + 1/2) t) oscillates for conical degrees and
-    grows for real ones, matching the I/J character of the function.
-    """
-    nu = complex(nu)
-    m = float(complex(m).real)
-    shx = math.sinh(xi)
-    kern = nu + 0.5
-
-    def f(h):
-        base = 2.0 * math.sinh(xi - 0.5 * h) * math.sinh(0.5 * h)
-        return cmath.cosh(kern * (xi - h)) * base ** (m - 0.5)
-
-    q = quadrature.quad(f, 0.0, xi, tol=1e-260, rel_tol=_QUAD_RTOL,
-                        hint=("left_alg", 0.5 - m), max_panels=60000)
-    pre = math.sqrt(2.0 / math.pi) * shx ** (-m) / _cgamma(m + 0.5)
-    return EvalResult(pre * q.value, abs(pre) * q.abs_err_est, q.terms_used)
+    return q.scaled(math.sqrt(2.0 / math.pi) * sin(angle) ** (-m)
+                    / _cgamma(m + 0.5))
 
 
 def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
@@ -156,32 +150,25 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
 
     q2 = quadrature.quad(f_ray, 0.0, s_max, tol=1e-260, rel_tol=_QUAD_RTOL,
                          max_panels=60000)
-    total = q1.value + direction * q2.value
-    err = q1.abs_err_est + q2.abs_err_est
-    pre = (cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0)
-           * math.sinh(xi) ** mu / _cgamma(0.5 - mu))
-    return EvalResult(pre * total, abs(pre) * err,
-                      q1.terms_used + q2.terms_used)
+    total = EvalResult(q1.value + direction * q2.value,
+                       q1.abs_err_est + q2.abs_err_est,
+                       q1.terms_used + q2.terms_used)
+    return total.scaled(cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0)
+                        * math.sinh(xi) ** mu / _cgamma(0.5 - mu))
 
 
 # ----------------------------------------------------------------------
 # Hypergeometric (series) routes
 # ----------------------------------------------------------------------
 
-def _legendre_p_series(nu, mu, z: float) -> EvalResult:
-    pre = ((z + 1.0) / (z - 1.0)) ** (complex(mu) / 2.0)
+def _p_series(nu, mu, t: float, ratio: float) -> EvalResult:
+    """P_nu^mu(t) or FP_nu^mu(t) by the defining series
+    ratio^{mu/2} 2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), with ratio
+    (t + 1)/(t - 1) for Legendre and (1 + t)/(1 - t) for Ferrers."""
+    pre = ratio ** (complex(mu) / 2.0)
     h = regularized_2f1(-nu, complex(nu) + 1.0, 1.0 - complex(mu),
-                        (1.0 - z) / 2.0)
-    return EvalResult(pre * h.value, abs(pre) * h.abs_err_est,
-                      h.terms_used, h.flags)
-
-
-def _ferrers_p_series(nu, mu, x: float) -> EvalResult:
-    pre = ((1.0 + x) / (1.0 - x)) ** (complex(mu) / 2.0)
-    h = regularized_2f1(-nu, complex(nu) + 1.0, 1.0 - complex(mu),
-                        (1.0 - x) / 2.0)
-    return EvalResult(pre * h.value, abs(pre) * h.abs_err_est,
-                      h.terms_used, h.flags)
+                        (1.0 - t) / 2.0)
+    return h.scaled(pre)
 
 
 def _legendre_q_series(nu, mu, z: float) -> EvalResult:
@@ -196,34 +183,50 @@ def _legendre_q_series(nu, mu, z: float) -> EvalResult:
     if top_pole:
         raise ParamPoleError("Q_nu^mu pole: nu + mu is a negative integer")
     c_pole, _ = _near_nonpos_int(c)
-    try:
-        if c_pole:
-            # anomalous degree: regularized engine absorbs the Gamma(c) pole
-            h = regularized_2f1(a, b, c, w)
-            pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-                   * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
-                   * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
-        else:
-            h = gauss_2f1(a, b, c, w)
-            # log-space prefactor keeps large real degrees inside double
-            # range
-            lg = (_lgamma(nu + mu + 1.0) - _lgamma(c)
-                  - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
-            pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-                   * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
-        val, err = pre * h.value, abs(pre) * h.abs_err_est
-    except OverflowError:
-        val = err = math.inf
-    if not (cmath.isfinite(val) and math.isfinite(err)):
-        raise RangeError(f"Q_nu^mu overflows the double range at "
-                         f"nu = {nu}, mu = {mu}")
-    return EvalResult(val, err, h.terms_used, h.flags)
+    if c_pole:
+        # anomalous degree: regularized engine absorbs the Gamma(c) pole
+        h = regularized_2f1(a, b, c, w)
+        pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
+               * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
+               * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
+    else:
+        h = gauss_2f1(a, b, c, w)
+        # log-space prefactor keeps large real degrees inside double range
+        lg = (_lgamma(nu + mu + 1.0) - _lgamma(c)
+              - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
+        pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
+               * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
+    return h.scaled(pre)
 
 
 # ----------------------------------------------------------------------
 # Public operations
 # ----------------------------------------------------------------------
 
+def _refuse_overflow(name):
+    """The overflow check shared by the public functions, which take
+    ``([kind,] nu, mu, arg)``: an OverflowError, or a non-finite value
+    or estimate, becomes a RangeError that names the function (the kind
+    argument names it where name is None)."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def checked(*args):
+            try:
+                out = fn(*args)
+                if (cmath.isfinite(out.value)
+                        and math.isfinite(out.abs_err_est)):
+                    return out
+            except OverflowError:
+                pass
+            *kind, nu, mu, _ = args
+            raise RangeError(f"{name or kind[0]}_nu^mu overflows the double "
+                             f"range at nu = {complex(nu)}, "
+                             f"mu = {complex(mu)}")
+        return checked
+    return wrap
+
+
+@_refuse_overflow("P")
 def legendre_p(nu, mu, z: float) -> EvalResult:
     """Associated Legendre function of the first kind P_nu^mu(z), z > 1.
 
@@ -238,33 +241,30 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
     # cancellation for z > 1; real parts produce same-sign terms
     loss = 2.0 * abs(nu.imag) * math.sqrt((z - 1.0) / 2.0)
     if loss <= _LOSS_MAX:
-        return _legendre_p_series(nu, mu, z)
+        return _p_series(nu, mu, z, (z + 1.0) / (z - 1.0))
     xi = math.acosh(z)
     if abs(mu.imag) > 1e-12:
-        out = _legendre_p_series(nu, mu, z)
-        return EvalResult(out.value, max(out.abs_err_est, abs(out.value)),
-                          out.terms_used, out.flags | {SLOW_CONVERGENCE})
+        out = _p_series(nu, mu, z, (z + 1.0) / (z - 1.0))
+        return _slow(out, abs(out.value))
     if mu.real < 0.35:
-        return _mehler_legendre_p(nu, -mu.real, xi)
-    m_half = _halfodd_part(mu)
-    if m_half is not None:
+        return _mehler_p(nu, -mu.real, xi, True)
+    if _halfodd_part(mu) is not None:
         return half_odd_eval("P", nu, mu.real, z)
     # P^{+mu} = G [P^{-mu} + (2/pi) e^{i pi mu} sin(pi mu) Q^{-mu}]
     gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
-    p_neg = _mehler_legendre_p(nu, mu.real, xi)
+    p_neg = _mehler_p(nu, mu.real, xi, True)
     s = cmath.sin(math.pi * mu)
     if abs(s) < 1e-12:
-        val = gr * p_neg.value
-        return EvalResult(val, abs(gr) * p_neg.abs_err_est,
-                          p_neg.terms_used, p_neg.flags)
+        return p_neg.scaled(gr)
     q_neg = legendre_q(nu, -mu, z)
-    val = gr * (p_neg.value + (2.0 / math.pi) * cmath.exp(1j * math.pi * mu)
-                * s * q_neg.value)
-    err = abs(gr) * (p_neg.abs_err_est + abs(s) * q_neg.abs_err_est)
-    return EvalResult(val, err, p_neg.terms_used + q_neg.terms_used,
-                      merge_flags(p_neg, q_neg))
+    return EvalResult(p_neg.value + (2.0 / math.pi)
+                      * cmath.exp(1j * math.pi * mu) * s * q_neg.value,
+                      p_neg.abs_err_est + abs(s) * q_neg.abs_err_est,
+                      p_neg.terms_used + q_neg.terms_used,
+                      merge_flags(p_neg, q_neg)).scaled(gr)
 
 
+@_refuse_overflow("Q")
 def legendre_q(nu, mu, z: float) -> EvalResult:
     """Associated Legendre function of the second kind Q_nu^mu(z), z > 1.
 
@@ -294,15 +294,10 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     if loss <= _LOSS_MAX or abs((nu + 0.5).imag) < 12.0:
         out = _legendre_q_series(nu, mu, z)
         if loss > _LOSS_MAX:
-            out = EvalResult(out.value,
-                             max(out.abs_err_est,
-                                 10.0 ** (loss / math.log(10.0) - 16.0)
-                                 * abs(out.value)),
-                             out.terms_used,
-                             out.flags | {SLOW_CONVERGENCE})
+            out = _slow(out, 10.0 ** (loss / math.log(10.0) - 16.0)
+                        * abs(out.value))
         return out
-    m = _halfodd_part(mu)
-    if m is not None:
+    if _halfodd_part(mu) is not None:
         return half_odd_eval("Q", nu, mu.real, z)
     xi = math.acosh(z)
     if abs(mu.imag) < 1e-12 and mu.real < 0.35:
@@ -311,11 +306,10 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     # no cancellation-free route for large-order strongly conical Q;
     # report the series value with an honest error estimate
     out = _legendre_q_series(nu, mu, z)
-    return EvalResult(out.value,
-                      max(out.abs_err_est, abs(out.value)),
-                      out.terms_used, out.flags | {SLOW_CONVERGENCE})
+    return _slow(out, abs(out.value))
 
 
+@_refuse_overflow("FP")
 def ferrers_p(nu, mu, x: float) -> EvalResult:
     """Ferrers function of the first kind FP_nu^mu(x), -1 < x < 1."""
     x = _check_ferrers(x)
@@ -323,28 +317,26 @@ def ferrers_p(nu, mu, x: float) -> EvalResult:
     theta = math.acos(x)
     loss = _degree_loss(nu, math.sin(theta / 2.0))
     if loss <= _LOSS_MAX:
-        return _ferrers_p_series(nu, mu, x)
+        return _p_series(nu, mu, x, (1.0 + x) / (1.0 - x))
     if abs(mu.imag) > 1e-12:
         raise DomainError("large-degree route requires real order")
     if mu.real < 0.35:
-        return _mehler_ferrers_p(nu, -mu.real, theta)
-    m_half = _halfodd_part(mu)
-    if m_half is not None:
+        return _mehler_p(nu, -mu.real, theta, False)
+    if _halfodd_part(mu) is not None:
         return half_odd_eval("FP", nu, mu.real, x)
     # FP^{+mu} = G [cos(pi mu) FP^{-mu} + (2/pi) sin(pi mu) FQ^{-mu}]
     gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
-    p_neg = _mehler_ferrers_p(nu, mu.real, theta)
+    p_neg = _mehler_p(nu, mu.real, theta, False)
     s = math.sin(math.pi * mu.real)
     c = math.cos(math.pi * mu.real)
     if abs(s) < 1e-12:
-        val = gr * c * p_neg.value
-        return EvalResult(val, abs(gr) * p_neg.abs_err_est,
-                          p_neg.terms_used, p_neg.flags)
+        # |c| = 1 here, so |gr c| = |gr|
+        return p_neg.scaled(gr * c)
     q_neg = _ferrers_q_reflection(nu, mu.real, theta)
-    val = gr * (c * p_neg.value + (2.0 / math.pi) * s * q_neg.value)
-    err = abs(gr) * (p_neg.abs_err_est + abs(s) * q_neg.abs_err_est)
-    return EvalResult(val, err, p_neg.terms_used + q_neg.terms_used,
-                      merge_flags(p_neg, q_neg))
+    return EvalResult(c * p_neg.value + (2.0 / math.pi) * s * q_neg.value,
+                      p_neg.abs_err_est + abs(s) * q_neg.abs_err_est,
+                      p_neg.terms_used + q_neg.terms_used,
+                      merge_flags(p_neg, q_neg)).scaled(gr)
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
@@ -355,14 +347,15 @@ def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
         raise NoConvergenceError(
             "reflection route degenerate: sin(pi(nu - mu)) ~ 0")
     c = cmath.cos(math.pi * (nu - m))
-    p1 = _mehler_ferrers_p(nu, m, theta)
-    p2 = _mehler_ferrers_p(nu, m, math.pi - theta)
+    p1 = _mehler_p(nu, m, theta, False)
+    p2 = _mehler_p(nu, m, math.pi - theta, False)
     val = (c * p1.value - p2.value) * math.pi / (2.0 * s)
     err = (abs(c) * p1.abs_err_est + p2.abs_err_est) * math.pi / (2.0 * abs(s))
     return EvalResult(val, err, p1.terms_used + p2.terms_used,
                       merge_flags(p1, p2))
 
 
+@_refuse_overflow("FQ")
 def ferrers_q(nu, mu, x: float) -> EvalResult:
     """Ferrers function of the second kind FQ_nu^mu(x), -1 < x < 1.
 
@@ -379,8 +372,7 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     if loss > _LOSS_MAX:
         if abs(mu.imag) > 1e-12:
             raise DomainError("large-degree route requires real order")
-        m_half = _halfodd_part(mu)
-        if m_half is not None:
+        if _halfodd_part(mu) is not None:
             return half_odd_eval("FQ", nu, mu.real, x)
         if mu.real < 0.35:
             return _ferrers_q_reflection(nu, -mu.real, theta)
@@ -388,12 +380,12 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
         q_neg = _ferrers_q_reflection(nu, mu.real, theta)
         s = math.sin(math.pi * mu.real)
         c = math.cos(math.pi * mu.real)
-        p_neg = _mehler_ferrers_p(nu, mu.real, theta)
+        p_neg = _mehler_p(nu, mu.real, theta, False)
         # order-reflection connection, mu -> -mu form
-        val = gr * (c * q_neg.value - (math.pi / 2.0) * s * p_neg.value)
-        err = abs(gr) * (q_neg.abs_err_est + abs(s) * p_neg.abs_err_est)
-        return EvalResult(val, err, q_neg.terms_used + p_neg.terms_used,
-                          merge_flags(q_neg, p_neg))
+        return EvalResult(c * q_neg.value - (math.pi / 2.0) * s * p_neg.value,
+                          q_neg.abs_err_est + abs(s) * p_neg.abs_err_est,
+                          q_neg.terms_used + p_neg.terms_used,
+                          merge_flags(q_neg, p_neg)).scaled(gr)
 
     spar = nu + mu
     x2 = x * x
@@ -405,35 +397,26 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     if abs(spar.imag) < 1e-12 and abs(spar.real - round(spar.real)) < 1e-10:
         s_int = round(spar.real)
 
-    terms = 0
-    flags: frozenset = frozenset()
+    zero = EvalResult(0.0)
 
     def term1():
-        nonlocal terms, flags
         coef = gamma_ratio((spar + 2.0) / 2.0, (nu - mu + 1.0) / 2.0)
         if coef == 0.0:
-            return 0.0, 0.0
+            return zero
         h = gauss_2f1(a1, b1, 1.5, x2)
-        terms += h.terms_used
-        flags = flags | h.flags
         carg = (math.pi / 2.0) * spar
         cosf = cmath.cos(carg) if s_int is None else float((-1) ** (s_int // 2))
-        pre1 = _SQRT_PI * 2.0 ** mu * coef * x * cosf
-        return pre1 * h.value, abs(pre1) * h.abs_err_est
+        return h.scaled(_SQRT_PI * 2.0 ** mu * coef * x * cosf)
 
     def term2():
-        nonlocal terms, flags
         coef = gamma_ratio((spar + 1.0) / 2.0, (nu - mu + 2.0) / 2.0)
         if coef == 0.0:
-            return 0.0, 0.0
+            return zero
         h = gauss_2f1(a2, b2, 0.5, x2)
-        terms += h.terms_used
-        flags = flags | h.flags
         sarg = (math.pi / 2.0) * spar
         sinf = cmath.sin(sarg) if s_int is None else \
             float((-1) ** ((s_int - 1) // 2))
-        pre2 = _SQRT_PI * 2.0 ** (mu - 1.0) * coef * sinf
-        return pre2 * h.value, abs(pre2) * h.abs_err_est
+        return h.scaled(_SQRT_PI * 2.0 ** (mu - 1.0) * coef * sinf)
 
     if s_int is not None and s_int % 2 == 0:
         # sin factor vanishes identically; only the cosine term survives
@@ -442,27 +425,27 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
             dhit, _ = _near_nonpos_int((nu - mu + 1.0) / 2.0)
             if hit and not dhit:
                 raise UndefinedError("FQ undefined: nu + mu in -N")
-        t1, e1 = term1()
-        t2, e2 = 0.0, 0.0
+        t1, t2 = term1(), zero
     elif s_int is not None:
         if s_int <= -1:
             hit, _ = _near_nonpos_int((spar + 1.0) / 2.0)
             dhit, _ = _near_nonpos_int((nu - mu + 2.0) / 2.0)
             if hit and not dhit:
                 raise UndefinedError("FQ undefined: nu + mu in -N")
-        t1, e1 = 0.0, 0.0
-        t2, e2 = term2()
+        t1, t2 = zero, term2()
     else:
-        t1, e1 = term1()
-        t2, e2 = term2()
+        t1, t2 = term1(), term2()
 
-    val = pre * (t1 - t2)
-    err = abs(pre) * (e1 + e2 + 4e-16 * (abs(t1) + abs(t2)))
-    if abs(t1) + abs(t2) > 1e6 * max(abs(t1 - t2), 1e-300):
-        flags = flags | {NEAR_POLE}
-    return EvalResult(val, err, terms, flags)
+    size = abs(t1.value) + abs(t2.value)
+    out = EvalResult(t1.value - t2.value,
+                     t1.abs_err_est + t2.abs_err_est + 4e-16 * size,
+                     t1.terms_used + t2.terms_used, merge_flags(t1, t2))
+    if size > 1e6 * max(abs(out.value), 1e-300):
+        out = out.with_flags(NEAR_POLE)
+    return out.scaled(pre)
 
 
+@_refuse_overflow("reflected FP")
 def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
     """FP_nu^{-mu}(-x) for Re mu > 0 via the (1+x)/2 hypergeometric form.
 
@@ -479,11 +462,10 @@ def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
     if loss > _LOSS_MAX:
         if abs(mu.imag) > 1e-12:
             raise DomainError("large-degree route requires real order")
-        return _mehler_ferrers_p(nu, mu.real, math.pi - theta)
+        return _mehler_p(nu, mu.real, math.pi - theta, False)
     pre = ((1.0 + x) / (1.0 - x)) ** (mu / 2.0)
     h = regularized_2f1(-nu, nu + 1.0, 1.0 + mu, (1.0 + x) / 2.0)
-    return EvalResult(pre * h.value, abs(pre) * h.abs_err_est,
-                      h.terms_used, h.flags)
+    return h.scaled(pre)
 
 
 def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
@@ -530,6 +512,7 @@ def _seed_halfodd(kind: str, nu, arg: float):
     return plus, minus
 
 
+@_refuse_overflow(None)
 def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     """Evaluate P/Q/FP/FQ at half-odd-integer order mu = m + 1/2, m in Z.
 
@@ -562,28 +545,25 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         pos = half_odd_eval(kind, nu, amu, arg)
         gr = gamma_ratio(nu - amu + 1.0, nu + amu + 1.0)
         if kind == "Q":
-            fac = cmath.exp(-2j * math.pi * amu) * gr
-            return EvalResult(fac * pos.value, abs(fac) * pos.abs_err_est,
-                              pos.terms_used, pos.flags)
+            return pos.scaled(cmath.exp(-2j * math.pi * amu) * gr)
         if kind == "P":
-            qpos = half_odd_eval("Q", nu, amu, arg)
-            val = gr * (pos.value - (2.0 / math.pi)
-                        * cmath.exp(-1j * math.pi * amu)
-                        * cmath.sin(math.pi * amu) * qpos.value)
-            err = abs(gr) * (pos.abs_err_est + qpos.abs_err_est)
-            return EvalResult(val, err, pos.terms_used + qpos.terms_used,
-                              merge_flags(pos, qpos))
-        # Ferrers order reflection
-        other = half_odd_eval("FQ" if kind == "FP" else "FP", nu, amu, arg)
-        c = math.cos(math.pi * amu)  # 0 at half-odd order, kept for clarity
-        s = math.sin(math.pi * amu)
-        if kind == "FP":
-            val = gr * (c * pos.value - (2.0 / math.pi) * s * other.value)
+            other = half_odd_eval("Q", nu, amu, arg)
+            val = (pos.value - (2.0 / math.pi) * cmath.exp(-1j * math.pi * amu)
+                   * cmath.sin(math.pi * amu) * other.value)
         else:
-            val = gr * (c * pos.value + (math.pi / 2.0) * s * other.value)
-        err = abs(gr) * (pos.abs_err_est + other.abs_err_est)
-        return EvalResult(val, err, pos.terms_used + other.terms_used,
-                          merge_flags(pos, other))
+            # Ferrers order reflection
+            other = half_odd_eval("FQ" if kind == "FP" else "FP", nu, amu,
+                                  arg)
+            # c is 0 at half-odd order; kept for clarity
+            c = math.cos(math.pi * amu)
+            s = math.sin(math.pi * amu)
+            if kind == "FP":
+                val = c * pos.value - (2.0 / math.pi) * s * other.value
+            else:
+                val = c * pos.value + (math.pi / 2.0) * s * other.value
+        return EvalResult(val, pos.abs_err_est + other.abs_err_est,
+                          pos.terms_used + other.terms_used,
+                          merge_flags(pos, other)).scaled(gr)
 
     plus, minus = _seed_halfodd(kind, nu, arg)
     if m == 0:
@@ -606,6 +586,7 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     return EvalResult(v_cur, err, m + 1, frozenset(flags))
 
 
+@_refuse_overflow("C")
 def gegenbauer_function(lam, mu, gamma_angle: float) -> EvalResult:
     """Gegenbauer function of the first kind C_lam^mu(cos gamma) for
     general complex degree, through its Ferrers representation."""
@@ -620,5 +601,4 @@ def gegenbauer_function(lam, mu, gamma_angle: float) -> EvalResult:
     pre = (_SQRT_PI * gamma_ratio(2.0 * mu + lam, lam + 1.0)
            / (2.0 ** (mu - 0.5) * _cgamma(mu)) * sg ** (0.5 - mu))
     p = ferrers_p(mu + lam - 0.5, 0.5 - mu, math.cos(gamma_angle))
-    return EvalResult(pre * p.value, abs(pre) * p.abs_err_est,
-                      p.terms_used, p.flags)
+    return p.scaled(pre)

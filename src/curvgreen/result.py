@@ -47,6 +47,11 @@ class EvalResult:
     def im(self) -> float:
         return complex(self.value).imag
 
+    def scaled(self, c) -> "EvalResult":
+        """The result times the prefactor c; the estimate scales by |c|."""
+        return EvalResult(c * self.value, abs(c) * self.abs_err_est,
+                          self.terms_used, self.flags)
+
     def with_flags(self, *extra: str) -> "EvalResult":
         return EvalResult(self.value, self.abs_err_est, self.terms_used,
                           self.flags | frozenset(extra))

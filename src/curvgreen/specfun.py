@@ -577,8 +577,3 @@ def gegenbauer_c(n: int, mu, x):
     if out.imag == 0.0:
         return out.real
     return out
-
-
-def epsilon_n(n: int) -> float:
-    """Neumann factor: 1 for n = 0, else 2."""
-    return 1.0 if n == 0 else 2.0

@@ -31,7 +31,8 @@ from .errors import DomainError, GridError, WrongVariantError
 from .geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from .greens import (A_PLUS, AF_MINUS, ALL_VARIANTS, FRAK_MINUS, FRAKA_MINUS,
                      H_MINUS, H_PLUS, MINUS, PLUS, S_PLUS, SF_MINUS,
-                     WaveParams, euclidean_green, green_value, laplace_green)
+                     VARIANT_SPACES, WaveParams, euclidean_green, green_value,
+                     laplace_green)
 from .legendre import ferrers_p
 from .specfun import _cgamma
 
@@ -229,9 +230,8 @@ def check_flat_limit(variant: str, d: int, beta: float, r_phys: float,
     along the R sweep; SF_MINUS must instead show the oscillatory
     non-convergence of its flat limit (sign changes, no decay)."""
     R_list = sorted(R_list)
-    sign = PLUS if variant in (H_PLUS, S_PLUS, A_PLUS) else MINUS
+    kind, sign = VARIANT_SPACES[variant]
     ref = euclidean_green(sign, d, beta, r_phys).value
-    kind = HYPERBOLOID if variant in (H_PLUS, H_MINUS) else HYPERSPHERE
     errs = []
     signed = []
     for R in R_list:
@@ -350,18 +350,14 @@ def default_suite(fast: bool = True) -> list:
         reports.append(check_eps_ball(A_PLUS, wpp))
         reports.append(check_eps_ball(SF_MINUS, wpm))
     # ODE residuals, all variants, d in {2, 3, 4}, two regimes
+    grids = {HYPERBOLOID: [0.35, 0.8, 1.6, 2.4],
+             HYPERSPHERE: [0.35, 0.9, 1.7, 2.6]}
     for d in (2, 3, 4):
-        mh = ManifoldSpec(HYPERBOLOID, d, 1.0)
-        ms = ManifoldSpec(HYPERSPHERE, d, 1.0)
-        grid_h = [0.35, 0.8, 1.6, 2.4]
-        grid_s = [0.35, 0.9, 1.7, 2.6]
         for beta in (0.4, 1.7):
             for variant in ALL_VARIANTS:
-                hyp = variant in (H_PLUS, H_MINUS)
-                m = mh if hyp else ms
-                sign = PLUS if variant in (H_PLUS, S_PLUS, A_PLUS) else MINUS
-                wp = WaveParams(m, beta, sign)
-                res = radial_residual(None, wp, 0, grid_h if hyp else grid_s,
+                kind, sign = VARIANT_SPACES[variant]
+                wp = WaveParams(ManifoldSpec(kind, d, 1.0), beta, sign)
+                res = radial_residual(None, wp, 0, grids[kind],
                                       variant=variant)
                 reports.append(_report(
                     f"ode[{variant},d={d},beta={beta}]", res, 0.0, 1e-6,

@@ -125,6 +125,15 @@ class TestSweepPolesSpecial:
         errs = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert errs[0] > errs[1] > errs[2]
 
+    def test_sweep_unknown_variant(self, capsys):
+        code, out = capture([
+            "sweep", "--variant", "BOGUS", "--d", "3", "--beta", "0.5",
+            "--r-phys", "0.6", "--R-list", "10,30"])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == \
+            "error[WRONG_VARIANT]: unknown variant 'BOGUS'\n"
+
     def test_poles(self):
         code, out = capture(["poles", "--d", "3", "--count", "3"])
         assert code == 0
@@ -139,6 +148,28 @@ class TestSweepPolesSpecial:
         assert code == 0
         doc = json.loads(out)
         assert doc["rel_err"] < 1e-8
+
+
+class TestCsvGolden:
+    # golden outputs: a single record and a table share one writer
+    def test_eval_single_record(self):
+        code, out = capture([
+            "eval", "--manifold", "hyperboloid", "--d", "3", "--beta",
+            "1.3", "--rho", "0.7", "--output", "csv"])
+        assert code == 0
+        assert out == (
+            "abs_err_est,flags,terms_used,value_im,value_re\n"
+            "2.5803553990297582e-17,[],74,-3.8518598887744717e-34,"
+            "0.03327970673336416\n")
+
+    def test_poles_rows(self):
+        code, out = capture(["poles", "--d", "3", "--count", "3",
+                             "--output", "csv"])
+        assert code == 0
+        assert out == ("n,beta,beta_squared_R_squared\n"
+                       "1,1.7320508075688772,2.9999999999999996\n"
+                       "2,2.8284271247461903,8.0000000000000018\n"
+                       "3,3.872983346207417,15.000000000000002\n")
 
 
 class TestConfigAndDeterminism:

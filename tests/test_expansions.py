@@ -283,13 +283,15 @@ class TestEuclideanExpansion:
         mu = wp.mu
         r1, r2, cg = 0.5, 1.0, math.cos(0.8)
         import scipy.special as sp
-        from curvgreen.expansions import _const_a
         import cmath
+        # the constant A_d of the d >= 3 closed forms
+        const_a = (math.gamma(0.5 * d)
+                   / (2.0 * (d - 2.0) * math.pi ** (0.5 * d) * R ** (d - 2)))
         pre_h = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu * 2.0 ** mu
                  * math.gamma(mu) / (beta * r1 * r2) ** mu)
         for l in (0, 1, 2):
             ch = (cmath.exp(-1j * math.pi * mu)
-                  * _const_a(d, R)
+                  * const_a
                   / (math.sinh(r1 / R) * math.sinh(r2 / R)) ** mu
                   * (-1.0) ** l * (2 * l + d - 2)
                   * legendre_p(wp.nu, -(mu + l), math.cosh(r1 / R)).value

@@ -304,3 +304,62 @@ class TestRealness:
                                      ("AF_MINUS", ms, 0.8)):
                 v = green_value(variant, m, beta, 0.9).value
                 assert abs(v.imag) < 1e-10 * abs(v), (variant, d)
+
+
+class TestVariantTable:
+    TAGS = ("H_PLUS", "H_MINUS", "S_PLUS", "A_PLUS", "SF_MINUS",
+            "FRAK_MINUS", "AF_MINUS", "FRAKA_MINUS", "EUCLID_PLUS",
+            "EUCLID_MINUS", "LAPLACE_H", "LAPLACE_S")
+
+    def test_every_tag_has_a_space(self):
+        from curvgreen.greens import VARIANT_SPACES
+        assert set(VARIANT_SPACES) == set(self.TAGS)
+
+    @staticmethod
+    def _direct(variant, d, beta, rho):
+        """The public function each tag stands for, called directly."""
+        mh = ManifoldSpec(HYPERBOLOID, d, 1.7)
+        ms = ManifoldSpec(HYPERSPHERE, d, 1.7)
+        return {
+            "H_PLUS": lambda: hyperboloid_green(WaveParams(mh, beta, PLUS),
+                                                rho),
+            "H_MINUS": lambda: hyperboloid_green(WaveParams(mh, beta, MINUS),
+                                                 rho),
+            "S_PLUS": lambda: sphere_green_plus(WaveParams(ms, beta, PLUS),
+                                                rho),
+            "A_PLUS": lambda: sphere_green_antipodal_plus(
+                WaveParams(ms, beta, PLUS), rho),
+            "EUCLID_PLUS": lambda: euclidean_green(PLUS, d, beta, rho),
+            "EUCLID_MINUS": lambda: euclidean_green(MINUS, d, beta, rho),
+            "LAPLACE_H": lambda: laplace_green(mh, rho),
+            "LAPLACE_S": lambda: laplace_green(ms, rho),
+        }.get(variant, lambda: sphere_candidate_minus(
+            variant, WaveParams(ms, beta, MINUS), rho))()
+
+    @pytest.mark.parametrize("variant", TAGS)
+    @pytest.mark.parametrize("d,beta,rho", [(2, 0.7, 0.9), (3, 2.9, 2.2),
+                                            (4, 1.3, 0.4)])
+    def test_green_value_is_its_public_function(self, variant, d, beta,
+                                                rho):
+        from curvgreen.greens import VARIANT_SPACES, green_value
+        kind, _ = VARIANT_SPACES[variant]
+        got = green_value(variant, ManifoldSpec(kind, d, 1.7), beta, rho)
+        ref = self._direct(variant, d, beta, rho)
+        # bit for bit: repr tells -0.0 from 0.0
+        assert repr(complex(got.value)) == repr(complex(ref.value))
+        assert type(got.value) is type(ref.value)
+        assert got.abs_err_est == ref.abs_err_est
+        assert got.terms_used == ref.terms_used
+        assert got.flags == ref.flags
+
+    def test_unknown_tag(self):
+        from curvgreen.greens import VARIANT_SPACES, green_value
+        from curvgreen.verify import check_flat_limit
+        with pytest.raises(WrongVariantError,
+                           match=r"^unknown variant 'BOGUS'$"):
+            green_value("BOGUS", ManifoldSpec(HYPERBOLOID, 3, 1.0), 1.0, 0.5)
+        with pytest.raises(WrongVariantError,
+                           match=r"^unknown variant 'sf_minus'$"):
+            check_flat_limit("sf_minus", 3, 0.5, 0.6, (10.0, 30.0))
+        with pytest.raises(WrongVariantError):
+            VARIANT_SPACES["BOGUS"]

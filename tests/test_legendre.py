@@ -86,6 +86,42 @@ class TestLegendreQ:
         assert relerr(got, ref) < 1e-13
 
 
+class TestOverflowRefusal:
+    # every public route refuses an overflowing value with RangeError,
+    # never a nan/inf result or a bare OverflowError
+    @pytest.mark.parametrize("fn,name,mu,arg", [
+        (ferrers_q, "FQ", 200.5, 0.3),             # half-odd route
+        (legendre_p, "P", 200.5, math.cosh(1.8)),
+        (ferrers_p, "FP", 200.5, 0.3),
+        (ferrers_q, "FQ", 300.0, 0.3),
+        (legendre_q, "Q", 300.0, math.cosh(1.8056)),
+        (gegenbauer_function, "C", 170.5, 1.9),
+    ])
+    def test_refuses(self, fn, name, mu, arg):
+        with pytest.raises(RangeError, match=rf"^{name}_nu\^mu overflows"):
+            fn(8.3378, mu, arg)
+
+
+class TestMehlerKernel:
+    # one integral on both geometries, against mpmath at 30 digits
+    @pytest.mark.parametrize("nu", [25.3, 47.0, -0.5 + 30j])
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    @pytest.mark.parametrize("hyperbolic,angle", [
+        (False, 0.4), (False, 1.3), (False, 2.5), (True, 0.3), (True, 1.5)])
+    def test_against_mpmath(self, nu, m, hyperbolic, angle):
+        mpmath = pytest.importorskip("mpmath")
+        from curvgreen.legendre import _mehler_p
+        with mpmath.workdps(30):
+            if hyperbolic:
+                ref = mpmath.legenp(nu, -m, mpmath.cosh(angle), type=3)
+            else:
+                ref = mpmath.legenp(nu, -m, mpmath.cos(angle), type=2)
+            ref = complex(ref)
+        got = _mehler_p(nu, m, angle, hyperbolic)
+        assert relerr(got.value, ref) < 1e-13
+        assert got.terms_used > 0
+
+
 class TestFerrersP:
     def test_near_one_mu_zero(self):
         assert ferrers_p(2.3, 0.0, 1.0 - 1e-12).value.real \
