@@ -9,10 +9,11 @@ argument, for four regimes:
 * Ferrers conical functions at large tau (I/K with e^{pi tau} factors),
 
 plus the two-branch approximants for the odd Ferrers combination.  Each
-result carries an ``envelope_scale``: the magnitude of the leading
-approximant measured with the zero-free envelope functions, which is
-the correct normalizer for the O(1/parameter) error claims (the raw
-value passes through zeros where relative error is meaningless).
+approximant is scale * sum c_k f_k over Bessel-type functions f_k, and
+its ``envelope_scale`` is |scale| * sum |c_k| env_k, with env_k a
+zero-free envelope of f_k (f_k itself for I and K).  That is the
+normalizer for the O(1/parameter) error claims: the raw value passes
+through zeros, and terms that cancel still carry their own errors.
 
 ``empirical_order`` fits the error-decay exponent from a sweep, used to
 confirm the first-order character of the corrections.
@@ -51,6 +52,20 @@ def _env_y(mu: float, x: float) -> float:
     return env_h("H1", mu, x)
 
 
+def _approx(regime: str, scale, *terms) -> AsymptoticApprox:
+    """scale * sum(c f) over (c, f, env) triples, with the envelope
+    |scale| * sum(|c| env)."""
+    (c, f, env), *rest = terms
+    value, size = c * f, abs(c) * env
+    for c, f, env in rest:
+        value, size = value + c * f, size + abs(c) * env
+    return AsymptoticApprox(complex(scale * value), abs(scale) * size, regime)
+
+
+def _cs(t: float) -> tuple:
+    return math.cos(math.pi * t), math.sin(math.pi * t)
+
+
 def legendre_large_nu(kind: str, nu: float, mu: float,
                       r: float) -> AsymptoticApprox:
     """Large-degree approximants for P_nu^{-mu} and Q_nu^{mu} at cosh r.
@@ -63,11 +78,12 @@ def legendre_large_nu(kind: str, nu: float, mu: float,
     x = (nu + 0.5) * r
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg_mu":
-        v = nu ** (-mu) * root * _sp.iv(mu, x)
-        return AsymptoticApprox(complex(v), abs(v), LEGENDRE_LARGE_NU)
+        i = _sp.iv(mu, x)
+        return _approx(LEGENDRE_LARGE_NU, nu ** (-mu) * root, (1.0, i, i))
     if kind == "Q_mu":
-        v = cmath.exp(1j * math.pi * mu) * nu ** mu * root * _sp.kv(mu, x)
-        return AsymptoticApprox(v, abs(v), LEGENDRE_LARGE_NU)
+        k = _sp.kv(mu, x)
+        return _approx(LEGENDRE_LARGE_NU, cmath.exp(1j * math.pi * mu)
+                       * nu ** mu * root, (1.0, k, k))
     raise DomainError("kind must be 'P_neg_mu' or 'Q_mu'")
 
 
@@ -89,32 +105,24 @@ def conical_large_tau(kind: str, tau: float, mu: float,
     if r < 0 or (r == 0 and kind != "P_neg"):
         raise DomainError("requires r > 0 (r >= 0 for P_neg)")
     if kind == "P_neg" and r == 0.0:
-        val = 0.0 if mu > 0 else 1.0
-        return AsymptoticApprox(complex(val), max(abs(val), 1.0),
-                                CONICAL_LARGE_TAU)
+        return _approx(CONICAL_LARGE_TAU, 1.0,
+                       (1.0, 0.0 if mu > 0 else 1.0, 1.0))
     x = tau * r
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg":
-        v = tau ** (-mu) * root * _sp.jv(mu, x)
-        env = tau ** (-mu) * root * env_j(mu, x)
-        return AsymptoticApprox(complex(v), env, CONICAL_LARGE_TAU)
+        return _approx(CONICAL_LARGE_TAU, tau ** (-mu) * root,
+                       (1.0, _sp.jv(mu, x), env_j(mu, x)))
     if kind == "P_pos":
-        c, s = math.cos(math.pi * mu), math.sin(math.pi * mu)
-        v = tau ** mu * root * (c * _sp.jv(mu, x) - s * _sp.yv(mu, x))
-        env = tau ** mu * root * (abs(c) * env_j(mu, x)
-                                  + abs(s) * 2.0 * env_h("H1", mu, x))
-        return AsymptoticApprox(complex(v), env, CONICAL_LARGE_TAU)
-    if kind == "Q_plus_branch":
-        v = (-0.5j * math.pi * cmath.exp(1j * math.pi * mu) * tau ** mu
-             * root * _sp.hankel2(mu, x))
-        env = 0.5 * math.pi * tau ** mu * root * env_h("H2", mu, x)
-        return AsymptoticApprox(v, env, CONICAL_LARGE_TAU)
-    if kind == "Q_minus_branch":
-        v = (0.5j * math.pi * cmath.exp(1j * math.pi * mu) * tau ** mu
-             * root * _sp.hankel1(mu, x))
-        env = 0.5 * math.pi * tau ** mu * root * env_h("H1", mu, x)
-        return AsymptoticApprox(v, env, CONICAL_LARGE_TAU)
-    raise DomainError(f"unknown conical kind {kind!r}")
+        c, s = _cs(mu)
+        return _approx(CONICAL_LARGE_TAU, tau ** mu * root,
+                       (c, _sp.jv(mu, x), env_j(mu, x)),
+                       (-s, _sp.yv(mu, x), _env_y(mu, x)))
+    if kind not in ("Q_plus_branch", "Q_minus_branch"):
+        raise DomainError(f"unknown conical kind {kind!r}")
+    w, h, fn = ((-0.5j, "H2", _sp.hankel2) if kind == "Q_plus_branch"
+                else (0.5j, "H1", _sp.hankel1))
+    return _approx(CONICAL_LARGE_TAU, w * math.pi * cmath.exp(1j * math.pi * mu)
+                   * tau ** mu * root, (1.0, fn(mu, x), env_h(h, mu, x)))
 
 
 _FERRERS_KINDS = ("P_neg", "P_pos", "Q_neg", "Q_pos", "P_neg_refl",
@@ -143,35 +151,25 @@ def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
         raise DomainError("theta must lie in (0, pi - delta]")
     x = (nu + 0.5) * theta
     root = math.sqrt(theta / math.sin(theta))
-    jx, yx = _sp.jv(mu, x), _sp.yv(mu, x)
-    ej, ey = env_j(mu, x), _env_y(mu, x)
+    j = (_sp.jv(mu, x), env_j(mu, x))
+    y = (_sp.yv(mu, x), _env_y(mu, x))
     if kind == "P_neg":
-        v = nu ** (-mu) * root * jx
-        env = nu ** (-mu) * root * ej
-    elif kind == "P_pos":
-        c, s = math.cos(math.pi * mu), math.sin(math.pi * mu)
-        v = nu ** mu * root * (c * jx - s * yx)
-        env = nu ** mu * root * (abs(c) * ej + abs(s) * ey)
-    elif kind == "Q_neg":
-        v = -(math.pi / (2.0 * nu ** mu)) * root * yx
-        env = (math.pi / (2.0 * nu ** mu)) * root * ey
-    elif kind == "Q_pos":
-        c, s = math.cos(math.pi * mu), math.sin(math.pi * mu)
-        v = -(math.pi * nu ** mu / 2.0) * root * (s * jx + c * yx)
-        env = (math.pi * nu ** mu / 2.0) * root * (abs(s) * ej + abs(c) * ey)
-    elif kind == "P_neg_refl":
-        c, s = math.cos(math.pi * (nu - mu)), math.sin(math.pi * (nu - mu))
-        v = nu ** (-mu) * root * (c * jx + s * yx)
-        env = nu ** (-mu) * root * (abs(c) * ej + abs(s) * ey)
-    else:  # Q_neg_refl
-        c, s = math.cos(math.pi * (nu - mu)), math.sin(math.pi * (nu - mu))
-        v = -(math.pi / (2.0 * nu ** mu)) * root * (s * jx - c * yx)
-        env = (math.pi / (2.0 * nu ** mu)) * root * (abs(s) * ej + abs(c) * ey)
-    return AsymptoticApprox(complex(v), env, FERRERS_LARGE_NU)
-
-
-_FERRERS_CONICAL_KINDS = ("P_neg", "P_pos", "Q_neg", "Q_pos", "P_neg_refl",
-                          "Q_neg_refl")
+        return _approx(FERRERS_LARGE_NU, nu ** (-mu) * root, (1.0, *j))
+    if kind == "Q_neg":
+        return _approx(FERRERS_LARGE_NU, -(math.pi / (2.0 * nu ** mu)) * root,
+                       (1.0, *y))
+    if kind == "P_pos":
+        c, s = _cs(mu)
+        return _approx(FERRERS_LARGE_NU, nu ** mu * root, (c, *j), (-s, *y))
+    if kind == "Q_pos":
+        c, s = _cs(mu)
+        return _approx(FERRERS_LARGE_NU, -(math.pi * nu ** mu / 2.0) * root,
+                       (s, *j), (c, *y))
+    c, s = _cs(nu - mu)
+    if kind == "P_neg_refl":
+        return _approx(FERRERS_LARGE_NU, nu ** (-mu) * root, (c, *j), (s, *y))
+    return _approx(FERRERS_LARGE_NU, -(math.pi / (2.0 * nu ** mu)) * root,
+                   (s, *j), (-c, *y))
 
 
 def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
@@ -188,11 +186,12 @@ def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
       'P_neg_refl' FP^{-mu}(-cos th) ~ (e^{pi tau}/(pi tau^mu)) root K_mu(x)
       'Q_neg_refl' FQ^{-mu}(-cos th) ~ -/+ (i e^{pi tau}/(2 tau^mu)) root K_mu(x)
 
-    The two I/K terms of 'P_pos' and 'Q_neg' carry independent error
-    terms that do not factor; their envelope is the absolute-value sum.
+    The two I/K terms of 'P_pos', 'Q_neg' and 'Q_pos' carry independent
+    error terms that do not factor; their envelope is the absolute-value
+    sum.
     """
-    if kind not in _FERRERS_CONICAL_KINDS:
-        raise DomainError(f"kind must be one of {_FERRERS_CONICAL_KINDS}")
+    if kind not in _FERRERS_KINDS:
+        raise DomainError(f"kind must be one of {_FERRERS_KINDS}")
     if branch not in (+1, -1):
         raise DomainError("branch must be +1 or -1")
     if not (tau > 0 and mu >= 0):
@@ -202,30 +201,26 @@ def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
     x = tau * theta
     root = math.sqrt(theta / math.sin(theta))
     ix, kx = _sp.iv(mu, x), _sp.kv(mu, x)
+    i, k = (ix, ix), (kx, kx)  # I and K are their own envelopes
     sgn = 1.0 if branch == +1 else -1.0
     if kind == "P_neg":
-        v = tau ** (-mu) * root * ix
-        env = abs(v)
-    elif kind == "P_pos":
-        v = tau ** mu * root * (ix + (2.0 / math.pi)
-                                * math.sin(math.pi * mu) * kx)
-        env = tau ** mu * root * (ix + abs(math.sin(math.pi * mu)) * kx)
-    elif kind == "Q_neg":
-        v = tau ** (-mu) * root * (cmath.exp(-sgn * 1j * math.pi * mu) * kx
-                                   - sgn * 0.5j * math.pi * ix)
-        env = tau ** (-mu) * root * (kx + 0.5 * math.pi * ix)
-    elif kind == "Q_pos":
-        v = tau ** mu * root * (math.cos(math.pi * mu) * kx
-                                - sgn * 0.5j * math.pi * ix)
-        env = tau ** mu * root * (abs(math.cos(math.pi * mu)) * kx
-                                  + 0.5 * math.pi * ix)
-    elif kind == "P_neg_refl":
-        v = math.exp(math.pi * tau) / (math.pi * tau ** mu) * root * kx
-        env = abs(v)
-    else:  # Q_neg_refl
-        v = -sgn * 0.5j * math.exp(math.pi * tau) / tau ** mu * root * kx
-        env = abs(v)
-    return AsymptoticApprox(complex(v), env, FERRERS_CONICAL)
+        return _approx(FERRERS_CONICAL, tau ** (-mu) * root, (1.0, *i))
+    if kind == "P_pos":
+        return _approx(FERRERS_CONICAL, tau ** mu * root, (1.0, *i),
+                       ((2.0 / math.pi) * math.sin(math.pi * mu), *k))
+    if kind == "Q_neg":
+        return _approx(FERRERS_CONICAL, tau ** (-mu) * root,
+                       (cmath.exp(-sgn * 1j * math.pi * mu), *k),
+                       (-sgn * 0.5j * math.pi, *i))
+    if kind == "Q_pos":
+        return _approx(FERRERS_CONICAL, tau ** mu * root,
+                       (math.cos(math.pi * mu), *k),
+                       (-sgn * 0.5j * math.pi, *i))
+    if kind == "P_neg_refl":
+        return _approx(FERRERS_CONICAL, math.exp(math.pi * tau)
+                       / (math.pi * tau ** mu) * root, (1.0, *k))
+    return _approx(FERRERS_CONICAL, -sgn * 0.5j * math.exp(math.pi * tau)
+                   / tau ** mu * root, (1.0, *k))
 
 
 def odd_ferrers_asymptotic(regime: str, param: float, mu: float,
@@ -244,23 +239,21 @@ def odd_ferrers_asymptotic(regime: str, param: float, mu: float,
         inner = odd_ferrers_asymptotic(regime, param, mu, math.pi - theta)
         return AsymptoticApprox(-inner.value, inner.envelope_scale,
                                 ODD_FERRERS)
+    root = math.sqrt(theta / math.sin(theta))
     if regime == "LARGE_NU":
         nu = param
         x = (nu + 0.5) * theta
-        root = math.sqrt(theta / math.sin(theta))
-        c = math.cos(math.pi * (nu - mu)) - 1.0
-        s = math.sin(math.pi * (nu - mu))
-        v = nu ** (-mu) * root * (c * _sp.jv(mu, x) + s * _sp.yv(mu, x))
-        env = nu ** (-mu) * root * (abs(c) * env_j(mu, x)
-                                    + abs(s) * _env_y(mu, x))
-        return AsymptoticApprox(complex(v), env, ODD_FERRERS)
+        c, s = _cs(nu - mu)
+        return _approx(ODD_FERRERS, nu ** (-mu) * root,
+                       (c - 1.0, _sp.jv(mu, x), env_j(mu, x)),
+                       (s, _sp.yv(mu, x), _env_y(mu, x)))
     if regime == "CONICAL":
         tau = param
         x = tau * theta
-        root = math.sqrt(theta / math.sin(theta))
-        v = tau ** (-mu) * root * (math.exp(math.pi * tau) / math.pi
-                                   * _sp.kv(mu, x) - _sp.iv(mu, x))
-        return AsymptoticApprox(complex(v), abs(v), ODD_FERRERS)
+        kx, ix = _sp.kv(mu, x), _sp.iv(mu, x)
+        return _approx(ODD_FERRERS, tau ** (-mu) * root,
+                       (math.exp(math.pi * tau) / math.pi, kx, kx),
+                       (-1.0, ix, ix))
     raise DomainError("regime must be 'LARGE_NU' or 'CONICAL'")
 
 

@@ -140,7 +140,8 @@ def _cmd_expand(cfg, out):
         else:
             pair = TwoPointConfig(float(cfg["r"]), float(cfg["r_prime"]),
                                   float(cfg["gamma"]))
-        sign = MINUS if variant.endswith("MINUS") else PLUS
+        # an unknown tag takes the + sign and is refused by the expansion
+        sign = VARIANT_SPACES.get(variant, (None, PLUS))[1]
         wp = WaveParams(m, float(cfg["beta"]), sign)
         if m.d == 2:
             rep = fourier_2d(variant, wp, pair, l_max)

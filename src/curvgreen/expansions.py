@@ -47,7 +47,8 @@ from .errors import (DomainError, DomainViolationError, UndefinedError,
                      WrongCaseError)
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
-                     S_PLUS, SF_MINUS, WaveParams, green_value)
+                     S_PLUS, SF_MINUS, WaveParams, euclidean_green,
+                     green_value)
 from .legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
 from .result import NONCONVERGENT
 from .specfun import _cgamma, _near_nonpos_int
@@ -562,14 +563,11 @@ def euclidean_expansion(sign: str, d: int, beta: float, r: float,
     cfg = TwoPointConfig(r, r_prime, gamma_angle)
     dist = cfg.euclidean_distance()
     mu = 0.5 * d - 1.0
+    ref = euclidean_green(sign, d, beta, dist).value
     if sign == PLUS:
-        ref = ((2.0 * math.pi) ** (-0.5 * d) * (beta / dist) ** mu
-               * _sp.kv(mu, beta * dist))
         c, small, large = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu,
                            _sp.iv, _sp.kv)
     else:
-        ref = (0.25j * (beta / (2.0 * math.pi * dist)) ** mu
-               * _sp.hankel1(mu, beta * dist))
         c, small, large = (0.25j * (beta / (2.0 * math.pi)) ** mu,
                            _sp.jv, _sp.hankel1)
     pre = c * 2.0 ** mu / (beta * r * r_prime) ** mu

@@ -20,10 +20,12 @@ digits of precision at large degree (w the series argument), so above a
 fixed loss threshold evaluation switches to the Mehler-Dirichlet
 integral (first kind; one kernel for Legendre and Ferrers, with
 sinh/cosh in place of sin/cos), a contour-rotated Laplace-type integral
-(second kind, conical, |order| < 1/2), or connection formulas that
-reduce to those building blocks.  The first-kind series is likewise one
-routine for both families.  A value beyond the double range is refused
-with RangeError by every public function, never returned as inf/nan.
+(second kind, conical, |order| < 1/2), or the order connection
+``_connect`` (DLMF 14.9), one routine that takes every kind from order
+-mu to mu on top of those building blocks and of the half-odd forms.
+The first-kind series is likewise one routine for both families.  A
+value beyond the double range is refused with RangeError by every
+public function, never returned as inf/nan.
 All functions are pure and thread-safe.
 """
 
@@ -226,6 +228,42 @@ def _refuse_overflow(name):
     return wrap
 
 
+def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
+    """kind (P, Q, FP or FQ) at order mu from at_neg(kind), its value at
+    -mu (DLMF 14.9); with G = Gamma(nu + mu + 1)/Gamma(nu - mu + 1),
+      P^mu = G [P^{-mu} + (2/pi) e^{i pi mu} sin(pi mu) Q^{-mu}],
+      Q^mu = G e^{2 pi i mu} Q^{-mu},
+      FP^mu = G [cos(pi mu) FP^{-mu} + (2/pi) sin(pi mu) FQ^{-mu}],
+      FQ^mu = G [cos(pi mu) FQ^{-mu} - (pi/2) sin(pi mu) FP^{-mu}].
+    G comes first, so a gamma pole is refused before any evaluation; at
+    sin(pi mu) = 0 the partner term is not evaluated.  The partner term
+    takes sin(pi |mu|) and the sign of mu, so no complex product negates
+    a signed zero.  Estimate: |G| (first + |sin(pi mu)| partner).
+    """
+    gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
+    if kind == "Q":
+        return at_neg("Q").scaled(cmath.exp(2j * math.pi * mu) * gr)
+    same = at_neg(kind)
+    up = complex(mu).real > 0
+    a = mu if up else -mu
+    if kind == "P":
+        c, s = None, cmath.sin(math.pi * a)
+    else:
+        c, s = math.cos(math.pi * a.real), math.sin(math.pi * a.real)
+    if abs(s) < 1e-12:
+        return same.scaled(gr if c is None else gr * c)
+    other = at_neg({"P": "Q", "FP": "FQ", "FQ": "FP"}[kind])
+    if kind == "P":
+        t = (2.0 / math.pi) * cmath.exp(1j * math.pi * mu) * s * other.value
+    else:
+        t = (2.0 / math.pi if kind == "FP" else math.pi / 2.0) * s * other.value
+    first = same.value if c is None else c * same.value
+    return EvalResult(first + t if up != (kind == "FQ") else first - t,
+                      same.abs_err_est + abs(s) * other.abs_err_est,
+                      same.terms_used + other.terms_used,
+                      merge_flags(same, other)).scaled(gr)
+
+
 @_refuse_overflow("P")
 def legendre_p(nu, mu, z: float) -> EvalResult:
     """Associated Legendre function of the first kind P_nu^mu(z), z > 1.
@@ -250,18 +288,9 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
         return _mehler_p(nu, -mu.real, xi, True)
     if _halfodd_part(mu) is not None:
         return half_odd_eval("P", nu, mu.real, z)
-    # P^{+mu} = G [P^{-mu} + (2/pi) e^{i pi mu} sin(pi mu) Q^{-mu}]
-    gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
-    p_neg = _mehler_p(nu, mu.real, xi, True)
-    s = cmath.sin(math.pi * mu)
-    if abs(s) < 1e-12:
-        return p_neg.scaled(gr)
-    q_neg = legendre_q(nu, -mu, z)
-    return EvalResult(p_neg.value + (2.0 / math.pi)
-                      * cmath.exp(1j * math.pi * mu) * s * q_neg.value,
-                      p_neg.abs_err_est + abs(s) * q_neg.abs_err_est,
-                      p_neg.terms_used + q_neg.terms_used,
-                      merge_flags(p_neg, q_neg)).scaled(gr)
+    return _connect("P", nu, mu, lambda kind: (
+        _mehler_p(nu, mu.real, xi, True) if kind == "P"
+        else legendre_q(nu, -mu, z)))
 
 
 @_refuse_overflow("Q")
@@ -324,19 +353,7 @@ def ferrers_p(nu, mu, x: float) -> EvalResult:
         return _mehler_p(nu, -mu.real, theta, False)
     if _halfodd_part(mu) is not None:
         return half_odd_eval("FP", nu, mu.real, x)
-    # FP^{+mu} = G [cos(pi mu) FP^{-mu} + (2/pi) sin(pi mu) FQ^{-mu}]
-    gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
-    p_neg = _mehler_p(nu, mu.real, theta, False)
-    s = math.sin(math.pi * mu.real)
-    c = math.cos(math.pi * mu.real)
-    if abs(s) < 1e-12:
-        # |c| = 1 here, so |gr c| = |gr|
-        return p_neg.scaled(gr * c)
-    q_neg = _ferrers_q_reflection(nu, mu.real, theta)
-    return EvalResult(c * p_neg.value + (2.0 / math.pi) * s * q_neg.value,
-                      p_neg.abs_err_est + abs(s) * q_neg.abs_err_est,
-                      p_neg.terms_used + q_neg.terms_used,
-                      merge_flags(p_neg, q_neg)).scaled(gr)
+    return _connect("FP", nu, mu, _ferrers_at_neg(nu, mu.real, theta))
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
@@ -353,6 +370,12 @@ def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
     err = (abs(c) * p1.abs_err_est + p2.abs_err_est) * math.pi / (2.0 * abs(s))
     return EvalResult(val, err, p1.terms_used + p2.terms_used,
                       merge_flags(p1, p2))
+
+
+def _ferrers_at_neg(nu, m, theta: float):
+    """_connect's at_neg on the sphere: FP or FQ at order -m."""
+    return lambda kind: (_mehler_p(nu, m, theta, False) if kind == "FP"
+                         else _ferrers_q_reflection(nu, m, theta))
 
 
 @_refuse_overflow("FQ")
@@ -376,66 +399,41 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
             return half_odd_eval("FQ", nu, mu.real, x)
         if mu.real < 0.35:
             return _ferrers_q_reflection(nu, -mu.real, theta)
-        gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
-        q_neg = _ferrers_q_reflection(nu, mu.real, theta)
-        s = math.sin(math.pi * mu.real)
-        c = math.cos(math.pi * mu.real)
-        p_neg = _mehler_p(nu, mu.real, theta, False)
-        # order-reflection connection, mu -> -mu form
-        return EvalResult(c * q_neg.value - (math.pi / 2.0) * s * p_neg.value,
-                          q_neg.abs_err_est + abs(s) * p_neg.abs_err_est,
-                          q_neg.terms_used + p_neg.terms_used,
-                          merge_flags(q_neg, p_neg)).scaled(gr)
+        return _connect("FQ", nu, mu, _ferrers_at_neg(nu, mu.real, theta))
 
     spar = nu + mu
     x2 = x * x
     pre = (1.0 - x2) ** (-mu / 2.0)
-    a1, b1 = (1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0
-    a2, b2 = (-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0
-
     s_int = None
     if abs(spar.imag) < 1e-12 and abs(spar.real - round(spar.real)) < 1e-10:
         s_int = round(spar.real)
 
-    zero = EvalResult(0.0)
-
-    def term1():
-        coef = gamma_ratio((spar + 2.0) / 2.0, (nu - mu + 1.0) / 2.0)
-        if coef == 0.0:
-            return zero
-        h = gauss_2f1(a1, b1, 1.5, x2)
-        carg = (math.pi / 2.0) * spar
-        cosf = cmath.cos(carg) if s_int is None else float((-1) ** (s_int // 2))
-        return h.scaled(_SQRT_PI * 2.0 ** mu * coef * x * cosf)
-
-    def term2():
-        coef = gamma_ratio((spar + 1.0) / 2.0, (nu - mu + 2.0) / 2.0)
-        if coef == 0.0:
-            return zero
-        h = gauss_2f1(a2, b2, 0.5, x2)
-        sarg = (math.pi / 2.0) * spar
-        sinf = cmath.sin(sarg) if s_int is None else \
-            float((-1) ** ((s_int - 1) // 2))
-        return h.scaled(_SQRT_PI * 2.0 ** (mu - 1.0) * coef * sinf)
-
-    if s_int is not None and s_int % 2 == 0:
-        # sin factor vanishes identically; only the cosine term survives
-        if s_int <= -2:
-            hit, _ = _near_nonpos_int((spar + 2.0) / 2.0)
-            dhit, _ = _near_nonpos_int((nu - mu + 1.0) / 2.0)
+    def term(k, num, den, a, b, c, trig):
+        # sqrt(pi) 2^(mu-k) x^(1-k) Gamma(num)/Gamma(den) trig(pi s/2)
+        # 2F1(a, b; c; x^2); at integer s = nu + mu, trig(pi s/2) is 0 if
+        # s - k is odd, else (-1)^((s-k)//2), and a pole of Gamma(num)
+        # alone is undefined
+        if s_int is not None:
+            if (s_int - k) % 2:
+                return EvalResult(0.0)
+            hit, _ = _near_nonpos_int(num)
+            dhit, _ = _near_nonpos_int(den)
             if hit and not dhit:
                 raise UndefinedError("FQ undefined: nu + mu in -N")
-        t1, t2 = term1(), zero
-    elif s_int is not None:
-        if s_int <= -1:
-            hit, _ = _near_nonpos_int((spar + 1.0) / 2.0)
-            dhit, _ = _near_nonpos_int((nu - mu + 2.0) / 2.0)
-            if hit and not dhit:
-                raise UndefinedError("FQ undefined: nu + mu in -N")
-        t1, t2 = zero, term2()
-    else:
-        t1, t2 = term1(), term2()
+        coef = gamma_ratio(num, den)
+        if coef == 0.0:
+            return EvalResult(0.0)
+        h = gauss_2f1(a, b, c, x2)
+        f = (trig((math.pi / 2.0) * spar) if s_int is None
+             else float((-1) ** ((s_int - k) // 2)))
+        w = _SQRT_PI * 2.0 ** (mu - k) * coef
+        return h.scaled((w * x if k == 0 else w) * f)
 
+    b1, b2 = (nu - mu + 2.0) / 2.0, (nu - mu + 1.0) / 2.0
+    t1 = term(0, (spar + 2.0) / 2.0, b2, (1.0 - nu - mu) / 2.0, b1, 1.5,
+              cmath.cos)
+    t2 = term(1, (spar + 1.0) / 2.0, b1, (-nu - mu) / 2.0, b2, 0.5,
+              cmath.sin)
     size = abs(t1.value) + abs(t2.value)
     out = EvalResult(t1.value - t2.value,
                      t1.abs_err_est + t2.abs_err_est + 4e-16 * size,
@@ -486,29 +484,26 @@ def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
 def _seed_halfodd(kind: str, nu, arg: float):
     """Closed forms at orders +1/2 and -1/2.
 
-    Legendre seeds take z = cosh xi > 1, Ferrers seeds x = cos theta.
+    Legendre seeds take z = cosh xi > 1, Ferrers seeds x = cos theta;
+    the first kind is one form, with sinh/cosh in place of sin/cos.
     """
     nu = complex(nu)
     half = nu + 0.5
-    if kind in ("P", "Q"):
-        xi = math.acosh(arg)
-        sh = math.sinh(xi)
-        if kind == "P":
-            plus = math.sqrt(2.0 / (math.pi * sh)) * cmath.cosh(half * xi)
-            minus = math.sqrt(2.0 / (math.pi * sh)) * cmath.sinh(half * xi) / half
-        else:
-            e = cmath.exp(-half * xi)
-            plus = 1j * math.sqrt(math.pi / (2.0 * sh)) * e
-            minus = -1j * math.sqrt(math.pi / (2.0 * sh)) * e / half
-        return plus, minus
-    theta = math.acos(arg)
-    st = math.sin(theta)
-    if kind == "FP":
-        plus = math.sqrt(2.0 / (math.pi * st)) * cmath.cos(half * theta)
-        minus = math.sqrt(2.0 / (math.pi * st)) * cmath.sin(half * theta) / half
+    hyperbolic = kind in ("P", "Q")
+    angle = math.acosh(arg) if hyperbolic else math.acos(arg)
+    sa = math.sinh(angle) if hyperbolic else math.sin(angle)
+    if kind in ("P", "FP"):
+        sin, cos = (cmath.sinh, cmath.cosh) if hyperbolic else \
+            (cmath.sin, cmath.cos)
+        plus = math.sqrt(2.0 / (math.pi * sa)) * cos(half * angle)
+        minus = math.sqrt(2.0 / (math.pi * sa)) * sin(half * angle) / half
+    elif kind == "Q":
+        e = cmath.exp(-half * angle)
+        plus = 1j * math.sqrt(math.pi / (2.0 * sa)) * e
+        minus = -1j * math.sqrt(math.pi / (2.0 * sa)) * e / half
     else:
-        plus = -math.sqrt(math.pi / (2.0 * st)) * cmath.sin(half * theta)
-        minus = math.sqrt(math.pi / (2.0 * st)) * cmath.cos(half * theta) / half
+        plus = -math.sqrt(math.pi / (2.0 * sa)) * cmath.sin(half * angle)
+        minus = math.sqrt(math.pi / (2.0 * sa)) * cmath.cos(half * angle) / half
     return plus, minus
 
 
@@ -540,30 +535,8 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     nu = complex(nu)
 
     if mu < 0:
-        # compute at |mu| and reflect the order
-        amu = -mu
-        pos = half_odd_eval(kind, nu, amu, arg)
-        gr = gamma_ratio(nu - amu + 1.0, nu + amu + 1.0)
-        if kind == "Q":
-            return pos.scaled(cmath.exp(-2j * math.pi * amu) * gr)
-        if kind == "P":
-            other = half_odd_eval("Q", nu, amu, arg)
-            val = (pos.value - (2.0 / math.pi) * cmath.exp(-1j * math.pi * amu)
-                   * cmath.sin(math.pi * amu) * other.value)
-        else:
-            # Ferrers order reflection
-            other = half_odd_eval("FQ" if kind == "FP" else "FP", nu, amu,
-                                  arg)
-            # c is 0 at half-odd order; kept for clarity
-            c = math.cos(math.pi * amu)
-            s = math.sin(math.pi * amu)
-            if kind == "FP":
-                val = c * pos.value - (2.0 / math.pi) * s * other.value
-            else:
-                val = c * pos.value + (math.pi / 2.0) * s * other.value
-        return EvalResult(val, pos.abs_err_est + other.abs_err_est,
-                          pos.terms_used + other.terms_used,
-                          merge_flags(pos, other)).scaled(gr)
+        return _connect(kind, nu, mu,
+                        lambda k: half_odd_eval(k, nu, -mu, arg))
 
     plus, minus = _seed_halfodd(kind, nu, arg)
     if m == 0:

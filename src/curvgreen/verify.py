@@ -328,7 +328,7 @@ def check_mellin(alpha: float, mu: float, nu: float,
 # Default suite
 # ----------------------------------------------------------------------
 
-def default_suite(fast: bool = True) -> list:
+def default_suite() -> list:
     """The default verification battery (used by the CLI).
 
     Covers normalization, eps-ball, ODE residuals for all variants in

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from curvgreen.asymptotics import (conical_large_tau, empirical_order,
+from curvgreen.asymptotics import (_FERRERS_KINDS, conical_large_tau,
+                                   empirical_order,
                                    ferrers_conical_large_tau,
                                    ferrers_large_nu, legendre_large_nu,
                                    odd_ferrers_asymptotic)
@@ -177,6 +178,36 @@ class TestOddFerrers:
                                     math.pi / 2.0 + 1e-12)
         scale = max(lo.envelope_scale, hi.envelope_scale)
         assert abs(lo.value - hi.value) <= 2.0 * (3.0 / nu) * scale
+
+
+    @pytest.mark.parametrize("theta", [0.5 * math.pi - 1e-5,
+                                       0.5 * math.pi + 1e-5])
+    def test_conical_near_equator(self, theta):
+        # the K and I terms cancel here; the envelope sums their sizes,
+        # so the normalized error stays O(1/tau)
+        tau, mu = 30.0, 1.0
+        ap = odd_ferrers_asymptotic("CONICAL", tau, mu, theta)
+        ex = odd_ferrers_f(complex(-0.5, tau), -mu, math.cos(theta)).value
+        assert env_err(ap, ex) < 3.0 / tau
+
+
+_KINDS = ([(legendre_large_nu, k, {}) for k in ("P_neg_mu", "Q_mu")]
+          + [(conical_large_tau, k, {}) for k in
+             ("P_neg", "P_pos", "Q_plus_branch", "Q_minus_branch")]
+          + [(ferrers_large_nu, k, {}) for k in _FERRERS_KINDS]
+          + [(ferrers_conical_large_tau, k, {"branch": b})
+             for k in _FERRERS_KINDS for b in (1, -1)]
+          + [(odd_ferrers_asymptotic, k, {}) for k in ("LARGE_NU", "CONICAL")])
+
+
+@pytest.mark.parametrize("fn,kind,kw", _KINDS,
+                         ids=[f"{f.__name__}-{k}-{kw}" for f, k, kw in _KINDS])
+def test_envelope_bounds_value(fn, kind, kw):
+    for param in (20.0, 45.3):
+        for mu in (0.0, 0.5, 1.3):
+            for angle in (0.3, 1.1, 2.0):
+                ap = fn(kind, param, mu, angle, **kw)
+                assert ap.envelope_scale >= abs(ap.value) * (1.0 - 1e-15)
 
 
 class TestEmpiricalOrder:

@@ -276,6 +276,14 @@ class TestEuclideanExpansion:
         rep = euclidean_expansion(MINUS, 2, 1.0, 0.5, 1.0, 0.8, 35)
         assert rep.rel_err < 1e-8
 
+    @pytest.mark.parametrize("sign", [PLUS, MINUS])
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_rejects_nonpositive_beta(self, sign, beta):
+        # the reference is euclidean_green's closed form, which refuses
+        # beta <= 0 (a nan series or a ZeroDivisionError before)
+        with pytest.raises(DomainError, match="beta must be positive"):
+            euclidean_expansion(sign, 3, beta, 0.5, 1.0, 0.8)
+
     def test_flat_limit_bridge_termwise(self):
         # curved expansion terms approach flat expansion terms at large R
         R, beta, d = 500.0, 1.0, 3

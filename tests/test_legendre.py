@@ -175,6 +175,37 @@ class TestFerrersQ:
                 * math.sin((nu + 0.5) * th)
             assert relerr(got, ref) < 1e-12
 
+    @pytest.mark.parametrize("nu,mu", [(-1.5, 0.5), (-1.5, -0.5),
+                                       (-2.5, 0.5), (-2.5, -0.5)])
+    @pytest.mark.parametrize("x", [0.3, -0.6])
+    def test_anomalous_degree_limit(self, nu, mu, x):
+        # both parities of nu + mu; the reference is mpmath's nu -> nu0
+        # limit, since its value exactly at nu0 is another branch (a
+        # factor -1/3 off)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = sum(complex(mpmath.legenq(nu + d, mu, x, type=2))
+                      for d in (1e-12, -1e-12)) / 2.0
+        assert relerr(ferrers_q(nu, mu, x).value, ref) < 1e-10
+
+    def test_undefined_even_combination(self):
+        # nu + mu = -2: only the cosine term survives, and its numerator
+        # Gamma((nu + mu + 2)/2) has a pole where the denominator has none
+        with pytest.raises(UndefinedError):
+            ferrers_q(-0.7, -1.3, 0.3)
+
+    # m = 2 at theta = 1.1 is left out: the Mehler quadrature of the
+    # reflection route does not converge there
+    @pytest.mark.parametrize("m,theta", [(1, 0.4), (1, 1.1), (1, 2.0),
+                                         (1, 2.7), (2, 0.4)])
+    def test_integer_order_large_degree(self, m, theta):
+        # the order connection at sin(pi m) = 0, against mpmath
+        mpmath = pytest.importorskip("mpmath")
+        x = math.cos(theta)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.legenq(25.3, m, x, type=2))
+        assert relerr(ferrers_q(25.3, m, x).value, ref) < 1e-10
+
 
 class TestFerrersPReflected:
     def test_vanishes_at_minus_one(self):
