@@ -25,11 +25,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.special as _sp
-
 from .errors import DomainError, InsufficientDataError
-from .specfun import env_h, env_j
+from .specfun import _special, env_h, env_j
 
 LEGENDRE_LARGE_NU = "LEGENDRE_LARGE_NU"
 CONICAL_LARGE_TAU = "CONICAL_LARGE_TAU"
@@ -78,10 +75,10 @@ def legendre_large_nu(kind: str, nu: float, mu: float,
     x = (nu + 0.5) * r
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg_mu":
-        i = _sp.iv(mu, x)
+        i = _special().iv(mu, x)
         return _approx(LEGENDRE_LARGE_NU, nu ** (-mu) * root, (1.0, i, i))
     if kind == "Q_mu":
-        k = _sp.kv(mu, x)
+        k = _special().kv(mu, x)
         return _approx(LEGENDRE_LARGE_NU, cmath.exp(1j * math.pi * mu)
                        * nu ** mu * root, (1.0, k, k))
     raise DomainError("kind must be 'P_neg_mu' or 'Q_mu'")
@@ -111,16 +108,16 @@ def conical_large_tau(kind: str, tau: float, mu: float,
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg":
         return _approx(CONICAL_LARGE_TAU, tau ** (-mu) * root,
-                       (1.0, _sp.jv(mu, x), env_j(mu, x)))
+                       (1.0, _special().jv(mu, x), env_j(mu, x)))
     if kind == "P_pos":
         c, s = _cs(mu)
         return _approx(CONICAL_LARGE_TAU, tau ** mu * root,
-                       (c, _sp.jv(mu, x), env_j(mu, x)),
-                       (-s, _sp.yv(mu, x), _env_y(mu, x)))
+                       (c, _special().jv(mu, x), env_j(mu, x)),
+                       (-s, _special().yv(mu, x), _env_y(mu, x)))
     if kind not in ("Q_plus_branch", "Q_minus_branch"):
         raise DomainError(f"unknown conical kind {kind!r}")
-    w, h, fn = ((-0.5j, "H2", _sp.hankel2) if kind == "Q_plus_branch"
-                else (0.5j, "H1", _sp.hankel1))
+    w, h, fn = ((-0.5j, "H2", _special().hankel2) if kind == "Q_plus_branch"
+                else (0.5j, "H1", _special().hankel1))
     return _approx(CONICAL_LARGE_TAU, w * math.pi * cmath.exp(1j * math.pi * mu)
                    * tau ** mu * root, (1.0, fn(mu, x), env_h(h, mu, x)))
 
@@ -151,8 +148,8 @@ def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
         raise DomainError("theta must lie in (0, pi - delta]")
     x = (nu + 0.5) * theta
     root = math.sqrt(theta / math.sin(theta))
-    j = (_sp.jv(mu, x), env_j(mu, x))
-    y = (_sp.yv(mu, x), _env_y(mu, x))
+    j = (_special().jv(mu, x), env_j(mu, x))
+    y = (_special().yv(mu, x), _env_y(mu, x))
     if kind == "P_neg":
         return _approx(FERRERS_LARGE_NU, nu ** (-mu) * root, (1.0, *j))
     if kind == "Q_neg":
@@ -200,7 +197,7 @@ def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
         raise DomainError("theta must lie in (0, pi - delta]")
     x = tau * theta
     root = math.sqrt(theta / math.sin(theta))
-    ix, kx = _sp.iv(mu, x), _sp.kv(mu, x)
+    ix, kx = _special().iv(mu, x), _special().kv(mu, x)
     i, k = (ix, ix), (kx, kx)  # I and K are their own envelopes
     sgn = 1.0 if branch == +1 else -1.0
     if kind == "P_neg":
@@ -245,12 +242,12 @@ def odd_ferrers_asymptotic(regime: str, param: float, mu: float,
         x = (nu + 0.5) * theta
         c, s = _cs(nu - mu)
         return _approx(ODD_FERRERS, nu ** (-mu) * root,
-                       (c - 1.0, _sp.jv(mu, x), env_j(mu, x)),
-                       (s, _sp.yv(mu, x), _env_y(mu, x)))
+                       (c - 1.0, _special().jv(mu, x), env_j(mu, x)),
+                       (s, _special().yv(mu, x), _env_y(mu, x)))
     if regime == "CONICAL":
         tau = param
         x = tau * theta
-        kx, ix = _sp.kv(mu, x), _sp.iv(mu, x)
+        kx, ix = _special().kv(mu, x), _special().iv(mu, x)
         return _approx(ODD_FERRERS, tau ** (-mu) * root,
                        (math.exp(math.pi * tau) / math.pi, kx, kx),
                        (-1.0, ix, ix))
@@ -263,12 +260,23 @@ def empirical_order(params, errors) -> float:
     Used to confirm O(1/parameter) error claims: a clean first-order
     decay fits an exponent close to -1.
     """
-    params = np.asarray(params, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if params.size < 3 or errors.size != params.size:
+    params = [float(p) for p in params]
+    errors = [float(e) for e in errors]
+    if len(params) < 3 or len(errors) != len(params):
         raise InsufficientDataError("need at least 3 (param, error) pairs")
-    if np.any(params <= 0) or np.any(errors < 0):
+    if min(params) <= 0 or min(errors) < 0:
         raise DomainError("params must be positive, errors nonnegative")
-    errors = np.maximum(errors, 1e-300)
-    slope = np.polyfit(np.log(params), np.log(errors), 1)[0]
-    return float(slope)
+    return _loglog_slope(params, [max(e, 1e-300) for e in errors])
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x (x, y > 0)."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    sxy = math.fsum((u - mx) * (v - my) for u, v in zip(lx, ly))
+    sxx = math.fsum((u - mx) ** 2 for u in lx)
+    if not sxx:
+        raise InsufficientDataError("need two distinct parameters")
+    return sxy / sxx

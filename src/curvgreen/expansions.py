@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-import scipy.special as _sp
-
 from .errors import (DomainError, DomainViolationError, UndefinedError,
                      WrongCaseError)
 from .geometry import composite_hyperbolic, composite_spherical
@@ -51,7 +49,7 @@ from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      green_value)
 from .legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
 from .result import NONCONVERGENT
-from .specfun import _cgamma, _near_nonpos_int
+from .specfun import _cgamma, _near_nonpos_int, _special
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -564,12 +562,13 @@ def euclidean_expansion(sign: str, d: int, beta: float, r: float,
     dist = cfg.euclidean_distance()
     mu = 0.5 * d - 1.0
     ref = euclidean_green(sign, d, beta, dist).value
+    sp = _special()
     if sign == PLUS:
         c, small, large = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu,
-                           _sp.iv, _sp.kv)
+                           sp.iv, sp.kv)
     else:
         c, small, large = (0.25j * (beta / (2.0 * math.pi)) ** mu,
-                           _sp.jv, _sp.hankel1)
+                           sp.jv, sp.hankel1)
     pre = c * 2.0 ** mu / (beta * r * r_prime) ** mu
     a, b = beta * cfg.lt, beta * cfg.gt
     radial = _pairs(mu, lambda m: small(m, a), [(lambda m: large(m, b),

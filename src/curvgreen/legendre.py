@@ -481,29 +481,38 @@ def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
 # Half-odd-integer orders: elementary forms + order recurrence
 # ----------------------------------------------------------------------
 
-def _seed_halfodd(kind: str, nu, arg: float):
-    """Closed forms at orders +1/2 and -1/2.
+def _seed_halfodd(kind: str, nu, arg: float, lift: bool):
+    """Closed forms: the value at order +1/2 and, if lift, (nu + 1/2)
+    times the value at order -1/2.
 
-    Legendre seeds take z = cosh xi > 1, Ferrers seeds x = cos theta;
-    the first kind is one form, with sinh/cosh in place of sin/cos.
+    The order -1/2 forms carry a factor 1/(nu + 1/2); the upward
+    recurrence takes them only through (nu + 1/2)^2 v_{-1/2}, so the
+    product is formed without that division and stays finite at
+    nu = -1/2.  Legendre seeds take z = cosh xi > 1, Ferrers seeds
+    x = cos theta; the first kind is one form, with sinh/cosh in place
+    of sin/cos.
     """
     nu = complex(nu)
     half = nu + 0.5
     hyperbolic = kind in ("P", "Q")
     angle = math.acosh(arg) if hyperbolic else math.acos(arg)
     sa = math.sinh(angle) if hyperbolic else math.sin(angle)
+    minus = None
     if kind in ("P", "FP"):
         sin, cos = (cmath.sinh, cmath.cosh) if hyperbolic else \
             (cmath.sin, cmath.cos)
         plus = math.sqrt(2.0 / (math.pi * sa)) * cos(half * angle)
-        minus = math.sqrt(2.0 / (math.pi * sa)) * sin(half * angle) / half
+        if lift:
+            minus = math.sqrt(2.0 / (math.pi * sa)) * sin(half * angle)
     elif kind == "Q":
         e = cmath.exp(-half * angle)
         plus = 1j * math.sqrt(math.pi / (2.0 * sa)) * e
-        minus = -1j * math.sqrt(math.pi / (2.0 * sa)) * e / half
+        if lift:
+            minus = -plus
     else:
         plus = -math.sqrt(math.pi / (2.0 * sa)) * cmath.sin(half * angle)
-        minus = math.sqrt(math.pi / (2.0 * sa)) * cmath.cos(half * angle) / half
+        if lift:
+            minus = math.sqrt(math.pi / (2.0 * sa)) * cmath.cos(half * angle)
     return plus, minus
 
 
@@ -538,21 +547,25 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         return _connect(kind, nu, mu,
                         lambda k: half_odd_eval(k, nu, -mu, arg))
 
-    plus, minus = _seed_halfodd(kind, nu, arg)
+    plus, minus = _seed_halfodd(kind, nu, arg, m > 0)
     if m == 0:
         return EvalResult(plus, 8e-16 * abs(plus), 1)
-    # upward in order: v_{k+1/2} for k = -1/2, 1/2, ..., m + 1/2
+    # upward in order: v_{k+1/2} for k = -1/2, 1/2, ..., m + 1/2; the
+    # first step's (nu - order)(nu + order + 1) v_{-1/2} is
+    # (nu + 1/2) minus
     v_prev, v_cur = minus, plus
     worst = abs(v_cur)
     order = -0.5
+    coef = nu + 0.5
     flags = set()
     for _ in range(m):
         t1 = -2.0 * (order + 1.0) * xfac * v_cur
-        t2 = q_sign * (nu - order) * (nu + order + 1.0) * v_prev
+        t2 = q_sign * coef * v_prev
         v_next = t1 + t2
         worst = max(worst, abs(t1), abs(t2))
         v_prev, v_cur = v_cur, v_next
         order += 1.0
+        coef = (nu - order) * (nu + order + 1.0)
     if abs(v_cur) < 1e-6 * worst:
         flags.add(RECURRENCE_UNSTABLE)
     err = 1e-15 * worst * (m + 1)

@@ -4,13 +4,20 @@ Provides the scalar kernels everything else is built on:
 
 * complex gamma function (Lanczos rational approximation, reflection in
   the left half-plane) and pole-safe gamma ratios,
+* log-gamma and digamma in pure Python: Stirling's series and its
+  derivative (DLMF 5.11.1, 5.11.2) from one Bernoulli table, after an
+  upward shift; log-gamma reflects left of Re z = 1/2 near the real
+  axis, real log-gamma is ``math.lgamma``,
 * Pochhammer symbols evaluated as exact products,
 * the Gauss hypergeometric function 2F1 and its regularized variant,
   continued beyond the defining disk by the Pfaff z/(z-1) map and by
   the 1-z linear transformation, including the logarithmic cases when
   the parameter combination c-a-b is an integer,
-* cylinder functions J, Y, I, K, H1, H2 (scipy backend) and the
-  zero-free envelope functions used to normalize asymptotic errors,
+* cylinder functions J, Y, I, K, H1, H2 and the zero-free envelope
+  functions used to normalize asymptotic errors.  Their backend is
+  scipy.special, imported on first use by :func:`_special`: nothing
+  else in the package needs scipy or numpy, so importing it loads
+  neither,
 * Chebyshev and Gegenbauer polynomials by three-term recurrence,
 * the leading large-|imaginary-shift| gamma-ratio asymptotic.
 
@@ -29,9 +36,6 @@ flags and every exception), and it changes no tolerance:
   runs instead, because its inf/nan parts propagate differently.
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
-* The logarithmic 1-z case takes each block of digamma values from one
-  scipy ufunc call on complex arguments, which applies the scalar
-  routine element by element.
 * Each parameter is checked against the poles once per call, and the
   snapped a and b are passed down to the series.
 """
@@ -39,10 +43,9 @@ flags and every exception), and it changes no tolerance:
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
-
-import numpy as np
-import scipy.special as _sp
 
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      PoleError)
@@ -72,6 +75,23 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+
+# B_2, B_4, ..., B_22: Stirling's series for log Gamma takes
+# B_2k/(2k(2k-1)) z^(1-2k), its derivative for psi -B_2k/(2k) z^(-2k).
+# Eleven terms reach below a quarter ulp of either at |z| >= _ASYM_MIN.
+# A smaller _ASYM_MIN needs more terms; a larger one more shift steps,
+# and log-gamma then loses digits to the cancellation in
+# (z - 1/2) log z - z.
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+              -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
+              -174611.0 / 330.0, 854513.0 / 138.0)
+_STIRLING = tuple(b / ((2 * k) * (2 * k - 1))
+                  for k, b in enumerate(_BERNOULLI, 1))
+_PSI_ASYM = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+_ASYM_MIN = 7.0
+_LOG_PI = 1.1447298858494002
+_LOG_SQRT_2PI = 0.91893853320467274178
+_EULER = 0.57721566490153286061
 
 _MAX_TERMS = 6000
 
@@ -105,8 +125,68 @@ def _cgamma(z) -> complex:
 
 
 def _lgamma(z) -> complex:
-    """Principal log-gamma (scipy backend, complex-capable)."""
-    return complex(_sp.loggamma(complex(z)))
+    """log Gamma(z), with the imaginary part right modulo 2 pi only.
+
+    Every caller exponentiates it, so the branch does not matter; it is
+    not the principal log-gamma.  Real z: ``math.lgamma``, plus i pi
+    where Gamma < 0; +inf at the poles.  Complex z near the real axis
+    left of Re z = 1/2 reflects, Gamma(z) Gamma(1-z) = pi/sin(pi z),
+    with the sine taken at z - n, n = round(Re z), which is exact; the
+    rest shifts up to |z| >= 7 and sums Stirling's series (DLMF
+    5.11.1).  Off the real axis at |Im z| >= 7 that series is accurate
+    at any Re z, so no reflection is needed there.
+    """
+    if not z.imag:  # float, int or complex
+        x = z.real
+        if not -math.inf < x <= 0.0:  # x > 0, or nan or +-inf
+            return complex(math.lgamma(x))
+        n = math.floor(x)
+        if x == n:
+            return complex(math.inf)
+        return complex(math.lgamma(x), math.pi if n % 2 else 0.0)
+    if z.real < 0.5 and abs(z.imag) < _ASYM_MIN:
+        n = round(z.real)
+        return (_LOG_PI - cmath.log(cmath.sin(math.pi * (z - n)))
+                - 1j * math.pi * n - _lgamma(1.0 - z))
+    shift = 1.0
+    if abs(z) < _ASYM_MIN:
+        n = math.ceil(math.sqrt(_ASYM_MIN * _ASYM_MIN - z.imag * z.imag)
+                      - z.real)
+        for k in range(n):
+            shift *= z + k
+        z += n
+    w = 1.0 / z
+    out = ((z - 0.5) * cmath.log(z) - z + _LOG_SQRT_2PI
+           + w * _asym_sum(_STIRLING, w * w))
+    return out if shift == 1.0 else out - cmath.log(shift)
+
+
+def _digamma(z) -> complex:
+    """psi(z) for complex z off the poles.
+
+    Shifts up to Re z >= 7 by psi(z) = psi(z + n) - sum 1/(z + k),
+    then sums the asymptotic series (DLMF 5.11.2).  No reflection: in
+    psi(1 - z) - pi cot(pi z) the rounding of pi z costs absolute
+    accuracy near the poles, where the shift's 1/(z + k) is exact.
+    """
+    z = complex(z)
+    acc = 0.0
+    if z.real < _ASYM_MIN:
+        n = math.ceil(_ASYM_MIN - z.real)
+        for k in range(n):
+            acc += 1.0 / (z + k)
+        z += n
+    w = 1.0 / z
+    w2 = w * w
+    return cmath.log(z) - 0.5 * w - w2 * _asym_sum(_PSI_ASYM, w2) - acc
+
+
+def _asym_sum(coef, w2):
+    """sum_k coef[k] w2^k by Horner's rule."""
+    s = 0.0
+    for c in reversed(coef):
+        s = s * w2 + c
+    return s
 
 
 def gamma(z) -> EvalResult:
@@ -292,27 +372,41 @@ def _lin_1mz_generic(a, b, c, z, depth):
     return total, err, t1 + t2, frozenset(fl)
 
 
-def _psi_brackets(logw, m, psi_a, psi_b):
-    """Yield log w - psi(k+1) - psi(k+m+1) + psi(psi_a+k) + psi(psi_b+k)
-    for k = 0, 1, ... below _MAX_TERMS.
+def _psi_gaps(x, j: int):
+    """psi(x + k) - psi(k + j + 1) for k = 0, 1, ...
 
-    Each block of terms takes one digamma ufunc call on complex
-    arguments.  The ufunc applies the scalar routine element by element
-    and the bracket is summed in the same order, so every bracket is
-    bitwise the one computed term by term.
+    One direct digamma less the harmonic sum psi(j + 1) = H_j - gamma,
+    then gap(k + 1) = gap(k) + (j + 1 - x)/((x + k)(k + j + 1)).  The
+    recurrence carries the gap, which tends to 0, and not psi(x + k),
+    which grows like log k, so its rounding stays at the gap's size.  A
+    run that starts left of Re 1/2 may start at a pole's large value,
+    whose rounding the recurrence would carry on, so its first term
+    right of Re 1/2 is evaluated directly again.
     """
-    k0, size = 0, 32
-    while k0 < _MAX_TERMS:
-        size = min(size, _MAX_TERMS - k0)
-        k = np.arange(k0, k0 + size, dtype=float)
-        # psi(k+1) and psi(k+m+1) are windows of one integer run
-        ints = np.arange(k0 + 1, k0 + size + m + 1, dtype=complex)
-        psi = _sp.digamma(np.concatenate((ints, psi_a + k, psi_b + k)))
-        j = size + m
-        yield from (logw - psi[:size] - psi[m:j] + psi[j:j + size]
-                    + psi[j + size:]).tolist()
-        k0 += size
-        size *= 2
+    gap = _digamma(x) - _psi_int(j + 1)
+    left = x.real < 0.5
+    k = 0
+    while True:
+        yield gap
+        if left and x.real + (k + 1) >= 0.5:
+            left = False
+            gap = _digamma(x + (k + 1)) - _psi_int(k + j + 2)
+        else:
+            gap += (j + 1.0 - x) / ((x + k) * (k + j + 1.0))
+        k += 1
+
+
+def _psi_int(n: int) -> float:
+    """psi(n) = H_{n-1} - gamma for an integer n >= 1."""
+    return math.fsum([1.0 / i for i in range(1, n)]) - _EULER
+
+
+def _psi_brackets(logw, m, psi_a, psi_b):
+    """The brackets log w - psi(k+1) - psi(k+m+1) + psi(psi_a+k)
+    + psi(psi_b+k) for k = 0, 1, ... below _MAX_TERMS, as log w plus
+    two runs of :func:`_psi_gaps`."""
+    gaps = zip(_psi_gaps(psi_a, 0), _psi_gaps(psi_b, m))
+    return (logw + ga + gb for ga, gb in itertools.islice(gaps, _MAX_TERMS))
 
 
 def _log_sum(a_s, b_s, m, w, psi_shift_a, psi_shift_b):
@@ -478,14 +572,16 @@ def regularized_2f1(a, b, c, z) -> EvalResult:
 # Cylinder functions and envelopes
 # ----------------------------------------------------------------------
 
-_CYL_BACKEND = {
-    "J": _sp.jv,
-    "Y": _sp.yv,
-    "I": _sp.iv,
-    "K": _sp.kv,
-    "H1": _sp.hankel1,
-    "H2": _sp.hankel2,
-}
+@functools.cache
+def _special():
+    """scipy.special, the cylinder-function backend, imported on first
+    use: the rest of the package runs without scipy and numpy."""
+    import scipy.special
+    return scipy.special
+
+
+_CYL_BACKEND = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv",
+                "H1": "hankel1", "H2": "hankel2"}
 
 
 def cyl(kind: str, mu: float, x: float) -> EvalResult:
@@ -501,8 +597,7 @@ def cyl(kind: str, mu: float, x: float) -> EvalResult:
         raise DomainError("cylinder functions take x >= 0")
     if x == 0 and kind not in ("J", "I"):
         raise DomainError(f"{kind} is singular at x = 0")
-    v = _CYL_BACKEND[kind](mu, x)
-    v = complex(v)
+    v = complex(getattr(_special(), _CYL_BACKEND[kind])(mu, x))
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise DomainError(f"cyl({kind}, {mu}, {x}) is not finite")
     if kind in ("J", "Y", "H1", "H2") and x > 0:
@@ -519,9 +614,8 @@ def env_j(mu: float, x: float) -> float:
     x = 0 when mu > 0."""
     if x < 0:
         raise DomainError("env_j takes x >= 0")
-    j0 = _sp.jv(mu, x)
-    j1 = _sp.jv(mu + 1.0, x)
-    return math.hypot(j0, j1)
+    jv = _special().jv
+    return math.hypot(jv(mu, x), jv(mu + 1.0, x))
 
 
 def env_h(kind: str, mu: float, x: float) -> float:
@@ -531,7 +625,7 @@ def env_h(kind: str, mu: float, x: float) -> float:
         raise DomainError("env_h kind must be 'H1' or 'H2'")
     if x <= 0:
         raise DomainError("env_h takes x > 0")
-    fn = _sp.hankel1 if kind == "H1" else _sp.hankel2
+    fn = getattr(_special(), _CYL_BACKEND[kind])
     h0 = fn(mu, x)
     h1 = fn(mu + 1.0, x)
     return math.sqrt(abs(h0) ** 2 + min(1.0, x * x) * abs(h1) ** 2)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import quadrature
+from .asymptotics import _loglog_slope
 from .errors import DomainError, GridError, WrongVariantError
 from .geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from .greens import (A_PLUS, AF_MINUS, ALL_VARIANTS, FRAK_MINUS, FRAKA_MINUS,
@@ -277,10 +278,9 @@ def check_beta_zero_limit(variant: str, m: ManifoldSpec, rho: float = 0.9,
                        notes=f"at beta={b}")
     if variant not in (S_PLUS, SF_MINUS):
         raise WrongVariantError(f"no beta->0 statement for {variant!r}")
-    import numpy as np
     bs = sorted(betas, reverse=True)
     vals = [abs(green_value(variant, m, b, rho).value) for b in bs]
-    slope = float(np.polyfit(np.log(bs), np.log(vals), 1)[0])
+    slope = _loglog_slope(bs, vals)
     c_pred = (_cgamma(0.5 * (d + 1.0)).real
               / (2.0 * math.pi ** (0.5 * (d + 1.0)) * R ** d))
     c_meas = vals[-1] * bs[-1] ** 2

@@ -230,3 +230,5 @@ class TestEmpiricalOrder:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             empirical_order([10, 20], [0.1, 0.05])
+        with pytest.raises(InsufficientDataError):
+            empirical_order([10, 10, 10], [0.1, 0.05, 0.025])

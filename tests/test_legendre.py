@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from curvgreen.errors import DomainError, RangeError, UndefinedError
+from curvgreen.errors import (CurvGreenError, DomainError, RangeError,
+                              UndefinedError)
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
@@ -284,6 +285,27 @@ class TestHalfOdd:
     def test_rejects_non_half_odd(self):
         with pytest.raises(DomainError):
             half_odd_eval("P", 1.0, 0.3, 2.0)
+
+    @pytest.mark.parametrize("kind,arg,mu,ref", [
+        ("P", 1.3, 0.5, 0.875442827303642),
+        ("P", 1.3, 1.5, -1.37008211070597),
+        ("Q", 1.3, 0.5, 1.3751423774475j),
+        ("Q", 1.3, 1.5, -2.15211994690433j),
+        ("FP", 0.3, 0.5, 0.816920347482112),
+        ("FP", 0.3, 1.5, -0.25690956392253),
+        ("FQ", 0.3, 0.5, 0.0),
+        ("FQ", 0.3, 1.5, 0.0),
+    ])
+    def test_degree_minus_half(self, kind, arg, mu, ref):
+        """nu = -1/2, where the order -1/2 seed's 1/(nu + 1/2) is
+        cancelled by the recurrence; mpmath references."""
+        got = half_odd_eval(kind, -0.5, mu, arg).value
+        assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("kind,arg", [("Q", 1.3), ("FQ", 0.3)])
+    def test_degree_minus_half_order_minus_half_refuses(self, kind, arg):
+        with pytest.raises(CurvGreenError):
+            half_odd_eval(kind, -0.5, -0.5, arg)
 
 
 class TestGegenbauerFunction:

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from curvgreen.errors import (DomainError, NoConvergenceError, ParamPoleError,
                               PoleError)
 from curvgreen.result import NEAR_POLE
-from curvgreen.specfun import (_cgamma, _lin_1mz_log, _near_nonpos_int,
-                               _psi_brackets, _series_2f1, chebyshev_t, cyl,
-                               env_h, env_j, gamma, gamma_ratio,
-                               gamma_ratio_asymptotic, gauss_2f1,
+from curvgreen.specfun import (_cgamma, _digamma, _lgamma, _lin_1mz_log,
+                               _near_nonpos_int, _psi_brackets, _series_2f1,
+                               chebyshev_t, cyl, env_h, env_j, gamma,
+                               gamma_ratio, gamma_ratio_asymptotic, gauss_2f1,
                                gegenbauer_c, pochhammer, regularized_2f1)
 
 SQRT_PI = 1.7724538509055160273
@@ -283,19 +283,103 @@ class TestSeriesBitIdentity:
                 == _outcome(_reference_series, *args))
 
 
-def test_psi_brackets_match_scalar_digamma():
-    """Block digamma brackets equal the term-by-term scalar ones bitwise,
-    across block boundaries."""
-    logw = cmath.log(0.2 - 0.1j)
-    for m, pa, pb in ((0, 0.3 + 0.2j, 1.7 + 0j), (2, 2.3 - 0j, -0.45 + 0.1j)):
-        got = list(itertools.islice(_psi_brackets(logw, m, pa, pb), 100))
-        want = [logw - _psi(k + 1) - _psi(k + m + 1) + _psi(pa + k)
-                + _psi(pb + k) for k in range(100)]
-        assert [repr(g) for g in got] == [repr(w) for w in want]
+def _region(z):
+    return ("real" if z.imag == 0 else "complex",
+            "negative" if z.real < 0 else "positive")
 
 
-def _psi(x):
-    return complex(scipy.special.digamma(complex(x)))
+class TestLogGammaDigamma:
+    """The pure-Python log-gamma and digamma against mpmath at 30 digits."""
+
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(2024)
+        pts = [complex(rng.uniform(-60, 160), rng.uniform(-200, 200))
+               for _ in range(250)]
+        # near the real axis: reflection, shift and Stirling regions
+        pts += [complex(rng.uniform(-60, 160), rng.uniform(-15, 15))
+                for _ in range(150)]
+        pts += [complex(x) for x in rng.uniform(-60, 0, 100)
+                if abs(x - round(x)) > 1e-3]
+        pts += [complex(x) for x in rng.uniform(0.01, 160, 100)]
+        return pts
+
+    def test_gamma_ratio_by_region(self):
+        """exp(lgamma(z) - lgamma(z + 0.37)) per region is no worse than
+        twice scipy's loggamma on the same grid."""
+        worst, worst_scipy = {}, {}
+        with mpmath.workdps(30):
+            for z in self._grid():
+                ref = complex(mpmath.exp(mpmath.loggamma(z)
+                                         - mpmath.loggamma(z + 0.37)))
+                got = cmath.exp(_lgamma(z) - _lgamma(z + 0.37))
+                sci = cmath.exp(complex(scipy.special.loggamma(z))
+                                - complex(scipy.special.loggamma(z + 0.37)))
+                r = _region(z)
+                worst[r] = max(worst.get(r, 0.0), abs(got - ref) / abs(ref))
+                worst_scipy[r] = max(worst_scipy.get(r, 0.0),
+                                     abs(sci - ref) / abs(ref))
+        assert len(worst) == 4
+        for r, err in worst.items():
+            assert err <= 2.0 * worst_scipy[r], (r, err, worst_scipy[r])
+
+    def test_lgamma_at_series_boundary(self):
+        """On |z| = 7, where Stirling's series starts, the truncation
+        stays below the rounding of log Gamma."""
+        with mpmath.workdps(30):
+            for t in np.linspace(-1.48, 1.48, 41):
+                z = cmath.rect(7.0, t)
+                d = _lgamma(z) - complex(mpmath.loggamma(z))
+                d = complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
+                assert abs(d) <= 5e-15, (z, d)
+
+    def test_lgamma_poles_and_sign(self):
+        assert _lgamma(-3.0) == complex(math.inf)
+        # Gamma(-0.5) < 0, Gamma(-1.5) > 0: the branch is right mod 2 pi
+        assert cmath.exp(_lgamma(-0.5)) == pytest.approx(-2.0 * SQRT_PI,
+                                                         rel=1e-15)
+        assert cmath.exp(_lgamma(-1.5)) == pytest.approx(4.0 * SQRT_PI / 3.0,
+                                                         rel=1e-15)
+
+    def test_digamma(self):
+        """Relative error <= 2e-15 where |psi| >= 1; absolute 2e-15 below,
+        where psi's zeros make a relative bound meaningless."""
+        rng = np.random.default_rng(77)
+        pts = [complex(rng.uniform(-60, 60), rng.uniform(-60, 60))
+               for _ in range(200)]
+        pts += [complex(x) for x in rng.uniform(0.05, 60, 60)]
+        pts += [complex(-n + s) for n in range(25) for s in (1e-7, -1e-7)
+                if n or s > 0]
+        pts += [complex(-n + 1e-7, 1e-7) for n in range(10)]
+        pts += [complex(-0.9999996666666296), 0.3 + 0.2j, -0.45 + 0.1j, 1.7]
+        # Re z = 7: the asymptotic series at its least accurate, no shift
+        pts += [complex(7.0, y) for y in range(-7, 8)]
+        with mpmath.workdps(30):
+            for z in pts:
+                ref = complex(mpmath.digamma(z))
+                err = abs(_digamma(z) - ref)
+                assert err <= 2e-15 * max(abs(ref), 1.0), (z, err, ref)
+
+    @pytest.mark.parametrize("m,pa,pb", [
+        (0, 0.3 + 0.2j, 1.7 + 0j),
+        (2, 2.3 - 0j, -0.45 + 0.1j),
+        (1, -0.9999996666666296 + 0j, -3.2 + 0j),
+    ], ids=["m0", "m2", "near_pole"])
+    def test_psi_brackets_against_mpmath(self, m, pa, pb):
+        """The log case's brackets, term by term for 100 terms; the last
+        run starts 3.3e-7 from a pole and crosses two more.  Relative
+        where |bracket| >= 1, absolute below, as for psi."""
+        w = 0.2 - 0.1j
+        got = list(itertools.islice(_psi_brackets(cmath.log(w), m, pa, pb),
+                                    100))
+        assert len(got) == 100
+        with mpmath.workdps(30):
+            for k, g in enumerate(got):
+                ref = complex(mpmath.log(w) - mpmath.digamma(k + 1)
+                              - mpmath.digamma(k + m + 1)
+                              + mpmath.digamma(mpmath.mpc(pa) + k)
+                              + mpmath.digamma(mpmath.mpc(pb) + k))
+                assert abs(g - ref) <= 2e-15 * max(abs(ref), 1.0), (k, g, ref)
 
 
 class TestLogCase:
