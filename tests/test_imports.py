@@ -4,6 +4,7 @@ expansions load neither, and the cylinder functions load them on
 first use."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -37,8 +38,12 @@ print(json.dumps(seen))
 
 
 def test_core_path_loads_neither_scipy_nor_numpy():
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=SRC,
-                          capture_output=True, text=True, check=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
     seen = json.loads(proc.stdout)
     for stage in ("import", "green_value", "green_expansion", "fourier_2d"):
         assert seen[stage] == [], stage
