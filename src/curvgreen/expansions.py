@@ -15,6 +15,14 @@ Every series here is one sum, evaluated by one engine:
   order is -(mu+l), also carries the Pochhammer weight
   (nu + mu + 1)_l (mu - nu)_l.  The flat-space Gegenbauer-Bessel
   expansion uses Bessel pairs in the same place.
+* Each radial function is one sequence in l, carried by the order
+  recurrence (``legendre.order_sequence``) from two direct values: the
+  smaller-radius one, minimal in the order, backward (Miller), the
+  larger-radius ones forward.  Their error grows at most like the
+  dominant solution, which the minimal factor beside them holds below
+  eps times the series' tail ratio; at large conical degree less so
+  (tau = 25, th> > pi/2: about 6 digits left).  A lowered pair's weight
+  rides in its larger-radius sequence.
 * The prefactor and the reference value come from the kind's row.
 
 The kinds are rows over that engine: the associated Legendre addition
@@ -23,15 +31,17 @@ cos Theta, the degree-equals-order and hyperbolic closed-form
 corollaries, the Gegenbauer (d >= 3) and azimuthal Fourier (d = 2)
 expansions of every Green's-function variant, and the Euclidean
 comparison.  The only bespoke radial term is the elementary one of
-log cot(Theta/2).  The basis and the Pochhammer weight are carried
-along l by their recurrences and products.  The hypersphere rows check
+log cot(Theta/2).  The basis is carried along l by its recurrence.
+The hypersphere rows check
 the convergence-domain predicate tan(th</2) tan(th>/2) < 1 and report
 its geometric tail-rate estimate.
 
 Every series is reported through a SeriesReport holding the truncated
 value, the directly evaluated closed-form reference and their relative
 difference, so the comparison is honest: the composite argument is
-always recomputed from the two-point formula, never passed in.
+always recomputed from the two-point formula, never passed in.  A term
+beyond the double range raises RangeError, and a sum that cancels to
+below the acceptance accuracy raises NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -41,13 +51,14 @@ import math
 from dataclasses import dataclass
 from itertools import count
 
-from .errors import (DomainError, DomainViolationError, UndefinedError,
-                     WrongCaseError)
+from .errors import (DomainError, DomainViolationError, NoConvergenceError,
+                     RangeError, WrongCaseError)
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      S_PLUS, SF_MINUS, WaveParams, euclidean_green,
                      green_value)
-from .legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
+from .legendre import (ferrers_p, ferrers_q, legendre_p, legendre_q,
+                       order_sequence)
 from .result import NONCONVERGENT
 from .specfun import _cgamma, _near_nonpos_int, _special
 
@@ -161,43 +172,17 @@ def _basis(mu, x):
                         - (k + 2.0 * mu - 2.0) * c_prev) / k
 
 
-def _poch_undefined_check(nu, order) -> bool:
-    """True if FQ_nu^{order} hits an undefined parameter combination."""
-    s = complex(nu) + complex(order)
-    hit, n = _near_nonpos_int(s + 1.0)
-    if not hit:
-        return False
-    anom, _ = _near_nonpos_int(complex(nu) + 1.5)
-    return not anom
-
-
-def _at(fn, nu, x, lowered: bool):
-    """The order function m -> fn(nu, -m or m, x).value of one side of a
-    pair; a Ferrers Q refuses an undefined order before evaluating."""
-    def value(m):
-        order = -m if lowered else m
-        if fn is ferrers_q and _poch_undefined_check(nu, order):
-            raise UndefinedError("FQ undefined at an interior series order")
-        return fn(nu, order, x).value
-    return value
-
-
-def _pairs(mu, small, parts, nu=None):
+def _pairs(small, parts):
     """Yield the radial factors of a pair series for l = 0, 1, ...
 
-    With m = mu + l the factor is small(m) times the sum of
-    c * s**l * large(m) over ``parts`` = ((large, c, s), ...).  A
-    lowered pair (``nu`` given) also carries the Pochhammer weight
-    (nu + mu + 1)_l (mu - nu)_l.  A zero weight does not skip the
-    pair: an FQ at such an order is a 0 * infinity limit and refuses.
+    The factor is small_l times the sum of c * s**l * large_l over
+    ``parts`` = ((large, c, s), ...), where small and each large are
+    sequences in l (order_sequence, or the Bessel values of the flat
+    expansion).  A large sequence is drawn only as far as the sum goes.
     """
-    weight = 1.0 + 0.0j
-    for l in count():
-        m = mu + l
-        big = sum(c * s ** l * large(m) for large, c, s in parts)
-        yield weight * big * small(m)
-        if nu is not None:
-            weight *= (nu + mu + 1.0 + l) * (mu - nu + l)
+    larges = [(iter(large), c, s) for large, c, s in parts]
+    for l, a in enumerate(small):
+        yield a * sum(c * s ** l * next(large) for large, c, s in larges)
 
 
 def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
@@ -208,22 +193,36 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
     the running total.  The tail diagnostics go into the report;
     NONCONVERGENT marks a tail whose last terms do not decrease, or a
     sum cut off at n_max with its last term above _CUT_REL of the total.
+    A term that overflows or is not finite raises RangeError, and a sum
+    whose rounding (sum |t| times 2^-52) exceeds _CUT_REL of its total
+    raises NoConvergenceError.
     """
     if n_max < 1:
         raise DomainError(f"a series needs at least one term, got {n_max}")
     total = 0.0 + 0.0j
     mags = []
     small = 0
-    for _, r, w in zip(range(n_max), radial, _basis(mu, x)):
+    for l, r, w in zip(range(n_max), radial, _basis(mu, x)):
         t = complex(r * w)
+        try:
+            mag = abs(t)
+        except OverflowError:
+            mag = math.inf
+        if not math.isfinite(mag):
+            raise RangeError(f"series term l = {l} overflows the double "
+                             "range")
         total += t
-        mags.append(abs(t))
-        if abs(t) <= _TRUNC_REL * max(abs(total), 1e-300):
+        mags.append(mag)
+        if mag <= _TRUNC_REL * max(abs(total), 1e-300):
             small += 1
             if small >= _TRUNC_RUN:
                 break
         else:
             small = 0
+    size = math.fsum(mags)
+    if size * 2.0 ** -52 > _CUT_REL * abs(total):
+        raise NoConvergenceError(f"series cancels: sum |term| is "
+                                 f"{size:.3e} for a total of {abs(total):.3e}")
     flags = set()
     if len(mags) >= 5 and all(mags[-i] >= mags[-i - 1] * (1.0 - 1e-12)
                               for i in range(1, 5)) and mags[-1] > 0:
@@ -239,14 +238,16 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
                         frozenset(flags))
 
 
-def _hyperbolic(c, nu, mu, cfg: TwoPointConfig, large, reference,
+def _hyperbolic(c, nu, mu, cfg: TwoPointConfig, large: str, reference,
                 n_max: int) -> SeriesReport:
     """c (sinh r< sinh r>)^-mu times the pair series over
-    P_nu^{-(mu+l)}(cosh r<) large_nu^{mu+l}(cosh r>) (-1)^l."""
+    P_nu^{-(mu+l)}(cosh r<) large_nu^{mu+l}(cosh r>) (-1)^l, large the
+    kind P or Q."""
     r_lt, r_gt = cfg.lt, cfg.gt
     pre = c / (math.sinh(r_lt) * math.sinh(r_gt)) ** mu
-    radial = _pairs(mu, _at(legendre_p, nu, math.cosh(r_lt), True),
-                    [(_at(large, nu, math.cosh(r_gt), False), 1.0, -1.0)])
+    radial = _pairs(
+        order_sequence("P", nu, mu, math.cosh(r_lt), True, miller=n_max),
+        [(order_sequence(large, nu, mu, math.cosh(r_gt)), 1.0, -1.0)])
     ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
     return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio)
 
@@ -255,15 +256,17 @@ def _spherical(c, nu, mu, cfg: TwoPointConfig, parts, reference, ratio,
                n_max: int, lowered: bool = False,
                const=0.0) -> SeriesReport:
     """c (sin th< sin th>)^-mu times the pair series over
-    FP_nu^{-(mu+l)}(cos th<) and, for each (fn, reflected, coef) of
-    ``parts``, coef fn_nu^{+-(mu+l)}(+-cos th>) with (-1)^l when not
-    reflected; ``lowered`` takes the order -(mu+l) and the weight."""
+    FP_nu^{-(mu+l)}(cos th<) and, for each (kind, reflected, coef) of
+    ``parts``, coef kind_nu^{+-(mu+l)}(+-cos th>) (kind FP or FQ) with
+    (-1)^l when not reflected; ``lowered`` takes the order -(mu+l) and
+    the Pochhammer weight (nu + mu + 1)_l (mu - nu)_l."""
     x_gt = math.cos(cfg.gt)
     pre = c / (math.sin(cfg.lt) * math.sin(cfg.gt)) ** mu
-    large = [(_at(fn, nu, -x_gt if reflected else x_gt, lowered), coef,
-              1.0 if reflected else -1.0) for fn, reflected, coef in parts]
-    radial = _pairs(mu, _at(ferrers_p, nu, math.cos(cfg.lt), True), large,
-                    nu if lowered else None)
+    large = [(order_sequence(kind, nu, mu, -x_gt if reflected else x_gt,
+                             lowered), coef, 1.0 if reflected else -1.0)
+             for kind, reflected, coef in parts]
+    radial = _pairs(order_sequence("FP", nu, mu, math.cos(cfg.lt), True,
+                                   miller=n_max), large)
     return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio,
                    const)
 
@@ -294,21 +297,21 @@ def addition_legendre(kind: str, nu, mu, cfg: TwoPointConfig,
     outer = legendre_p if kind == "P" else legendre_q
     rho = cfg.rho_hyperbolic()
     ref = outer(nu, mu, math.cosh(rho)).value / math.sinh(rho) ** mu
-    return _hyperbolic(2.0 ** mu, nu, mu, cfg, outer, ref, n_max)
+    return _hyperbolic(2.0 ** mu, nu, mu, cfg, kind, ref, n_max)
 
 
 # ----------------------------------------------------------------------
 # Ferrers addition theorems (hypersphere composite)
 # ----------------------------------------------------------------------
 
-# kind: (FQ rather than FP at the larger angle, lowered, reflected)
+# kind: (the kind at the larger angle, lowered, reflected)
 _FERRERS_KINDS = {
-    "PmPp": (False, False, False),
-    "PmQp": (True, False, False),
-    "PmPm": (False, True, False),
-    "PmQm": (True, True, False),
-    "PmPmmx": (False, True, True),
-    "QmPmmx": (True, True, True),
+    "PmPp": ("FP", False, False),
+    "PmQp": ("FQ", False, False),
+    "PmPm": ("FP", True, False),
+    "PmQm": ("FQ", True, False),
+    "PmPmmx": ("FP", True, True),
+    "QmPmmx": ("FQ", True, True),
 }
 
 
@@ -341,8 +344,8 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
             "outside the convergence domain: tan(th</2) tan(th>/2) >= 1"
             if math.tan(0.5 * cfg.lt) * math.tan(0.5 * cfg.gt) >= 1.0
             else "theta = theta' not allowed for this kind")
-    second, lowered, reflected = _FERRERS_KINDS[kind]
-    fn = ferrers_q if second else ferrers_p
+    large, lowered, reflected = _FERRERS_KINDS[kind]
+    fn = ferrers_q if large == "FQ" else ferrers_p
     big_theta = cfg.theta_spherical()
     x_th = math.cos(big_theta)
     ref = (fn(nu, -mu if lowered else mu, -x_th if reflected else x_th).value
@@ -360,8 +363,8 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
                             abs(val - ref) / max(abs(ref), 1e-300),
                             up.flags | dn.flags)
 
-    return _spherical(2.0 ** mu, nu, mu, cfg, [(fn, reflected, 1.0)], ref,
-                      ratio, n_max, lowered)
+    return _spherical(2.0 ** mu, nu, mu, cfg, [(large, reflected, 1.0)],
+                      ref, ratio, n_max, lowered)
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +406,10 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
         rho = cfg.rho_hyperbolic()
         if form == "cosh":
             ref = cmath.cosh((nu + 0.5) * rho) / math.sinh(rho)
-            c, large = math.sqrt(math.pi), legendre_p
+            c, large = math.sqrt(math.pi), "P"
         elif form == "exp":
             ref = cmath.exp(-(nu + 0.5) * rho) / math.sinh(rho)
-            c, large = -2j / math.sqrt(math.pi), legendre_q
+            c, large = -2j / math.sqrt(math.pi), "Q"
         else:
             raise WrongCaseError("form must be 'cosh' or 'exp'")
         return _hyperbolic(c, nu, 0.5, cfg, large, ref, n_max)
@@ -461,10 +464,10 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
                  else -math.pi / cmath.tan(math.pi * mu))
         const /= 2.0 ** (mu + 1.0) * _cgamma(mu + 1.0)
     if case in ("NU_EQ_MU_HALFINT", "Q_K_MK"):
-        large = ferrers_q
+        large = "FQ"
         c = math.sqrt(math.pi) / (cmath.cos(math.pi * mu) * 2.0 ** mu)
     else:
-        large = ferrers_p
+        large = "FP"
         c = math.pi ** 1.5 / (cmath.sin(math.pi * mu) * 2.0 ** (mu + 1.0))
     c /= _cgamma(mu + 1.0) * _cgamma(mu + 0.5)
     ref = (ferrers_q(mu, -mu, math.cos(big_theta)).value
@@ -495,7 +498,7 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
             raise DomainError("radial coordinates must be positive")
         ref = green_value(variant, m, wp.beta, cfg.rho_hyperbolic()).value
         return _hyperbolic(cmath.exp(-1j * math.pi * mu) * norm, nu, mu, cfg,
-                           legendre_q, ref, l_max)
+                           "Q", ref, l_max)
 
     # hypersphere variants
     ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
@@ -504,14 +507,14 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
     ref = green_value(variant, m, wp.beta, cfg.theta_spherical()).value
     if variant == FRAK_MINUS:
         c = _cgamma(nu + mu + 1.0) / _cgamma(nu - mu + 1.0)
-        parts = [(ferrers_q, False, 1.0), (ferrers_p, False, 0.5j * math.pi)]
+        parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
     else:
         c = 0.5 * _cgamma(nu + mu + 1.0) * _cgamma(mu - nu)
-        parts = [(ferrers_p, True, 1.0)]
+        parts = [("FP", True, 1.0)]
         if variant == A_PLUS:
             # antipodal bracket: the unreflected parent series carries
             # (-1)^l, so odd orders add instead of subtract
-            parts.append((ferrers_p, False, -1.0))
+            parts.append(("FP", False, -1.0))
     return _spherical(norm * c, nu, mu, cfg, parts, ref, ratio, l_max,
                       lowered=True)
 
@@ -571,7 +574,7 @@ def euclidean_expansion(sign: str, d: int, beta: float, r: float,
                            sp.jv, sp.hankel1)
     pre = c * 2.0 ** mu / (beta * r * r_prime) ** mu
     a, b = beta * cfg.lt, beta * cfg.gt
-    radial = _pairs(mu, lambda m: small(m, a), [(lambda m: large(m, b),
-                                                 1.0, 1.0)])
+    radial = _pairs((small(mu + l, a) for l in count()),
+                    [((large(mu + l, b) for l in count()), 1.0, 1.0)])
     return _series(pre, mu, cfg.cos_gamma, radial, l_max, complex(ref),
                    cfg.lt / cfg.gt)

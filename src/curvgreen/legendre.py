@@ -12,7 +12,10 @@ functions,
 * elementary closed forms for half-odd-integer orders lifted by the
   order recurrence (an evaluation path independent of the
   hypergeometric one),
-* the Gegenbauer function of the first kind for non-integer degree.
+* the Gegenbauer function of the first kind for non-integer degree,
+* a kind's values at the orders +-(mu + l), l = 0, 1, ..., carried by
+  the order recurrence from two direct values (``order_sequence``, the
+  radial factors of the expansions).
 
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
@@ -34,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from itertools import count
 
 from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
@@ -48,6 +52,8 @@ _SQRT_PI = 1.7724538509055160273
 # is abandoned for an integral representation
 _LOSS_MAX = 12.0
 _QUAD_RTOL = 5e-13
+# the most orders Miller's algorithm recurs beyond the last one it returns
+_MILLER_MAX = 100000
 
 
 def _check_hyperbolic(z: float) -> float:
@@ -262,6 +268,128 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
                       same.abs_err_est + abs(s) * other.abs_err_est,
                       same.terms_used + other.terms_used,
                       merge_flags(same, other)).scaled(gr)
+
+
+def _fq_undefined(nu, order) -> bool:
+    """True if FQ_nu^order is undefined: nu + order in -N at a degree
+    that is not anomalous (nu + 3/2 in -N0)."""
+    hit, _ = _near_nonpos_int(complex(nu) + complex(order) + 1.0)
+    return hit and not _near_nonpos_int(complex(nu) + 1.5)[0]
+
+
+def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
+                   miller: int = 0):
+    """Yield kind (P, Q, FP or FQ) at the orders mu + l, or -(mu + l)
+    if lowered, for l = 0, 1, ...
+
+    Every kind obeys one three-term recurrence in the order (DLMF
+    14.10.1, 14.10.6; Q carries e^{i pi mu}, so it obeys P's):
+
+        F^{k+2} = -2 (k + 1) c F^{k+1} + s (nu - k)(nu + k + 1) F^k,
+
+    with c = x/sqrt(1 - x^2), s = -1 on (-1, 1) and c = z/sqrt(z^2 - 1),
+    s = 1 on z > 1.  Two values come from the public function, the rest
+    from the recurrence, which never divides:
+
+    * raised: forward from l = 0, 1;
+    * lowered: forward on the weighted values (nu + mu + 1)_l (mu - nu)_l
+      F^{-(mu+l)}, m = mu + l, by
+      h_{l+2} = s (2 (m + 1) c h_{l+1} - (nu + m + 1)(m - nu) h_l);
+    * miller = n > 0 (lowered P or FP at z > 1 or x > 0, unweighted):
+      the first n values of the solution minimal in the order, by
+      Miller's backward algorithm (Gil, Segura & Temme 2007, ch. 4; the
+      start index is _miller's), normalized by whichever of the direct
+      values at l = 0, 1 is larger, since either may sit near a zero.
+
+    Forward recurrence is the caller's choice where an error growing
+    like the dominant solution is harmless, as in a pair series whose
+    other factor is minimal.  An FQ at an undefined order raises
+    UndefinedError when the sequence reaches it, not before.
+    """
+    hyperbolic = kind in ("P", "Q")
+    c = arg / math.sqrt(arg * arg - 1.0 if hyperbolic else 1.0 - arg * arg)
+    s = 1.0 if hyperbolic else -1.0
+    nu, mu = complex(nu), complex(mu)
+    fn = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
+          "FQ": ferrers_q}[kind]
+
+    def direct(l):
+        return fn(nu, -(mu + l) if lowered else mu + l, arg).value
+
+    if miller:
+        if not (lowered and kind in ("P", "FP")):
+            raise DomainError("Miller's algorithm serves lowered P and FP")
+        yield from _miller(direct, nu, mu, c, s, miller,
+                           (arg - 1.0) / (arg + 1.0) if hyperbolic
+                           else (1.0 - arg) / (1.0 + arg))
+        return
+    # with k = mu + l - 2 both forward rules read
+    # h = sign 2 (k + 1) c h_{l-1} - s (nu + k + 1)(k - nu) h_{l-2}
+    sign = s if lowered else -1.0
+    a = b = None
+    for l in count():
+        if kind == "FQ" and _fq_undefined(nu, -(mu + l) if lowered
+                                          else mu + l):
+            raise UndefinedError(f"FQ undefined at order {'-' * lowered}"
+                                 f"(mu + {l})")
+        if l == 0:
+            h = direct(0)
+        elif l == 1:
+            h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
+        else:
+            k = mu + l - 2.0
+            h = (sign * 2.0 * (k + 1.0) * c * b
+                 - s * (nu + k + 1.0) * (k - nu) * a)
+        yield h
+        a, b = b, h
+
+
+def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
+    """The first n values g_l of order_sequence's minimal lowered
+    solution: g_l = 2 (m + 1) c g_{l+1} + s (nu + m + 2)(nu - m - 1)
+    g_{l+2}, m = mu + l, down from g_N = 1, g_{N+1} = 0, rescaled above
+    1e200, then normalized by a direct value.
+
+    N is where the product from l = n of the per-order separations of
+    the minimal from the dominant solution falls below e^-40.  A step
+    separates them by the ratio |M c - w|/|M c + w| of the recurrence's
+    characteristic roots to leading order in M = m + 1, with
+    w^2 = M^2 (c^2 - s) + s (nu + 1/2)^2, but never by more than its
+    limit t^2 = (z - 1)/(z + 1) or (1 - x)/(1 + x).  Below the turning
+    point M ~ |nu + 1/2| sinh r (conical degrees on z > 1, real degrees
+    on (-1, 1)) the roots have one modulus and nothing separates, which
+    a start index from t^2 alone would miss.  More than _MILLER_MAX
+    orders beyond n (t^2 within about 4e-4 of 1) is NoConvergenceError.
+    """
+    ln_t2 = math.log(t2)
+    top, decay = n, 0.0
+    while decay > -40.0:
+        big = mu + top + 1.0
+        w = cmath.sqrt(big * big * (c * c - s) + s * (nu + 0.5) ** 2)
+        near, far = abs(big * c - w), abs(big * c + w)
+        decay += max(math.log(min(near, far) / max(near, far)), ln_t2) \
+            if near and far else ln_t2
+        top += 1
+        if top - n > _MILLER_MAX:
+            raise NoConvergenceError(
+                "order recurrence: the minimal solution does not separate "
+                f"within {_MILLER_MAX} orders")
+    # only the first n values are kept; above them two carry the run
+    g, g1, g2 = [0.0] * n, 1.0, 0.0
+    for l in range(top - 1, -1, -1):
+        m = mu + l
+        g0 = (2.0 * (m + 1.0) * c * g1
+              + s * (nu + m + 2.0) * (nu - m - 1.0) * g2)
+        if abs(g0) > 1e200:
+            g0, g1 = g0 * 1e-200, g1 * 1e-200
+            g[l + 1:] = [v * 1e-200 for v in g[l + 1:]]
+        if l < n:
+            g[l] = g0
+        g1, g2 = g0, g1
+    seeds = [direct(l) for l in range(min(n, 2))]
+    l = max(range(len(seeds)), key=lambda j: abs(seeds[j]))
+    scale = seeds[l] / g[l]
+    return [v * scale for v in g[:n]]
 
 
 @_refuse_overflow("P")

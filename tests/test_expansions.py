@@ -1,12 +1,15 @@
 """Addition theorems and Green's-function expansions vs closed forms."""
 
 import math
+import sys
+from itertools import count
 
 import numpy as np
 import pytest
 
-from curvgreen.errors import (DomainError, DomainViolationError,
-                             WrongCaseError)
+from curvgreen import expansions, legendre
+from curvgreen.errors import (DomainError, DomainViolationError, RangeError,
+                              UndefinedError, WrongCaseError)
 from curvgreen.expansions import (TwoPointConfig,
                                   addition_ferrers, addition_legendre,
                                   addition_special, convergence_domain,
@@ -14,7 +17,7 @@ from curvgreen.expansions import (TwoPointConfig,
                                   green_expansion)
 from curvgreen.geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from curvgreen.greens import (MINUS, PLUS, WaveParams, green_value)
-from curvgreen.legendre import legendre_p, legendre_q
+from curvgreen.legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
 from curvgreen.result import NONCONVERGENT
 from curvgreen.specfun import gegenbauer_c
 
@@ -68,6 +71,14 @@ class TestAdditionFerrers:
                                60)
         assert rep.terms <= 4
         assert rep.rel_err < 1e-10
+
+    def test_undefined_fq_refused_only_when_reached(self):
+        # nu - mu = 2: the weight vanishes from l = 3 on, where FQ is
+        # undefined; a series that stops before l = 3 is not refused
+        rep = addition_ferrers("PmQm", 2.3, 0.3, CFG_S, 3)
+        assert rep.terms == 3 and math.isfinite(abs(rep.value))
+        with pytest.raises(UndefinedError):
+            addition_ferrers("PmQm", 2.3, 0.3, CFG_S, 4)
 
     def test_nu_equals_mu_q_kind_limit(self):
         # removable term-by-term singularity handled by extrapolation
@@ -276,6 +287,12 @@ class TestEuclideanExpansion:
         rep = euclidean_expansion(MINUS, 2, 1.0, 0.5, 1.0, 0.8, 35)
         assert rep.rel_err < 1e-8
 
+    def test_overflowing_term_is_a_range_error(self):
+        # K_m(0.6) leaves the double range at m = 137: that term is
+        # refused with its index, not summed as inf or nan
+        with pytest.raises(RangeError, match="term l = 137"):
+            euclidean_expansion(PLUS, 2, 1.0, 0.5, 0.6, 0.5, l_max=400)
+
     @pytest.mark.parametrize("sign", [PLUS, MINUS])
     @pytest.mark.parametrize("beta", [0.0, -1.0])
     def test_rejects_nonpositive_beta(self, sign, beta):
@@ -346,3 +363,77 @@ class TestCandidatesCommonDomain:
                     mags.append(np.mean(w))
                 slope = np.polyfit(np.log(ns), np.log(mags), 1)[0]
                 assert abs(slope - (mu - 1.0)) < 0.3, (gamma_angle, mu)
+
+
+def _per_order(kind, nu, mu, arg, lowered=False, miller=0):
+    """Reference for order_sequence: every order by its public function,
+    a lowered forward sequence times (nu + mu + 1)_l (mu - nu)_l."""
+    fn = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
+          "FQ": ferrers_q}[kind]
+    nu, mu = complex(nu), complex(mu)
+    weight = 1.0
+    for l in count():
+        yield weight * fn(nu, -(mu + l) if lowered else mu + l, arg).value
+        if lowered and not miller:
+            weight *= (nu + mu + 1.0 + l) * (mu - nu + l)
+
+
+def _expand(variant, d, beta, cfg, l_max=60):
+    kind = HYPERBOLOID if variant.startswith("H") else HYPERSPHERE
+    sign = PLUS if variant in ("H_PLUS", "S_PLUS", "A_PLUS") else MINUS
+    wp = WaveParams(ManifoldSpec(kind, d, 1.0), beta, sign)
+    series = fourier_2d if d == 2 else green_expansion
+    return series(variant, wp, cfg, l_max)
+
+
+_VARIANTS = ("H_PLUS", "H_MINUS", "S_PLUS", "A_PLUS", "SF_MINUS",
+             "FRAK_MINUS")
+
+
+class TestOrderRecurrences:
+    """The order recurrences keep the series of per-order evaluation."""
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_order_evaluation(self, variant, d, monkeypatch):
+        cfgs = ([TwoPointConfig(0.6, 1.9, 1.1), TwoPointConfig(2.4, 0.9, 2.6)]
+                if variant.startswith("H") else
+                [TwoPointConfig(0.5, 1.2, 0.8), TwoPointConfig(1.9, 0.7, 2.2)])
+        cases = [(beta, cfg) for beta in (0.7, 3.1) for cfg in cfgs]
+        got = [_expand(variant, d, beta, cfg) for beta, cfg in cases]
+        monkeypatch.setattr(expansions, "order_sequence", _per_order)
+        for rep, (beta, cfg) in zip(got, cases):
+            ref = _expand(variant, d, beta, cfg)
+            assert abs(rep.value - ref.value) <= 1e-11 * abs(ref.value)
+            assert (rep.terms, rep.flags) == (ref.terms, ref.flags)
+
+    def test_large_radius_matches_per_order_evaluation(self, monkeypatch):
+        # t^2 = tanh^2(3) = 0.990: Miller starts about 4000 orders up
+        cfg = TwoPointConfig(6.0, 7.0, 0.3)
+        rep = addition_legendre("P", 0.5, 0.5, cfg, 60)
+        monkeypatch.setattr(expansions, "order_sequence", _per_order)
+        ref = addition_legendre("P", 0.5, 0.5, cfg, 60)
+        assert abs(rep.value - ref.value) <= 1e-11 * abs(ref.value)
+        assert (rep.terms, rep.flags) == (ref.terms, ref.flags)
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_few_legendre_calls(self, variant, monkeypatch):
+        # two direct values per radial sequence plus the reference value,
+        # where a per-order series made two or three per term
+        calls = []
+        for name in ("legendre_p", "legendre_q", "ferrers_p", "ferrers_q"):
+            fn = getattr(legendre, name)
+
+            def counted(*args, _fn=fn):
+                calls.append(_fn)
+                return _fn(*args)
+
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("curvgreen")
+                        and getattr(mod, name, None) is fn):
+                    monkeypatch.setattr(mod, name, counted)
+        cfg = (TwoPointConfig(0.6, 1.9, 1.1) if variant.startswith("H")
+               else TwoPointConfig(0.5, 1.2, 0.8))
+        rep = _expand(variant, 3, 1.3, cfg)
+        assert rep.terms > 20
+        assert len(calls) <= 8

@@ -1,6 +1,7 @@
 """Legendre/Ferrers functions: closed forms, connections, stability."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -415,3 +416,110 @@ class TestRadialODE:
         scale = (abs((1.0 - x0 * x0) * d2) + abs(2.0 * x0 * d1)
                  + abs(coef * f[2]))
         assert abs(res) <= 1e-6 * scale
+
+
+# order_sequence test cases: (kind, lowered, Miller, arguments) with the
+# tolerance of each degree; x < 0, x ~ 0 and x > 0 on (-1, 1)
+_SEQ_TOL = {0.7: 1e-13, complex(-0.5, 25.0): 1e-10, 25.3: 1e-10}
+_SEQ_CASES = [fam + (nu,) for fam in [
+    # z = 9: at tau = 25 the minimal solution separates only beyond
+    # order ~ tau sinh r = 224
+    ("P", True, True, (1.3, 3.0, 9.0)),
+    ("FP", True, True, (0.3, 0.9)),
+    ("Q", False, False, (1.3, 3.0)),
+    ("FP", True, False, (-0.4, 1e-3, 0.6)),
+    ("FQ", True, False, (-0.4, 1e-3, 0.6)),
+    ("FP", False, False, (-0.4, 0.3)),
+    ("FQ", False, False, (-0.4, 0.3)),
+] for nu in _SEQ_TOL] + [("P", lowered, False, (1.3,), 0.7)
+                         for lowered in (False, True)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_legendre(kind, nu, order, arg):
+    """kind (P, Q, FP or FQ) by mpmath at 30 digits, rounded to complex."""
+    mpmath = pytest.importorskip("mpmath")
+    f = mpmath.legenp if kind in ("P", "FP") else mpmath.legenq
+    with mpmath.workdps(30):
+        return complex(f(nu, order, arg, type=3 if kind in ("P", "Q") else 2,
+                         maxterms=10 ** 6))
+
+
+class TestOrderSequence:
+    """order_sequence against mpmath.legenp/legenq at 30 digits, l <= 60.
+
+    Miller's values are checked relative to themselves.  A forward
+    sequence's error may grow like the dominant solution, so it is
+    checked relative to the largest solution at that order: P and Q on
+    z > 1, FP(x), FP(-x) and FQ(x) on (-1, 1), times the weight
+    (nu + mu + 1)_l (mu - nu)_l of a lowered sequence.  Forward P is
+    checked at small degree only: at large degree Q overtakes P as the
+    order grows, and the rounding of the early orders, tiny against P
+    but not against Q there, grows with Q.  A pair series tolerates
+    that, since the P^{-(mu+l)} it multiplies falls faster.
+    """
+
+    ORDERS = (0, 1, 9, 60)
+
+    @pytest.mark.parametrize("kind,lowered,miller,args,nu", _SEQ_CASES,
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("mu", [1.0, 0.5, 0.37])
+    def test_against_mpmath(self, kind, lowered, miller, args, nu, mu):
+        from itertools import islice
+
+        from curvgreen.legendre import order_sequence
+        worst = 0.0
+        for arg in args:
+            seq = list(islice(order_sequence(kind, nu, mu, arg, lowered,
+                                             miller=61 if miller else 0),
+                              61))
+            weight = 1.0
+            for l in range(61):
+                order = -(mu + l) if lowered else mu + l
+                if l in self.ORDERS:
+                    want = weight * _mp_legendre(kind, nu, order, arg)
+                    scale = abs(want)
+                    if not miller:
+                        others = ((("P", arg), ("Q", arg))
+                                  if kind in ("P", "Q") else
+                                  (("FP", arg), ("FP", -arg), ("FQ", arg)))
+                        scale = max(abs(weight * _mp_legendre(k, nu, order,
+                                                              a))
+                                    for k, a in others)
+                    worst = max(worst, abs(seq[l] - want) / scale)
+                if lowered and not miller:
+                    weight *= (nu + mu + 1.0 + l) * (mu - nu + l)
+        assert worst < _SEQ_TOL[nu]
+
+    def test_miller_normalizes_away_from_a_zero(self):
+        # FP_nu^{-1/2}(cos theta) vanishes at theta = pi/(nu + 1/2): the
+        # direct value there is pure rounding, so Miller's values are
+        # scaled by the direct value at order -3/2 instead
+        from itertools import islice
+
+        from curvgreen.legendre import order_sequence
+        nu, mu = 25.3, 0.5
+        x = math.cos(math.pi / (nu + 0.5))
+        seq = list(islice(order_sequence("FP", nu, mu, x, True, miller=61),
+                          61))
+        assert abs(seq[0]) < 1e-14
+        for l in (1, 2, 9, 60):
+            assert relerr(seq[l], _mp_legendre("FP", nu, -(mu + l), x)) \
+                < 1e-12
+
+    def test_miller_serves_only_minimal_kinds(self):
+        from curvgreen.legendre import order_sequence
+        for kind, lowered in (("Q", False), ("FQ", True), ("FP", False)):
+            with pytest.raises(DomainError, match="Miller"):
+                next(order_sequence(kind, 0.7, 0.5, 0.3 if kind[0] == "F"
+                                    else 1.3, lowered, miller=5))
+
+    def test_fq_refuses_only_the_undefined_order(self):
+        # nu - mu = 2: FQ_nu^{-(mu+l)} is undefined from l = 3 on, where
+        # the weight vanishes; the orders before it are returned
+        from curvgreen.legendre import order_sequence
+        seq = order_sequence("FQ", 2.3, 0.3, 0.4, lowered=True)
+        head = [next(seq) for _ in range(3)]
+        assert all(cmath.isfinite(v) and v != 0 for v in head)
+        with pytest.raises(UndefinedError, match="FQ undefined"):
+            next(seq)

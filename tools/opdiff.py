@@ -1,0 +1,154 @@
+"""Compare benchmark op outcomes between a git revision and this checkout.
+
+    python3 tools/opdiff.py REV [--workload expand] [--seeds 1 2 3]
+
+Builds each seed's op list with ``perfbench/workloads.generate`` (this
+checkout's copy, imported read-only, at the benchmark's 10-second run
+length) and runs it twice, each time in a fresh interpreter: through the
+library at REV, exported with ``git archive`` into a temporary
+directory, and through ``src/`` of this checkout.  For every seed it
+prints one JSON line:
+
+* ``ops``, ``identical`` (bit-identical outcome), ``outcome_changed``
+  (value <-> raise, or another exception type), ``terms_changed`` and
+  ``flags_changed``, each a count, with the first few such ops listed
+  under ``examples``;
+* ``max_value_move``: the largest |new - old| / |old| over ops that
+  return a value on both sides; for ``expand`` also ``max_rel_err_move``,
+  the largest change of the series' reported ``rel_err``;
+* against the mpmath oracle (``perfbench/oracle.py``, 30 digits):
+  ``closer``, ``farther`` and ``unchanged`` counts of the ops that return
+  a value on both sides, and ``max_farther``, the largest increase of
+  the relative error.  ``verify`` ops have no oracle value.
+
+Run it from the root of the checkout.  It writes nothing into the
+repository; the temporary export is removed when it ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, BENCH)
+
+import oracle  # noqa: E402
+import workloads  # noqa: E402
+
+SECONDS = 10
+EXAMPLES = 5
+ORACLE_WORKERS = 2
+
+
+def run_ops(ops) -> list:
+    """Every op's ``workloads.summarize`` outcome, in this interpreter."""
+    run_op = workloads.make_runner()
+    outs = []
+    for op in ops:
+        try:
+            out = run_op(op)
+        except Exception as e:  # a refusal or a bug: both are outcomes
+            out = e
+        outs.append(workloads.summarize(op, out))
+    return outs
+
+
+def _run_at(src: str, ops) -> list:
+    """run_ops in a fresh interpreter that imports the library from src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           "--run"], input=json.dumps(ops), env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _value(out):
+    return complex(out[1], out[2]) if out[0] == "ok" else None
+
+
+def compare(ops, old, new, refs) -> dict:
+    """The counts and extremes that the module docstring lists."""
+    res = {"ops": len(ops), "identical": 0, "outcome_changed": 0,
+           "terms_changed": 0, "flags_changed": 0, "max_value_move": 0.0,
+           "max_rel_err_move": 0.0, "closer": 0, "farther": 0,
+           "unchanged": 0, "max_farther": 0.0, "examples": []}
+
+    def note(key, i):
+        res[key] += 1
+        if len(res["examples"]) < EXAMPLES:
+            res["examples"].append([key, list(ops[i]), old[i], new[i]])
+
+    for i, (a, b) in enumerate(zip(old, new)):
+        if a == b:
+            res["identical"] += 1
+        if a[0] != b[0] or (a[0] == "raise" and a[1] != b[1]):
+            note("outcome_changed", i)
+            continue
+        if a[0] == "raise" or ops[i][0] == "verify":
+            continue
+        if a[4] != b[4]:
+            note("terms_changed", i)
+        if a[5] != b[5]:
+            note("flags_changed", i)
+        va, vb = _value(a), _value(b)
+        res["max_value_move"] = max(res["max_value_move"],
+                                    abs(vb - va) / abs(va) if va else
+                                    abs(vb))
+        if ops[i][0] == "expand" and a[3] is not None and b[3] is not None:
+            res["max_rel_err_move"] = max(res["max_rel_err_move"],
+                                          abs(b[3] - a[3]))
+        ref = refs[i]
+        if ref is None:
+            continue
+        ea, eb = abs(va - ref) / abs(ref), abs(vb - ref) / abs(ref)
+        if eb < ea:
+            res["closer"] += 1
+        elif eb > ea:
+            res["farther"] += 1
+            res["max_farther"] = max(res["max_farther"], eb - ea)
+        else:
+            res["unchanged"] += 1
+    return res
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("rev", nargs="?")
+    ap.add_argument("--workload", default="expand", choices=workloads.NAMES)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--run", action="store_true",
+                    help="internal: run the op list on stdin, print outcomes")
+    args = ap.parse_args()
+    if args.run:
+        print(json.dumps(run_ops([tuple(op) for op in json.load(sys.stdin)])))
+        return 0
+    if args.rev is None:
+        ap.error("REV is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
+                                  "src"], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(ORACLE_WORKERS) as pool:
+            for seed in args.seeds:
+                ops = [op for chunk in workloads.generate(
+                    args.workload, seed, SECONDS) for op in chunk]
+                old = _run_at(os.path.join(tmp, "src"), ops)
+                new = _run_at(os.path.join(ROOT, "src"), ops)
+                refs = pool.map(oracle.reference, ops, chunksize=32)
+                res = compare(ops, old, new, refs)
+                print(json.dumps({"rev": args.rev, "workload": args.workload,
+                                  "seed": seed, **res}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
