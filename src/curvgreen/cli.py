@@ -269,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     common(p)
-    p.add_argument("--suite", default="default", choices=("default",))
 
     p = sub.add_parser("sweep", help="flat-space limit sweep over R")
     common(p)

@@ -20,13 +20,16 @@ functions,
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
 digits of precision at large degree (w the series argument), so above a
-fixed loss threshold evaluation switches to the Mehler-Dirichlet
-integral (first kind; one kernel for Legendre and Ferrers, with
-sinh/cosh in place of sin/cos), a contour-rotated Laplace-type integral
-(second kind, conical, |order| < 1/2), or the order connection
-``_connect`` (DLMF 14.9), one routine that takes every kind from order
--mu to mu on top of those building blocks and of the half-odd forms.
-The first-kind series is likewise one routine for both families.  A
+fixed loss threshold P, FP and FQ take one route ladder,
+``_large_degree``: a half-odd order takes its elementary closed form,
+an order below 0.35 an integral representation at -mu (the
+Mehler-Dirichlet integral, one kernel for Legendre and Ferrers with
+sinh/cosh in place of sin/cos; FQ from two such integrals), and any
+other order the order connection ``_connect`` (DLMF 14.9), one routine
+that takes every kind from order -mu to mu.  Q keeps its own ladder:
+half-odd forms or a contour-rotated Laplace-type integral (conical,
+|order| < 1/2), else the series with an honest estimate.  The
+first-kind series is likewise one routine for both families.  A
 value beyond the double range is refused with RangeError by every
 public function, never returned as inf/nan.
 All functions are pure and thread-safe.
@@ -270,6 +273,25 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
                       merge_flags(same, other)).scaled(gr)
 
 
+def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
+    """kind (P, FP or FQ) at a degree beyond the series' loss threshold.
+
+    The one route ladder of the public functions: a complex order is
+    refused (DomainError); a half-odd order takes its closed form
+    (``half_odd_eval``); an order below 0.35 is at_neg(kind, -mu); any
+    other order is connected from -mu (``_connect``).  at_neg(kind, m)
+    evaluates kind, or its partner in the connection, at order -m by an
+    integral representation.
+    """
+    if abs(mu.imag) > 1e-12:
+        raise DomainError("large-degree route requires real order")
+    if _halfodd_part(mu) is not None:
+        return half_odd_eval(kind, nu, mu.real, arg)
+    if mu.real < 0.35:
+        return at_neg(kind, -mu.real)
+    return _connect(kind, nu, mu, lambda k: at_neg(k, mu.real))
+
+
 def _fq_undefined(nu, order) -> bool:
     """True if FQ_nu^order is undefined: nu + order in -N at a degree
     that is not anomalous (nu + 3/2 in -N0)."""
@@ -398,8 +420,8 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
 
     Integer orders are routed through the regularized hypergeometric
     function, so removable 1/Gamma(1-mu) singularities never appear.
-    Large degrees switch to the cosine-kernel integral representation
-    (negative/small orders) or to the connection formula built on it.
+    Large degrees take ``_large_degree`` on the cosine-kernel integral
+    representation.
     """
     z = _check_hyperbolic(z)
     nu, mu = complex(nu), complex(mu)
@@ -409,16 +431,9 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
     if loss <= _LOSS_MAX:
         return _p_series(nu, mu, z, (z + 1.0) / (z - 1.0))
     xi = math.acosh(z)
-    if abs(mu.imag) > 1e-12:
-        out = _p_series(nu, mu, z, (z + 1.0) / (z - 1.0))
-        return _slow(out, abs(out.value))
-    if mu.real < 0.35:
-        return _mehler_p(nu, -mu.real, xi, True)
-    if _halfodd_part(mu) is not None:
-        return half_odd_eval("P", nu, mu.real, z)
-    return _connect("P", nu, mu, lambda kind: (
-        _mehler_p(nu, mu.real, xi, True) if kind == "P"
-        else legendre_q(nu, -mu, z)))
+    return _large_degree("P", nu, mu, z, lambda kind, m: (
+        _mehler_p(nu, m, xi, True) if kind == "P"
+        else legendre_q(nu, -m, z)))
 
 
 @_refuse_overflow("Q")
@@ -475,13 +490,7 @@ def ferrers_p(nu, mu, x: float) -> EvalResult:
     loss = _degree_loss(nu, math.sin(theta / 2.0))
     if loss <= _LOSS_MAX:
         return _p_series(nu, mu, x, (1.0 + x) / (1.0 - x))
-    if abs(mu.imag) > 1e-12:
-        raise DomainError("large-degree route requires real order")
-    if mu.real < 0.35:
-        return _mehler_p(nu, -mu.real, theta, False)
-    if _halfodd_part(mu) is not None:
-        return half_odd_eval("FP", nu, mu.real, x)
-    return _connect("FP", nu, mu, _ferrers_at_neg(nu, mu.real, theta))
+    return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, theta))
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
@@ -500,10 +509,10 @@ def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
                       merge_flags(p1, p2))
 
 
-def _ferrers_at_neg(nu, m, theta: float):
-    """_connect's at_neg on the sphere: FP or FQ at order -m."""
-    return lambda kind: (_mehler_p(nu, m, theta, False) if kind == "FP"
-                         else _ferrers_q_reflection(nu, m, theta))
+def _ferrers_at_neg(nu, theta: float):
+    """_large_degree's at_neg on the sphere: FP or FQ at order -m."""
+    return lambda kind, m: (_mehler_p(nu, m, theta, False) if kind == "FP"
+                            else _ferrers_q_reflection(nu, m, theta))
 
 
 @_refuse_overflow("FQ")
@@ -521,13 +530,7 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     theta = math.acos(x)
     loss = _degree_loss(nu, max(math.sin(theta / 2.0), math.cos(theta / 2.0)))
     if loss > _LOSS_MAX:
-        if abs(mu.imag) > 1e-12:
-            raise DomainError("large-degree route requires real order")
-        if _halfodd_part(mu) is not None:
-            return half_odd_eval("FQ", nu, mu.real, x)
-        if mu.real < 0.35:
-            return _ferrers_q_reflection(nu, -mu.real, theta)
-        return _connect("FQ", nu, mu, _ferrers_at_neg(nu, mu.real, theta))
+        return _large_degree("FQ", nu, mu, x, _ferrers_at_neg(nu, theta))
 
     spar = nu + mu
     x2 = x * x
@@ -585,13 +588,12 @@ def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
         raise DomainError("ferrers_p_reflected requires Re mu > 0")
     theta = math.acos(x)
     loss = _degree_loss(nu, math.cos(theta / 2.0))
-    if loss > _LOSS_MAX:
-        if abs(mu.imag) > 1e-12:
-            raise DomainError("large-degree route requires real order")
-        return _mehler_p(nu, mu.real, math.pi - theta, False)
-    pre = ((1.0 + x) / (1.0 - x)) ** (mu / 2.0)
-    h = regularized_2f1(-nu, nu + 1.0, 1.0 + mu, (1.0 + x) / 2.0)
-    return h.scaled(pre)
+    if loss <= _LOSS_MAX:
+        return _p_series(nu, -mu, -x, (1.0 - x) / (1.0 + x))
+    # the angle of -x as pi - theta: acos(-x) differs in the last bits,
+    # which moves the Mehler quadrature's outcomes near its zeros
+    return _large_degree("FP", nu, -mu, -x,
+                         _ferrers_at_neg(nu, math.pi - theta))
 
 
 def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
@@ -669,7 +671,7 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         arg = _check_ferrers(arg)
         xfac = arg / math.sqrt(1.0 - arg * arg)
         q_sign = -1.0  # Ferrers recurrence has the opposite last sign
-    nu = complex(nu)
+    nu, mu = complex(nu), complex(mu).real
 
     if mu < 0:
         return _connect(kind, nu, mu,

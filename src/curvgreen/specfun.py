@@ -2,12 +2,12 @@
 
 Provides the scalar kernels everything else is built on:
 
-* complex gamma function (Lanczos rational approximation, reflection in
-  the left half-plane) and pole-safe gamma ratios,
 * log-gamma and digamma in pure Python: Stirling's series and its
   derivative (DLMF 5.11.1, 5.11.2) from one Bernoulli table, after an
   upward shift; log-gamma reflects left of Re z = 1/2 near the real
   axis, real log-gamma is ``math.lgamma``,
+* one complex gamma function, ``math.gamma`` on the real axis and the
+  exponential of that log-gamma off it, and pole-safe gamma ratios,
 * Pochhammer symbols evaluated as exact products,
 * the Gauss hypergeometric function 2F1 and its regularized variant,
   continued beyond the defining disk by the Pfaff z/(z-1) map and by
@@ -52,29 +52,7 @@ from .errors import (DomainError, NoConvergenceError, ParamPoleError,
 from .result import ASYMPTOTIC_REGIME, NEAR_POLE, EvalResult
 
 _EPS = 2.220446049250313e-16
-_SQRT_2PI = 2.5066282746310005024
 _LOG_MAX = 709.0
-
-# Lanczos coefficients, g = 607/128, n = 15 (Godfrey's table); relative
-# accuracy ~ 1e-15 on the right half-plane.
-_LANCZOS_G = 4.7421875
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
 
 # B_2, B_4, ..., B_22: Stirling's series for log Gamma takes
 # B_2k/(2k(2k-1)) z^(1-2k), its derivative for psi -B_2k/(2k) z^(-2k).
@@ -108,20 +86,16 @@ def _near_nonpos_int(z, tol=1e-10):
 
 
 def _cgamma(z) -> complex:
-    """Complex gamma, Lanczos core + reflection (internal, unchecked)."""
+    """Complex gamma (internal, unchecked): ``math.gamma`` on the real
+    axis, inf at its poles; exp(_lgamma(z)) off it.  OverflowError
+    beyond the double range."""
     z = complex(z)
-    if z.real < 0.5:
-        # reflection formula; sin factor handles the poles
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            return complex("inf")
-        return cmath.pi / (s * _cgamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
+    if not z.imag:
+        try:
+            return complex(math.gamma(z.real))
+        except ValueError:  # a nonpositive integer
+            return complex(math.inf)
+    return cmath.exp(_lgamma(z))
 
 
 def _lgamma(z) -> complex:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from . import quadrature
 from .asymptotics import _loglog_slope
 from .errors import DomainError, GridError, WrongVariantError
-from .geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
+from .geometry import (HYPERBOLOID, HYPERSPHERE, ManifoldSpec,
+                       sphere_surface_measure)
 from .greens import (A_PLUS, AF_MINUS, ALL_VARIANTS, FRAK_MINUS, FRAKA_MINUS,
                      H_MINUS, H_PLUS, MINUS, PLUS, S_PLUS, SF_MINUS,
                      VARIANT_SPACES, WaveParams, euclidean_green, green_value,
@@ -150,8 +151,7 @@ def _sphere_integral(variant, wp, tol=1e-9, lo=0.0, hi=math.pi):
         parts.append(quad(integrand, mid, min(hi, math.pi - 1e-13),
                           tol=0.5 * tol, max_depth=60))
     total = sum(p.value for p in parts)
-    surf = 2.0 * math.pi ** (0.5 * d) / _cgamma(0.5 * d).real
-    return surf * R ** d * total
+    return sphere_surface_measure(d, 1.0) * R ** d * total
 
 
 def check_normalization(variant: str, wp: WaveParams,
@@ -199,9 +199,7 @@ def check_eps_ball(variant: str, wp: WaveParams,
     lhs = -1.0 + sgn * wp.beta ** 2 * ball
     step = eps / 100.0
     du = (fn(eps + step) - fn(eps - step)) / (2.0 * step)
-    surf = (2.0 * math.pi ** (0.5 * d) / _cgamma(0.5 * d).real
-            * (R * math.sin(eps)) ** (d - 1))
-    rhs = (du / R) * surf
+    rhs = (du / R) * sphere_surface_measure(d, R * math.sin(eps))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     status = "PASS" if gap <= 1e-3 else "FAIL"
     return CheckReport(f"epsball[{variant},d={d}]", status,

@@ -106,8 +106,7 @@ class TestExpand:
 
 class TestVerify:
     def test_csv_rows(self):
-        code, out = capture(["verify", "--suite", "default",
-                             "--output", "csv"])
+        code, out = capture(["verify", "--output", "csv"])
         assert code == 0
         lines = out.strip().splitlines()
         header = lines[0].split(",")

@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from curvgreen.errors import (CurvGreenError, DomainError, RangeError,
-                              UndefinedError)
+from curvgreen import legendre
+from curvgreen.errors import (CurvGreenError, DomainError, NoConvergenceError,
+                              RangeError, UndefinedError)
+from curvgreen.geometry import ManifoldSpec
+from curvgreen.greens import green_value
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
@@ -287,6 +290,12 @@ class TestHalfOdd:
         with pytest.raises(DomainError):
             half_odd_eval("P", 1.0, 0.3, 2.0)
 
+    def test_complex_half_odd_order(self):
+        assert half_odd_eval("P", 2.0, 0.5 + 0j, 1.3) \
+            == half_odd_eval("P", 2.0, 0.5, 1.3)
+        assert half_odd_eval("FQ", 2.0, -1.5 + 0j, 0.3) \
+            == half_odd_eval("FQ", 2.0, -1.5, 0.3)
+
     @pytest.mark.parametrize("kind,arg,mu,ref", [
         ("P", 1.3, 0.5, 0.875442827303642),
         ("P", 1.3, 1.5, -1.37008211070597),
@@ -523,3 +532,120 @@ class TestOrderSequence:
         assert all(cmath.isfinite(v) and v != 0 for v in head)
         with pytest.raises(UndefinedError, match="FQ undefined"):
             next(seq)
+
+
+# the public functions on the large-degree ladder as (nu, mu, theta) ->
+# EvalResult, each with its mpmath reference and its half_odd_eval twin
+_LADDER = {
+    "P": (lambda nu, mu, t: legendre_p(nu, mu, math.cosh(t)),
+          lambda nu, mu, t: _mp_legendre("P", nu, mu, math.cosh(t)),
+          lambda nu, mu, t: half_odd_eval("P", nu, mu, math.cosh(t))),
+    "FP": (lambda nu, mu, t: ferrers_p(nu, mu, math.cos(t)),
+           lambda nu, mu, t: _mp_legendre("FP", nu, mu, math.cos(t)),
+           lambda nu, mu, t: half_odd_eval("FP", nu, mu, math.cos(t))),
+    "FQ": (lambda nu, mu, t: ferrers_q(nu, mu, math.cos(t)),
+           lambda nu, mu, t: _mp_legendre("FQ", nu, mu, math.cos(t)),
+           lambda nu, mu, t: half_odd_eval("FQ", nu, mu, math.cos(t))),
+    "reflected FP": (
+        lambda nu, mu, t: ferrers_p_reflected(nu, mu, math.cos(t)),
+        lambda nu, mu, t: _mp_legendre("FP", nu, -mu, -math.cos(t)),
+        lambda nu, mu, t: half_odd_eval("FP", nu, -mu, -math.cos(t))),
+}
+_LADDER_NUS = (15.3, 25.3, 59.7, -0.5 + 15j, -0.5 + 30j)
+_LADDER_THETAS = (0.3, 1.2, 2.6)
+# the orders that reach each branch; reflected FP puts -mu on the ladder,
+# so its orders are positive and never reach the connection
+_LADDER_ORDERS = {"half-odd": (-1.5, -0.5, 0.5, 1.5), "at_neg": (0.0, -1.0),
+                  "connect": (0.7, 1.0)}
+_REFLECTED_ORDERS = {"half-odd": (0.5, 1.5), "at_neg": (0.7, 1.0)}
+# worst relative error against mpmath over each branch's cells, recorded
+# when the four ladders became one; a change may only lower a ceiling
+_LADDER_CEILINGS = {
+    ("P", "half-odd"): 1e-12, ("P", "at_neg"): 1e-11,
+    ("P", "connect"): 6e-11,
+    ("FP", "half-odd"): 1e-12, ("FP", "at_neg"): 3e-11,
+    ("FP", "connect"): 3e-11,
+    ("FQ", "half-odd"): 1e-12, ("FQ", "at_neg"): 3e-10,
+    ("FQ", "connect"): 3e-10,
+    ("reflected FP", "half-odd"): 1e-12, ("reflected FP", "at_neg"): 3e-11,
+}
+
+
+class TestLargeDegreeLadder:
+    """legendre_p, ferrers_p, ferrers_q and ferrers_p_reflected above
+    their loss thresholds, where each hands its order to _large_degree.
+    A grid cell counts only if it reaches the ladder."""
+
+    @staticmethod
+    def _cells(monkeypatch, name, branch):
+        """(nu, mu, theta, outcome) of every grid cell of the branch on
+        the ladder; the outcome is the EvalResult or the NoConvergenceError
+        raised."""
+        hits = []
+        ladder = legendre._large_degree
+
+        def spy(*args):
+            hits.append(args)
+            return ladder(*args)
+
+        monkeypatch.setattr(legendre, "_large_degree", spy)
+        orders = (_REFLECTED_ORDERS if name == "reflected FP"
+                  else _LADDER_ORDERS)[branch]
+        out = []
+        for nu in _LADDER_NUS:
+            for theta in _LADDER_THETAS:
+                for mu in orders:
+                    hits.clear()
+                    try:
+                        res = _LADDER[name][0](nu, mu, theta)
+                    except NoConvergenceError as e:
+                        res = e
+                    if hits:
+                        out.append((nu, mu, theta, res))
+        return out
+
+    @pytest.mark.parametrize("name,branch", sorted(_LADDER_CEILINGS))
+    def test_against_mpmath(self, monkeypatch, name, branch):
+        cells = self._cells(monkeypatch, name, branch)
+        assert len(cells) >= 8
+        worst = 0.0
+        for nu, mu, theta, res in cells:
+            if isinstance(res, NoConvergenceError):
+                # the FQ reflection at an integer nu - mu: a known defect
+                assert branch == "connect" and nu == 59.7 and mu == 0.7
+                continue
+            worst = max(worst, relerr(res.value,
+                                      _LADDER[name][1](nu, mu, theta)))
+        assert worst <= _LADDER_CEILINGS[(name, branch)]
+
+    @pytest.mark.parametrize("name", sorted(_LADDER))
+    def test_half_odd_orders_are_the_closed_form(self, monkeypatch, name):
+        cells = self._cells(monkeypatch, name, "half-odd")
+        assert cells
+        for nu, mu, theta, res in cells:
+            assert res == _LADDER[name][2](nu, mu, theta)
+
+    def test_complex_order_refused(self):
+        with pytest.raises(DomainError, match="real order"):
+            legendre_p(-0.5 + 30j, 0.5 + 0.3j, math.cosh(1.2))
+
+    def test_af_minus_large_degree(self):
+        """A d = 3 sphere op whose Mehler route lost 2.7e-9; the half-odd
+        closed forms give 1.5e-10.  Reference: the AF_MINUS closed form
+        Gamma(nu + 3/2) Gamma(1/2 - nu) / (2^(5/2) pi^(3/2)) sin(rho)^(-1/2)
+        [FP_nu^(-1/2)(-cos rho) - FP_nu^(-1/2)(cos rho)] at 30 digits,
+        nu = -1/2 + sqrt(1 + beta^2)."""
+        mpmath = pytest.importorskip("mpmath")
+        beta, rho = 44.90060134595936, 1.8505974667257088
+        got = green_value("AF_MINUS", ManifoldSpec("hypersphere", 3, 1.0),
+                          beta, rho).value
+        with mpmath.workdps(30):
+            nu = -0.5 + mpmath.sqrt(1 + mpmath.mpf(beta) ** 2)
+            x = mpmath.cos(rho)
+            ref = (mpmath.gamma(nu + 1.5) * mpmath.gamma(0.5 - nu)
+                   / (2 ** 2.5 * mpmath.pi ** 1.5)
+                   / mpmath.sqrt(mpmath.sin(rho))
+                   * (mpmath.legenp(nu, -0.5, -x, type=2)
+                      - mpmath.legenp(nu, -0.5, x, type=2)))
+            ref = complex(ref)
+        assert relerr(got, ref) < 1e-9

@@ -64,6 +64,29 @@ class TestGamma:
             rhs = z * _cgamma(z)
             assert abs(lhs - rhs) <= 5e-13 * abs(lhs)
 
+    def test_real_axis_against_mpmath(self):
+        # math.gamma: within 4 eps relative; its worst on 6000 uniform
+        # points of (-170, 171.6) was 3.6 eps (Lanczos: 1.5e3 eps)
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.uniform(-168.0, 171.6, 300),
+                             rng.uniform(-10.0, 10.0, 200)])
+        with mpmath.workdps(30):
+            for x in xs:
+                got = _cgamma(float(x))
+                ref = mpmath.gamma(float(x))
+                assert got.imag == 0.0
+                assert abs((got.real - ref) / ref) <= 4 * 2.0 ** -52, x
+
+    def test_real_poles_are_inf(self):
+        for x in (0.0, -1.0, -3.0, -170.0):
+            assert _cgamma(x) == complex(math.inf)
+
+    def test_top_of_double_range(self):
+        assert _cgamma(171.5).real \
+            == pytest.approx(9.483367566824795e307, rel=4 * 2.0 ** -52)
+        with pytest.raises(OverflowError):
+            _cgamma(172.0)
+
 
 class TestPochhammer:
     def test_rising_product(self):

@@ -18,8 +18,10 @@ prints one JSON line:
   the largest change of the series' reported ``rel_err``;
 * against the mpmath oracle (``perfbench/oracle.py``, 30 digits):
   ``closer``, ``farther`` and ``unchanged`` counts of the ops that return
-  a value on both sides, and ``max_farther``, the largest increase of
-  the relative error.  ``verify`` ops have no oracle value.
+  a value on both sides; ``farther_2ulp``, the count of those whose
+  relative error grew by more than 2 ulp (2 * 2**-52); and
+  ``max_farther``, the largest increase of the relative error.
+  ``verify`` ops have no oracle value.
 
 Run it from the root of the checkout.  It writes nothing into the
 repository; the temporary export is removed when it ends.
@@ -44,6 +46,7 @@ import workloads  # noqa: E402
 
 SECONDS = 10
 EXAMPLES = 5
+TWO_ULP = 2.0 * 2.0 ** -52
 ORACLE_WORKERS = 2
 
 
@@ -78,7 +81,8 @@ def compare(ops, old, new, refs) -> dict:
     res = {"ops": len(ops), "identical": 0, "outcome_changed": 0,
            "terms_changed": 0, "flags_changed": 0, "max_value_move": 0.0,
            "max_rel_err_move": 0.0, "closer": 0, "farther": 0,
-           "unchanged": 0, "max_farther": 0.0, "examples": []}
+           "unchanged": 0, "farther_2ulp": 0, "max_farther": 0.0,
+           "examples": []}
 
     def note(key, i):
         res[key] += 1
@@ -112,6 +116,7 @@ def compare(ops, old, new, refs) -> dict:
             res["closer"] += 1
         elif eb > ea:
             res["farther"] += 1
+            res["farther_2ulp"] += eb - ea > TWO_ULP
             res["max_farther"] = max(res["max_farther"], eb - ea)
         else:
             res["unchanged"] += 1
