@@ -22,11 +22,14 @@ supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
 digits of precision at large degree (w the series argument), so above a
 fixed loss threshold P, FP and FQ take one route ladder,
 ``_large_degree``: a half-odd order takes its elementary closed form,
-an order below 0.35 an integral representation at -mu (the
-Mehler-Dirichlet integral, one kernel for Legendre and Ferrers with
-sinh/cosh in place of sin/cos; FQ from two such integrals), and any
-other order the order connection ``_connect`` (DLMF 14.9), one routine
-that takes every kind from order -mu to mu.  Q keeps its own ladder:
+an order below 0.35 a large-degree route at -mu, and any other order
+the order connection ``_connect`` (DLMF 14.9), one routine that takes
+every kind from order -mu to mu.  At -mu, FP and FQ of a real degree
+nu >= 0 and |mu| <= 1 run the degree recurrence (DLMF 14.10.3) up from
+series seeds at nu - floor(nu) and one above; any other degree or order
+takes an integral representation (the Mehler-Dirichlet integral, one
+kernel for Legendre and Ferrers with sinh/cosh in place of sin/cos; FQ
+from two such integrals), as P does.  Q keeps its own ladder:
 half-odd forms or a contour-rotated Laplace-type integral (conical,
 |order| < 1/2), else the series with an honest estimate.  The
 first-kind series is likewise one routine for both families.  A
@@ -47,7 +50,7 @@ from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import (NEAR_POLE, RECURRENCE_UNSTABLE, SLOW_CONVERGENCE,
                      EvalResult, merge_flags)
-from .specfun import (_cgamma, _lgamma, _near_nonpos_int, gamma_ratio,
+from .specfun import (_EPS, _cgamma, _lgamma, _near_nonpos_int, gamma_ratio,
                       gauss_2f1, regularized_2f1)
 
 _SQRT_PI = 1.7724538509055160273
@@ -57,6 +60,8 @@ _LOSS_MAX = 12.0
 _QUAD_RTOL = 5e-13
 # the most orders Miller's algorithm recurs beyond the last one it returns
 _MILLER_MAX = 100000
+# the highest degree the degree recurrence climbs to (about 0.1 s)
+_DEGREE_MAX = 100000.0
 
 
 def _check_hyperbolic(z: float) -> float:
@@ -247,11 +252,23 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
     G comes first, so a gamma pole is refused before any evaluation; at
     sin(pi mu) = 0 the partner term is not evaluated.  The partner term
     takes sin(pi |mu|) and the sign of mu, so no complex product negates
-    a signed zero.  Estimate: |G| (first + |sin(pi mu)| partner).
+    a signed zero.  Estimate: |G| (first + |sin(pi mu)| partner), plus
+    G's own error: rounding nu +- mu + 1 to p moves log G by up to
+    eps p psi(p) < eps p log(p + 1).
     """
     gr = gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
+    p = abs(complex(nu)) + abs(complex(mu)) + 1.0
+    g_err = _EPS * p * math.log(p + 1.0)
+
+    def scaled(out, factor, size=None):
+        # out times factor, a multiple of G, the estimate widened by G's
+        # error on size (on |out| by default)
+        size = abs(out.value) if size is None else size
+        return EvalResult(out.value, out.abs_err_est + g_err * size,
+                          out.terms_used, out.flags).scaled(factor)
+
     if kind == "Q":
-        return at_neg("Q").scaled(cmath.exp(2j * math.pi * mu) * gr)
+        return scaled(at_neg("Q"), cmath.exp(2j * math.pi * mu) * gr)
     same = at_neg(kind)
     up = complex(mu).real > 0
     a = mu if up else -mu
@@ -260,17 +277,18 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
     else:
         c, s = math.cos(math.pi * a.real), math.sin(math.pi * a.real)
     if abs(s) < 1e-12:
-        return same.scaled(gr if c is None else gr * c)
+        return scaled(same, gr if c is None else gr * c)
     other = at_neg({"P": "Q", "FP": "FQ", "FQ": "FP"}[kind])
     if kind == "P":
         t = (2.0 / math.pi) * cmath.exp(1j * math.pi * mu) * s * other.value
     else:
         t = (2.0 / math.pi if kind == "FP" else math.pi / 2.0) * s * other.value
     first = same.value if c is None else c * same.value
-    return EvalResult(first + t if up != (kind == "FQ") else first - t,
-                      same.abs_err_est + abs(s) * other.abs_err_est,
-                      same.terms_used + other.terms_used,
-                      merge_flags(same, other)).scaled(gr)
+    return scaled(EvalResult(first + t if up != (kind == "FQ") else first - t,
+                             same.abs_err_est + abs(s) * other.abs_err_est,
+                             same.terms_used + other.terms_used,
+                             merge_flags(same, other)),
+                  gr, abs(first) + abs(t))
 
 
 def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
@@ -490,7 +508,7 @@ def ferrers_p(nu, mu, x: float) -> EvalResult:
     loss = _degree_loss(nu, math.sin(theta / 2.0))
     if loss <= _LOSS_MAX:
         return _p_series(nu, mu, x, (1.0 + x) / (1.0 - x))
-    return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, theta))
+    return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, x, theta))
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
@@ -509,10 +527,75 @@ def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
                       merge_flags(p1, p2))
 
 
-def _ferrers_at_neg(nu, theta: float):
-    """_large_degree's at_neg on the sphere: FP or FQ at order -m."""
-    return lambda kind, m: (_mehler_p(nu, m, theta, False) if kind == "FP"
-                            else _ferrers_q_reflection(nu, m, theta))
+def _degree_recurrence(kind: str, nu: float, m: float,
+                       x: float) -> EvalResult:
+    """FP or FQ (kind) at order -m and real degree nu >= 2 by the forward
+    degree recurrence (DLMF 14.10.3) with mu = -m,
+
+        (nu - mu + 1) F_{nu+1} = (2 nu + 1) x F_nu - (nu + mu) F_{nu-1},
+
+    from the series values y_0, y_1 at nu0 = nu - floor(nu) and nu0 + 1,
+    or one degree higher where FQ is undefined at nu0 (nu0 = 0, m = 1).
+    For |m| <= 1 both Ferrers solutions oscillate above a few degrees,
+    so neither dominates the other.
+
+    Estimate: each error, a seed's or a step's rounding, times its
+    first-order effect l_i = dy_N/dy_i on the last value y_N, which the
+    adjoint recurrence l_i = a_i l_{i+1} - b_{i+1} l_{i+2} (for
+    y_{i+1} = a_i y_i - b_i y_{i-1}) runs backward from l_N = 1.  A
+    seed's error includes its argument's: FP's series takes 1 - x and
+    FQ's x^2, whose rounding moves x by dx <= eps (1 - x) or eps |x|
+    alike in both seeds, so y_N by dx (l_0 y_0' + l_1 y_1'), the slopes
+    from DLMF 14.10.4-5.  Near x = -1 at mu = 0, FP's log singularity,
+    that term outweighs the rest.
+    """
+    fn = ferrers_p if kind == "FP" else ferrers_q
+    start = nu - math.floor(nu)
+    if _fq_undefined(start, -m):
+        start += 1.0
+    a, b = fn(start, -m, x), fn(start + 1.0, -m, x)
+    f0, f1 = a.value.real, b.value.real
+    # (1 - x^2) y_0' and (1 - x^2) y_1'
+    s0 = (start + 1.0) * x * f0 - (start + m + 1.0) * f1
+    s1 = (start + 1.0 - m) * f0 - (start + 1.0) * x * f1
+    rounding = []
+    n = start + 1.0
+    for _ in range(round(nu - start) - 1):
+        t1 = (2.0 * n + 1.0) * x * f1
+        t2 = (n - m) * f0
+        d = n + m + 1.0
+        f0, f1 = f1, (t1 - t2) / d
+        rounding.append((abs(t1) + abs(t2)) / d)
+        n += 1.0
+    # l_i from i = N (n is y_N's degree) down to l_1, then l_0
+    err, lam, lam1 = 0.0, 1.0, 0.0
+    for r in reversed(rounding):
+        err += abs(lam) * r
+        lam, lam1 = ((2.0 * n - 1.0) * x * lam / (n + m)
+                     - (n - m) / (n + m + 1.0) * lam1), lam
+        n -= 1.0
+    lam0 = -(start + 1.0 - m) / (start + m + 2.0) * lam1
+    dx = _EPS * (1.0 - x if kind == "FP" else abs(x)) / (1.0 - x * x)
+    err = (2.0 * _EPS * err + abs(lam0) * a.abs_err_est
+           + abs(lam) * b.abs_err_est + dx * abs(lam0 * s0 + lam * s1))
+    return EvalResult(complex(f1), err,
+                      a.terms_used + b.terms_used + len(rounding))
+
+
+def _ferrers_at_neg(nu, x: float, theta: float):
+    """_large_degree's at_neg on the sphere: FP or FQ at order -m, x =
+    cos theta.  A real degree 0 <= nu <= _DEGREE_MAX at |m| <= 1 takes
+    the degree recurrence; any other (nu, m) the Mehler integral, FQ
+    from two."""
+    real = nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX
+
+    def at_neg(kind, m):
+        if real and abs(m) <= 1.0:
+            return _degree_recurrence(kind, nu.real, m, x)
+        if kind == "FP":
+            return _mehler_p(nu, m, theta, False)
+        return _ferrers_q_reflection(nu, m, theta)
+    return at_neg
 
 
 @_refuse_overflow("FQ")
@@ -530,7 +613,7 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     theta = math.acos(x)
     loss = _degree_loss(nu, max(math.sin(theta / 2.0), math.cos(theta / 2.0)))
     if loss > _LOSS_MAX:
-        return _large_degree("FQ", nu, mu, x, _ferrers_at_neg(nu, theta))
+        return _large_degree("FQ", nu, mu, x, _ferrers_at_neg(nu, x, theta))
 
     spar = nu + mu
     x2 = x * x
@@ -593,7 +676,7 @@ def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
     # the angle of -x as pi - theta: acos(-x) differs in the last bits,
     # which moves the Mehler quadrature's outcomes near its zeros
     return _large_degree("FP", nu, -mu, -x,
-                         _ferrers_at_neg(nu, math.pi - theta))
+                         _ferrers_at_neg(nu, -x, math.pi - theta))
 
 
 def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
@@ -613,37 +696,50 @@ def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
 
 def _seed_halfodd(kind: str, nu, arg: float, lift: bool):
     """Closed forms: the value at order +1/2 and, if lift, (nu + 1/2)
-    times the value at order -1/2.
+    times the value at order -1/2; then their relative error and their
+    envelope.
 
     The order -1/2 forms carry a factor 1/(nu + 1/2); the upward
     recurrence takes them only through (nu + 1/2)^2 v_{-1/2}, so the
     product is formed without that division and stays finite at
     nu = -1/2.  Legendre seeds take z = cosh xi > 1, Ferrers seeds
     x = cos theta; the first kind is one form, with sinh/cosh in place
-    of sin/cos.
+    of sin/cos.  Each form is an amplitude times a trigonometric (or
+    hyperbolic, or exponential) function of the phase (nu + 1/2) angle,
+    whose size the envelope bounds; rounding the angle and the product
+    moves the phase by eps |phase|, so the error is eps (4 + |phase|)
+    relative to the envelope.
     """
     nu = complex(nu)
     half = nu + 0.5
     hyperbolic = kind in ("P", "Q")
     angle = math.acosh(arg) if hyperbolic else math.acos(arg)
     sa = math.sinh(angle) if hyperbolic else math.sin(angle)
+    phase = half * angle
     minus = None
     if kind in ("P", "FP"):
         sin, cos = (cmath.sinh, cmath.cosh) if hyperbolic else \
             (cmath.sin, cmath.cos)
-        plus = math.sqrt(2.0 / (math.pi * sa)) * cos(half * angle)
+        amp = math.sqrt(2.0 / (math.pi * sa))
+        plus = amp * cos(phase)
         if lift:
-            minus = math.sqrt(2.0 / (math.pi * sa)) * sin(half * angle)
+            minus = amp * sin(phase)
     elif kind == "Q":
-        e = cmath.exp(-half * angle)
-        plus = 1j * math.sqrt(math.pi / (2.0 * sa)) * e
+        e = cmath.exp(-phase)
+        amp = math.sqrt(math.pi / (2.0 * sa))
+        plus = 1j * amp * e
         if lift:
             minus = -plus
     else:
-        plus = -math.sqrt(math.pi / (2.0 * sa)) * cmath.sin(half * angle)
+        amp = math.sqrt(math.pi / (2.0 * sa))
+        plus = -amp * cmath.sin(phase)
         if lift:
-            minus = math.sqrt(math.pi / (2.0 * sa)) * cmath.cos(half * angle)
-    return plus, minus
+            minus = amp * cmath.cos(phase)
+    if kind == "Q":
+        env = abs(plus)
+    else:
+        env = amp * math.cosh(phase.real if hyperbolic else phase.imag)
+    return plus, minus, _EPS * (4.0 + abs(phase)), env
 
 
 @_refuse_overflow(None)
@@ -677,9 +773,9 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         return _connect(kind, nu, mu,
                         lambda k: half_odd_eval(k, nu, -mu, arg))
 
-    plus, minus = _seed_halfodd(kind, nu, arg, m > 0)
+    plus, minus, rel, env = _seed_halfodd(kind, nu, arg, m > 0)
     if m == 0:
-        return EvalResult(plus, 8e-16 * abs(plus), 1)
+        return EvalResult(plus, rel * env, 1)
     # upward in order: v_{k+1/2} for k = -1/2, 1/2, ..., m + 1/2; the
     # first step's (nu - order)(nu + order + 1) v_{-1/2} is
     # (nu + 1/2) minus
@@ -698,7 +794,7 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         coef = (nu - order) * (nu + order + 1.0)
     if abs(v_cur) < 1e-6 * worst:
         flags.add(RECURRENCE_UNSTABLE)
-    err = 1e-15 * worst * (m + 1)
+    err = (1e-15 * (m + 1) + rel) * max(worst, env)
     return EvalResult(v_cur, err, m + 1, frozenset(flags))
 
 

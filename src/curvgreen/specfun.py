@@ -482,14 +482,15 @@ def _hyp2f1_route(a, b, c, z, depth):
                            complex(-nb) if tb else b, c, z)
     if abs(z) <= 0.75:
         return _series_2f1(a, b, c, z)
-    if z.real < 0.0:
-        # Pfaff map into (0, 1)
-        w = z / (z - 1.0)
+    if z.real >= 1.0 and abs(z.imag) < 1e-14:
+        raise NoConvergenceError("2F1 argument on the branch cut [1, inf)")
+    w = z / (z - 1.0)
+    if z.real < 0.0 or abs(w) <= 0.75:
+        # Pfaff map: into (0, 1) from the left half-plane, into the
+        # series disk near the imaginary axis
         pre = (1.0 - z) ** (-a)
         v, e, t, f = _hyp2f1_core(a, c - b, c, w, depth + 1)
         return pre * v, abs(pre) * e + 2 * _EPS * abs(pre * v), t, f
-    if z.real >= 1.0 and abs(z.imag) < 1e-14:
-        raise NoConvergenceError("2F1 argument on the branch cut [1, inf)")
     s = c - a - b
     if abs(s.imag) < 1e-10 and abs(s.real - round(s.real)) < 1e-8:
         return _lin_1mz_log(a, b, c, round(s.real), z, depth)
@@ -500,9 +501,9 @@ def gauss_2f1(a, b, c, z) -> EvalResult:
     """Gauss hypergeometric 2F1(a, b; c; z).
 
     The defining series is used for |z| <= 0.75; outside the disk the
-    evaluation is continued with the Pfaff transformation (Re z < 0)
-    or the 1-z connection formula, whose integer-c-a-b logarithmic
-    cases are handled explicitly.
+    evaluation is continued with the Pfaff transformation (Re z < 0 or
+    |z/(z-1)| <= 0.75) or the 1-z connection formula, whose
+    integer-c-a-b logarithmic cases are handled explicitly.
 
     Raises
     ------

@@ -3,18 +3,20 @@
 import cmath
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from curvgreen import legendre
 from curvgreen.errors import (CurvGreenError, DomainError, NoConvergenceError,
-                              RangeError, UndefinedError)
+                              ParamPoleError, RangeError, UndefinedError)
 from curvgreen.geometry import ManifoldSpec
 from curvgreen.greens import green_value
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
+from curvgreen.result import EvalResult
 from curvgreen.specfun import gamma_ratio, gegenbauer_c
 
 
@@ -312,6 +314,18 @@ class TestHalfOdd:
         got = half_odd_eval(kind, -0.5, mu, arg).value
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
 
+    @pytest.mark.parametrize("kind", ["FP", "FQ"])
+    def test_estimate_carries_the_phase_rounding(self, kind):
+        """At order 1/2 the closed form is an amplitude times cos or sin
+        of (nu + 1/2) theta, whose rounding grows with the phase."""
+        for nu, _, theta in _real_degree_grid(seed=5):
+            x = math.cos(theta)
+            got = half_odd_eval(kind, nu, 0.5, x)
+            amp = (math.sqrt(2.0 / (math.pi * math.sin(theta))) if kind == "FP"
+                   else math.sqrt(math.pi / (2.0 * math.sin(theta))))
+            err = abs(got.value - _mp_legendre(kind, nu, 0.5, x))
+            assert err <= got.abs_err_est <= 1e-12 * amp, (nu, theta)
+
     @pytest.mark.parametrize("kind,arg", [("Q", 1.3), ("FQ", 0.3)])
     def test_degree_minus_half_order_minus_half_refuses(self, kind, arg):
         with pytest.raises(CurvGreenError):
@@ -446,11 +460,14 @@ _SEQ_CASES = [fam + (nu,) for fam in [
 
 @functools.lru_cache(maxsize=None)
 def _mp_legendre(kind, nu, order, arg):
-    """kind (P, Q, FP or FQ) by mpmath at 30 digits, rounded to complex."""
+    """kind (P, Q, FP or FQ) by mpmath at 30 digits, rounded to complex.
+    The argument is made an mpf first: mpmath forms 1 +- z in the
+    argument's own type, which for a float rounds them."""
     mpmath = pytest.importorskip("mpmath")
     f = mpmath.legenp if kind in ("P", "FP") else mpmath.legenq
     with mpmath.workdps(30):
-        return complex(f(nu, order, arg, type=3 if kind in ("P", "Q") else 2,
+        return complex(f(nu, order, mpmath.mpf(arg),
+                         type=3 if kind in ("P", "Q") else 2,
                          maxterms=10 ** 6))
 
 
@@ -565,8 +582,8 @@ _LADDER_CEILINGS = {
     ("P", "connect"): 6e-11,
     ("FP", "half-odd"): 1e-12, ("FP", "at_neg"): 3e-11,
     ("FP", "connect"): 3e-11,
-    ("FQ", "half-odd"): 1e-12, ("FQ", "at_neg"): 3e-10,
-    ("FQ", "connect"): 3e-10,
+    ("FQ", "half-odd"): 1e-12, ("FQ", "at_neg"): 3e-11,
+    ("FQ", "connect"): 3e-11,
     ("reflected FP", "half-odd"): 1e-12, ("reflected FP", "at_neg"): 3e-11,
 }
 
@@ -578,9 +595,8 @@ class TestLargeDegreeLadder:
 
     @staticmethod
     def _cells(monkeypatch, name, branch):
-        """(nu, mu, theta, outcome) of every grid cell of the branch on
-        the ladder; the outcome is the EvalResult or the NoConvergenceError
-        raised."""
+        """(nu, mu, theta, EvalResult) of every grid cell of the branch
+        on the ladder; no cell may raise."""
         hits = []
         ladder = legendre._large_degree
 
@@ -596,10 +612,7 @@ class TestLargeDegreeLadder:
             for theta in _LADDER_THETAS:
                 for mu in orders:
                     hits.clear()
-                    try:
-                        res = _LADDER[name][0](nu, mu, theta)
-                    except NoConvergenceError as e:
-                        res = e
+                    res = _LADDER[name][0](nu, mu, theta)
                     if hits:
                         out.append((nu, mu, theta, res))
         return out
@@ -610,10 +623,6 @@ class TestLargeDegreeLadder:
         assert len(cells) >= 8
         worst = 0.0
         for nu, mu, theta, res in cells:
-            if isinstance(res, NoConvergenceError):
-                # the FQ reflection at an integer nu - mu: a known defect
-                assert branch == "connect" and nu == 59.7 and mu == 0.7
-                continue
             worst = max(worst, relerr(res.value,
                                       _LADDER[name][1](nu, mu, theta)))
         assert worst <= _LADDER_CEILINGS[(name, branch)]
@@ -649,3 +658,97 @@ class TestLargeDegreeLadder:
                       - mpmath.legenp(nu, -0.5, x, type=2)))
             ref = complex(ref)
         assert relerr(got, ref) < 1e-9
+
+
+def _real_degree_grid(seed=15, size=200):
+    """(nu, mu, theta): the sphere candidates' real large degrees, the
+    orders of d = 2 and 4 and one that takes the order connection."""
+    rng = random.Random(seed)
+    return [(rng.uniform(15.0, 60.0), rng.choice((0.0, 1.0, -1.0, 0.7)),
+             rng.uniform(0.05, 3.09)) for _ in range(size)]
+
+
+class TestDegreeRecurrence:
+    """FP and FQ at a real degree above the loss threshold and an order
+    |mu| <= 1, by the degree recurrence from two series seeds."""
+
+    @pytest.mark.parametrize("fn,kind,nu,mu,x", [
+        (ferrers_q, "FQ", 40.0, 0.0, 0.3),
+        (ferrers_q, "FQ", 40.0, 1.0, 0.3),
+        (ferrers_p, "FP", 59.7, 0.7, math.cos(1.2)),
+    ])
+    def test_integer_nu_minus_mu(self, fn, kind, nu, mu, x):
+        """Each raised "reflection route degenerate" when FQ at order
+        -mu came from FP at +-x over sin(pi (nu - mu)) = 0."""
+        got = fn(nu, mu, x)
+        ref = _mp_legendre(kind, nu, mu, x)
+        assert abs(got.value - ref) <= 1e-11 * abs(ref)
+        assert abs(got.value - ref) <= got.abs_err_est
+
+    def test_zero_of_fp(self):
+        """FP_15(0) = 0, where the Mehler quadrature's relative stopping
+        rule could not be met and raised after 60000 panels."""
+        assert abs(ferrers_p(15.0, 0.0, 0.0).value) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["FP", "FQ"])
+    def test_grid_against_mpmath(self, monkeypatch, kind):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(legendre.quadrature, "quad", no_quadrature)
+        fn = ferrers_p if kind == "FP" else ferrers_q
+        for nu, mu, theta in _real_degree_grid():
+            got = fn(nu, mu, math.cos(theta))
+            ref = _mp_legendre(kind, nu, mu, math.cos(theta))
+            err = abs(got.value - ref)
+            assert err <= 1e-11 * abs(ref), (nu, mu, theta)
+            assert err <= got.abs_err_est, (nu, mu, theta)
+
+    def test_flat_limit_point(self):
+        """FP_nu(-cos rho) at rho = 0.002, nu ~ 149.5 (FRAK_MINUS, d = 2,
+        beta = 0.5, R = 300 in verify's flat-space limit): the seeds lose
+        ~2e-11 to the rounding of (1 - x)/2 at FP's log singularity, which
+        the estimate must carry."""
+        nu = -0.5 + math.sqrt(1.0 + 4.0 * 150.0 ** 2) / 2.0
+        x = -math.cos(0.6 / 300.0)
+        got = ferrers_p(nu, 0.0, x)
+        err = abs(got.value - _mp_legendre("FP", nu, 0.0, x))
+        assert err <= got.abs_err_est <= 1e-9
+
+    def test_degree_cap(self, monkeypatch):
+        """Above _DEGREE_MAX the climb would take seconds; the Mehler
+        route, which refuses within its panel budget, is taken instead."""
+        def no_recurrence(*args):
+            raise AssertionError("degree recurrence called")
+
+        monkeypatch.setattr(legendre, "_degree_recurrence", no_recurrence)
+        monkeypatch.setattr(legendre, "_mehler_p",
+                            lambda *args: EvalResult(0.25))
+        nu = 2.0 * legendre._DEGREE_MAX
+        assert ferrers_p(nu, 0.0, 0.3).value == 0.25
+
+    @pytest.mark.parametrize("fn,nu,mu,x,parent", [
+        (ferrers_p, -20.3, -3.3, 0.3, 9.328066822125264e-06),
+        (ferrers_q, -20.3, -3.3, 0.3, -1.0645659378564608e-05),
+        (ferrers_p, -20.3, 8.3378, -0.9709581651495905, 260194884533.92587),
+        (ferrers_p, -20.3, -8.3378, -0.9709581651495905,
+         -1.5429443129341854e-11),
+        (ferrers_q, -20.3, -8.3378, -0.9709581651495905,
+         -1.0945988573984124e-11),
+        (ferrers_p, -20.3, 3.3, 0.3, ParamPoleError),
+        (ferrers_q, -20.3, 8.3378, 0.3, NoConvergenceError),
+    ])
+    def test_other_degrees_and_orders_keep_their_routes(
+            self, monkeypatch, fn, nu, mu, x, parent):
+        """A negative degree or an order beyond 1 stays on the Mehler and
+        reflection routes: the values and refusals they gave before the
+        degree recurrence existed."""
+        def no_recurrence(*args):
+            raise AssertionError("degree recurrence called")
+
+        monkeypatch.setattr(legendre, "_degree_recurrence", no_recurrence)
+        if isinstance(parent, float):
+            assert fn(nu, mu, x).value == parent
+        else:
+            with pytest.raises(parent):
+                fn(nu, mu, x)

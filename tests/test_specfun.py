@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -174,6 +175,36 @@ class TestGauss2F1:
     def test_branch_cut(self):
         with pytest.raises(NoConvergenceError):
             gauss_2f1(0.5, 0.5, 1.5, 1.7)
+
+    @pytest.mark.parametrize("a,b,c", [(0.5, 0.3, 1.7), (1.0, 1.0, 2.0)])
+    def test_near_imaginary_axis(self, a, b, c):
+        """z = 0.8i lies outside |z| <= 0.75 with Re z = 0, where the 1-z
+        route refused; |z/(z - 1)| = 0.62 puts the Pfaff map in the
+        series disk."""
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, 0.8j))
+        assert abs(gauss_2f1(a, b, c, 0.8j).value - ref) <= 1e-13 * abs(ref)
+
+    def test_disk_grid(self):
+        """400 seeded points with |z| <= 1.2: 41 refused while only
+        Re z < 0 took the Pfaff map; no more may refuse now, and every
+        value holds 1e-12 against mpmath."""
+        rng = random.Random(2024)
+        refused = 0
+        for _ in range(400):
+            a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            c = rng.uniform(0.3, 3.0)
+            z = cmath.rect(rng.uniform(0.0, 1.2),
+                           rng.uniform(-math.pi, math.pi))
+            try:
+                got = gauss_2f1(a, b, c, z).value
+            except NoConvergenceError:
+                refused += 1
+                continue
+            with mpmath.workdps(30):
+                ref = complex(mpmath.hyp2f1(a, b, c, z))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (a, b, c, z)
+        assert refused <= 34
 
     def test_transform_consistency(self):
         # same value through the defining series and the 1-z route

@@ -9,18 +9,20 @@ library at REV, exported with ``git archive`` into a temporary
 directory, and through ``src/`` of this checkout.  For every seed it
 prints one JSON line:
 
-* ``ops``, ``identical`` (bit-identical outcome), ``outcome_changed``
-  (value <-> raise, or another exception type), ``terms_changed`` and
-  ``flags_changed``, each a count, with the first few such ops listed
-  under ``examples``;
+* ``ops``, ``identical`` (bit-identical outcome), ``raise_to_value``,
+  ``value_to_raise``, ``raise_changed`` (another exception type),
+  ``terms_changed`` and ``flags_changed``, each a count, with the first
+  few such ops listed under ``examples``;
 * ``max_value_move``: the largest |new - old| / |old| over ops that
   return a value on both sides; for ``expand`` also ``max_rel_err_move``,
   the largest change of the series' reported ``rel_err``;
 * against the mpmath oracle (``perfbench/oracle.py``, 30 digits):
   ``closer``, ``farther`` and ``unchanged`` counts of the ops that return
   a value on both sides; ``farther_2ulp``, the count of those whose
-  relative error grew by more than 2 ulp (2 * 2**-52); and
-  ``max_farther``, the largest increase of the relative error.
+  relative error grew by more than 2 ulp (2 * 2**-52);
+  ``max_farther``, the largest increase of the relative error; and
+  ``max_new_value_err``, the largest relative error of a
+  ``raise_to_value`` op's new value.
   ``verify`` ops have no oracle value.
 
 Run it from the root of the checkout.  It writes nothing into the
@@ -78,11 +80,12 @@ def _value(out):
 
 def compare(ops, old, new, refs) -> dict:
     """The counts and extremes that the module docstring lists."""
-    res = {"ops": len(ops), "identical": 0, "outcome_changed": 0,
-           "terms_changed": 0, "flags_changed": 0, "max_value_move": 0.0,
+    res = {"ops": len(ops), "identical": 0, "raise_to_value": 0,
+           "value_to_raise": 0, "raise_changed": 0, "terms_changed": 0,
+           "flags_changed": 0, "max_value_move": 0.0,
            "max_rel_err_move": 0.0, "closer": 0, "farther": 0,
            "unchanged": 0, "farther_2ulp": 0, "max_farther": 0.0,
-           "examples": []}
+           "max_new_value_err": 0.0, "examples": []}
 
     def note(key, i):
         res[key] += 1
@@ -92,8 +95,16 @@ def compare(ops, old, new, refs) -> dict:
     for i, (a, b) in enumerate(zip(old, new)):
         if a == b:
             res["identical"] += 1
-        if a[0] != b[0] or (a[0] == "raise" and a[1] != b[1]):
-            note("outcome_changed", i)
+        if a[0] != b[0]:
+            note("raise_to_value" if a[0] == "raise" else "value_to_raise",
+                 i)
+            if b[0] == "ok" and refs[i] is not None:
+                res["max_new_value_err"] = max(
+                    res["max_new_value_err"],
+                    abs(_value(b) - refs[i]) / abs(refs[i]))
+            continue
+        if a[0] == "raise" and a[1] != b[1]:
+            note("raise_changed", i)
             continue
         if a[0] == "raise" or ops[i][0] == "verify":
             continue
