@@ -20,7 +20,7 @@ functions,
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
 digits of precision at large degree (w the series argument), so above a
-fixed loss threshold P, FP and FQ take one route ladder,
+fixed loss threshold P, Q, FP and FQ take one route ladder,
 ``_large_degree``: a half-odd order takes its elementary closed form,
 an order below 0.35 a large-degree route at -mu, and any other order
 the order connection ``_connect`` (DLMF 14.9), one routine that takes
@@ -29,12 +29,13 @@ nu >= 0 and |mu| <= 1 run the degree recurrence (DLMF 14.10.3) up from
 series seeds at nu - floor(nu) and one above; any other degree or order
 takes an integral representation (the Mehler-Dirichlet integral, one
 kernel for Legendre and Ferrers with sinh/cosh in place of sin/cos; FQ
-from two such integrals), as P does.  Q keeps its own ladder:
-half-odd forms or a contour-rotated Laplace-type integral (conical,
-|order| < 1/2), else the series with an honest estimate.  The
-first-kind series is likewise one routine for both families.  A
-value beyond the double range is refused with RangeError by every
-public function, never returned as inf/nan.
+from two such integrals), as P does.  Q leaves its series only at a
+strongly conical degree, for a contour-rotated Laplace-type integral
+at -mu; a conical degree with |tau| < 12 keeps the series, its
+estimate widened by the loss model.  The first-kind series is likewise
+one routine for both families.  A value beyond the double range is
+refused with RangeError by every public function, never returned as
+inf/nan.
 All functions are pure and thread-safe.
 """
 
@@ -113,12 +114,36 @@ def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
     for conical degrees and grows for real ones, matching the I/J
     character of the function.  Integrates in the distance h from the
     singular endpoint so that cos t - cos angle can be formed as
-    2 sin(angle - h/2) sin(h/2).
+    2 sin(angle - h/2) sin(h/2), whose power m - 1/2 the quadrature's
+    endpoint map takes.
+
+    On the sphere at a conical degree nu + 1/2 = i tau and an integer
+    m, the integral is taken in u = sqrt(h) instead,
+    2 u cosh(tau (angle - u^2)) (2 sin(angle - u^2/2) sin(u^2/2))^(m-1/2),
+    analytic at u = 0 and real.  Its estimate adds the rule's weight
+    defect and the rounding of the phase, eps (4 + |tau| angle), as
+    shares of the value.
     """
     nu = complex(nu)
     m = float(complex(m).real)
     sin, cos = (math.sinh, cmath.cosh) if hyperbolic else (math.sin, cmath.cos)
     kern = nu + 0.5
+    pre = math.sqrt(2.0 / math.pi) * sin(angle) ** (-m) / _cgamma(m + 0.5)
+    if not hyperbolic and kern.real == 0.0 and m == round(m):
+        tau = kern.imag
+
+        def g(u):
+            h = u * u
+            base = 2.0 * math.sin(angle - 0.5 * h) * math.sin(0.5 * h)
+            return 2.0 * u * math.cosh(tau * (angle - h)) * base ** (m - 0.5)
+
+        q = quadrature.quad(g, 0.0, math.sqrt(angle), tol=1e-260,
+                            rel_tol=_QUAD_RTOL, max_panels=60000).scaled(pre)
+        # g > 0, so the rule's weight defect is a share of the value, as
+        # is the rounding of the phase tau (angle - h)
+        share = quadrature.K15_DEFECT + _EPS * (4.0 + abs(tau) * angle)
+        return EvalResult(q.value, q.abs_err_est + share * abs(q.value),
+                          q.terms_used)
 
     def f(h):
         base = 2.0 * sin(angle - 0.5 * h) * sin(0.5 * h)
@@ -126,8 +151,7 @@ def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
 
     q = quadrature.quad(f, 0.0, angle, tol=1e-260, rel_tol=_QUAD_RTOL,
                         hint=("left_alg", 0.5 - m), max_panels=60000)
-    return q.scaled(math.sqrt(2.0 / math.pi) * sin(angle) ** (-m)
-                    / _cgamma(m + 0.5))
+    return q.scaled(pre)
 
 
 def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
@@ -136,7 +160,10 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
     Laplace-type integral over [xi, inf); the oscillatory tail is
     rotated onto the ray t = xi + delta -/+ i s where the kernel decays
     like exp(-|T| s).  Valid while the rotated path stays shorter than
-    pi (enforced by the |T| >= 12 routing threshold).
+    pi (enforced by the |T| >= 12 routing threshold).  The endpoint
+    piece behaves like h^-(mu + 1/2) near h = t - xi = 0 and is taken in
+    h = u^k: k = 2 at an integer order, where it is analytic in u, else
+    the least integer k that leaves a power of u of at least 5.
     """
     nu = complex(nu)
     mu = complex(mu)
@@ -144,33 +171,33 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
     aT = abs(T)
     if aT < 12.0:
         raise DomainError("rotated integral route requires |Im nu| >= 12")
-    chx = math.cosh(xi)
+    kern = nu + 0.5
     p = mu + 0.5
     delta = min(1.0, 6.0 / aT)
 
-    def f_end(h):
-        base = 2.0 * math.sinh(xi + 0.5 * h) * math.sinh(0.5 * h)
-        return cmath.exp(-(nu + 0.5) * (xi + h)) * base ** (-p)
+    def f(h):
+        # the integrand at t = xi + h over e^{-kern xi}, with cosh t -
+        # cosh xi formed without cancellation
+        base = 2.0 * cmath.sinh(xi + 0.5 * h) * cmath.sinh(0.5 * h)
+        return cmath.exp(-kern * h) * base ** (-p)
 
-    q1 = quadrature.quad(f_end, 0.0, delta, tol=1e-260,
-                         rel_tol=_QUAD_RTOL, hint=("left_alg", p.real),
+    # h^-p dh = k u^(k (1 - p) - 1) du, and an integer k keeps the rest
+    # of f analytic in u
+    k = 2 if mu.real == round(mu.real) else math.ceil(6.0 / (1.0 - p.real))
+    q1 = quadrature.quad(lambda u: k * u ** (k - 1) * f(u ** k), 0.0,
+                         delta ** (1.0 / k), tol=1e-260, rel_tol=_QUAD_RTOL,
                          max_panels=60000)
     # vertical ray into the decaying half-plane
     direction = -1j if T > 0 else 1j
-    t0 = xi + delta
-    s_max = min(39.0 / aT, 0.97 * math.pi)
-
-    def f_ray(s):
-        t = t0 + direction * s
-        return cmath.exp(-(nu + 0.5) * t) * (cmath.cosh(t) - chx) ** (-p)
-
-    q2 = quadrature.quad(f_ray, 0.0, s_max, tol=1e-260, rel_tol=_QUAD_RTOL,
-                         max_panels=60000)
+    q2 = quadrature.quad(lambda s: f(delta + direction * s), 0.0,
+                         min(39.0 / aT, 0.97 * math.pi), tol=1e-260,
+                         rel_tol=_QUAD_RTOL, max_panels=60000)
     total = EvalResult(q1.value + direction * q2.value,
                        q1.abs_err_est + q2.abs_err_est,
                        q1.terms_used + q2.terms_used)
-    return total.scaled(cmath.exp(1j * math.pi * mu) * math.sqrt(math.pi / 2.0)
-                        * math.sinh(xi) ** mu / _cgamma(0.5 - mu))
+    return total.scaled(cmath.exp(-kern * xi + 1j * math.pi * mu)
+                        * math.sqrt(math.pi / 2.0) * math.sinh(xi) ** mu
+                        / _cgamma(0.5 - mu))
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +319,7 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
 
 
 def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
-    """kind (P, FP or FQ) at a degree beyond the series' loss threshold.
+    """kind (P, Q, FP or FQ) at a degree beyond the series' loss threshold.
 
     The one route ladder of the public functions: a complex order is
     refused (DomainError); a half-odd order takes its closed form
@@ -461,9 +488,8 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     Uses the 1/z^2 hypergeometric representation; arguments close to 1
     are continued through the 1-z connection inside the hypergeometric
     engine.  Carries the e^{i pi mu} factor of the classical function.
-    Conical degrees with strong series cancellation are evaluated by a
-    contour-rotated Laplace integral (|order| < 1/2) or half-odd-order
-    closed forms.
+    Conical degrees with strong series cancellation take
+    ``_large_degree`` on the contour-rotated Laplace integral.
     """
     z = _check_hyperbolic(z)
     nu, mu = complex(nu), complex(mu)
@@ -487,16 +513,9 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
             out = _slow(out, 10.0 ** (loss / math.log(10.0) - 16.0)
                         * abs(out.value))
         return out
-    if _halfodd_part(mu) is not None:
-        return half_odd_eval("Q", nu, mu.real, z)
     xi = math.acosh(z)
-    if abs(mu.imag) < 1e-12 and mu.real < 0.35:
-        # rotated-contour integral; valid for any order below 1/2
-        return _conical_legendre_q_integral(nu, mu.real, xi)
-    # no cancellation-free route for large-order strongly conical Q;
-    # report the series value with an honest error estimate
-    out = _legendre_q_series(nu, mu, z)
-    return _slow(out, abs(out.value))
+    return _large_degree("Q", nu, mu, z, lambda kind, m:
+                         _conical_legendre_q_integral(nu, -m, xi))
 
 
 @_refuse_overflow("FP")

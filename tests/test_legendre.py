@@ -129,6 +129,103 @@ class TestMehlerKernel:
         assert got.terms_used > 0
 
 
+# the conical sphere grid of the u = sqrt(h) Mehler integral
+_CONICAL_TAUS = (15.0, 25.0, 40.0, 60.0)
+_CONICAL_THETAS = (0.05, 0.3, 0.9, 1.5, 2.1, 2.7, 3.09)
+
+
+def _mp_conical_fp(tau, m, theta):
+    """FP_{-1/2+i tau}^{-m}(cos theta) by mpmath at 30 digits, at the
+    exact cosine of the float theta."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.legenp(complex(-0.5, tau), -m,
+                                     mpmath.cos(mpmath.mpf(theta)), type=2))
+
+
+class TestConicalMehler:
+    """FP^{-m} at a conical degree and an integer order on the sphere,
+    where _mehler_p integrates in u = sqrt(h)."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("tau", _CONICAL_TAUS)
+    def test_mehler_grid(self, m, tau):
+        for theta in _CONICAL_THETAS:
+            got = legendre._mehler_p(complex(-0.5, tau), m, theta, False)
+            ref = _mp_conical_fp(tau, m, theta)
+            err = abs(got.value - ref)
+            assert err <= 1e-13 * abs(ref), theta
+            assert err <= got.abs_err_est, theta
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("tau", _CONICAL_TAUS)
+    def test_ferrers_p_grid(self, m, tau):
+        # x = cos theta is rounded, so the reference is taken at x itself
+        nu = complex(-0.5, tau)
+        for theta in _CONICAL_THETAS:
+            x = math.cos(theta)
+            got = ferrers_p(nu, -m, x)
+            assert relerr(got.value, _mp_legendre("FP", nu, -m, x)) <= 1e-13
+
+    @pytest.mark.parametrize("x", [math.cos(0.9), -math.cos(0.9)])
+    def test_s_plus_d2_seeds(self, x):
+        """S_PLUS, d = 2, beta = 25: the seeds of its order recurrences
+        were about 2e-11 off with estimates near 4e-13."""
+        nu = complex(-0.5, 24.995)
+        ref = _mp_legendre("FP", nu, -1, x)
+        got = ferrers_p(nu, -1, x)
+        assert relerr(got.value, ref) <= 1e-13
+        assert abs(got.value - ref) <= got.abs_err_est
+
+    def test_panel_count(self):
+        """At m = 1 the integrand is analytic in u, so few panels
+        suffice; the map in h took 23 to 45 on this grid."""
+        for tau in _CONICAL_TAUS:
+            for theta in _CONICAL_THETAS:
+                got = legendre._mehler_p(complex(-0.5, tau), 1, theta, False)
+                assert got.terms_used <= 15, (tau, theta)
+
+
+class TestConicalQ:
+    """Q at a strongly conical degree and an order of at least 0.35 that
+    is not half-odd: the rotated contour at -mu, then _connect."""
+
+    @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0, 0.37, 0.8])
+    @pytest.mark.parametrize("z", [1.3, 3.0])
+    def test_against_mpmath(self, mu, z):
+        nu = complex(-0.5, 25.0)
+        got = legendre_q(nu, mu, z)
+        ref = _mp_legendre("Q", nu, mu, z)
+        assert relerr(got.value, ref) <= 1e-13
+        assert got.abs_err_est < 1e-10 * abs(ref)
+        assert abs(got.value - ref) <= got.abs_err_est
+        assert not got.flags
+
+    @pytest.mark.parametrize("tau", [15.0, 25.0, 60.0])
+    def test_contour_grid(self, tau):
+        """The rotated contour itself, at the orders it takes directly
+        and at -mu for the connection."""
+        nu = complex(-0.5, tau)
+        for mu in (0.0, 0.2, -0.37, -0.8, -1.0, -2.0):
+            for z in (1.3, 3.0, 10.0):
+                got = legendre._conical_legendre_q_integral(nu, mu,
+                                                            math.acosh(z))
+                err = abs(got.value - _mp_legendre("Q", nu, mu, z))
+                assert err <= 5e-14 * abs(got.value), (mu, z)
+                assert err <= got.abs_err_est, (mu, z)
+
+    def test_takes_the_connection(self, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("Q series called")
+
+        monkeypatch.setattr(legendre, "_legendre_q_series", no_series)
+        assert legendre_q(complex(-0.5, 25.0), 1.0, 1.3).terms_used > 0
+
+    def test_complex_order_refused(self):
+        with pytest.raises(DomainError, match="real order"):
+            legendre_q(complex(-0.5, 25.0), 1.0 + 0.3j, 1.3)
+
+
 class TestFerrersP:
     def test_near_one_mu_zero(self):
         assert ferrers_p(2.3, 0.0, 1.0 - 1e-12).value.real \

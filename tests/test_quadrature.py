@@ -5,7 +5,7 @@ import math
 import pytest
 
 from curvgreen.errors import NoConvergenceError
-from curvgreen.quadrature import quad
+from curvgreen.quadrature import K15_DEFECT, quad
 
 
 def test_sine_integral():
@@ -36,6 +36,30 @@ def test_positive_power_nonsmooth():
     got = quad(lambda x: x ** 1.5, 0.0, 1.0, tol=1e-13,
                hint=("left_alg", -1.5))
     assert got.value == pytest.approx(0.4, abs=1e-12)
+
+
+@pytest.mark.parametrize("p,f,ref", [
+    # the references are mpmath.quad at 30 digits
+    (-0.5, lambda x: math.sqrt(x) * math.exp(x),
+     1.25563008255186362655623888450),
+    (-0.3, lambda x: x ** 0.3 * math.exp(-x),
+     0.453911281419928414073657884529),
+    (0.25, lambda x: x ** -0.25 * math.cos(3.0 * x),
+     0.274662665040115123763952281060),
+])
+def test_fraction_exponent_map(p, f, ref):
+    # q = the denominator of p makes the mapped integrand analytic; the
+    # power-removing q = 1/(1 - p) left 2e-13 to 7e-13 in 7 to 27 panels
+    got = quad(f, 0.0, 1.0, tol=1e-14, hint=("left_alg", p))
+    assert got.value == pytest.approx(ref, abs=1e-14)
+    assert got.terms_used <= 7
+
+
+def test_weight_defect():
+    # the tabulated K15 weights sum to 2 (1 - K15_DEFECT)
+    got = quad(lambda x: 1.0, -1.0, 1.0, tol=1e-12)
+    assert got.value == pytest.approx(2.0 * (1.0 - K15_DEFECT), abs=1e-15)
+    assert 2e-15 < K15_DEFECT < 4e-15
 
 
 def test_complex_integrand():

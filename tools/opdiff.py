@@ -1,6 +1,7 @@
 """Compare benchmark op outcomes between a git revision and this checkout.
 
     python3 tools/opdiff.py REV [--workload expand] [--seeds 1 2 3]
+                            [--by-cell]
 
 Builds each seed's op list with ``perfbench/workloads.generate`` (this
 checkout's copy, imported read-only, at the benchmark's 10-second run
@@ -24,6 +25,11 @@ prints one JSON line:
   ``max_new_value_err``, the largest relative error of a
   ``raise_to_value`` op's new value.
   ``verify`` ops have no oracle value.
+
+With ``--by-cell`` each seed's line is followed by one line per
+(variant, d) cell of its ops, sorted by cell:
+``cell`` and that cell's ``identical``, ``closer``, ``farther``,
+``farther_2ulp`` and ``max_farther``.
 
 Run it from the root of the checkout.  It writes nothing into the
 repository; the temporary export is removed when it ends.
@@ -50,6 +56,7 @@ SECONDS = 10
 EXAMPLES = 5
 TWO_ULP = 2.0 * 2.0 ** -52
 ORACLE_WORKERS = 2
+CELL_KEYS = ("identical", "closer", "farther", "farther_2ulp", "max_farther")
 
 
 def run_ops(ops) -> list:
@@ -134,11 +141,25 @@ def compare(ops, old, new, refs) -> dict:
     return res
 
 
+def _print_cells(seed, ops, old, new, refs) -> None:
+    """compare's CELL_KEYS for each (variant, d) cell of the ops."""
+    cells = {}
+    for i, op in enumerate(ops):
+        cells.setdefault(tuple(op[1:3]), []).append(i)
+    for cell, idx in sorted(cells.items()):
+        res = compare(*([seq[i] for i in idx] for seq in (ops, old, new,
+                                                          refs)))
+        print(json.dumps({"seed": seed, "cell": list(cell),
+                          **{k: res[k] for k in CELL_KEYS}}), flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?")
     ap.add_argument("--workload", default="expand", choices=workloads.NAMES)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--by-cell", action="store_true",
+                    help="also print the oracle counts of each (variant, d)")
     ap.add_argument("--run", action="store_true",
                     help="internal: run the op list on stdin, print outcomes")
     args = ap.parse_args()
@@ -163,6 +184,8 @@ def main() -> int:
                 res = compare(ops, old, new, refs)
                 print(json.dumps({"rev": args.rev, "workload": args.workload,
                                   "seed": seed, **res}), flush=True)
+                if args.by_cell:
+                    _print_cells(seed, ops, old, new, refs)
     return 0
 
 
