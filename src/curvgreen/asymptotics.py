@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InsufficientDataError
-from .specfun import _special, env_h, env_j
+from .specfun import cyl, env_h, env_j
 
 LEGENDRE_LARGE_NU = "LEGENDRE_LARGE_NU"
 CONICAL_LARGE_TAU = "CONICAL_LARGE_TAU"
@@ -42,6 +42,12 @@ class AsymptoticApprox:
     value: complex
     envelope_scale: float
     regime: str
+
+
+def _bessel(kind: str, mu: float, x: float):
+    """cyl(kind, mu, x).value, real for J, Y, I and K."""
+    v = cyl(kind, mu, x).value
+    return v if kind in ("H1", "H2") else v.real
 
 
 def _env_y(mu: float, x: float) -> float:
@@ -75,10 +81,10 @@ def legendre_large_nu(kind: str, nu: float, mu: float,
     x = (nu + 0.5) * r
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg_mu":
-        i = _special().iv(mu, x)
+        i = _bessel("I", mu, x)
         return _approx(LEGENDRE_LARGE_NU, nu ** (-mu) * root, (1.0, i, i))
     if kind == "Q_mu":
-        k = _special().kv(mu, x)
+        k = _bessel("K", mu, x)
         return _approx(LEGENDRE_LARGE_NU, cmath.exp(1j * math.pi * mu)
                        * nu ** mu * root, (1.0, k, k))
     raise DomainError("kind must be 'P_neg_mu' or 'Q_mu'")
@@ -108,18 +114,18 @@ def conical_large_tau(kind: str, tau: float, mu: float,
     root = math.sqrt(r / math.sinh(r))
     if kind == "P_neg":
         return _approx(CONICAL_LARGE_TAU, tau ** (-mu) * root,
-                       (1.0, _special().jv(mu, x), env_j(mu, x)))
+                       (1.0, _bessel("J", mu, x), env_j(mu, x)))
     if kind == "P_pos":
         c, s = _cs(mu)
         return _approx(CONICAL_LARGE_TAU, tau ** mu * root,
-                       (c, _special().jv(mu, x), env_j(mu, x)),
-                       (-s, _special().yv(mu, x), _env_y(mu, x)))
+                       (c, _bessel("J", mu, x), env_j(mu, x)),
+                       (-s, _bessel("Y", mu, x), _env_y(mu, x)))
     if kind not in ("Q_plus_branch", "Q_minus_branch"):
         raise DomainError(f"unknown conical kind {kind!r}")
-    w, h, fn = ((-0.5j, "H2", _special().hankel2) if kind == "Q_plus_branch"
-                else (0.5j, "H1", _special().hankel1))
+    w, h = (-0.5j, "H2") if kind == "Q_plus_branch" else (0.5j, "H1")
     return _approx(CONICAL_LARGE_TAU, w * math.pi * cmath.exp(1j * math.pi * mu)
-                   * tau ** mu * root, (1.0, fn(mu, x), env_h(h, mu, x)))
+                   * tau ** mu * root,
+                   (1.0, _bessel(h, mu, x), env_h(h, mu, x)))
 
 
 _FERRERS_KINDS = ("P_neg", "P_pos", "Q_neg", "Q_pos", "P_neg_refl",
@@ -148,8 +154,8 @@ def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
         raise DomainError("theta must lie in (0, pi - delta]")
     x = (nu + 0.5) * theta
     root = math.sqrt(theta / math.sin(theta))
-    j = (_special().jv(mu, x), env_j(mu, x))
-    y = (_special().yv(mu, x), _env_y(mu, x))
+    j = (_bessel("J", mu, x), env_j(mu, x))
+    y = (_bessel("Y", mu, x), _env_y(mu, x))
     if kind == "P_neg":
         return _approx(FERRERS_LARGE_NU, nu ** (-mu) * root, (1.0, *j))
     if kind == "Q_neg":
@@ -197,7 +203,7 @@ def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
         raise DomainError("theta must lie in (0, pi - delta]")
     x = tau * theta
     root = math.sqrt(theta / math.sin(theta))
-    ix, kx = _special().iv(mu, x), _special().kv(mu, x)
+    ix, kx = _bessel("I", mu, x), _bessel("K", mu, x)
     i, k = (ix, ix), (kx, kx)  # I and K are their own envelopes
     sgn = 1.0 if branch == +1 else -1.0
     if kind == "P_neg":
@@ -242,12 +248,12 @@ def odd_ferrers_asymptotic(regime: str, param: float, mu: float,
         x = (nu + 0.5) * theta
         c, s = _cs(nu - mu)
         return _approx(ODD_FERRERS, nu ** (-mu) * root,
-                       (c - 1.0, _special().jv(mu, x), env_j(mu, x)),
-                       (s, _special().yv(mu, x), _env_y(mu, x)))
+                       (c - 1.0, _bessel("J", mu, x), env_j(mu, x)),
+                       (s, _bessel("Y", mu, x), _env_y(mu, x)))
     if regime == "CONICAL":
         tau = param
         x = tau * theta
-        kx, ix = _special().kv(mu, x), _special().iv(mu, x)
+        kx, ix = _bessel("K", mu, x), _bessel("I", mu, x)
         return _approx(ODD_FERRERS, tau ** (-mu) * root,
                        (math.exp(math.pi * tau) / math.pi, kx, kx),
                        (-1.0, ix, ix))

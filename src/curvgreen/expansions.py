@@ -60,7 +60,7 @@ from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
 from .legendre import (ferrers_p, ferrers_q, legendre_p, legendre_q,
                        order_sequence)
 from .result import NONCONVERGENT
-from .specfun import _cgamma, _near_nonpos_int, _special
+from .specfun import _cgamma, _cyl, _near_nonpos_int
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -565,16 +565,15 @@ def euclidean_expansion(sign: str, d: int, beta: float, r: float,
     dist = cfg.euclidean_distance()
     mu = 0.5 * d - 1.0
     ref = euclidean_green(sign, d, beta, dist).value
-    sp = _special()
     if sign == PLUS:
         c, small, large = ((2.0 * math.pi) ** (-0.5 * d) * beta ** mu,
-                           sp.iv, sp.kv)
+                           "I", "K")
     else:
         c, small, large = (0.25j * (beta / (2.0 * math.pi)) ** mu,
-                           sp.jv, sp.hankel1)
+                           "J", "H1")
     pre = c * 2.0 ** mu / (beta * r * r_prime) ** mu
     a, b = beta * cfg.lt, beta * cfg.gt
-    radial = _pairs((small(mu + l, a) for l in count()),
-                    [((large(mu + l, b) for l in count()), 1.0, 1.0)])
+    radial = _pairs((_cyl(small, mu + l, a)[0] for l in count()),
+                    [((_cyl(large, mu + l, b)[0] for l in count()), 1.0, 1.0)])
     return _series(pre, mu, cfg.cos_gamma, radial, l_max, complex(ref),
                    cfg.lt / cfg.gt)

@@ -38,7 +38,7 @@ from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from .legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                        legendre_q, odd_ferrers_f)
 from .result import CANDIDATE, EvalResult, merge_flags
-from .specfun import _lgamma, _special
+from .specfun import _lgamma, cyl
 
 PLUS = "plus"
 MINUS = "minus"
@@ -143,11 +143,11 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
     mu = 0.5 * d - 1.0
     if sign == PLUS:
         v = ((2.0 * math.pi) ** (-0.5 * d) * (beta / r) ** mu
-             * _special().kv(mu, beta * r))
+             * cyl("K", mu, beta * r).value.real)
         return EvalResult(complex(v), 1e-14 * abs(v), 0)
     if sign == MINUS:
         v = (0.25j * (beta / (2.0 * math.pi * r)) ** mu
-             * _special().hankel1(mu, beta * r))
+             * cyl("H1", mu, beta * r).value)
         return EvalResult(complex(v), 1e-14 * abs(v), 0)
     raise DomainError("sign must be 'plus' or 'minus'")
 

@@ -14,12 +14,12 @@ substitution declared through a hint:
 
 The map x = a + u^q turns (x-a)^(-p) g(x) into
 q u^(q (1-p) - 1) g(a + u^q), which is analytic where both q and
-q (1-p) are integers.  For |p| < 1 with a denominator of at most 16,
-q is that denominator (p = -1/2: q = 2, p = 1/4: q = 4).  Any other p
-takes q = 1/(1-p), which removes the power exactly; g(a + u^q) then
-keeps non-integer powers of u unless q is an integer, and the
-adaptive refinement resolves them at the cost of extra panels and some
-digits.  For p <= -1 this q is below 1.
+q (1-p) are integers.  For p with a denominator of at most 16, q is
+that denominator (p = -1/2: q = 2, p = 1/4: q = 4, p = -7/4: q = 4).
+Any other p takes q = 1/(1-p), which removes the power exactly;
+g(a + u^q) then keeps non-integer powers of u unless q is an integer,
+and the adaptive refinement resolves them at the cost of extra panels
+and some digits.
 
 The K15 weights are tabulated to 15 digits and sum to
 2 (1 - K15_DEFECT), K15_DEFECT = 3.0e-15, so a one-signed integrand
@@ -105,9 +105,9 @@ def _substitute(f, a, b, hint):
         raise DomainError("algebraic singularity exponent must be < 1")
     if kind not in ("left_alg", "right_alg"):
         raise DomainError(f"unknown singularity hint {hint!r}")
-    # the least denominator q <= 16 of p, |p| < 1, else 1/(1 - p)
-    q = next((float(k) for k in range(1, 17) if abs(p) < 1.0
-              and abs(k * p - round(k * p)) < 1e-12), 1.0 / (1.0 - p))
+    # the least denominator q <= 16 of p, else 1/(1 - p)
+    q = next((float(k) for k in range(1, 17)
+              if abs(k * p - round(k * p)) < 1e-12), 1.0 / (1.0 - p))
     # x = a + u^q from the left end, x = b - u^q from the right
     end, sign = (a, 1.0) if kind == "left_alg" else (b, -1.0)
 

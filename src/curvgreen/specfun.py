@@ -13,11 +13,11 @@ Provides the scalar kernels everything else is built on:
   continued beyond the defining disk by the Pfaff z/(z-1) map and by
   the 1-z linear transformation, including the logarithmic cases when
   the parameter combination c-a-b is an integer,
-* cylinder functions J, Y, I, K, H1, H2 and the zero-free envelope
-  functions used to normalize asymptotic errors.  Their backend is
-  scipy.special, imported on first use by :func:`_special`: nothing
-  else in the package needs scipy or numpy, so importing it loads
-  neither,
+* cylinder functions J, Y, I, K, H1, H2 at real order and the
+  zero-free envelope functions used to normalize asymptotic errors, in
+  pure Python by Temme's method: CF1 and Miller's recurrence for J and
+  I, Temme's series (x < 2) or Steed's CF2 (x >= 2) for Y and K, the
+  Wronskian between them, and reflection at negative orders,
 * Chebyshev and Gegenbauer polynomials by three-term recurrence,
 * the leading large-|imaginary-shift| gamma-ratio asymptotic.
 
@@ -43,12 +43,11 @@ flags and every exception), and it changes no tolerance:
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
-                     PoleError)
+                     PoleError, RangeError)
 from .result import ASYMPTOTIC_REGIME, NEAR_POLE, EvalResult
 
 _EPS = 2.220446049250313e-16
@@ -547,63 +546,325 @@ def regularized_2f1(a, b, c, z) -> EvalResult:
 # Cylinder functions and envelopes
 # ----------------------------------------------------------------------
 
-@functools.cache
-def _special():
-    """scipy.special, the cylinder-function backend, imported on first
-    use: the rest of the package runs without scipy and numpy."""
-    import scipy.special
-    return scipy.special
+# Taylor coefficients of 1/Gamma(1 + z) about z = 0 (DLMF 5.7.1), the
+# even and the odd powers; the first omitted term is below 1e-21 at
+# |z| = 1/2.
+_RGAMMA_EVEN = (1.0, -0.6558780715202539, 0.16653861138229148,
+                -0.009621971527876973, -0.0011651675918590652,
+                0.0001280502823881162, -1.2504934821426706e-06,
+                -2.056338416977607e-07, 5.002007644469223e-09,
+                1.0434267116911005e-10, -3.696805618642206e-12,
+                -2.0583260535665066e-14)
+_RGAMMA_ODD = (0.5772156649015329, -0.04200263503409524,
+               -0.04219773455554433, 0.0072189432466631,
+               -0.00021524167411495098, -2.013485478078824e-05,
+               1.133027231981696e-06, 6.116095104481416e-09,
+               -1.18127457048702e-09, 7.782263439905071e-12,
+               5.100370287454476e-13, -5.348122539423018e-15)
+_TEMME_X = 2.0  # Temme's series below, Steed's CF2 at and above
+_RESCALE = 1e250  # the Miller recurrence rescales beyond this size
+_CYL_KINDS = ("J", "Y", "I", "K", "H1", "H2")
+_CYL_REL = 5e-15  # cyl's estimate, relative to its envelope
+# J and Y also lose up to about 0.25 x eps of their envelope: CF1
+# rounds 2 (nu + k)/x at each of its about x levels, a phase error like
+# that of perturbing x.  Their estimate grows by the factor 1 + x/40.
+_CYL_PHASE = 1.0 / 40.0
 
 
-_CYL_BACKEND = {"J": "jv", "Y": "yv", "I": "iv", "K": "kv",
-                "H1": "hankel1", "H2": "hankel2"}
+def _cf_max(x):
+    """Iteration budget of the continued fractions: CF1 needs about x."""
+    return 10000 + 2 * int(x)
+
+
+def _temme(mu, x, bessel_y):
+    """(Y_mu, Y_mu+1) or (K_mu, K_mu+1) at |mu| <= 1/2, 0 < x < 2.
+
+    Temme's series (J. Comput. Phys. 19 (1975); 21 (1976)) in the form
+    of Numerical Recipes 6.7: sum_k c_k (f_k + r q_k) with c_k =
+    (-/+ x^2/4)^k/k!, and its companion for the next order.  Gamma_1
+    and Gamma_2 come from the Taylor series of 1/Gamma(1 + mu), which
+    has no cancellation at mu = 0.
+    """
+    mu2 = mu * mu
+    g1 = -_asym_sum(_RGAMMA_ODD, mu2)
+    g2 = _asym_sum(_RGAMMA_EVEN, mu2)
+    half = 0.5 * x
+    pimu = math.pi * mu
+    d = -math.log(half)
+    e = mu * d
+    f = ((pimu / math.sin(pimu) if mu else 1.0)
+         * (g1 * math.cosh(e) + g2 * d * (math.sinh(e) / e if e else 1.0)))
+    e = math.exp(e)
+    p = 0.5 * e / (g2 - mu * g1)  # 1/(2 Gamma(1+mu)) (x/2)^-mu
+    q = 0.5 / (e * (g2 + mu * g1))  # 1/(2 Gamma(1-mu)) (x/2)^mu
+    if bessel_y:
+        z = -half * half
+        r = 2.0 * math.sin(0.5 * pimu) ** 2 / mu if mu else 0.0
+    else:
+        z, r = half * half, 0.0
+    total = f + r * q
+    total1 = p
+    c = 1.0
+    for i in range(1, 200):
+        f = (i * f + p + q) / (i * i - mu2)
+        c *= z / i
+        p /= i - mu
+        q /= i + mu
+        t = c * (f + r * q)
+        total += t
+        total1 += c * p - i * t
+        if abs(t) < _EPS * (1.0 + abs(total)):
+            break
+    if bessel_y:
+        return -total / (0.5 * math.pi), -total1 / (0.25 * math.pi * x)
+    return total, total1 / half
+
+
+def _cf1(nu, x, s):
+    """The ratio J_nu+1/J_nu (s = -1) or I_nu+1/I_nu (s = +1) from its
+    continued fraction 1/(b_1 + s/(b_2 + s/(b_3 + ...))), b_k =
+    2 (nu + k)/x, by modified Lentz, and the sign of J_nu: the last
+    denominator B_n of the fraction carries it, and B_n is the product
+    of the D_k that the iteration inverts (Numerical Recipes 6.7)."""
+    tiny = 1e-300
+    h = c = tiny
+    d = 0.0
+    sign = 1.0
+    a = 1.0
+    for k in range(1, _cf_max(x)):
+        b = 2.0 * (nu + k) / x
+        d = b + a * d
+        c = b + a / c
+        d = 1.0 / (d or tiny)
+        c = c or tiny
+        delta = c * d
+        h *= delta
+        if d < 0.0:
+            sign = -sign
+        a = s
+        if abs(delta - 1.0) < _EPS:
+            return h, sign
+    raise NoConvergenceError(f"CF1 of the cylinder functions at x = {x}")
+
+
+def _miller(nu, x, n, s):
+    """Run the recurrence C_k-1 = (2k/x) C_k - s C_k+1 down n steps from
+    order nu, started at the CF1 ratio: (C_nu, C_nu+1, C_m, C_m+1) at
+    m = nu - n, all in one arbitrary scale, which the caller fixes by a
+    Wronskian.  J is s = 1 with the sign of J_nu, I is s = -1."""
+    ratio, sign = _cf1(nu, x, -s)
+    top = (sign, sign * ratio)
+    lo, hi = top
+    for k in range(n):
+        lo, hi = 2.0 * (nu - k) / x * lo - s * hi, lo
+        if abs(lo) > _RESCALE:
+            lo, hi, top = lo / _RESCALE, hi / _RESCALE, (
+                top[0] / _RESCALE, top[1] / _RESCALE)
+    return top[0], top[1], lo, hi
+
+
+def _steed_jy(mu, x):
+    """p + i q = H1_mu'/H1_mu at x >= 2 by Steed's continued fraction
+    CF2 (Barnett et al., Comput. Phys. Commun. 8 (1974)):
+    -1/(2x) + i + (i/x) a_1/(b_1 + a_2/(b_2 + ...)), a_k = (k - 1/2)^2
+    - mu^2, b_k = 2 (x + k i), by modified Lentz."""
+    h = complex(-0.5 / x, 1.0)
+    c, d = h, 0.0
+    for k in range(1, _cf_max(x)):
+        a = (k - 0.5) ** 2 - mu * mu
+        if k == 1:
+            a *= 1j / x
+        b = complex(2.0 * x, 2.0 * k)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise NoConvergenceError(f"CF2 of J and Y at x = {x}")
+
+
+def _steed_k(mu, x):
+    """(e^x K_mu, e^x K_mu+1) at x >= 2 by Steed's method for K
+    (Temme, J. Comput. Phys. 21 (1976); Numerical Recipes 6.7): the
+    continued fraction for K_mu+1/K_mu and the series s with
+    K_mu = sqrt(pi/(2x)) e^-x / s, summed together."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _cf_max(x)):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        ds = q * delh
+        s += ds
+        if abs(ds) < _EPS * abs(s):
+            k = math.sqrt(math.pi / (2.0 * x)) / s
+            return k, k * (mu + x + 0.5 - a1 * h) / x
+    raise NoConvergenceError(f"CF2 of K at x = {x}")
+
+
+def _bessel_jy(nu, x):
+    """(J_nu, Y_nu, J_nu+1, Y_nu+1) at nu >= 0, x > 0.
+
+    Temme's method (Numerical Recipes 6.7 ``bessjy``): J by Miller's
+    recurrence down from its CF1 ratio at nu to an order mu, where
+    Temme's series (x < 2, |mu| <= 1/2) or Steed's CF2 (x >= 2, mu
+    below about x) gives Y_mu, Y_mu+1 and, by the Wronskian
+    J_mu+1 Y_mu - J_mu Y_mu+1 = 2/(pi x) (DLMF 10.5.5), the scale of
+    J; Y then climbs from mu to nu, the direction in which it is
+    dominant.
+    """
+    n = int(nu + 0.5) if x < _TEMME_X else max(0, int(nu - x + 1.5))
+    mu = nu - n
+    j, j1, jm, jm1 = _miller(nu, x, n, 1.0)
+    w = 2.0 / (math.pi * x)
+    if x < _TEMME_X:
+        y, y1 = _temme(mu, x, True)
+        scale = w / (jm1 * y - jm * y1)
+    else:
+        pq = _steed_jy(mu, x)
+        p, q = pq.real, pq.imag
+        g = p - (mu / x - jm1 / jm)  # p - J_mu'/J_mu
+        scale = math.copysign(math.sqrt(w * q / (g * g + q * q)), jm) / jm
+        y = g / q * jm * scale
+        y1 = (mu / x - p) * y - q * jm * scale
+    for k in range(n):
+        y, y1 = y1, 2.0 * (mu + k + 1) / x * y1 - y
+    return j * scale, y, j1 * scale, y1
+
+
+def _bessel_ik(nu, x):
+    """(I_nu, K_nu, I_nu+1, K_nu+1) at nu >= 0, x > 0.
+
+    As :func:`_bessel_jy` (Numerical Recipes 6.7 ``bessik``): I by
+    Miller's recurrence from its CF1 ratio down to |mu| <= 1/2, K_mu and
+    K_mu+1 by Temme's series (x < 2) or Steed's method (x >= 2), the
+    scale of I by I_mu K_mu+1 + I_mu+1 K_mu = 1/x (DLMF 10.28.2), and K
+    up by its recurrence.  At x >= 2 the work runs on e^-x I and e^x K;
+    I is inf beyond x = 709.
+    """
+    n = int(nu + 0.5)
+    mu = nu - n
+    i, i1, im, im1 = _miller(nu, x, n, -1.0)
+    if x < _TEMME_X:
+        k, k1 = _temme(mu, x, False)
+        grow = shrink = 1.0
+    else:
+        k, k1 = _steed_k(mu, x)
+        grow = math.exp(x) if x <= _LOG_MAX else math.inf
+        shrink = math.exp(-x)
+    scale = 1.0 / (x * (im * k1 + im1 * k))
+    for m in range(n):
+        k, k1 = k1, 2.0 * (mu + m + 1) / x * k1 + k
+    return (i * scale * grow, k * shrink, i1 * scale * grow, k1 * shrink)
+
+
+def _sincospi(t):
+    """(sin pi t, cos pi t), exact at the integers and half-integers."""
+    n = round(t)
+    f = t - n
+    s, c = ((math.copysign(1.0, f), 0.0) if abs(f) == 0.5
+            else (math.sin(math.pi * f), math.cos(math.pi * f)))
+    return (-s, -c) if n % 2 else (s, c)
 
 
 def cyl(kind: str, mu: float, x: float) -> EvalResult:
     """Cylinder function of the given kind at real order mu, x >= 0.
 
-    kind is one of 'J', 'Y', 'I', 'K', 'H1', 'H2'.  H1/H2 satisfy
-    H1 = J + iY and H2 = J - iY by construction of the backend.
+    kind is one of 'J', 'Y', 'I', 'K', 'H1', 'H2'; see :func:`_cyl`
+    for the evaluation.  The estimate is 5e-15 of a size that bounds
+    the value: for J at mu >= 0 the zero-free envelope :func:`env_j`,
+    for the other oscillating kinds :func:`env_h` (both at |mu|, times
+    1 + x/40 for the phase error that grows with x); for K and I the
+    value itself, for I at mu < 0 the sum of its two terms.
+    ASYMPTOTIC_REGIME marks x >= max(12, 2|mu|).  Y and K at x = 0, and
+    J and I there at a negative non-integer order, raise DomainError; a
+    value or estimate that leaves the double range (I beyond x = 709,
+    Y and K at small x and large order) raises RangeError.
     """
     kind = kind.upper()
-    if kind not in _CYL_BACKEND:
+    if kind not in _CYL_KINDS:
         raise DomainError(f"unknown cylinder kind {kind!r}")
     if x < 0:
         raise DomainError("cylinder functions take x >= 0")
-    if x == 0 and kind not in ("J", "I"):
-        raise DomainError(f"{kind} is singular at x = 0")
-    v = complex(getattr(_special(), _CYL_BACKEND[kind])(mu, x))
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise DomainError(f"cyl({kind}, {mu}, {x}) is not finite")
-    if kind in ("J", "Y", "H1", "H2") and x > 0:
-        scale = env_j(abs(mu), x) if kind == "J" else env_h("H1", abs(mu), x)
+    if x == 0:
+        if kind not in ("J", "I") or (mu < 0 and mu != round(mu)):
+            raise DomainError(f"{kind}_{mu} is singular at x = 0")
+        v = scale = 1.0 if mu == 0 else 0.0
     else:
-        scale = abs(v)
+        v, scale = _cyl(kind, mu, x)
+    v = complex(v)
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)
+            and math.isfinite(scale)):
+        raise RangeError(f"cyl({kind}, {mu}, {x}) overflows the double "
+                         "range")
     flags = frozenset({ASYMPTOTIC_REGIME}) if x >= max(12.0, 2.0 * abs(mu)) \
         else frozenset()
-    return EvalResult(v, 5e-15 * scale, 0, flags)
+    return EvalResult(v, _CYL_REL * scale, 0, flags)
+
+
+def _cyl(kind, mu, x):
+    """(value, size for the estimate) of cyl at x > 0, unchecked: inf or
+    nan where the value leaves the double range.
+
+    One kernel call at |mu| (:func:`_bessel_jy`, :func:`_bessel_ik`);
+    H1 and H2 are J +/- iY, and a negative order reflects (DLMF
+    10.4.7-8 and 10.27.2-3).
+    """
+    nu = abs(mu)
+    if kind in ("I", "K"):
+        i, k, _, _ = _bessel_ik(nu, x)
+        if kind == "K":
+            return k, k
+        extra = 2.0 / math.pi * _sincospi(nu)[0] * k if mu < 0 else 0.0
+        return i + extra, i + abs(extra)
+    j, y, j1, y1 = _bessel_jy(nu, x)
+    scale = (math.hypot(j, j1) if kind == "J" and mu >= 0
+             else _hankel_env(j, y, j1, y1, x))
+    if mu < 0:
+        s, c = _sincospi(nu)
+        j, y = c * j - s * y, s * j + c * y
+    v = {"J": j, "Y": y, "H1": complex(j, y), "H2": complex(j, -y)}[kind]
+    return v, scale * (1.0 + _CYL_PHASE * x)
+
+
+def _hankel_env(j, y, j1, y1, x):
+    """sqrt(|H_mu|^2 + min(1, x^2) |H_mu+1|^2) from J and Y at mu, mu+1."""
+    m = min(1.0, x)
+    return math.hypot(j, y, m * j1, m * y1)
 
 
 def env_j(mu: float, x: float) -> float:
-    """Zero-free envelope sqrt(J_mu^2 + J_{mu+1}^2); vanishes only at
-    x = 0 when mu > 0."""
-    if x < 0:
-        raise DomainError("env_j takes x >= 0")
-    jv = _special().jv
-    return math.hypot(jv(mu, x), jv(mu + 1.0, x))
+    """Zero-free envelope sqrt(J_mu^2 + J_mu+1^2) at mu >= 0; vanishes
+    only at x = 0 when mu > 0."""
+    if x < 0 or mu < 0:
+        raise DomainError("env_j takes mu >= 0 and x >= 0")
+    if x == 0:
+        return 1.0 if mu == 0 else 0.0
+    j, _, j1, _ = _bessel_jy(mu, x)
+    return math.hypot(j, j1)
 
 
 def env_h(kind: str, mu: float, x: float) -> float:
-    """Zero-free Hankel envelope sqrt(|H|^2 + min(1, x^2) |H_next|^2)."""
+    """Zero-free Hankel envelope sqrt(|H|^2 + min(1, x^2) |H_next|^2) at
+    mu >= 0; H1 and H2 share it."""
     kind = kind.upper()
     if kind not in ("H1", "H2"):
         raise DomainError("env_h kind must be 'H1' or 'H2'")
-    if x <= 0:
-        raise DomainError("env_h takes x > 0")
-    fn = getattr(_special(), _CYL_BACKEND[kind])
-    h0 = fn(mu, x)
-    h1 = fn(mu + 1.0, x)
-    return math.sqrt(abs(h0) ** 2 + min(1.0, x * x) * abs(h1) ** 2)
+    if x <= 0 or mu < 0:
+        raise DomainError("env_h takes mu >= 0 and x > 0")
+    return _hankel_env(*_bessel_jy(mu, x), x)
 
 
 # ----------------------------------------------------------------------

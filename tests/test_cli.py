@@ -94,14 +94,14 @@ class TestExpand:
         assert capsys.readouterr().err.startswith("error[RANGE]")
 
     def test_overflowing_bessel_term_is_a_range_error(self, capsys):
-        # the flat expansion's K_m(0.6) leaves the double range at m = 137
+        # the flat expansion's K_m(0.6) leaves the double range at m = 139
         code, out = capture([
             "expand", "--variant", "EUCLID_PLUS", "--manifold", "euclidean",
             "--d", "2", "--sign", "plus", "--beta", "1.0", "--r", "0.5",
             "--r-prime", "0.6", "--gamma", "0.5", "--lmax", "400"])
         assert (code, out) == (1, "")
         assert capsys.readouterr().err.startswith(
-            "error[RANGE]: series term l = 137")
+            "error[RANGE]: series term l = 139")
 
 
 class TestVerify:

@@ -288,9 +288,10 @@ class TestEuclideanExpansion:
         assert rep.rel_err < 1e-8
 
     def test_overflowing_term_is_a_range_error(self):
-        # K_m(0.6) leaves the double range at m = 137: that term is
-        # refused with its index, not summed as inf or nan
-        with pytest.raises(RangeError, match="term l = 137"):
+        # K_m(0.6) leaves the double range at m = 139 (K_138(0.6) =
+        # 3.6e306, K_139(0.6) = 1.66e309): that term is refused with its
+        # index, not summed as inf or nan
+        with pytest.raises(RangeError, match="term l = 139"):
             euclidean_expansion(PLUS, 2, 1.0, 0.5, 0.6, 0.5, l_max=400)
 
     @pytest.mark.parametrize("sign", [PLUS, MINUS])

@@ -46,6 +46,8 @@ def test_positive_power_nonsmooth():
      0.453911281419928414073657884529),
     (0.25, lambda x: x ** -0.25 * math.cos(3.0 * x),
      0.274662665040115123763952281060),
+    (-1.75, lambda x: x ** 1.75 * math.exp(x),
+     0.771981449189397178819944306968),
 ])
 def test_fraction_exponent_map(p, f, ref):
     # q = the denominator of p makes the mapped integrand analytic; the

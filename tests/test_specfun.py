@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvgreen.errors import (DomainError, NoConvergenceError, ParamPoleError,
-                              PoleError)
+                              PoleError, RangeError)
 from curvgreen.result import NEAR_POLE
 from curvgreen.specfun import (_cgamma, _digamma, _lgamma, _lin_1mz_log,
                                _near_nonpos_int, _psi_brackets, _series_2f1,
@@ -505,6 +505,130 @@ class TestCylinder:
             cyl("Y", 1.0, 0.0)
         with pytest.raises(DomainError):
             cyl("K", 0.3, -1.0)
+
+
+_CYL_ORDERS = (0.0, 0.3, 0.5, 1.0, 1.7, 2.5, 10.0, 30.2, 60.0, -0.5, -1.3,
+               -2.0)
+_CYL_XS = (1e-3, 0.05, 0.3, 1.0, 1.99, 2.01, 5.0, 17.3, 50.0, 200.0)
+def _orders(lo, hi):
+    """Orders k/256 in [lo, hi]: nu +/- 1 is then exact, and an identity
+    across orders is not blurred by their rounding, to which an order
+    reflected near a negative integer is sensitive (d/dnu of
+    sin(pi nu) Y_nu or K_nu)."""
+    return st.integers(lo * 256, hi * 256).map(lambda k: k / 256.0)
+
+
+_MP_CYL = {"J": mpmath.besselj, "Y": mpmath.bessely, "I": mpmath.besseli,
+           "K": mpmath.besselk, "H1": mpmath.hankel1, "H2": mpmath.hankel2}
+
+
+class TestCylinderKernel:
+    """The pure-Python kernel against mpmath at 30 digits, and the
+    identities between orders and kinds that it must keep."""
+
+    def test_mpmath_grid(self):
+        # both sides of x = 2 (Temme's series / Steed's CF2), orders to
+        # 60, negative orders by reflection; J and Y against the
+        # envelope of |H| at |mu| (of J for J at mu >= 0)
+        with mpmath.workdps(30):
+            for mu in _CYL_ORDERS:
+                n = abs(mu)
+                for x in _CYL_XS:
+                    h0 = abs(mpmath.hankel1(n, x))
+                    h1 = abs(mpmath.hankel1(n + 1, x))
+                    env = {"H": mpmath.sqrt(h0 ** 2 + min(1, x * x) * h1 ** 2),
+                           "J": mpmath.hypot(mpmath.besselj(n, x),
+                                             mpmath.besselj(n + 1, x))}
+                    for kind, fn in _MP_CYL.items():
+                        got = cyl(kind, mu, x)
+                        ref = fn(mu, x)
+                        err = abs(mpmath.mpc(got.value) - ref)
+                        if kind in ("J", "Y"):
+                            size = env["J" if kind == "J" and mu >= 0
+                                       else "H"]
+                        elif kind == "I" and mu < 0:
+                            # I_n + (2/pi) sin(pi n) K_n, n = -mu
+                            size = (mpmath.besseli(n, x) + 2 / mpmath.pi
+                                    * abs(mpmath.sinpi(n)
+                                          * mpmath.besselk(n, x)))
+                        else:
+                            size = abs(ref)
+                        assert err <= 1e-14 * size, (kind, mu, x)
+                        assert err <= got.abs_err_est, (kind, mu, x)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_orders(-3, 50), st.floats(1e-3, 300.0))
+    def test_jy_wronskian(self, nu, x):
+        # J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi x) (DLMF 10.5.5), within
+        # the products of the four estimates; two kernel calls, whose
+        # orders may split differently between recurrence and series
+        j0, y0, j1, y1 = (cyl(k, m, x) for m in (nu, nu + 1.0)
+                          for k in ("J", "Y"))
+        w = j1.value.real * y0.value.real - j0.value.real * y1.value.real
+        terms = (abs(j1.value * y0.value), abs(j0.value * y1.value))
+        bound = (j1.abs_err_est * abs(y0.value) + abs(j1.value)
+                 * y0.abs_err_est + j0.abs_err_est * abs(y1.value)
+                 + abs(j0.value) * y1.abs_err_est + 4e-16 * sum(terms))
+        assert abs(w - 2.0 / (math.pi * x)) <= bound
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_orders(-3, 50), st.floats(1e-2, 700.0))
+    def test_ik_wronskian(self, nu, x):
+        # I_nu K_{nu+1} + I_{nu+1} K_nu = 1/x (DLMF 10.28.2)
+        i0, k0, i1, k1 = (cyl(k, m, x).value.real for m in (nu, nu + 1.0)
+                          for k in ("I", "K"))
+        terms = abs(i0 * k1) + abs(i1 * k0)
+        assert abs(i0 * k1 + i1 * k0 - 1.0 / x) <= 2e-14 * terms
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_orders(-3, 3), st.floats(1e-3, 100.0))
+    def test_recurrence_across_negative_orders(self, nu, x):
+        # C_{nu-1} + s C_{nu+1} = c (2 nu/x) C_nu (DLMF 10.6.1, 10.29.1)
+        # with (s, c) = (1, 1) for J and Y, (-1, 1) for I and (-1, -1)
+        # for K: the reflected orders below 0 must continue the
+        # recurrence of the direct ones above
+        for kind, s, c in (("J", 1, 1), ("Y", 1, 1), ("I", -1, 1),
+                           ("K", -1, -1)):
+            lo, mid, hi = (cyl(kind, nu + d, x) for d in (-1.0, 0.0, 1.0))
+            parts = (lo.value, s * hi.value, -c * 2.0 * nu / x * mid.value)
+            bound = (lo.abs_err_est + hi.abs_err_est
+                     + 2.0 * abs(nu) / x * mid.abs_err_est
+                     + 4e-16 * sum(abs(p) for p in parts))
+            assert abs(sum(parts)) <= bound, kind
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-5.0, 60.0), st.floats(1e-3, 300.0))
+    def test_hankel_conjugation(self, nu, x):
+        # at real order and argument, H2 = conj(H1) and H1 = J + iY
+        h1, h2 = cyl("H1", nu, x).value, cyl("H2", nu, x).value
+        assert h2 == h1.conjugate()
+        assert h1 == complex(cyl("J", nu, x).value.real,
+                             cyl("Y", nu, x).value.real)
+
+    def test_integer_and_half_integer_reflections(self):
+        # sin(pi nu) and cos(pi nu) are exact there: J_{-n} = (-1)^n J_n
+        # and K_{-nu} = K_nu bit for bit, and J_{-1/2} = Y_{1/2} sign
+        # flipped: -Y_{1/2}(x) = sqrt(2/(pi x)) cos x
+        for n in (1, 2, 5):
+            assert (cyl("J", -n, 0.7).value
+                    == (-1) ** n * cyl("J", n, 0.7).value)
+            assert (cyl("K", -n - 0.3, 0.7).value
+                    == cyl("K", n + 0.3, 0.7).value)
+        x = 3.0
+        assert cyl("J", -0.5, x).value.real == pytest.approx(
+            math.sqrt(2.0 / (math.pi * x)) * math.cos(x), rel=1e-15)
+
+    def test_overflow_is_a_range_error(self):
+        with pytest.raises(RangeError):
+            cyl("I", 0.0, 710.0)
+        with pytest.raises(RangeError):
+            cyl("K", 200.0, 0.1)
+        assert cyl("I", 0.0, 709.0).value.real == pytest.approx(
+            1.23154770670165e306, rel=1e-13)
 
 
 class TestEnvelopes:

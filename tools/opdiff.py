@@ -26,6 +26,12 @@ prints one JSON line:
   ``raise_to_value`` op's new value.
   ``verify`` ops have no oracle value.
 
+For ``verify`` each seed's line is followed by one line per verify row
+whose outcome changed (any field of the row), for each distinct pair of
+old and new outputs: ``check_id``, ``status`` and ``gap`` as [old,
+new], the gap being |measured - target| (null for a row missing on one
+side).
+
 With ``--by-cell`` each seed's line is followed by one line per
 (variant, d) cell of its ops, sorted by cell:
 ``cell`` and that cell's ``identical``, ``closer``, ``farther``,
@@ -153,6 +159,33 @@ def _print_cells(seed, ops, old, new, refs) -> None:
                           **{k: res[k] for k in CELL_KEYS}}), flush=True)
 
 
+def verify_rows(old: str, new: str) -> list:
+    """The changed rows of two ``verify --output json`` texts, as the
+    module docstring lists them."""
+    def rows(text):
+        return {r["check_id"]: r for r in json.loads(text)["rows"]}
+
+    def gap(r):
+        return None if r is None else abs(r["measured"] - r["target"])
+
+    a, b = rows(old), rows(new)
+    return [{"check_id": cid,
+             "status": [a.get(cid, {}).get("status"),
+                        b.get(cid, {}).get("status")],
+             "gap": [gap(a.get(cid)), gap(b.get(cid))]}
+            for cid in [*a, *(c for c in b if c not in a)]
+            if a.get(cid) != b.get(cid)]
+
+
+def _print_verify_rows(seed, old, new) -> None:
+    """verify_rows for each distinct pair of differing verify outputs."""
+    pairs = {(a[2], b[2]) for a, b in zip(old, new)
+             if a[0] == b[0] == "ok" and a != b}
+    for a, b in sorted(pairs):
+        for row in verify_rows(a, b):
+            print(json.dumps({"seed": seed, **row}), flush=True)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?")
@@ -184,6 +217,8 @@ def main() -> int:
                 res = compare(ops, old, new, refs)
                 print(json.dumps({"rev": args.rev, "workload": args.workload,
                                   "seed": seed, **res}), flush=True)
+                if args.workload == "verify":
+                    _print_verify_rows(seed, old, new)
                 if args.by_cell:
                     _print_cells(seed, ops, old, new, refs)
     return 0
