@@ -56,11 +56,12 @@ from .errors import (DomainError, DomainViolationError, NoConvergenceError,
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      S_PLUS, SF_MINUS, WaveParams, euclidean_green,
-                     green_value)
+                     _sphere_constant, green_value)
 from .legendre import (ferrers_p, ferrers_q, legendre_p, legendre_q,
                        order_sequence)
 from .result import NONCONVERGENT
-from .specfun import _cgamma, _cyl, _near_nonpos_int
+from .specfun import (_cgamma, _cyl, _gegenbauer_terms, _near_nonpos_int,
+                      gamma_ratio)
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -153,23 +154,17 @@ def convergence_domain(theta_lt: float, theta_gt: float,
 def _basis(mu, x):
     """Yield w_l(x) = Gamma(mu) (l + mu) C_l^mu(x) for l = 0, 1, ...
 
-    At mu = 0 this is the limit eps_l T_l(x).  C_l^mu and T_l are
-    carried by the three-term recurrences of gegenbauer_c and
-    chebyshev_t, and they reproduce those functions exactly.
+    At mu = 0 this is the limit eps_l T_l(x).  C_l^mu and T_l come from
+    specfun's recurrence, the one behind gegenbauer_c and chebyshev_t.
     """
+    terms = _gegenbauer_terms(mu, x)
     if mu == 0:
-        t_prev, t = 1.0, x
-        yield 1.0
-        while True:
-            yield 2.0 * t
-            t_prev, t = t, 2.0 * x * t - t_prev
+        yield next(terms)
+        yield from (2.0 * t for t in terms)
+        return
     g, mu = _cgamma(mu), complex(mu)
-    c_prev, c = 1.0 + 0.0j, 2.0 * mu * x
-    yield g * mu
-    for k in count(2):
-        yield g * (k - 1 + mu) * c
-        c_prev, c = c, (2.0 * x * (k + mu - 1.0) * c
-                        - (k + 2.0 * mu - 2.0) * c_prev) / k
+    for l, c in enumerate(terms):
+        yield g * (l + mu) * c
 
 
 def _pairs(small, parts):
@@ -506,16 +501,17 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         raise DomainViolationError("outside the convergence domain")
     ref = green_value(variant, m, wp.beta, cfg.theta_spherical()).value
     if variant == FRAK_MINUS:
-        c = _cgamma(nu + mu + 1.0) / _cgamma(nu - mu + 1.0)
+        c = norm * gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
         parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
     else:
-        c = 0.5 * _cgamma(nu + mu + 1.0) * _cgamma(mu - nu)
+        # the addition theorem's 2^mu times the closed form's constant
+        c = 2.0 ** mu * _sphere_constant(wp)
         parts = [("FP", True, 1.0)]
         if variant == A_PLUS:
             # antipodal bracket: the unreflected parent series carries
             # (-1)^l, so odd orders add instead of subtract
             parts.append(("FP", False, -1.0))
-    return _spherical(norm * c, nu, mu, cfg, parts, ref, ratio, l_max,
+    return _spherical(c, nu, mu, cfg, parts, ref, ratio, l_max,
                       lowered=True)
 
 

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
-                       legendre_q, odd_ferrers_f)
+from .legendre import ferrers_p, ferrers_q, legendre_q, odd_ferrers_f
 from .result import CANDIDATE, EvalResult, merge_flags
 from .specfun import _lgamma, cyl
 
@@ -171,21 +170,19 @@ def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
     return _hyperboloid_body(wp.manifold, wp.nu, wp.mu, rho)
 
 
-def _sphere_prefactor(wp: WaveParams, rho: float) -> complex:
-    """Gamma(nu+mu+1) Gamma(mu-nu) sin(rho)^{-mu}
-    / (2^{d/2+1} pi^{d/2} R^{d-2})."""
+def _sphere_constant(wp: WaveParams) -> complex:
+    """Gamma(nu+mu+1) Gamma(mu-nu) / (2^{d/2+1} pi^{d/2} R^{d-2}), formed
+    from log-gammas, so it stays finite where a gamma alone overflows."""
     d, R = wp.manifold.d, wp.manifold.R
     lg = _lgamma(wp.nu + wp.mu + 1.0) + _lgamma(wp.mu - wp.nu)
     lg -= ((0.5 * d + 1.0) * math.log(2.0) + 0.5 * d * math.log(math.pi)
            + (d - 2.0) * math.log(R))
-    return cmath.exp(lg) * math.sin(rho) ** (-wp.mu)
+    return cmath.exp(lg)
 
 
-def _p_reflected(nu, mu: float, rho: float) -> EvalResult:
-    """FP_nu^{-mu}(-cos rho); dispatches on the sign of mu."""
-    if mu > 0:
-        return ferrers_p_reflected(nu, mu, math.cos(rho))
-    return ferrers_p(nu, -mu, -math.cos(rho))
+def _sphere_prefactor(wp: WaveParams, rho: float) -> complex:
+    """_sphere_constant(wp) sin(rho)^{-mu}."""
+    return _sphere_constant(wp) * math.sin(rho) ** (-wp.mu)
 
 
 def _sphere_body(wp: WaveParams, rho: float, antipodal: bool,
@@ -194,7 +191,7 @@ def _sphere_body(wp: WaveParams, rho: float, antipodal: bool,
     times f_nu^{-mu}(cos rho) (A_PLUS, AF_MINUS, FRAKA_MINUS)."""
     pre = _sphere_prefactor(wp, rho)
     if not antipodal:
-        return _p_reflected(wp.nu, wp.mu, rho).scaled(pre)
+        return ferrers_p(wp.nu, -wp.mu, -math.cos(rho)).scaled(pre)
     f = odd_ferrers_f(wp.nu, -wp.mu, math.cos(rho))
     return f.scaled(pre if fac is None else pre * fac)
 
@@ -266,7 +263,7 @@ def sphere_candidate_minus(variant: str, wp: WaveParams,
             "beta within refusal window of a Laplace-Beltrami eigenvalue")
     if variant == "FRAK":
         pre = _sphere_prefactor(wp, rho)
-        pm = _p_reflected(wp.nu, wp.mu, rho)
+        pm = ferrers_p(wp.nu, -wp.mu, -math.cos(rho))
         pp = ferrers_p(wp.nu, -wp.mu, math.cos(rho))
         phase = cmath.exp(1j * math.pi * (wp.nu - wp.mu))
         out = EvalResult(pm.value - phase * pp.value,

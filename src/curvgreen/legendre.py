@@ -6,8 +6,8 @@ functions,
 * ``P_nu^mu(z)``, ``Q_nu^mu(z)`` on z > 1 (Q carries the e^{i pi mu}
   phase of the classical second-kind function),
 * Ferrers functions ``FP_nu^mu(x)``, ``FQ_nu^mu(x)`` on -1 < x < 1,
-* the reflected first-kind function FP_nu^{-mu}(-x) through its
-  numerically benign hypergeometric form,
+* the reflected first-kind function FP_nu^{-mu}(-x), which is FP at
+  -mu and -x,
 * the odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x),
 * elementary closed forms for half-odd-integer orders lifted by the
   order recurrence (an evaluation path independent of the
@@ -109,60 +109,48 @@ def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
     """FP_nu^{-m}(cos angle), or P_nu^{-m}(cosh angle) if hyperbolic, by
     the Mehler-Dirichlet integral (DLMF 14.12), Re m > -1/2.
 
-    One integral on both geometries: sin/cos on the sphere, sinh/cosh
-    on the hyperboloid, where the kernel cosh((nu + 1/2) t) oscillates
-    for conical degrees and grows for real ones, matching the I/J
-    character of the function.  Integrates in the distance h from the
-    singular endpoint so that cos t - cos angle can be formed as
+    One integrand for every geometry, degree and order: sin/cos on the
+    sphere, sinh/cosh on the hyperboloid, the kernel cos((nu + 1/2) t)
+    in real arithmetic when nu + 1/2 is real or imaginary
+    (cos(i tau t) = cosh(tau t)).  It is integrated in the distance h
+    from the singular endpoint, cos t - cos angle formed as
     2 sin(angle - h/2) sin(h/2), whose power m - 1/2 the quadrature's
-    endpoint map takes.
-
-    On the sphere at a conical degree nu + 1/2 = i tau and an integer
-    m, the integral is taken in u = sqrt(h) instead,
-    2 u cosh(tau (angle - u^2)) (2 sin(angle - u^2/2) sin(u^2/2))^(m-1/2),
-    analytic at u = 0 and real.  Its estimate adds the rule's weight
-    defect and the rounding of the phase, eps (4 + |tau| angle), as
-    shares of the value.
+    endpoint map takes (u = sqrt(h) at an integer m, where the
+    integrand is analytic in u).  A real degree from m = 3/2 on takes
+    h = u^(1/(m + 1/2)), which removes the power: there the integrand
+    cancels to well below its size, and the analytic map stopped on
+    rounding-level estimates farther off (ferrers_q(25.3, 2, 0.921)
+    1.4e-10 against 4.5e-11).  The estimate adds the rule's weight
+    defect and the rounding of the phase, eps (4 + |nu + 1/2| angle),
+    as shares of the value.
     """
     nu = complex(nu)
     m = float(complex(m).real)
-    sin, cos = (math.sinh, cmath.cosh) if hyperbolic else (math.sin, cmath.cos)
+    sin = math.sinh if hyperbolic else math.sin
     kern = nu + 0.5
+    if kern.imag == 0.0:
+        a, cos = kern.real, math.cosh if hyperbolic else math.cos
+    elif kern.real == 0.0:
+        a, cos = kern.imag, math.cos if hyperbolic else math.cosh
+    else:
+        a, cos = kern, cmath.cosh if hyperbolic else cmath.cos
     pre = math.sqrt(2.0 / math.pi) * sin(angle) ** (-m) / _cgamma(m + 0.5)
-    if not hyperbolic and kern.real == 0.0 and m == round(m):
-        tau = kern.imag
-
-        def g(u):
-            h = u * u
-            base = 2.0 * math.sin(angle - 0.5 * h) * math.sin(0.5 * h)
-            return 2.0 * u * math.cosh(tau * (angle - h)) * base ** (m - 0.5)
-
-        q = quadrature.quad(g, 0.0, math.sqrt(angle), tol=1e-260,
-                            rel_tol=_QUAD_RTOL, max_panels=60000).scaled(pre)
-        # g > 0, so the rule's weight defect is a share of the value, as
-        # is the rounding of the phase tau (angle - h)
-        share = quadrature.K15_DEFECT + _EPS * (4.0 + abs(tau) * angle)
-        return EvalResult(q.value, q.abs_err_est + share * abs(q.value),
-                          q.terms_used)
 
     def f(h):
         base = 2.0 * sin(angle - 0.5 * h) * sin(0.5 * h)
-        return cos(kern * (angle - h)) * base ** (m - 0.5)
+        return cos(a * (angle - h)) * base ** (m - 0.5)
 
-    g, top, hint = f, angle, ("left_alg", 0.5 - m)
-    if m >= 1.5:
-        # From m = 3/2 on, h = u^k with k = 1/(m + 1/2) removes the
-        # power: at a real large degree the integrand cancels to well
-        # below its size, and the analytic map at the denominator of
-        # m - 1/2 (which the hint takes) stopped on rounding-level
-        # estimates farther off, e.g. ferrers_q(25.3, 2, 0.921) 1.4e-10
-        # against 4.5e-11
-        k = 1.0 / (1.0 - (0.5 - m))
+    p = 0.5 - m
+    g, top, hint = f, angle, ("left_alg", p)
+    if kern.imag == 0.0 and m >= 1.5:
+        k = 1.0 / (1.0 - p)
         g, top, hint = (lambda u: f(u ** k) * k * u ** (k - 1.0),
                         angle ** (1.0 / k), None)
     q = quadrature.quad(g, 0.0, top, tol=1e-260, rel_tol=_QUAD_RTOL,
-                        hint=hint, max_panels=60000)
-    return q.scaled(pre)
+                        hint=hint, max_panels=60000).scaled(pre)
+    share = quadrature.K15_DEFECT + _EPS * (4.0 + abs(kern) * angle)
+    return EvalResult(q.value, q.abs_err_est + share * abs(q.value),
+                      q.terms_used)
 
 
 def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
@@ -687,26 +675,13 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     return out.scaled(pre)
 
 
-@_refuse_overflow("reflected FP")
 def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
-    """FP_nu^{-mu}(-x) for Re mu > 0 via the (1+x)/2 hypergeometric form.
-
-    Stable where the reflection connection would subtract two O(1)
-    terms, i.e. near x = -1 where the value itself vanishes like
-    (1 - x^2)^{mu/2}.
-    """
-    x = _check_ferrers(x)
-    nu, mu = complex(nu), complex(mu)
-    if not mu.real > 0:
+    """FP_nu^{-mu}(-x) for Re mu > 0: ``ferrers_p(nu, -mu, -x)``, whose
+    series at -x is the (1 + x)/2 hypergeometric form, stable near
+    x = -1 where the value vanishes like (1 - x^2)^{mu/2}."""
+    if not complex(mu).real > 0:
         raise DomainError("ferrers_p_reflected requires Re mu > 0")
-    theta = math.acos(x)
-    loss = _degree_loss(nu, math.cos(theta / 2.0))
-    if loss <= _LOSS_MAX:
-        return _p_series(nu, -mu, -x, (1.0 - x) / (1.0 + x))
-    # the angle of -x as pi - theta: acos(-x) differs in the last bits,
-    # which moves the Mehler quadrature's outcomes near its zeros
-    return _large_degree("FP", nu, -mu, -x,
-                         _ferrers_at_neg(nu, -x, math.pi - theta))
+    return ferrers_p(nu, -mu, -x)
 
 
 def odd_ferrers_f(nu, mu, x: float) -> EvalResult:

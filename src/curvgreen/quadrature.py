@@ -65,6 +65,7 @@ _WG = (
 )
 
 
+_MAX_DEPTH = 60  # the most bisections of one panel
 # see the module docstring
 K15_DEFECT = 1.0 - 0.5 * (_WK[7] + 2.0 * sum(_WK[:7]))
 
@@ -117,8 +118,7 @@ def _substitute(f, a, b, hint):
     return g, 0.0, (b - a) ** (1.0 / q)
 
 
-def quad(f, a, b, tol=1e-10, rel_tol=0.0, hint=None, max_depth=60,
-         max_panels=20000):
+def quad(f, a, b, tol=1e-10, rel_tol=0.0, hint=None, max_panels=20000):
     """Adaptively integrate ``f`` over [a, b].
 
     Parameters
@@ -134,8 +134,6 @@ def quad(f, a, b, tol=1e-10, rel_tol=0.0, hint=None, max_depth=60,
         estimate is below ``max(tol, rel_tol * |integral|)``.
     hint : None or (str, float)
         Endpoint singularity hint, see module docstring.
-    max_depth : int
-        Maximum bisection depth per panel.
 
     Returns
     -------
@@ -162,9 +160,9 @@ def quad(f, a, b, tol=1e-10, rel_tol=0.0, hint=None, max_depth=60,
                 f"quadrature did not converge within {max_panels} panels "
                 f"(err={total_err:.3e}, target={tol:.3e})")
         neg, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise NoConvergenceError(
-                f"quadrature hit depth {max_depth} with residual error "
+                f"quadrature hit depth {_MAX_DEPTH} with residual error "
                 f"{total_err:.3e} > {tol:.3e}")
         pm = 0.5 * (pa + pb)
         v1, e1 = _panel(g, pa, pm)

@@ -871,16 +871,30 @@ def env_h(kind: str, mu: float, x: float) -> float:
 # Orthogonal polynomials
 # ----------------------------------------------------------------------
 
+def _gegenbauer_terms(mu, x):
+    """Yield C_l^mu(x), l = 0, 1, ..., by the three-term recurrence, in
+    complex arithmetic; at mu = 0, where C_l^0 = 0 for l >= 1, the
+    Chebyshev T_l(x) = (l/2) lim C_l^mu(x)/mu instead."""
+    if mu == 0:
+        t_prev, t = 1.0, x
+        yield 1.0
+        while True:
+            yield t
+            t_prev, t = t, 2.0 * x * t - t_prev
+    mu = complex(mu)
+    c_prev, c = 1.0 + 0.0j, 2.0 * mu * x
+    yield c_prev
+    for k in itertools.count(2):
+        yield c
+        c_prev, c = c, (2.0 * x * (k + mu - 1.0) * c
+                        - (k + 2.0 * mu - 2.0) * c_prev) / k
+
+
 def chebyshev_t(n: int, x: float) -> float:
     """Chebyshev polynomial of the first kind, T_n(cos psi) = cos(n psi)."""
     if n < 0:
         raise DomainError("chebyshev_t requires n >= 0")
-    if n == 0:
-        return 1.0
-    tm, t = 1.0, x
-    for _ in range(n - 1):
-        tm, t = t, 2.0 * x * t - tm
-    return t
+    return next(itertools.islice(_gegenbauer_terms(0, x), n, None))
 
 
 def gegenbauer_c(n: int, mu, x):
@@ -894,16 +908,9 @@ def gegenbauer_c(n: int, mu, x):
     mu = complex(mu)
     if abs(mu.imag) == 0.0 and mu.real <= -0.5:
         raise DomainError("gegenbauer_c requires mu > -1/2")
-    if n == 0:
-        out = 1.0 + 0.0j
-    elif n == 1:
-        out = 2.0 * mu * x
-    else:
-        cm, cc = 1.0 + 0.0j, 2.0 * mu * x
-        for k in range(2, n + 1):
-            cm, cc = cc, (2.0 * x * (k + mu - 1.0) * cc
-                          - (k + 2.0 * mu - 2.0) * cm) / k
-        out = cc
+    if mu == 0:
+        return float(n == 0)
+    out = next(itertools.islice(_gegenbauer_terms(mu, x), n, None))
     if out.imag == 0.0:
         return out.real
     return out

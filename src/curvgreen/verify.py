@@ -145,11 +145,10 @@ def _sphere_integral(variant, wp, tol=1e-9, lo=0.0, hi=math.pi):
     mid = 0.5 * (lo + hi)
     parts = []
     if lo < mid:
-        parts.append(quad(integrand, max(lo, 1e-13), mid, tol=0.5 * tol,
-                          max_depth=60))
+        parts.append(quad(integrand, max(lo, 1e-13), mid, tol=0.5 * tol))
     if mid < hi:
         parts.append(quad(integrand, mid, min(hi, math.pi - 1e-13),
-                          tol=0.5 * tol, max_depth=60))
+                          tol=0.5 * tol))
     total = sum(p.value for p in parts)
     return sphere_surface_measure(d, 1.0) * R ** d * total
 

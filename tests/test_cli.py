@@ -93,6 +93,20 @@ class TestExpand:
         assert out == ""
         assert capsys.readouterr().err.startswith("error[RANGE]")
 
+    @pytest.mark.parametrize("variant", ["SF_MINUS", "FRAK_MINUS"])
+    def test_large_beta_is_a_report_or_a_refusal(self, capsys, variant):
+        # Gamma(nu + mu + 1) alone overflows at beta = 180.3: a flagged
+        # report or a typed error, never a traceback
+        code, out = capture([
+            "expand", "--variant", variant, "--manifold", "hypersphere",
+            "--d", "3", "--beta", "180.3", "--theta", "0.3",
+            "--theta-prime", "0.5", "--gamma", "0.7"])
+        if code == 0:
+            assert "NONCONVERGENT" in json.loads(out)["flags"]
+        else:
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err.startswith("error[")
+
     def test_overflowing_bessel_term_is_a_range_error(self, capsys):
         # the flat expansion's K_m(0.6) leaves the double range at m = 139
         code, out = capture([

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from curvgreen import expansions, legendre
-from curvgreen.errors import (DomainError, DomainViolationError, RangeError,
+from curvgreen.errors import (CurvGreenError, DomainError,
+                              DomainViolationError, RangeError,
                               UndefinedError, WrongCaseError)
 from curvgreen.expansions import (TwoPointConfig,
                                   addition_ferrers, addition_legendre,
@@ -211,6 +212,20 @@ class TestGreenExpansions:
         wp = WaveParams(ManifoldSpec(HYPERBOLOID, 3, 1.0), 1.0, PLUS)
         rep = green_expansion("H_PLUS", wp, TwoPointConfig(0.6, 1.1, 0.7), 40)
         assert NONCONVERGENT not in rep.flags
+
+    @pytest.mark.parametrize("variant", ["SF_MINUS", "FRAK_MINUS"])
+    def test_large_beta_prefactor_stays_finite(self, variant):
+        # Gamma(nu + mu + 1) alone overflows at nu ~ 180; the prefactor
+        # is formed from log-gammas, so the cut-off series comes back
+        # flagged instead of raising a bare OverflowError
+        wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 180.3, MINUS)
+        try:
+            rep = green_expansion(variant, wp, TwoPointConfig(0.3, 0.5, 0.7),
+                                  60)
+        except CurvGreenError:
+            return  # a typed refusal is an allowed outcome
+        assert NONCONVERGENT in rep.flags
+        assert math.isfinite(abs(rep.value))
 
     def test_rejects_equal_radii(self):
         wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 1.3, PLUS)

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvgreen import legendre
 from curvgreen.errors import (CurvGreenError, DomainError, NoConvergenceError,
@@ -126,6 +128,7 @@ class TestMehlerKernel:
             ref = complex(ref)
         got = _mehler_p(nu, m, angle, hyperbolic)
         assert relerr(got.value, ref) < 1e-13
+        assert abs(got.value - ref) <= got.abs_err_est
         assert got.terms_used > 0
 
 
@@ -336,6 +339,27 @@ class TestFerrersPReflected:
     def test_requires_positive_order(self):
         with pytest.raises(DomainError):
             ferrers_p_reflected(1.0, -0.5, 0.3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(st.floats(0.0, 60.0),
+                     st.floats(0.0, 60.0).map(lambda t: complex(-0.5, t))),
+           st.floats(0.0, 2.0, exclude_min=True),
+           st.floats(-0.999, 0.999))
+    def test_is_ferrers_p_at_minus_order_and_argument(self, nu, mu, x):
+        """Bit for bit, on every route: value, estimate, panel or term
+        count and flags, or the same refusal."""
+        def outcome(fn, *args):
+            try:
+                r = fn(*args)
+            except CurvGreenError as e:
+                return type(e), str(e)
+            v = complex(r.value)
+            return (repr(v.real), repr(v.imag), repr(r.abs_err_est),
+                    r.terms_used, sorted(r.flags))
+
+        assert outcome(ferrers_p_reflected, nu, mu, x) \
+            == outcome(ferrers_p, nu, -mu, -x)
 
 
 class TestOddFerrers:

@@ -1,14 +1,15 @@
 """Compare benchmark op outcomes between a git revision and this checkout.
 
-    python3 tools/opdiff.py REV [--workload expand] [--seeds 1 2 3]
-                            [--by-cell]
+    python3 tools/opdiff.py REV [--workload expand [large_degree ...]]
+                            [--seeds 1 2 3] [--by-cell]
 
-Builds each seed's op list with ``perfbench/workloads.generate`` (this
-checkout's copy, imported read-only, at the benchmark's 10-second run
-length) and runs it twice, each time in a fresh interpreter: through the
+For each workload named (``expand`` by default) builds each seed's op
+list with ``perfbench/workloads.generate`` (this checkout's copy,
+imported read-only, at the benchmark's 10-second run length) and runs
+it twice, each time in a fresh interpreter: through the
 library at REV, exported with ``git archive`` into a temporary
-directory, and through ``src/`` of this checkout.  For every seed it
-prints one JSON line:
+directory, and through ``src/`` of this checkout.  For every workload
+and seed it prints one JSON line:
 
 * ``ops``, ``identical`` (bit-identical outcome), ``raise_to_value``,
   ``value_to_raise``, ``raise_changed`` (another exception type),
@@ -33,7 +34,7 @@ new], the gap being |measured - target| (null for a row missing on one
 side).
 
 With ``--by-cell`` each seed's line is followed by one line per
-(variant, d) cell of its ops, sorted by cell:
+(variant, d) cell of its ops, sorted by cell: ``workload``, ``seed``,
 ``cell`` and that cell's ``identical``, ``closer``, ``farther``,
 ``farther_2ulp`` and ``max_farther``.
 
@@ -147,7 +148,7 @@ def compare(ops, old, new, refs) -> dict:
     return res
 
 
-def _print_cells(seed, ops, old, new, refs) -> None:
+def _print_cells(workload, seed, ops, old, new, refs) -> None:
     """compare's CELL_KEYS for each (variant, d) cell of the ops."""
     cells = {}
     for i, op in enumerate(ops):
@@ -155,7 +156,8 @@ def _print_cells(seed, ops, old, new, refs) -> None:
     for cell, idx in sorted(cells.items()):
         res = compare(*([seq[i] for i in idx] for seq in (ops, old, new,
                                                           refs)))
-        print(json.dumps({"seed": seed, "cell": list(cell),
+        print(json.dumps({"workload": workload, "seed": seed,
+                          "cell": list(cell),
                           **{k: res[k] for k in CELL_KEYS}}), flush=True)
 
 
@@ -189,7 +191,8 @@ def _print_verify_rows(seed, old, new) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev", nargs="?")
-    ap.add_argument("--workload", default="expand", choices=workloads.NAMES)
+    ap.add_argument("--workload", nargs="+", default=["expand"],
+                    choices=workloads.NAMES)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--by-cell", action="store_true",
                     help="also print the oracle counts of each (variant, d)")
@@ -208,19 +211,20 @@ def main() -> int:
                        check=True)
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(ORACLE_WORKERS) as pool:
-            for seed in args.seeds:
-                ops = [op for chunk in workloads.generate(
-                    args.workload, seed, SECONDS) for op in chunk]
-                old = _run_at(os.path.join(tmp, "src"), ops)
-                new = _run_at(os.path.join(ROOT, "src"), ops)
-                refs = pool.map(oracle.reference, ops, chunksize=32)
-                res = compare(ops, old, new, refs)
-                print(json.dumps({"rev": args.rev, "workload": args.workload,
-                                  "seed": seed, **res}), flush=True)
-                if args.workload == "verify":
-                    _print_verify_rows(seed, old, new)
-                if args.by_cell:
-                    _print_cells(seed, ops, old, new, refs)
+            for workload in args.workload:
+                for seed in args.seeds:
+                    ops = [op for chunk in workloads.generate(
+                        workload, seed, SECONDS) for op in chunk]
+                    old = _run_at(os.path.join(tmp, "src"), ops)
+                    new = _run_at(os.path.join(ROOT, "src"), ops)
+                    refs = pool.map(oracle.reference, ops, chunksize=32)
+                    res = compare(ops, old, new, refs)
+                    print(json.dumps({"rev": args.rev, "workload": workload,
+                                      "seed": seed, **res}), flush=True)
+                    if workload == "verify":
+                        _print_verify_rows(seed, old, new)
+                    if args.by_cell:
+                        _print_cells(workload, seed, ops, old, new, refs)
     return 0
 
 
