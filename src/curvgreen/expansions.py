@@ -60,8 +60,7 @@ from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
 from .legendre import (ferrers_p, ferrers_q, legendre_p, legendre_q,
                        order_sequence)
 from .result import NONCONVERGENT
-from .specfun import (_cgamma, _cyl, _gegenbauer_terms, _near_nonpos_int,
-                      gamma_ratio)
+from .specfun import _cgamma, _cyl, _gegenbauer_terms, gamma_ratio
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -285,9 +284,6 @@ def addition_legendre(kind: str, nu, mu, cfg: TwoPointConfig,
         raise DomainError("radial coordinates must be positive")
     if not cfg.distinct:
         raise DomainViolationError("addition theorem requires r != r'")
-    hit, _ = _near_nonpos_int(complex(nu) + 1.0)
-    if hit:
-        raise DomainError("degree nu must avoid the negative integers")
     nu, mu = complex(nu), complex(mu)
     outer = legendre_p if kind == "P" else legendre_q
     rho = cfg.rho_hyperbolic()
@@ -320,7 +316,11 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
     weights, 'PmPmmx'/'QmPmmx' the reflected-argument forms.  Requires
     Re mu > -1/2; mu = 0 gives the Chebyshev limit forms.  The
     convergence predicate is evaluated first; all kinds except 'PmPm'
-    also require theta != theta'.
+    also require theta != theta'.  Any degree is taken, nu = mu and
+    negative integers included: a term whose FQ factor has a pole where
+    its Pochhammer weight vanishes is their finite product (see
+    order_sequence), and what stays undefined is refused by the
+    left-hand side's own ferrers_p or ferrers_q call.
     """
     if kind not in _FERRERS_KINDS:
         raise DomainError(f"kind must be one of {tuple(_FERRERS_KINDS)}")
@@ -329,9 +329,6 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
     nu, mu = complex(nu), complex(mu)
     if mu.real <= -0.5:
         raise DomainError("requires Re mu > -1/2")
-    hit, _ = _near_nonpos_int(nu + 1.0)
-    if hit:
-        raise DomainError("degree nu must avoid the negative integers")
     needs_distinct = kind != "PmPm"
     ok, ratio = convergence_domain(cfg.lt, cfg.gt, needs_distinct)
     if not ok:
@@ -345,19 +342,6 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
     x_th = math.cos(big_theta)
     ref = (fn(nu, -mu if lowered else mu, -x_th if reflected else x_th).value
            / math.sin(big_theta) ** mu)
-
-    if kind == "PmQm" and abs(nu - mu) < 1e-8:
-        # removable term-by-term singularity: evaluate at perturbed
-        # degrees (well outside this detection window) and average
-        step = 1e-7 * (mu or 1.0)
-        up = addition_ferrers(kind, mu + step, mu, cfg, n_max)
-        dn = addition_ferrers(kind, mu - step, mu, cfg, n_max)
-        val = 0.5 * (up.value + dn.value)
-        return SeriesReport(val, up.terms + dn.terms, up.last_term_mag,
-                            up.est_ratio, True, ref,
-                            abs(val - ref) / max(abs(ref), 1e-300),
-                            up.flags | dn.flags)
-
     return _spherical(2.0 ** mu, nu, mu, cfg, [(large, reflected, 1.0)],
                       ref, ratio, n_max, lowered)
 

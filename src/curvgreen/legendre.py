@@ -361,6 +361,9 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     * lowered: forward on the weighted values (nu + mu + 1)_l (mu - nu)_l
       F^{-(mu+l)}, m = mu + l, by
       h_{l+2} = s (2 (m + 1) c h_{l+1} - (nu + m + 1)(m - nu) h_l);
+      for FQ, h_1 = s (2 mu c FQ^{-mu} - FQ^{1-mu}) is the same rule
+      one order up, so where a zero weight meets a pole of FQ (nu - mu
+      in N0) no value is drawn at or near that pole;
     * miller = n > 0 (lowered P or FP at z > 1 or x > 0, unweighted):
       the first n values of the solution minimal in the order, by
       Miller's backward algorithm (Gil, Segura & Temme 2007, ch. 4; the
@@ -369,8 +372,9 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
 
     Forward recurrence is the caller's choice where an error growing
     like the dominant solution is harmless, as in a pair series whose
-    other factor is minimal.  An FQ at an undefined order raises
-    UndefinedError when the sequence reaches it, not before.
+    other factor is minimal.  A raised FQ or a lowered weighted FQ is
+    undefined at some l only where it is at l = 0, which ferrers_q
+    refuses.
     """
     hyperbolic = kind in ("P", "Q")
     c = arg / math.sqrt(arg * arg - 1.0 if hyperbolic else 1.0 - arg * arg)
@@ -394,12 +398,10 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     sign = s if lowered else -1.0
     a = b = None
     for l in count():
-        if kind == "FQ" and _fq_undefined(nu, -(mu + l) if lowered
-                                          else mu + l):
-            raise UndefinedError(f"FQ undefined at order {'-' * lowered}"
-                                 f"(mu + {l})")
         if l == 0:
             h = direct(0)
+        elif l == 1 and lowered and kind == "FQ":
+            h = s * (2.0 * mu * c * b - direct(-1))
         elif l == 1:
             h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
         else:

@@ -232,7 +232,7 @@ def gamma_ratio_asymptotic(a, b, tau: float, sign: int = +1) -> complex:
 # Gauss hypergeometric engine
 # ----------------------------------------------------------------------
 
-def _series_2f1(a, b, c, z, max_terms=_MAX_TERMS):
+def _series_2f1(a, b, c, z):
     """Defining series, unregularized.
 
     Takes complex arguments.  The caller has snapped a and b onto the
@@ -243,11 +243,11 @@ def _series_2f1(a, b, c, z, max_terms=_MAX_TERMS):
     out = None
     if (not (a.imag or b.imag or c.imag or z.imag)
             and math.isfinite(a.real + b.real + c.real + z.real)):
-        out = _series_loop(a.real, b.real, c.real, z.real, 1.0, max_terms)
+        out = _series_loop(a.real, b.real, c.real, z.real, 1.0)
         if not math.isfinite(out[1]):
             out = None  # complex inf/nan parts propagate differently
     if out is None:
-        out = _series_loop(a, b, c, z, 1.0 + 0.0j, max_terms)
+        out = _series_loop(a, b, c, z, 1.0 + 0.0j)
     total, total_abs, term, terms_used, near = out
     if not terms_used:
         raise NoConvergenceError("2F1 series did not settle within budget")
@@ -258,14 +258,14 @@ def _series_2f1(a, b, c, z, max_terms=_MAX_TERMS):
     return complex(total), err, terms_used, frozenset(flags)
 
 
-def _series_loop(a, b, c, z, one, max_terms):
+def _series_loop(a, b, c, z, one):
     """The loop of _series_2f1 in the arithmetic of ``one`` (float or
     complex): (total, sum of |terms|, last term, terms used or 0 if the
     budget ran out, whether a denominator fell below 1e-8)."""
     # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
     # can set NEAR_POLE, and only if the loop reaches it
-    n0 = float(round(-c.real)) if -0.5 < -c.real < max_terms else -1.0
-    n_max = float(max_terms)  # float-float comparisons are the fast ones
+    n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
+    n_max = float(_MAX_TERMS)  # float-float comparisons are the fast ones
     near = False
     term = total = one
     total_abs = 1.0
@@ -840,7 +840,10 @@ def _cyl(kind, mu, x):
 
 
 def _hankel_env(j, y, j1, y1, x):
-    """sqrt(|H_mu|^2 + min(1, x^2) |H_mu+1|^2) from J and Y at mu, mu+1."""
+    """sqrt(|H_mu|^2 + min(1, x^2) |H_mu+1|^2) from J and Y at mu, mu+1;
+    |H_mu| alone where Y_mu+1 overflows (x << mu: H_mu has no zero near)."""
+    if not math.isfinite(y1):
+        return math.hypot(j, y)
     m = min(1.0, x)
     return math.hypot(j, y, m * j1, m * y1)
 

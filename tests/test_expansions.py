@@ -10,7 +10,7 @@ import pytest
 from curvgreen import expansions, legendre
 from curvgreen.errors import (CurvGreenError, DomainError,
                               DomainViolationError, RangeError,
-                              UndefinedError, WrongCaseError)
+                              WrongCaseError)
 from curvgreen.expansions import (TwoPointConfig,
                                   addition_ferrers, addition_legendre,
                                   addition_special, convergence_domain,
@@ -73,19 +73,68 @@ class TestAdditionFerrers:
         assert rep.terms <= 4
         assert rep.rel_err < 1e-10
 
-    def test_undefined_fq_refused_only_when_reached(self):
-        # nu - mu = 2: the weight vanishes from l = 3 on, where FQ is
-        # undefined; a series that stops before l = 3 is not refused
-        rep = addition_ferrers("PmQm", 2.3, 0.3, CFG_S, 3)
-        assert rep.terms == 3 and math.isfinite(abs(rep.value))
-        with pytest.raises(UndefinedError):
-            addition_ferrers("PmQm", 2.3, 0.3, CFG_S, 4)
+    def test_pmqm_where_nu_minus_mu_is_a_positive_integer(self):
+        # FQ^{-(mu+l)} has a pole from l = nu - mu + 1 on, where the
+        # Pochhammer weight vanishes; the series takes their finite
+        # product and reaches the left-hand side
+        for cfg in (CFG_S, TwoPointConfig(0.5, 0.9, 0.7),
+                    TwoPointConfig(0.3, 1.2, 2.0)):
+            for mu in (0.0, 0.3, 1.1):
+                for n in (1, 2):
+                    rep = addition_ferrers("PmQm", mu + n, mu, cfg, 80)
+                    assert rep.rel_err < 1e-12, (cfg, mu, n)
 
     def test_nu_equals_mu_q_kind_limit(self):
-        # removable term-by-term singularity handled by extrapolation
-        mu = 1.4
-        rep = addition_ferrers("PmQm", mu, mu, CFG_S, 60)
-        assert rep.rel_err < 1e-6
+        # the weight (mu - nu) of every term from l = 1 on vanishes where
+        # FQ^{-(mu+1)} has its pole; the series takes the finite product
+        for mu in (0.0, 0.5, 1.4, 2.0):
+            rep = addition_ferrers("PmQm", mu, mu, CFG_S, 60)
+            assert rep.rel_err < 1e-13, mu
+
+    @pytest.mark.parametrize("delta", [1e-9, 5e-9])
+    @pytest.mark.parametrize("mu", [0.7, 1.4])
+    def test_pmqm_near_nu_equals_mu(self, mu, delta):
+        # the value at the degree asked for, not at nu = mu
+        mpmath = pytest.importorskip("mpmath")
+        cfg = TwoPointConfig(0.5, 0.9, 0.7)
+        nu = mu + delta
+        rep = addition_ferrers("PmQm", nu, mu, cfg, 80)
+        with mpmath.workdps(30):
+            th = mpmath.mpf(cfg.theta_spherical())
+            want = complex(mpmath.legenq(mpmath.mpf(nu), -mpmath.mpf(mu),
+                                         mpmath.cos(th), type=2)
+                           / mpmath.sin(th) ** mpmath.mpf(mu))
+        assert abs(rep.value - want) / abs(want) < 1e-13
+
+    @pytest.mark.parametrize("nu", [-1.0, -2.0, -3.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.0, 1.5])
+    def test_negative_integer_degrees(self, nu, mu):
+        # P_{-1-n} = P_n: a negative integer degree is a degree like any
+        # other, refused only where the left-hand side is undefined, and
+        # then with the left-hand side's error
+        rho, th = CFG_H.rho_hyperbolic(), CFG_S.theta_spherical()
+        lhs = {"P": lambda: legendre_p(nu, mu, math.cosh(rho)),
+               "Q": lambda: legendre_q(nu, mu, math.cosh(rho)),
+               "PmPp": lambda: ferrers_p(nu, mu, math.cos(th)),
+               "PmQp": lambda: ferrers_q(nu, mu, math.cos(th)),
+               "PmPm": lambda: ferrers_p(nu, -mu, math.cos(th)),
+               "PmQm": lambda: ferrers_q(nu, -mu, math.cos(th)),
+               "PmPmmx": lambda: ferrers_p(nu, -mu, -math.cos(th)),
+               "QmPmmx": lambda: ferrers_q(nu, -mu, -math.cos(th))}
+
+        def series(kind):
+            if kind in ("P", "Q"):
+                return addition_legendre(kind, nu, mu, CFG_H, 60)
+            return addition_ferrers(kind, nu, mu, CFG_S, 80)
+
+        for kind, left in lhs.items():
+            try:
+                left()
+            except CurvGreenError as exc:
+                with pytest.raises(type(exc)):
+                    series(kind)
+                continue
+            assert series(kind).rel_err < 1e-13, kind
 
     def test_half_order_trig_specialization(self):
         # sin((nu+1/2) Theta)/sin Theta reconstruction at mu = 1/2

@@ -18,7 +18,7 @@ from curvgreen.greens import green_value
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
-from curvgreen.result import EvalResult
+from curvgreen.result import NEAR_POLE, EvalResult
 from curvgreen.specfun import gamma_ratio, gegenbauer_c
 
 
@@ -86,6 +86,24 @@ class TestLegendreQ:
         # OverflowError must not escape
         with pytest.raises(RangeError):
             legendre_q(8.3378, mu, math.cosh(1.8056))
+
+    @pytest.mark.parametrize("nu,mu", [(-1.5, 0.5), (-1.5, -0.5),
+                                       (-2.5, 1.5), (-2.5, 0.5),
+                                       (-2.5, -0.5), (-3.5, 0.5)])
+    @pytest.mark.parametrize("z", [1.3, 3.0])
+    def test_anomalous_degree_paired_poles(self, nu, mu, z):
+        # nu + 3/2 in -N0 and nu + mu + 1 in -N: the two gamma poles
+        # cancel; the limit is mpmath's mean at nu +- 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        got = legendre_q(nu, mu, z)
+        with mpmath.workdps(80):
+            d = mpmath.mpf("1e-8")
+            want = complex(sum(mpmath.legenq(nu + s * d, mu, mpmath.mpf(z),
+                                             type=3) for s in (1, -1)) / 2)
+        err = abs(got.value - want)
+        assert err < 1e-9 * abs(want)
+        assert err <= got.abs_err_est
+        assert NEAR_POLE in got.flags
 
     def test_half_odd_closed_form(self):
         r = 1.0
@@ -661,15 +679,33 @@ class TestOrderSequence:
                 next(order_sequence(kind, 0.7, 0.5, 0.3 if kind[0] == "F"
                                     else 1.3, lowered, miller=5))
 
-    def test_fq_refuses_only_the_undefined_order(self):
-        # nu - mu = 2: FQ_nu^{-(mu+l)} is undefined from l = 3 on, where
-        # the weight vanishes; the orders before it are returned
+    def test_fq_weighted_values_through_removable_poles(self):
+        # nu - mu in N0: FQ_nu^{-(mu+l)} has a pole from l = nu - mu + 1
+        # on, where the weight (mu - nu)_l vanishes; the weighted values
+        # are the finite limits, which mpmath gives as the mean of
+        # nu +- 1e-8 (nearer offsets lose digits inside mpmath itself)
+        from itertools import islice
+
         from curvgreen.legendre import order_sequence
-        seq = order_sequence("FQ", 2.3, 0.3, 0.4, lowered=True)
-        head = [next(seq) for _ in range(3)]
-        assert all(cmath.isfinite(v) and v != 0 for v in head)
-        with pytest.raises(UndefinedError, match="FQ undefined"):
-            next(seq)
+        mpmath = pytest.importorskip("mpmath")
+
+        def weighted(nu, mu, x, l):
+            with mpmath.workdps(80):
+                w = mpmath.rf(nu + mu + 1, l) * mpmath.rf(mu - nu, l)
+                return w * mpmath.legenq(nu, -(mu + l), x, type=2)
+
+        for nu, mu, x in ((2.3, 0.3, 0.4), (1.7, 0.7, -0.6),
+                          (0.7, 0.7, 0.3)):
+            seq = list(islice(order_sequence("FQ", nu, mu, x, lowered=True),
+                              12))
+            nu_mp, mu_mp, x_mp = (mpmath.mpf(v) for v in (nu, mu, x))
+            for l, got in enumerate(seq):
+                with mpmath.workdps(80):
+                    want = complex((weighted(nu_mp + mpmath.mpf("1e-8"),
+                                             mu_mp, x_mp, l)
+                                    + weighted(nu_mp - mpmath.mpf("1e-8"),
+                                               mu_mp, x_mp, l)) / 2)
+                assert relerr(got, want) < 1e-13, (nu, mu, x, l)
 
 
 # the public functions on the large-degree ladder as (nu, mu, theta) ->

@@ -1,0 +1,97 @@
+"""tools/opdiff.py classifies planted outcome changes correctly."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools",
+                     "opdiff.py")
+
+
+@pytest.fixture(scope="module")
+def opdiff():
+    spec = importlib.util.spec_from_file_location("opdiff", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ULP = 2.0 ** -52
+OP = ("green", "S_PLUS", 3, 1.0, 0.5)
+
+
+def _ok(value, terms=5, flags=()):
+    return ["ok", value, 0.0, 1e-15, terms, list(flags)]
+
+
+def _raise(name):
+    return ["raise", name, "planted"]
+
+
+# (old outcome, new outcome) of each planted change; the oracle value is
+# 1 for every op
+_PLANTED = {
+    "identical": (_ok(1.0), _ok(1.0)),
+    "one_ulp": (_ok(1.0), _ok(1.0 + ULP)),
+    "wrong_value": (_ok(1.0), _ok(1.0 + 1e-9)),
+    "closer": (_ok(1.0 + 1e-12), _ok(1.0)),
+    "raise_to_value": (_raise("NoConvergenceError"), _ok(1.0 + 1e-10)),
+    "value_to_raise": (_ok(1.0), _raise("NoConvergenceError")),
+    "raise_changed": (_raise("NoConvergenceError"), _raise("RangeError")),
+    "flags_changed": (_ok(1.0), _ok(1.0, flags=["NEAR_POLE"])),
+    "terms_changed": (_ok(1.0), _ok(1.0, terms=6)),
+}
+
+
+def _compare(opdiff, *names):
+    pairs = [_PLANTED[n] for n in names]
+    return opdiff.compare([OP] * len(pairs), [p[0] for p in pairs],
+                          [p[1] for p in pairs], [1.0 + 0.0j] * len(pairs))
+
+
+def test_last_bit_move_is_farther_but_within_two_ulp(opdiff):
+    res = _compare(opdiff, "one_ulp")
+    assert (res["farther"], res["farther_2ulp"]) == (1, 0)
+    assert res["max_farther"] == ULP
+    assert res["identical"] == 0
+
+
+def test_wrong_value_is_farther_by_more_than_two_ulp(opdiff):
+    res = _compare(opdiff, "wrong_value")
+    assert (res["farther"], res["farther_2ulp"]) == (1, 1)
+    assert res["max_farther"] == pytest.approx(1e-9, rel=1e-6)
+    assert res["max_value_move"] == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_outcome_changes_are_counted_by_kind(opdiff):
+    names = tuple(_PLANTED)
+    res = _compare(opdiff, *names)
+    assert res["ops"] == len(names)
+    for key in ("identical", "raise_to_value", "value_to_raise",
+                "raise_changed", "flags_changed", "terms_changed",
+                "closer"):
+        assert res[key] == 1, key
+    assert (res["farther"], res["farther_2ulp"]) == (2, 1)
+    # identical, flags_changed and terms_changed keep their value
+    assert res["unchanged"] == 3
+    assert res["max_new_value_err"] == pytest.approx(1e-10, rel=1e-6)
+    assert len(res["examples"]) == opdiff.EXAMPLES
+
+
+def test_verify_rows_name_the_one_changed_row(opdiff):
+    rows = [{"check_id": "a", "status": "PASS", "measured": 1.0,
+             "target": 1.0},
+            {"check_id": "b", "status": "PASS", "measured": 2.0 + 1e-12,
+             "target": 2.0}]
+    old = json.dumps({"rows": rows})
+    moved = dict(rows[1], measured=2.0 + 3e-9, status="FAIL")
+    new = json.dumps({"rows": [rows[0], moved]})
+    got = opdiff.verify_rows(old, new)
+    assert len(got) == 1
+    assert got[0]["check_id"] == "b"
+    assert got[0]["status"] == ["PASS", "FAIL"]
+    assert got[0]["gap"] == [pytest.approx(1e-12, rel=1e-3),
+                             pytest.approx(3e-9, rel=1e-6)]
+    assert opdiff.verify_rows(old, old) == []

@@ -630,6 +630,21 @@ class TestCylinderKernel:
         assert cyl("I", 0.0, 709.0).value.real == pytest.approx(
             1.23154770670165e306, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["Y", "H1", "H2"])
+    @pytest.mark.parametrize("mu", [49.468793903737165, -49.468793903737165])
+    def test_next_order_overflow_keeps_the_value(self, kind, mu):
+        # Y_{|mu|+1} overflows there, Y_mu and H_mu do not
+        x = 2.5330444319838835e-05
+        got = cyl(kind, mu, x)
+        with mpmath.workdps(30):
+            ref = complex(_MP_CYL[kind](mu, x))
+        err = abs(got.value - ref)
+        assert err <= 1e-14 * abs(ref)
+        assert err <= got.abs_err_est <= 1e-13 * abs(ref)
+        # Y itself beyond the double range is still refused
+        with pytest.raises(RangeError):
+            cyl("Y", 30.0, 1e-9)
+
 
 class TestEnvelopes:
     def test_env_j_origin(self):
