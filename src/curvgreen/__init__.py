@@ -18,12 +18,12 @@ from .errors import (CurvGreenError, DomainError, DomainViolationError,
                      PoleError, RangeError, UndefinedError, WrongCaseError,
                      WrongVariantError)
 from .result import EvalResult
-from .specfun import (chebyshev_t, cyl, env_h, env_j, gamma,
+from .specfun import (Hyp2F1, chebyshev_t, cyl, env_h, env_j, gamma,
                       gamma_ratio_asymptotic, gauss_2f1, gegenbauer_c,
                       pochhammer, regularized_2f1)
-from .legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
-                       gegenbauer_function, half_odd_eval, legendre_p,
-                       legendre_q, odd_ferrers_f)
+from .legendre import (FerrersP, LegendreQ, ferrers_p, ferrers_p_reflected,
+                       ferrers_q, gegenbauer_function, half_odd_eval,
+                       legendre_p, legendre_q, odd_ferrers_f)
 from .geometry import (EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, AmbientPoint,
                        GeodesicPolarPoint, ManifoldSpec, embed,
                        geodesic_distance, radial_volume_weight,
@@ -35,8 +35,9 @@ from .asymptotics import (AsymptoticApprox, conical_large_tau,
 from .greens import (A_PLUS, AF_MINUS, ALL_VARIANTS, EUCLID_MINUS,
                      EUCLID_PLUS, FRAK_MINUS, FRAKA_MINUS, H_MINUS, H_PLUS,
                      LAPLACE_H, LAPLACE_S, MINUS, PLUS, S_PLUS, SF_MINUS,
-                     WaveParams, eigenvalue_poles, euclidean_green,
-                     green_value, hyperboloid_green, laplace_green,
+                     GreenKernel, WaveParams, eigenvalue_poles,
+                     euclidean_green, green_value, hyperboloid_green,
+                     laplace_green,
                      pole_proximity, sphere_candidate_minus,
                      sphere_green_antipodal_plus, sphere_green_plus)
 from .expansions import (SeriesReport, TwoPointConfig, addition_ferrers,

@@ -21,9 +21,10 @@ Degrees attached to each operator/manifold combination:
 
 with mu = d/2 - 1 throughout.
 
-Each closed form is written once, in one hyperboloid and one sphere body.
-``green_value`` dispatches through ``VARIANT_SPACES``, which maps each
-variant tag to its manifold kind and operator sign.
+Each closed form is written once, in ``GreenKernel`` (one variant at a
+fixed manifold and wavenumber, called with rho), which dispatches through
+``VARIANT_SPACES``, a map from variant tag to manifold kind and operator
+sign.  ``green_value`` and the per-case functions build one per call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import ferrers_p, ferrers_q, legendre_q, odd_ferrers_f
+from .legendre import FerrersP, LegendreQ, ferrers_q
 from .result import CANDIDATE, EvalResult, merge_flags
 from .specfun import _lgamma, cyl
 
@@ -151,23 +152,20 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
     raise DomainError("sign must be 'plus' or 'minus'")
 
 
-def _hyperboloid_body(m: ManifoldSpec, nu, mu: float,
+def _hyperboloid_body(m: ManifoldSpec, q: LegendreQ, mu: float,
                       rho: float) -> EvalResult:
-    """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d} sinh(rho)^{-mu} Q_nu^mu(cosh rho)."""
-    q = legendre_q(nu, mu, math.cosh(rho))
-    return q.scaled(cmath.exp(-1j * math.pi * mu)
-                    * (2.0 * math.pi) ** (-0.5 * m.d) * m.R ** (2 - m.d)
-                    * math.sinh(rho) ** (-mu))
+    """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d} sinh(rho)^{-mu} Q_nu^mu(cosh rho),
+    with q = LegendreQ(nu, mu)."""
+    return q(math.cosh(rho)).scaled(
+        cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * m.d)
+        * m.R ** (2 - m.d) * math.sinh(rho) ** (-mu))
 
 
 def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
     """Green's function on the hyperboloid at geodesic separation
     rho = d(x, x')/R > 0 (value real; imaginary residue is roundoff)."""
-    if wp.manifold.kind != HYPERBOLOID:
-        raise WrongVariantError("WaveParams is not a hyperboloid case")
-    if not rho > 0:
-        raise DomainError("rho must be positive")
-    return _hyperboloid_body(wp.manifold, wp.nu, wp.mu, rho)
+    return GreenKernel(H_PLUS if wp.sign == PLUS else H_MINUS, wp.manifold,
+                       wp.beta)(rho)
 
 
 def _sphere_constant(wp: WaveParams) -> complex:
@@ -180,22 +178,6 @@ def _sphere_constant(wp: WaveParams) -> complex:
     return cmath.exp(lg)
 
 
-def _sphere_prefactor(wp: WaveParams, rho: float) -> complex:
-    """_sphere_constant(wp) sin(rho)^{-mu}."""
-    return _sphere_constant(wp) * math.sin(rho) ** (-wp.mu)
-
-
-def _sphere_body(wp: WaveParams, rho: float, antipodal: bool,
-                 fac=None) -> EvalResult:
-    """pre FP_nu^{-mu}(-cos rho) (S_PLUS, SF_MINUS), or pre times fac
-    times f_nu^{-mu}(cos rho) (A_PLUS, AF_MINUS, FRAKA_MINUS)."""
-    pre = _sphere_prefactor(wp, rho)
-    if not antipodal:
-        return ferrers_p(wp.nu, -wp.mu, -math.cos(rho)).scaled(pre)
-    f = odd_ferrers_f(wp.nu, -wp.mu, math.cos(rho))
-    return f.scaled(pre if fac is None else pre * fac)
-
-
 def _check_sphere(wp: WaveParams, sign: str, rho: float) -> None:
     if wp.manifold.kind != HYPERSPHERE or wp.sign != sign:
         raise WrongVariantError(f"WaveParams is not the sphere {sign} case")
@@ -206,15 +188,14 @@ def _check_sphere(wp: WaveParams, sign: str, rho: float) -> None:
 def sphere_green_plus(wp: WaveParams, rho: float) -> EvalResult:
     """Single-source Green's function of (-Delta + beta^2) on the sphere."""
     _check_sphere(wp, PLUS, rho)
-    # Gamma(mu - nu) cannot pole here: nu < mu for every beta > 0
-    return _sphere_body(wp, rho, antipodal=False)
+    return GreenKernel(S_PLUS, wp.manifold, wp.beta)(rho)
 
 
 def sphere_green_antipodal_plus(wp: WaveParams, rho: float) -> EvalResult:
     """Antipodal (+delta at the origin, -delta at the opposite pole)
     solution of (-Delta + beta^2) on the sphere; odd about rho = pi/2."""
     _check_sphere(wp, PLUS, rho)
-    return _sphere_body(wp, rho, antipodal=True)
+    return GreenKernel(A_PLUS, wp.manifold, wp.beta)(rho)
 
 
 def eigenvalue_poles(wp: WaveParams, count: int) -> list:
@@ -258,23 +239,7 @@ def sphere_candidate_minus(variant: str, wp: WaveParams,
     variant = variant.upper().replace("_MINUS", "")
     if variant not in ("SF", "FRAK", "AF", "FRAKA"):
         raise WrongVariantError(f"unknown candidate variant {variant!r}")
-    if pole_proximity(wp) < 1e-6:
-        raise EigenvaluePoleError(
-            "beta within refusal window of a Laplace-Beltrami eigenvalue")
-    if variant == "FRAK":
-        pre = _sphere_prefactor(wp, rho)
-        pm = ferrers_p(wp.nu, -wp.mu, -math.cos(rho))
-        pp = ferrers_p(wp.nu, -wp.mu, math.cos(rho))
-        phase = cmath.exp(1j * math.pi * (wp.nu - wp.mu))
-        out = EvalResult(pm.value - phase * pp.value,
-                         pm.abs_err_est + pp.abs_err_est,
-                         pm.terms_used + pp.terms_used,
-                         merge_flags(pm, pp)).scaled(pre)
-    else:
-        fac = (1.0 + cmath.exp(1j * math.pi * (wp.nu - wp.mu))
-               if variant == "FRAKA" else None)
-        out = _sphere_body(wp, rho, variant != "SF", fac)
-    return out.with_flags(CANDIDATE)
+    return GreenKernel(variant + "_MINUS", wp.manifold, wp.beta)(rho)
 
 
 def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
@@ -291,7 +256,7 @@ def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
     if m.kind == HYPERBOLOID:
         if not rho > 0:
             raise RangeError("rho must be positive")
-        return _hyperboloid_body(m, mu, mu, rho)
+        return _hyperboloid_body(m, LegendreQ(mu, mu), mu, rho)
     if m.kind == HYPERSPHERE:
         if not 0.0 < rho < math.pi:
             raise RangeError("rho must lie in (0, pi)")
@@ -303,18 +268,71 @@ def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
 
 def green_value(variant: str, m: ManifoldSpec, beta: float,
                 rho: float) -> EvalResult:
-    """Dispatch a variant tag to its closed-form evaluation through
-    VARIANT_SPACES."""
-    kind, sign = VARIANT_SPACES[variant]
-    if kind == EUCLIDEAN:
-        return euclidean_green(sign, m.d, beta, rho)
-    if variant in (LAPLACE_H, LAPLACE_S):
-        return laplace_green(ManifoldSpec(kind, m.d, m.R), rho)
-    wp = WaveParams(m, beta, sign)
-    if kind == HYPERBOLOID:
-        return hyperboloid_green(wp, rho)
-    if sign == MINUS:
-        return sphere_candidate_minus(variant, wp, rho)
-    if variant == S_PLUS:
-        return sphere_green_plus(wp, rho)
-    return sphere_green_antipodal_plus(wp, rho)
+    """One closed-form evaluation: ``GreenKernel(variant, m, beta)(rho)``."""
+    return GreenKernel(variant, m, beta)(rho)
+
+
+class GreenKernel:
+    """A variant's Green's function at a fixed manifold and wavenumber,
+    called with rho.  The constructor does the VARIANT_SPACES lookup and
+    builds WaveParams and the ``LegendreQ`` or ``FerrersP``; the first call
+    past the rho check computes the eigenvalue-pole test and the sphere
+    constant.  Each call returns, or raises, what ``green_value`` does."""
+
+    fn = near_pole = constant = None  # kept by the first call
+
+    def __init__(self, variant: str, m: ManifoldSpec, beta: float):
+        self.kind, self.sign = VARIANT_SPACES[variant]
+        self.variant, self.m, self.beta = variant, m, beta
+        if self.kind == EUCLIDEAN:
+            return
+        if variant in (LAPLACE_H, LAPLACE_S):
+            self.m = ManifoldSpec(self.kind, m.d, m.R)
+            return
+        wp = self.wp = WaveParams(m, beta, self.sign)
+        if m.kind != self.kind:
+            raise WrongVariantError(
+                "WaveParams is not a hyperboloid case" if m.kind == HYPERSPHERE
+                else f"WaveParams is not the sphere {self.sign} case")
+        self.fn = (LegendreQ(wp.nu, wp.mu) if self.kind == HYPERBOLOID
+                   else FerrersP(wp.nu, -wp.mu))
+
+    def __call__(self, rho: float) -> EvalResult:
+        if self.kind == EUCLIDEAN:
+            return euclidean_green(self.sign, self.m.d, self.beta, rho)
+        if self.fn is None:
+            return laplace_green(self.m, rho)
+        mu = self.wp.mu
+        if self.kind == HYPERBOLOID:
+            if not rho > 0:
+                raise DomainError("rho must be positive")
+            return _hyperboloid_body(self.m, self.fn, mu, rho)
+        if not 0.0 < rho < math.pi:
+            raise RangeError("rho must lie in (0, pi)")
+        if self.sign == MINUS:
+            if self.near_pole is None:
+                self.near_pole = pole_proximity(self.wp) < 1e-6
+            if self.near_pole:
+                raise EigenvaluePoleError("beta within refusal window of a "
+                                          "Laplace-Beltrami eigenvalue")
+        if self.constant is None:
+            # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
+            self.constant = _sphere_constant(self.wp)
+        # pre FP(-cos rho), pre (FP(-cos) - e^{i pi (nu - mu)} FP(cos)),
+        # or pre (1 + e^{i pi (nu - mu)} for FRAKA) times the odd f(cos)
+        pre = self.constant * math.sin(rho) ** (-mu)
+        if self.variant in (S_PLUS, SF_MINUS):
+            out = self.fn(-math.cos(rho)).scaled(pre)
+        elif self.variant == FRAK_MINUS:
+            pm = self.fn(-math.cos(rho))
+            pp = self.fn(math.cos(rho))
+            phase = cmath.exp(1j * math.pi * (self.wp.nu - mu))
+            out = EvalResult(pm.value - phase * pp.value,
+                             pm.abs_err_est + pp.abs_err_est,
+                             pm.terms_used + pp.terms_used,
+                             merge_flags(pm, pp)).scaled(pre)
+        else:
+            if self.variant == FRAKA_MINUS:
+                pre = pre * (1.0 + cmath.exp(1j * math.pi * (self.wp.nu - mu)))
+            out = self.fn.odd(math.cos(rho)).scaled(pre)
+        return out if self.sign == PLUS else out.with_flags(CANDIDATE)

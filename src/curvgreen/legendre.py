@@ -36,7 +36,9 @@ estimate widened by the loss model.  The first-kind series is likewise
 one routine for both families.  A value beyond the double range is
 refused with RangeError by every public function, never returned as
 inf/nan.
-All functions are pure and thread-safe.
+``FerrersP`` and ``LegendreQ`` are FP and Q at a fixed (nu, mu), called
+with the argument (``ferrers_p``, ``legendre_q`` build one per call); each
+keeps its series' ``specfun.Hyp2F1``.  The module keeps no state.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import (NEAR_POLE, RECURRENCE_UNSTABLE, SLOW_CONVERGENCE,
                      EvalResult, merge_flags)
-from .specfun import (_EPS, _cgamma, _lgamma, _near_nonpos_int, gamma_ratio,
-                      gauss_2f1, regularized_2f1)
+from .specfun import (_EPS, Hyp2F1, _cgamma, _lgamma, _near_nonpos_int,
+                      gamma_ratio, gauss_2f1)
 
 _SQRT_PI = 1.7724538509055160273
 # beyond this estimated digit-loss exponent (~5 digits) the series route
@@ -203,42 +205,42 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
 # Hypergeometric (series) routes
 # ----------------------------------------------------------------------
 
-def _p_series(nu, mu, t: float, ratio: float) -> EvalResult:
-    """P_nu^mu(t) or FP_nu^mu(t) by the defining series
-    ratio^{mu/2} 2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), with ratio
-    (t + 1)/(t - 1) for Legendre and (1 + t)/(1 - t) for Ferrers."""
+def _p_engine(nu, mu) -> Hyp2F1:
+    """The 2F1 of the first-kind series, 2F1(-nu, nu + 1; 1 - mu; .)."""
+    return Hyp2F1(-nu, complex(nu) + 1.0, 1.0 - complex(mu))
+
+
+def _p_series(h: Hyp2F1, mu, t: float, ratio: float) -> EvalResult:
+    """P_nu^mu(t) or FP_nu^mu(t) by the defining series ratio^{mu/2}
+    2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), the 2F1 h = _p_engine(nu, mu);
+    ratio is (t + 1)/(t - 1) for Legendre, (1 + t)/(1 - t) for Ferrers."""
     pre = ratio ** (complex(mu) / 2.0)
-    h = regularized_2f1(-nu, complex(nu) + 1.0, 1.0 - complex(mu),
-                        (1.0 - t) / 2.0)
-    return h.scaled(pre)
+    return h.regularized((1.0 - t) / 2.0).scaled(pre)
 
 
-def _legendre_q_series(nu, mu, z: float) -> EvalResult:
-    """Paper-convention Q via the 1/z^2 hypergeometric representation."""
-    nu = complex(nu)
-    mu = complex(mu)
-    a = (nu + mu + 1.0) / 2.0
-    b = (nu + mu + 2.0) / 2.0
-    c = nu + 1.5
+def _q_engine(nu, mu) -> Hyp2F1:
+    """The 2F1 of Q's 1/z^2 series, complex nu and mu."""
+    return Hyp2F1((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5)
+
+
+def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
+    """Paper-convention Q via the 1/z^2 hypergeometric representation,
+    h = _q_engine(nu, mu); legendre_q refuses nu + mu in -N."""
     w = 1.0 / (z * z)
-    top_pole, _ = _near_nonpos_int(nu + mu + 1.0)
-    if top_pole:
-        raise ParamPoleError("Q_nu^mu pole: nu + mu is a negative integer")
-    c_pole, _ = _near_nonpos_int(c)
-    if c_pole:
+    if h.c_pole[0]:
         # anomalous degree: regularized engine absorbs the Gamma(c) pole
-        h = regularized_2f1(a, b, c, w)
+        f = h.regularized(w)
         pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
                * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
                * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
     else:
-        h = gauss_2f1(a, b, c, w)
+        f = h(w)
         # log-space prefactor keeps large real degrees inside double range
-        lg = (_lgamma(nu + mu + 1.0) - _lgamma(c)
+        lg = (_lgamma(nu + mu + 1.0) - _lgamma(nu + 1.5)
               - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
         pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
                * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
-    return h.scaled(pre)
+    return f.scaled(pre)
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +249,10 @@ def _legendre_q_series(nu, mu, z: float) -> EvalResult:
 
 def _refuse_overflow(name):
     """The overflow check shared by the public functions, which take
-    ``([kind,] nu, mu, arg)``: an OverflowError, or a non-finite value
-    or estimate, becomes a RangeError that names the function (the kind
-    argument names it where name is None)."""
+    ``([kind,] nu, mu, arg)``, and the prepared ones, which take
+    ``(self, arg)`` and hold nu and mu: an OverflowError, or a
+    non-finite value or estimate, becomes a RangeError that names the
+    function (the kind argument names it where name is None)."""
     def wrap(fn):
         @functools.wraps(fn)
         def checked(*args):
@@ -260,7 +263,8 @@ def _refuse_overflow(name):
                     return out
             except OverflowError:
                 pass
-            *kind, nu, mu, _ = args
+            *kind, nu, mu, _ = args if len(args) > 2 else (
+                args[0].nu, args[0].mu, None)
             raise RangeError(f"{name or kind[0]}_nu^mu overflows the double "
                              f"range at nu = {complex(nu)}, "
                              f"mu = {complex(mu)}")
@@ -475,14 +479,13 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
     # cancellation for z > 1; real parts produce same-sign terms
     loss = 2.0 * abs(nu.imag) * math.sqrt((z - 1.0) / 2.0)
     if loss <= _LOSS_MAX:
-        return _p_series(nu, mu, z, (z + 1.0) / (z - 1.0))
+        return _p_series(_p_engine(nu, mu), mu, z, (z + 1.0) / (z - 1.0))
     xi = math.acosh(z)
     return _large_degree("P", nu, mu, z, lambda kind, m: (
         _mehler_p(nu, m, xi, True) if kind == "P"
         else legendre_q(nu, -m, z)))
 
 
-@_refuse_overflow("Q")
 def legendre_q(nu, mu, z: float) -> EvalResult:
     """Associated Legendre function of the second kind Q_nu^mu(z), z > 1.
 
@@ -492,43 +495,85 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     Conical degrees with strong series cancellation take
     ``_large_degree`` on the contour-rotated Laplace integral.
     """
-    z = _check_hyperbolic(z)
-    nu, mu = complex(nu), complex(mu)
-    nm_pole, _ = _near_nonpos_int(nu + mu + 1.0)
-    anom, _ = _near_nonpos_int(nu + 1.5)
-    if nm_pole:
-        if not anom:
-            raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
-        # anomalous degree: paired poles, resolved by degree perturbation
-        d = 1e-6
-        qp = _legendre_q_series(nu + d, mu, z)
-        qm = _legendre_q_series(nu - d, mu, z)
-        val = 0.5 * (qp.value + qm.value)
-        err = qp.abs_err_est + qm.abs_err_est + abs(qp.value - qm.value)
-        return EvalResult(val, err, qp.terms_used + qm.terms_used,
-                          merge_flags(qp, qm) | {NEAR_POLE})
-    loss = abs((nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z)
-    if loss <= _LOSS_MAX or abs((nu + 0.5).imag) < 12.0:
-        out = _legendre_q_series(nu, mu, z)
-        if loss > _LOSS_MAX:
-            out = _slow(out, 10.0 ** (loss / math.log(10.0) - 16.0)
-                        * abs(out.value))
-        return out
-    xi = math.acosh(z)
-    return _large_degree("Q", nu, mu, z, lambda kind, m:
-                         _conical_legendre_q_integral(nu, -m, xi))
+    return LegendreQ(nu, mu)(z)
 
 
-@_refuse_overflow("FP")
+class LegendreQ:
+    """Q_nu^mu at a fixed (nu, mu), called with z > 1 (``legendre_q``)."""
+
+    h = None  # the series' 2F1 engine, built by the first call it serves
+
+    def __init__(self, nu, mu):
+        self.nu, self.mu = complex(nu), complex(mu)
+
+    @_refuse_overflow("Q")
+    def __call__(self, z: float) -> EvalResult:
+        z = _check_hyperbolic(z)
+        nu, mu = self.nu, self.mu
+        nm_pole, _ = _near_nonpos_int(nu + mu + 1.0)
+        anom, _ = _near_nonpos_int(nu + 1.5)
+        if nm_pole:
+            if not anom:
+                raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
+            # anomalous degree: paired poles, resolved by degree perturbation
+            d = 1e-6
+            qp = _legendre_q_series(_q_engine(nu + d, mu), nu + d, mu, z)
+            qm = _legendre_q_series(_q_engine(nu - d, mu), nu - d, mu, z)
+            val = 0.5 * (qp.value + qm.value)
+            err = qp.abs_err_est + qm.abs_err_est + abs(qp.value - qm.value)
+            return EvalResult(val, err, qp.terms_used + qm.terms_used,
+                              merge_flags(qp, qm) | {NEAR_POLE})
+        loss = abs((nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z)
+        if loss <= _LOSS_MAX or abs((nu + 0.5).imag) < 12.0:
+            if self.h is None:
+                self.h = _q_engine(nu, mu)
+            out = _legendre_q_series(self.h, nu, mu, z)
+            if loss > _LOSS_MAX:
+                out = _slow(out, 10.0 ** (loss / math.log(10.0) - 16.0)
+                            * abs(out.value))
+            return out
+        xi = math.acosh(z)
+        return _large_degree("Q", nu, mu, z, lambda kind, m:
+                             _conical_legendre_q_integral(nu, -m, xi))
+
+
 def ferrers_p(nu, mu, x: float) -> EvalResult:
-    """Ferrers function of the first kind FP_nu^mu(x), -1 < x < 1."""
-    x = _check_ferrers(x)
-    nu, mu = complex(nu), complex(mu)
-    theta = math.acos(x)
-    loss = _degree_loss(nu, math.sin(theta / 2.0))
-    if loss <= _LOSS_MAX:
-        return _p_series(nu, mu, x, (1.0 + x) / (1.0 - x))
-    return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, x, theta))
+    """Ferrers function of the first kind FP_nu^mu(x), -1 < x < 1:
+    ``FerrersP(nu, mu)(x)``."""
+    return FerrersP(nu, mu)(x)
+
+
+class FerrersP:
+    """FP_nu^mu at a fixed (nu, mu), called with x in (-1, 1)
+    (``ferrers_p``)."""
+
+    h = None  # the series' 2F1 engine, built by the first call it serves
+
+    def __init__(self, nu, mu):
+        self.nu, self.mu = complex(nu), complex(mu)
+
+    @_refuse_overflow("FP")
+    def __call__(self, x: float) -> EvalResult:
+        x = _check_ferrers(x)
+        nu, mu = self.nu, self.mu
+        theta = math.acos(x)
+        loss = _degree_loss(nu, math.sin(theta / 2.0))
+        if loss <= _LOSS_MAX:
+            if self.h is None:
+                self.h = _p_engine(nu, mu)
+            return _p_series(self.h, mu, x, (1.0 + x) / (1.0 - x))
+        return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, x, theta))
+
+    def odd(self, x: float) -> EvalResult:
+        """The odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)
+        (``odd_ferrers_f``)."""
+        x = _check_ferrers(x)
+        if x == 0.0:
+            return EvalResult(0.0, 0.0, 0)
+        a = self(-x)
+        b = self(x)
+        return EvalResult(a.value - b.value, a.abs_err_est + b.abs_err_est,
+                          a.terms_used + b.terms_used, merge_flags(a, b))
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
@@ -687,14 +732,9 @@ def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
 
 
 def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
-    """Odd Ferrers combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)."""
-    x = _check_ferrers(x)
-    if x == 0.0:
-        return EvalResult(0.0, 0.0, 0)
-    a = ferrers_p(nu, mu, -x)
-    b = ferrers_p(nu, mu, x)
-    return EvalResult(a.value - b.value, a.abs_err_est + b.abs_err_est,
-                      a.terms_used + b.terms_used, merge_flags(a, b))
+    """Odd Ferrers combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x):
+    ``FerrersP(nu, mu).odd(x)``."""
+    return FerrersP(nu, mu).odd(x)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,13 @@ Provides the scalar kernels everything else is built on:
 * Chebyshev and Gegenbauer polynomials by three-term recurrence,
 * the leading large-|imaginary-shift| gamma-ratio asymptotic.
 
-All functions are pure; coefficient tables are immutable module
-constants, so every operation is safe to call concurrently.
+Prepared 2F1.  ``Hyp2F1(a, b, c)`` is the engine at fixed parameters;
+``gauss_2f1`` and ``regularized_2f1`` build one per call.  Its state is
+its own (the module keeps none) and holds only work that does not depend
+on z, each piece computed where the one-shot evaluation computes it, by
+the same operations, and kept only if it did not raise.  So every call
+returns the bits of the one-shot call and raises what it raises.  One
+engine is not for concurrent calls from several threads.
 
 Fast path of the 2F1 engine.  Its results are bit-identical to the
 term-by-term complex evaluation (value, error estimate, term count,
@@ -36,7 +41,7 @@ flags and every exception), and it changes no tolerance:
   runs instead, because its inf/nan parts propagate differently.
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
-* Each parameter is checked against the poles once per call, and the
+* Each parameter is checked against the poles once per engine, and the
   snapped a and b are passed down to the series.
 """
 
@@ -317,36 +322,10 @@ def _coeff(num, den):
     return cmath.exp(acc)
 
 
-def _lin_1mz_generic(a, b, c, z, depth):
-    """DLMF 15.8.4 two-term connection, c-a-b not an integer."""
-    s = c - a - b
-    w = 1.0 - z
-    c1 = _coeff((c, s), (c - a, c - b))
-    c2 = _coeff((c, -s), (a, b))
-    v1 = e1 = 0.0
-    t1 = 0
-    fl = set()
-    if c1 != 0.0:
-        v1, e1, t1, f1 = _hyp2f1_core(a, b, a + b - c + 1.0, w, depth + 1)
-        fl |= set(f1)
-    v2 = e2 = 0.0
-    t2 = 0
-    if c2 != 0.0:
-        v2, e2, t2, f2 = _hyp2f1_core(c - a, c - b, s + 1.0, w, depth + 1)
-        fl |= set(f2)
-    pw = w ** s if w != 0 else (0.0 if s.real > 0 else complex("inf"))
-    p1 = c1 * v1
-    p2 = c2 * pw * v2
-    total = p1 + p2
-    scale = abs(p1) + abs(p2)
-    err = abs(c1) * e1 + abs(c2 * pw) * e2 + 4.0 * _EPS * scale
-    if scale > 1e6 * max(abs(total), 1e-300):
-        fl.add(NEAR_POLE)
-    return total, err, t1 + t2, frozenset(fl)
-
-
-def _psi_gaps(x, j: int):
-    """psi(x + k) - psi(k + j + 1) for k = 0, 1, ...
+def _psi_gaps(gaps, x, j: int):
+    """Yield psi(x + k) - psi(k + j + 1) for k = 0, 1, ...: those in the
+    list gaps, then new ones, appended to it (kept nowhere if gaps is
+    None).
 
     One direct digamma less the harmonic sum psi(j + 1) = H_j - gamma,
     then gap(k + 1) = gap(k) + (j + 1 - x)/((x + k)(k + j + 1)).  The
@@ -356,16 +335,26 @@ def _psi_gaps(x, j: int):
     whose rounding the recurrence would carry on, so its first term
     right of Re 1/2 is evaluated directly again.
     """
-    gap = _digamma(x) - _psi_int(j + 1)
-    left = x.real < 0.5
-    k = 0
-    while True:
+    if gaps:
+        yield from gaps
+        k = len(gaps) - 1
+        gap = gaps[k]
+    else:
+        k, gap = 0, _digamma(x) - _psi_int(j + 1)
+        if gaps is not None:
+            gaps.append(gap)
         yield gap
+    keep = None if gaps is None else gaps.append
+    left = x.real + k < 0.5
+    while True:
         if left and x.real + (k + 1) >= 0.5:
             left = False
             gap = _digamma(x + (k + 1)) - _psi_int(k + j + 2)
         else:
             gap += (j + 1.0 - x) / ((x + k) * (k + j + 1.0))
+        if keep:
+            keep(gap)
+        yield gap
         k += 1
 
 
@@ -374,25 +363,21 @@ def _psi_int(n: int) -> float:
     return math.fsum([1.0 / i for i in range(1, n)]) - _EULER
 
 
-def _psi_brackets(logw, m, psi_a, psi_b):
-    """The brackets log w - psi(k+1) - psi(k+m+1) + psi(psi_a+k)
-    + psi(psi_b+k) for k = 0, 1, ... below _MAX_TERMS, as log w plus
-    two runs of :func:`_psi_gaps`."""
-    gaps = zip(_psi_gaps(psi_a, 0), _psi_gaps(psi_b, m))
-    return (logw + ga + gb for ga, gb in itertools.islice(gaps, _MAX_TERMS))
-
-
-def _log_sum(a_s, b_s, m, w, psi_shift_a, psi_shift_b):
+def _log_sum(a_s, b_s, m, w, gaps):
     """sum_k (a_s)_k (b_s)_k / (k! (k+m)!) w^k * bracket(k), where
-    bracket = log w - psi(k+1) - psi(k+m+1) + psi(a_psi+k) + psi(b_psi+k).
+    bracket = log w - psi(k+1) - psi(k+m+1) + psi(a_s+k) + psi(b_s+k) is
+    log w plus the :func:`_psi_gaps` of (a_s, 0) and (b_s, m), kept in
+    the pair of lists gaps (or in none, if it is None).
     """
     coef = 1.0 / math.gamma(m + 1)
     total = 0.0 + 0.0j
     total_abs = 0.0
     small = 0
-    brackets = _psi_brackets(cmath.log(w), m, psi_shift_a, psi_shift_b)
-    for k, bracket in enumerate(brackets):
-        term = coef * bracket
+    logw = cmath.log(w)
+    ga, gb = gaps or (None, None)
+    runs = zip(_psi_gaps(ga, a_s, 0), _psi_gaps(gb, b_s, m))
+    for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, _MAX_TERMS)):
+        term = coef * (logw + gap_a + gap_b)
         mag = abs(term)
         total += term
         total_abs += mag
@@ -406,103 +391,194 @@ def _log_sum(a_s, b_s, m, w, psi_shift_a, psi_shift_b):
     raise NoConvergenceError("2F1 logarithmic series did not converge")
 
 
-def _lin_1mz_log(a, b, c, m, z, depth):
-    """1-z connection when c-a-b = m is an integer (DLMF 15.8.10/15.8.12)."""
-    w = 1.0 - z
-    fl = set()
-    if m >= 0:
-        # c = a + b + m
-        finite = 0.0 + 0.0j
-        if m > 0:
-            A = _coeff((m, c), (a + m, b + m))
-            if A != 0.0:
+class Hyp2F1:
+    """Gauss hypergeometric 2F1(a, b; c; .) at fixed parameters: called
+    with z it is :func:`gauss_2f1`, ``.regularized(z)`` is
+    :func:`regularized_2f1`.  The defining series is used for
+    |z| <= 0.75; outside the disk the Pfaff transformation (Re z < 0 or
+    |z/(z-1)| <= 0.75) or the 1-z connection formula, whose
+    integer-c-a-b logarithmic cases are handled explicitly.
+    """
+
+    # kept by the first call that needs it: the snapped a and b,
+    # 1/Gamma(c), the engines of the transformed functions (one level
+    # down), the 1-z connection's case and coefficients, and (by the
+    # second) the psi gaps of the logarithmic case's sum
+    _snapped = _rgamma = _pfaff = _connection = _gaps = None
+
+    def __init__(self, a, b, c, depth: int = 0):
+        self.a, self.b, self.c = complex(a), complex(b), complex(c)
+        self.depth = depth
+        self.c_pole = _near_nonpos_int(self.c)
+
+    def __call__(self, z) -> EvalResult:
+        return EvalResult(*self._core(complex(z)))
+
+    def regularized(self, z) -> EvalResult:
+        """2F1(a, b; c; z)/Gamma(c), entire in c; for c = -m the series
+        starts at n = m + 1 (the first m + 1 terms are annihilated by
+        1/Gamma)."""
+        z = complex(z)
+        hit, m = self.c_pole
+        if hit:
+            if z == 0:
+                return EvalResult(0.0, 0.0, 1, frozenset())
+            pref = (pochhammer(self.a, m + 1) * pochhammer(self.b, m + 1)
+                    / math.gamma(m + 2)) * z ** (m + 1)
+            if pref == 0.0:
+                return EvalResult(0.0, 0.0, 1, frozenset())
+            v, e, t, f = Hyp2F1(self.a + m + 1.0, self.b + m + 1.0,
+                                m + 2.0)._route(z)
+            return EvalResult(pref * v, abs(pref) * e, t, f)
+        # c is more than 1e-10 (so more than 1/Gamma's 1e-13) from a pole
+        v, e, t, f = self._route(z)
+        rg = self._rgamma
+        if rg is None:
+            if max(abs(self.c), abs(self.a), abs(self.b)) > 100.0:
+                rg = cmath.exp(-_lgamma(self.c))
+            else:
+                rg = 1.0 / _cgamma(self.c)
+            self._rgamma = rg
+        return EvalResult(v * rg, e * abs(rg), t, f)
+
+    def _core(self, z):
+        """2F1 at complex z: (value, err, terms, flags)."""
+        if self.depth > 6:
+            raise NoConvergenceError("2F1 transformation recursion too deep")
+        if self.c_pole[0]:
+            raise ParamPoleError("2F1 parameter c is a nonpositive integer; "
+                                 "use regularized_2f1")
+        return self._route(z)
+
+    def _route(self, z):
+        """_core past its checks: c pole-free."""
+        if z == 0:
+            return 1.0 + 0.0j, 0.0, 1, frozenset()
+        # terminating polynomial works for any argument: a or b snapped
+        # onto the nonpositive integer within 1e-12 of it
+        snapped = self._snapped
+        if snapped is None:
+            ta, na = _near_nonpos_int(self.a, tol=1e-12)
+            tb, nb = _near_nonpos_int(self.b, tol=1e-12)
+            snapped = self._snapped = (
+                (complex(-na) if ta else self.a,
+                 complex(-nb) if tb else self.b) if ta or tb else ())
+        if snapped:
+            return _series_2f1(*snapped, self.c, z)
+        if abs(z) <= 0.75:
+            return _series_2f1(self.a, self.b, self.c, z)
+        if z.real >= 1.0 and abs(z.imag) < 1e-14:
+            raise NoConvergenceError("2F1 argument on the branch cut [1, inf)")
+        w = z / (z - 1.0)
+        if z.real < 0.0 or abs(w) <= 0.75:
+            # Pfaff map: into (0, 1) from the left half-plane, into the
+            # series disk near the imaginary axis
+            pre = (1.0 - z) ** (-self.a)
+            if self._pfaff is None:
+                self._pfaff = Hyp2F1(self.a, self.c - self.b, self.c,
+                                     self.depth + 1)
+            v, e, t, f = self._pfaff._core(w)
+            return pre * v, abs(pre) * e + 2 * _EPS * abs(pre * v), t, f
+        if self._connection is None:
+            self._connection = self._connect()
+        m, *case = self._connection
+        if m is None:
+            return self._lin_1mz_generic(z, *case)
+        return self._lin_1mz_log(z, m, *case)
+
+    def _connect(self):
+        """(m, A, B) if c - a - b = m is an integer (A is None at m = 0),
+        else (None, s, c1, c2, f1, f2), f1 and f2 the engines of DLMF
+        15.8.4's two functions of 1 - z."""
+        a, b, c = self.a, self.b, self.c
+        s = c - a - b
+        if abs(s.imag) < 1e-10 and abs(s.real - round(s.real)) < 1e-8:
+            m = round(s.real)
+            if m >= 0:  # c = a + b + m
+                return (m, _coeff((m, c), (a + m, b + m)) if m > 0 else None,
+                        _coeff((c,), (a, b)))
+            mm = -m  # c = a + b - mm
+            return m, _coeff((mm, c), (a, b)), _coeff((c,), (a - mm, b - mm))
+        return (None, s, _coeff((c, s), (c - a, c - b)),
+                _coeff((c, -s), (a, b)),
+                Hyp2F1(a, b, a + b - c + 1.0, self.depth + 1),
+                Hyp2F1(c - a, c - b, s + 1.0, self.depth + 1))
+
+    def _lin_1mz_generic(self, z, s, c1, c2, f1, f2):
+        """DLMF 15.8.4 two-term connection, c-a-b not an integer."""
+        w = 1.0 - z
+        v1 = e1 = 0.0
+        t1 = 0
+        fl = set()
+        if c1 != 0.0:
+            v1, e1, t1, g1 = f1._core(w)
+            fl |= set(g1)
+        v2 = e2 = 0.0
+        t2 = 0
+        if c2 != 0.0:
+            v2, e2, t2, g2 = f2._core(w)
+            fl |= set(g2)
+        pw = w ** s if w != 0 else (0.0 if s.real > 0 else complex("inf"))
+        p1 = c1 * v1
+        p2 = c2 * pw * v2
+        total = p1 + p2
+        scale = abs(p1) + abs(p2)
+        err = abs(c1) * e1 + abs(c2 * pw) * e2 + 4.0 * _EPS * scale
+        if scale > 1e6 * max(abs(total), 1e-300):
+            fl.add(NEAR_POLE)
+        return total, err, t1 + t2, frozenset(fl)
+
+    def _lin_1mz_log(self, z, m, A, B):
+        """1-z connection when c-a-b = m is an integer (DLMF
+        15.8.10/15.8.12)."""
+        a, b = self.a, self.b
+        w = 1.0 - z
+        # the first sum keeps no psi gaps: a one-shot call reuses none
+        gaps, self._gaps = self._gaps, self._gaps or ([], [])
+        fl = set()
+        if m >= 0:
+            finite = 0.0 + 0.0j
+            if m > 0 and A != 0.0:
                 coef = 1.0 + 0.0j
                 for k in range(m):
                     finite += coef
                     if k < m - 1:
                         coef = coef * (a + k) * (b + k) / ((k + 1.0) * (k - m + 1.0)) * w
                 finite *= A
-        B = _coeff((c,), (a, b))
-        logsum = 0.0 + 0.0j
-        lerr = 0.0
-        lt = 0
-        if B != 0.0:
-            logsum, lerr, lt = _log_sum(a + m, b + m, m, w, a + m, b + m)
-        sign = -1.0 if m % 2 else 1.0
-        total = finite - sign * B * (w ** m) * logsum
-        err = abs(B) * abs(w) ** m * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
-    else:
-        mm = -m  # c = a + b - mm
-        finite = 0.0 + 0.0j
-        A = _coeff((mm, c), (a, b))
-        if A != 0.0:
-            coef = 1.0 + 0.0j
-            for k in range(mm):
-                finite += coef
-                if k < mm - 1:
-                    coef = coef * (a - mm + k) * (b - mm + k) / ((k + 1.0) * (k - mm + 1.0)) * w
-            finite *= A * w ** (-mm)
-        B = _coeff((c,), (a - mm, b - mm))
-        logsum = 0.0 + 0.0j
-        lerr = 0.0
-        lt = 0
-        if B != 0.0:
-            logsum, lerr, lt = _log_sum(a, b, mm, w, a, b)
-        sign = -1.0 if mm % 2 else 1.0
-        total = finite - sign * B * logsum
-        err = abs(B) * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
-    scale = abs(finite) + abs(total - finite)
-    if scale > 1e6 * max(abs(total), 1e-300):
-        fl.add(NEAR_POLE)
-    return total, err, lt + abs(m), frozenset(fl)
-
-
-def _hyp2f1_core(a, b, c, z, depth=0):
-    """Route a 2F1 evaluation; returns (value, err, terms, flags)."""
-    if depth > 6:
-        raise NoConvergenceError("2F1 transformation recursion too deep")
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    hit, _ = _near_nonpos_int(c)
-    if hit:
-        raise ParamPoleError("2F1 parameter c is a nonpositive integer; "
-                             "use regularized_2f1")
-    return _hyp2f1_route(a, b, c, z, depth)
-
-
-def _hyp2f1_route(a, b, c, z, depth):
-    """_hyp2f1_core past its checks: complex arguments, c pole-free."""
-    if z == 0:
-        return 1.0 + 0.0j, 0.0, 1, frozenset()
-    # terminating polynomial works for any argument
-    ta, na = _near_nonpos_int(a, tol=1e-12)
-    tb, nb = _near_nonpos_int(b, tol=1e-12)
-    if ta or tb:
-        return _series_2f1(complex(-na) if ta else a,
-                           complex(-nb) if tb else b, c, z)
-    if abs(z) <= 0.75:
-        return _series_2f1(a, b, c, z)
-    if z.real >= 1.0 and abs(z.imag) < 1e-14:
-        raise NoConvergenceError("2F1 argument on the branch cut [1, inf)")
-    w = z / (z - 1.0)
-    if z.real < 0.0 or abs(w) <= 0.75:
-        # Pfaff map: into (0, 1) from the left half-plane, into the
-        # series disk near the imaginary axis
-        pre = (1.0 - z) ** (-a)
-        v, e, t, f = _hyp2f1_core(a, c - b, c, w, depth + 1)
-        return pre * v, abs(pre) * e + 2 * _EPS * abs(pre * v), t, f
-    s = c - a - b
-    if abs(s.imag) < 1e-10 and abs(s.real - round(s.real)) < 1e-8:
-        return _lin_1mz_log(a, b, c, round(s.real), z, depth)
-    return _lin_1mz_generic(a, b, c, z, depth)
+            logsum = 0.0 + 0.0j
+            lerr = 0.0
+            lt = 0
+            if B != 0.0:
+                logsum, lerr, lt = _log_sum(a + m, b + m, m, w, gaps)
+            sign = -1.0 if m % 2 else 1.0
+            total = finite - sign * B * (w ** m) * logsum
+            err = abs(B) * abs(w) ** m * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
+        else:
+            mm = -m
+            finite = 0.0 + 0.0j
+            if A != 0.0:
+                coef = 1.0 + 0.0j
+                for k in range(mm):
+                    finite += coef
+                    if k < mm - 1:
+                        coef = coef * (a - mm + k) * (b - mm + k) / ((k + 1.0) * (k - mm + 1.0)) * w
+                finite *= A * w ** (-mm)
+            logsum = 0.0 + 0.0j
+            lerr = 0.0
+            lt = 0
+            if B != 0.0:
+                logsum, lerr, lt = _log_sum(a, b, mm, w, gaps)
+            sign = -1.0 if mm % 2 else 1.0
+            total = finite - sign * B * logsum
+            err = abs(B) * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
+        scale = abs(finite) + abs(total - finite)
+        if scale > 1e6 * max(abs(total), 1e-300):
+            fl.add(NEAR_POLE)
+        return total, err, lt + abs(m), frozenset(fl)
 
 
 def gauss_2f1(a, b, c, z) -> EvalResult:
-    """Gauss hypergeometric 2F1(a, b; c; z).
-
-    The defining series is used for |z| <= 0.75; outside the disk the
-    evaluation is continued with the Pfaff transformation (Re z < 0 or
-    |z/(z-1)| <= 0.75) or the 1-z connection formula, whose
-    integer-c-a-b logarithmic cases are handled explicitly.
+    """Gauss hypergeometric 2F1(a, b; c; z): ``Hyp2F1(a, b, c)(z)``.
 
     Raises
     ------
@@ -511,35 +587,13 @@ def gauss_2f1(a, b, c, z) -> EvalResult:
     NoConvergenceError
         z lies on the branch cut [1, inf) or no route converged.
     """
-    v, e, t, f = _hyp2f1_core(a, b, c, z)
-    return EvalResult(v, e, t, f)
+    return Hyp2F1(a, b, c)(z)
 
 
 def regularized_2f1(a, b, c, z) -> EvalResult:
-    """Regularized Gauss function 2F1(a, b; c; z)/Gamma(c).
-
-    Entire in c; for c = -m the series starts at n = m + 1 (the first
-    m + 1 terms are annihilated by 1/Gamma).
-    """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    hit, m = _near_nonpos_int(c)
-    if hit:
-        if z == 0:
-            return EvalResult(0.0, 0.0, 1, frozenset())
-        pref = (pochhammer(a, m + 1) * pochhammer(b, m + 1)
-                / math.gamma(m + 2)) * z ** (m + 1)
-        if pref == 0.0:
-            return EvalResult(0.0, 0.0, 1, frozenset())
-        v, e, t, f = _hyp2f1_route(a + m + 1.0, b + m + 1.0,
-                                   complex(m + 2.0), z, 0)
-        return EvalResult(pref * v, abs(pref) * e, t, f)
-    # c is more than 1e-10 (so more than 1/Gamma's 1e-13) from a pole
-    v, e, t, f = _hyp2f1_route(a, b, c, z, 0)
-    if max(abs(c), abs(a), abs(b)) > 100.0:
-        rg = cmath.exp(-_lgamma(c))
-    else:
-        rg = 1.0 / _cgamma(c)
-    return EvalResult(v * rg, e * abs(rg), t, f)
+    """Regularized Gauss function 2F1(a, b; c; z)/Gamma(c):
+    ``Hyp2F1(a, b, c).regularized(z)``."""
+    return Hyp2F1(a, b, c).regularized(z)
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,11 @@ Builds CheckReports for
   of the first kind (adaptive quadrature against a gamma-function
   expression).
 
-Checks are pure given their configuration and deterministic, so every
-report is reproducible bit for bit.
+A check that evaluates one Green's function at many rho (an ODE
+residual's stencils, the normalization and epsilon-ball nodes) shares
+one ``GreenKernel``, the weighted-integral check one ``FerrersP``, and
+drops it with the check.  Checks are pure given their configuration and
+deterministic, so every report is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .geometry import (HYPERBOLOID, HYPERSPHERE, ManifoldSpec,
                        sphere_surface_measure)
 from .greens import (A_PLUS, AF_MINUS, ALL_VARIANTS, FRAK_MINUS, FRAKA_MINUS,
                      H_MINUS, H_PLUS, MINUS, PLUS, S_PLUS, SF_MINUS,
-                     VARIANT_SPACES, WaveParams, euclidean_green, green_value,
-                     laplace_green)
-from .legendre import ferrers_p
+                     VARIANT_SPACES, GreenKernel, WaveParams, euclidean_green,
+                     green_value, laplace_green)
+from .legendre import FerrersP
 from .specfun import _cgamma
 
 quad = quadrature.quad
@@ -81,7 +84,9 @@ def _report(check_id, measured, target, tol, relative=True, notes=""):
 # ----------------------------------------------------------------------
 
 def _variant_function(variant, wp):
-    return lambda rho: green_value(variant, wp.manifold, wp.beta, rho).value
+    """The variant's value at rho, from one GreenKernel for every rho."""
+    kernel = GreenKernel(variant, wp.manifold, wp.beta)
+    return lambda rho: kernel(rho).value
 
 
 def radial_residual(fn, wp: WaveParams, l: int, grid, h: float = 1e-3,
@@ -134,10 +139,9 @@ def radial_residual(fn, wp: WaveParams, l: int, grid, h: float = 1e-3,
 # Normalization and epsilon-ball constraints
 # ----------------------------------------------------------------------
 
-def _sphere_integral(variant, wp, tol=1e-9, lo=0.0, hi=math.pi):
-    """Integral of the variant over the sphere (volume measure)."""
+def _sphere_integral(fn, wp, tol=1e-9, lo=0.0, hi=math.pi):
+    """Integral of fn(rho) over the sphere of wp (volume measure)."""
     d, R = wp.manifold.d, wp.manifold.R
-    fn = _variant_function(variant, wp)
 
     def integrand(th):
         return fn(th) * math.sin(th) ** (d - 1)
@@ -169,8 +173,8 @@ def check_normalization(variant: str, wp: WaveParams,
         target = -(1.0 - cmath.exp(1j * math.pi * (wp.nu - wp.mu))) / b2
     else:
         raise WrongVariantError(f"no normalization target for {variant!r}")
-    val = _sphere_integral(variant, wp, tol=abs(tol) * max(1.0, 1.0 / b2)
-                           * 1e-3)
+    val = _sphere_integral(_variant_function(variant, wp),
+                           wp, tol=abs(tol) * max(1.0, 1.0 / b2) * 1e-3)
     if variant == FRAK_MINUS:
         gap = abs(val - target) / abs(target)
         status = "PASS" if gap <= tol else "FAIL"
@@ -193,7 +197,7 @@ def check_eps_ball(variant: str, wp: WaveParams,
         raise DomainError("eps must lie in [1e-3, 1e-1]")
     d, R = wp.manifold.d, wp.manifold.R
     fn = _variant_function(variant, wp)
-    ball = _sphere_integral(variant, wp, tol=1e-10, lo=0.0, hi=eps)
+    ball = _sphere_integral(fn, wp, tol=1e-10, lo=0.0, hi=eps)
     sgn = 1.0 if wp.sign == PLUS else -1.0
     lhs = -1.0 + sgn * wp.beta ** 2 * ball
     step = eps / 100.0
@@ -307,10 +311,10 @@ def check_mellin(alpha: float, mu: float, nu: float,
                  tol: float = 1e-8) -> CheckReport:
     """Quadrature of the weighted Ferrers integrand against the closed
     gamma expression; both endpoint algebraic behaviors are declared."""
+    fp = FerrersP(nu, -mu)
 
     def integrand(x):
-        return ((1.0 - x * x) ** (alpha - 1.0)
-                * ferrers_p(nu, -mu, x).value.real)
+        return (1.0 - x * x) ** (alpha - 1.0) * fp(x).value.real
 
     left = quad(integrand, -1.0 + 1e-15, 0.0, tol=tol * 1e-2,
                 hint=("left_alg", 1.0 - alpha + 0.5 * mu))

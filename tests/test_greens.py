@@ -2,16 +2,21 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvgreen.errors import (DomainError, EigenvaluePoleError,
+from curvgreen.errors import (DomainError, EigenvaluePoleError, RangeError,
                               WrongVariantError)
-from curvgreen.geometry import (HYPERBOLOID, HYPERSPHERE, ManifoldSpec)
-from curvgreen.greens import (MINUS, PLUS, WaveParams, eigenvalue_poles,
-                              euclidean_green, hyperboloid_green,
-                              laplace_green, sphere_candidate_minus,
+from curvgreen.geometry import (EUCLIDEAN, HYPERBOLOID, HYPERSPHERE,
+                                ManifoldSpec)
+from curvgreen.greens import (MINUS, PLUS, VARIANT_SPACES, GreenKernel,
+                              WaveParams, eigenvalue_poles, euclidean_green,
+                              green_value, hyperboloid_green, laplace_green,
+                              sphere_candidate_minus,
                               sphere_green_antipodal_plus, sphere_green_plus)
 from curvgreen.legendre import ferrers_p_reflected
 from curvgreen.specfun import _cgamma
@@ -363,3 +368,106 @@ class TestVariantTable:
             check_flat_limit("sf_minus", 3, 0.5, 0.6, (10.0, 30.0))
         with pytest.raises(WrongVariantError):
             VARIANT_SPACES["BOGUS"]
+
+
+def _outcome(fn, rho):
+    """Bitwise-comparable outcome of fn(rho): reprs of the floats (which
+    keep the sign of zero), terms and flags, or the refusal."""
+    try:
+        r = fn(rho)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc).__name__, str(exc)
+    v = complex(r.value)
+    return (repr(v.real), repr(v.imag), repr(r.abs_err_est), r.terms_used,
+            sorted(r.flags))
+
+
+class TestGreenKernel:
+    """One GreenKernel called at many rho, in either order, gives the
+    bits of a fresh kernel per rho (green_value): what it keeps never
+    changes a value, an estimate, a term count, a flag or a refusal."""
+
+    # rho < pi/3 puts FP(-cos rho) on the 2F1's 1-z connection and
+    # rho > 2 pi/3 the odd part's FP(cos rho); rho < 0.549 puts
+    # Q(cosh rho) there (1/cosh^2 > 0.75); the rest take the series.
+    # c - a - b = +-mu is an integer (the logarithmic case) at d = 2, 4
+    # and not at d = 3.  No Green's function reaches the Pfaff map (its
+    # 2F1 arguments lie in (0, 1)); TestPrepared2F1 covers it.  The
+    # last three refuse.
+    ROUTE_RHOS = [0.3, 0.9, 1.2, 2.0, 2.5, 3.0, -1.0, 0.0, 3.5]
+
+    @staticmethod
+    def _check(variant, d, beta, rhos):
+        kind, _ = VARIANT_SPACES[variant]
+        m = ManifoldSpec(kind, d, 1.0)
+        ref = [_outcome(lambda r: green_value(variant, m, beta, r), rho)
+               for rho in rhos]
+        kernel = GreenKernel(variant, m, beta)
+        assert [_outcome(kernel, rho) for rho in rhos] == ref
+        assert [_outcome(kernel, rho) for rho in rhos[::-1]] == ref[::-1]
+        kernel = GreenKernel(variant, m, beta)
+        assert [_outcome(kernel, rho) for rho in rhos[::-1]] == ref[::-1]
+        return kernel
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(TestVariantTable.TAGS), st.sampled_from((2, 3, 4)),
+           st.floats(0.05, 4.0), st.lists(st.floats(0.005, 3.2), max_size=10))
+    def test_one_kernel_is_fresh_kernels(self, variant, d, beta, rhos):
+        self._check(variant, d, beta, rhos + self.ROUTE_RHOS)
+
+    @pytest.mark.parametrize("variant", TestVariantTable.TAGS)
+    @pytest.mark.parametrize("d", (2, 3, 4))
+    @pytest.mark.parametrize("beta", (0.3, 2.2), ids=("damped", "oscillatory"))
+    def test_every_route(self, variant, d, beta):
+        kernel = self._check(variant, d, beta, self.ROUTE_RHOS)
+        if kernel.fn is not None:  # a prepared Legendre/Ferrers function
+            m = kernel.fn.h._connection[0]  # None: not the log case
+            assert (m is None) == (d == 3)
+
+    @pytest.mark.parametrize("variant,kind,beta,rho,exc,msg", [
+        ("H_PLUS", HYPERBOLOID, 1.0, -1.0, DomainError,
+         "rho must be positive"),
+        ("H_MINUS", HYPERBOLOID, 1.0, 0.0, DomainError,
+         "rho must be positive"),
+        ("S_PLUS", HYPERSPHERE, 1.0, 4.0, RangeError,
+         "rho must lie in (0, pi)"),
+        ("FRAK_MINUS", HYPERSPHERE, 0.8, 0.0, RangeError,
+         "rho must lie in (0, pi)"),
+        ("EUCLID_PLUS", EUCLIDEAN, 1.0, -1.0, DomainError,
+         "separation r must be positive"),
+        ("LAPLACE_H", HYPERBOLOID, 1.0, -1.0, RangeError,
+         "rho must be positive"),
+        ("LAPLACE_S", HYPERSPHERE, 1.0, 4.0, RangeError,
+         "rho must lie in (0, pi)"),
+        ("S_PLUS", HYPERSPHERE, 0.0, 1.0, DomainError,
+         "beta must be positive"),
+        ("H_MINUS", HYPERBOLOID, -1.0, 1.0, DomainError,
+         "beta must be positive"),
+        ("EUCLID_MINUS", EUCLIDEAN, -1.0, 1.0, DomainError,
+         "beta must be positive"),
+        ("BOGUS", HYPERSPHERE, 1.0, 1.0, WrongVariantError,
+         "unknown variant 'BOGUS'"),
+        ("SF_MINUS", HYPERSPHERE, math.sqrt(3.0), 1.0, EigenvaluePoleError,
+         "beta within refusal window of a Laplace-Beltrami eigenvalue"),
+        # rho is checked before the eigenvalue-pole test
+        ("AF_MINUS", HYPERSPHERE, math.sqrt(3.0), 4.0, RangeError,
+         "rho must lie in (0, pi)"),
+    ])
+    def test_refusals_are_pinned(self, variant, kind, beta, rho, exc, msg):
+        m = ManifoldSpec(kind, 3, 1.0)
+        with pytest.raises(exc, match="^" + re.escape(msg) + "$"):
+            green_value(variant, m, beta, rho)
+
+    def test_refusal_leaves_the_kernel_usable(self):
+        ms = ManifoldSpec(HYPERSPHERE, 3, 1.0)
+        for beta, rhos in ((0.8, (4.0, 1.0, 0.0, 2.0, -1.0, 1.0)),
+                           (math.sqrt(3.0), (4.0, 1.0, 1.0, 5.0, 2.0))):
+            kernel = GreenKernel("FRAK_MINUS", ms, beta)
+            got = [_outcome(kernel, rho) for rho in rhos]
+            assert got == [_outcome(
+                lambda r: green_value("FRAK_MINUS", ms, beta, r), rho)
+                for rho in rhos]
+        assert [g[0] for g in got] == ["RangeError", "EigenvaluePoleError",
+                                       "EigenvaluePoleError", "RangeError",
+                                       "EigenvaluePoleError"]

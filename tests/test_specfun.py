@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from curvgreen.errors import (DomainError, NoConvergenceError, ParamPoleError,
                               PoleError, RangeError)
 from curvgreen.result import NEAR_POLE
-from curvgreen.specfun import (_cgamma, _digamma, _lgamma, _lin_1mz_log,
-                               _near_nonpos_int, _psi_brackets, _series_2f1,
+from curvgreen.specfun import (Hyp2F1, _cgamma, _digamma, _lgamma,
+                               _near_nonpos_int, _psi_gaps, _series_2f1,
                                chebyshev_t, cyl, env_h, env_j, gamma,
                                gamma_ratio, gamma_ratio_asymptotic, gauss_2f1,
                                gegenbauer_c, pochhammer, regularized_2f1)
@@ -145,6 +145,18 @@ class TestGammaRatioAsymptotic:
             assert abs(exact / lead - 1.0) < 5.0 / z
 
 
+def _disk_grid():
+    """400 seeded (a, b, c, z) with |z| <= 1.2."""
+    rng = random.Random(2024)
+    grid = []
+    for _ in range(400):
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        c = rng.uniform(0.3, 3.0)
+        z = cmath.rect(rng.uniform(0.0, 1.2), rng.uniform(-math.pi, math.pi))
+        grid.append((a, b, c, z))
+    return grid
+
+
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.7, -1.2, 0.9, 0.0).value == 1.0
@@ -189,13 +201,8 @@ class TestGauss2F1:
         """400 seeded points with |z| <= 1.2: 41 refused while only
         Re z < 0 took the Pfaff map; no more may refuse now, and every
         value holds 1e-12 against mpmath."""
-        rng = random.Random(2024)
         refused = 0
-        for _ in range(400):
-            a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-            c = rng.uniform(0.3, 3.0)
-            z = cmath.rect(rng.uniform(0.0, 1.2),
-                           rng.uniform(-math.pi, math.pi))
+        for a, b, c, z in _disk_grid():
             try:
                 got = gauss_2f1(a, b, c, z).value
             except NoConvergenceError:
@@ -290,6 +297,78 @@ def _c_near_pole(draw):
     d = draw(st.floats(1.01e-10, 0.99e-8 / (n + 1)))
     d *= draw(st.sampled_from((1.0, -1.0)))
     return complex(-n + d, draw(st.sampled_from((0.0, 1e-12, -3e-11))))
+
+
+def _result_outcome(call, z):
+    """_outcome of a call that returns an EvalResult."""
+    def fn(z):
+        r = call(z)
+        return complex(r.value), r.abs_err_est, r.terms_used, r.flags
+    return _outcome(fn, z)
+
+
+class TestPrepared2F1:
+    """One Hyp2F1 called at many z gives, at each z and in either order,
+    the bits of gauss_2f1 and regularized_2f1 (value, estimate, terms,
+    flags, or the same refusal): what it keeps never changes an
+    outcome."""
+
+    TRIPLES = ([(a, b, c) for a, b, c, _ in _disk_grid()[:6]]
+               + [(0.3, 1.45, 0.3 + 1.45 + m) for m in (-2, 0, 2)]
+               + [(0.4 + 0.3j, 1.1 - 0.2j, 2.5 + 0.1j),
+                  (0.3 + 0.2j, 1.1, 2.4 - 0.3j), (-2.0, 1.3, 0.7),
+                  (1.0, 1.0, 0.0), (-2.0, 3.0, -1.0), (0.5, 0.5, -2.0)])
+    # every route: the series, the Pfaff map (Re z < 0, and near the
+    # imaginary axis), the 1-z connection, the branch cut, and z = 0
+    EXTRA_Z = [0.0, 0.5, 0.76, 0.9, 0.99, 0.999, -0.9, -3.0, 0.8j,
+               0.9 + 0.2j, 1.7, 5.0]
+    ZS = [z for *_, z in _disk_grid()[:100]] + EXTRA_Z
+
+    @pytest.mark.parametrize("abc", TRIPLES)
+    @pytest.mark.parametrize("method,one_shot", [
+        ("__call__", gauss_2f1), ("regularized", regularized_2f1)])
+    def test_matches_one_shot(self, abc, method, one_shot):
+        ref = [_result_outcome(lambda z: one_shot(*abc, z), z)
+               for z in self.ZS]
+        engine = getattr(Hyp2F1(*abc), method)
+        assert [_result_outcome(engine, z) for z in self.ZS] == ref
+        assert [_result_outcome(engine, z) for z in self.ZS[::-1]] \
+            == ref[::-1]
+        engine = getattr(Hyp2F1(*abc), method)
+        assert [_result_outcome(engine, z) for z in self.ZS[::-1]] \
+            == ref[::-1]
+
+    def test_every_route_keeps_its_state(self):
+        kept, cases = set(), set()
+        for abc in self.TRIPLES:
+            engine = Hyp2F1(*abc)
+            for z in self.EXTRA_Z:
+                _result_outcome(engine.regularized, z)
+            kept |= set(vars(engine))
+            if engine._connection:
+                cases.add("generic" if engine._connection[0] is None
+                          else "log")
+        assert {"_snapped", "_rgamma", "_pfaff", "_connection",
+                "_gaps"} <= kept
+        assert cases == {"generic", "log"}
+
+    def test_refusing_route_stays_refused(self):
+        """c - a - b = 3 + 1e-10 i is too far off the real axis for the
+        logarithmic case, and the 1-z connection's first function has
+        c' = 1 - (c - a - b) = -2 - 1e-10 i, on a pole: every call that
+        takes the 1-z route raises ParamPoleError, and every call in the
+        disk |z| <= 0.75 still returns the one-shot value."""
+        abc = (0.25, 0.5, 3.75 + 1e-10j)
+        engine = Hyp2F1(*abc)
+        for z in (0.5, 0.9, 0.3, 0.76, 0.99, -0.6, 0.9, 0.7):
+            if abs(z) <= 0.75:
+                got = _result_outcome(engine, z)
+                assert got == _result_outcome(
+                    lambda z: gauss_2f1(*abc, z), z)
+                assert len(got) == 5
+            else:
+                with pytest.raises(ParamPoleError):
+                    engine(z)
 
 
 class TestSeriesBitIdentity:
@@ -424,8 +503,8 @@ class TestLogGammaDigamma:
         run starts 3.3e-7 from a pole and crosses two more.  Relative
         where |bracket| >= 1, absolute below, as for psi."""
         w = 0.2 - 0.1j
-        got = list(itertools.islice(_psi_brackets(cmath.log(w), m, pa, pb),
-                                    100))
+        gaps = zip(_psi_gaps([], pa, 0), _psi_gaps([], pb, m))
+        got = [cmath.log(w) + x + y for x, y in itertools.islice(gaps, 100)]
         assert len(got) == 100
         with mpmath.workdps(30):
             for k, g in enumerate(got):
@@ -450,7 +529,9 @@ class TestLogCase:
     def test_against_mpmath(self, m, a, b, z):
         a, b, z = complex(a), complex(b), complex(z)
         c = a + b + m
-        v, err, _, _ = _lin_1mz_log(a, b, c, m, z, 0)
+        connection = Hyp2F1(a, b, c)._connect()
+        assert connection[0] == m
+        v, err, _, _ = Hyp2F1(a, b, c)._lin_1mz_log(z, *connection)
         with mpmath.workdps(30):
             ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert abs(v - ref) <= 1e-13 * abs(ref)

@@ -1,6 +1,7 @@
 """Verification harness: residuals, constraints, limit sweeps."""
 
 import math
+import sys
 
 import pytest
 
@@ -10,8 +11,8 @@ from curvgreen.greens import MINUS, PLUS, WaveParams
 from curvgreen.legendre import legendre_p
 from curvgreen.verify import (check_beta_zero_limit, check_eps_ball,
                               check_flat_limit, check_mellin,
-                              check_normalization, mellin_reference, quad,
-                              radial_residual)
+                              check_normalization, default_suite,
+                              mellin_reference, quad, radial_residual)
 
 M3S = ManifoldSpec(HYPERSPHERE, 3, 1.0)
 M4S = ManifoldSpec(HYPERSPHERE, 4, 1.0)
@@ -180,3 +181,31 @@ def test_reports_reproducible():
     a = check_normalization("S_PLUS", WaveParams(M3S, 1.3, PLUS))
     b = check_normalization("S_PLUS", WaveParams(M3S, 1.3, PLUS))
     assert a == b
+    # bit for bit: repr tells -0.0 from 0.0
+    assert [repr(r) for r in default_suite()] \
+        == [repr(r) for r in default_suite()]
+
+
+def _module_state():
+    """The size of every module-level dict, list and set, and of every
+    lru_cache, in the loaded curvgreen modules."""
+    sizes = {}
+    for name, module in sorted(sys.modules.items()):
+        if name != "curvgreen" and not name.startswith("curvgreen."):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) \
+                    and not attr.startswith("__"):
+                sizes[name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[name, attr] = value.cache_info().currsize
+    return sizes
+
+
+def test_suite_keeps_no_module_state():
+    """Prepared kernels keep their state in objects that each check
+    discards: the suite grows no module-level container."""
+    before = _module_state()
+    assert before
+    default_suite()
+    assert _module_state() == before
