@@ -96,6 +96,8 @@ class WaveParams:
                               "use euclidean_green directly")
         if self.manifold.d < 2:
             raise DomainError("Green's functions require d >= 2")
+        if not math.isfinite(self.beta):
+            raise DomainError("beta must be finite")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
         if self.sign not in (PLUS, MINUS):
@@ -136,6 +138,8 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
     """
     if d < 1:
         raise DomainError("dimension must be >= 1")
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite")
     if not beta > 0:
         raise DomainError("beta must be positive")
     if not r > 0:

@@ -31,8 +31,8 @@ takes an integral representation (the Mehler-Dirichlet integral, one
 kernel for Legendre and Ferrers with sinh/cosh in place of sin/cos; FQ
 from two such integrals), as P does.  Q leaves its series only at a
 strongly conical degree, for a contour-rotated Laplace-type integral
-at -mu; a conical degree with |tau| < 12 keeps the series, its
-estimate widened by the loss model.  The first-kind series is likewise
+at -mu; a conical degree with |tau| < 12 keeps the series at any loss,
+with the series engine's estimate.  The first-kind series is likewise
 one routine for both families.  A value beyond the double range is
 refused with RangeError by every public function, never returned as
 inf/nan.
@@ -51,8 +51,7 @@ from itertools import count
 from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
-from .result import (NEAR_POLE, RECURRENCE_UNSTABLE, SLOW_CONVERGENCE,
-                     EvalResult, merge_flags)
+from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
 from .specfun import (_EPS, Hyp2F1, _cgamma, _lgamma, _near_nonpos_int,
                       gamma_ratio, gauss_2f1)
 
@@ -90,12 +89,6 @@ def _halfodd_part(mu) -> int | None:
     if abs(mu.real - (m + 0.5)) < 1e-12:
         return m
     return None
-
-
-def _slow(out: EvalResult, floor: float) -> EvalResult:
-    """out flagged SLOW_CONVERGENCE, its estimate raised to at least floor."""
-    return EvalResult(out.value, max(out.abs_err_est, floor), out.terms_used,
-                      out.flags | {SLOW_CONVERGENCE})
 
 
 def _degree_loss(nu, sqrt_w: float) -> float:
@@ -493,7 +486,11 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     are continued through the 1-z connection inside the hypergeometric
     engine.  Carries the e^{i pi mu} factor of the classical function.
     Conical degrees with strong series cancellation take
-    ``_large_degree`` on the contour-rotated Laplace integral.
+    ``_large_degree`` on the contour-rotated Laplace integral.  At an
+    anomalous degree nu + 3/2 = -n with nu + mu + 1 = -k, where the
+    series has paired gamma poles, mu = n - k + 1/2 is half-odd and the
+    closed form (``half_odd_eval``) gives the limit in nu, or
+    ParamPoleError where Q has a pole (k >= 2n + 2).
     """
     return LegendreQ(nu, mu)(z)
 
@@ -510,28 +507,18 @@ class LegendreQ:
     def __call__(self, z: float) -> EvalResult:
         z = _check_hyperbolic(z)
         nu, mu = self.nu, self.mu
-        nm_pole, _ = _near_nonpos_int(nu + mu + 1.0)
-        anom, _ = _near_nonpos_int(nu + 1.5)
+        nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
+        anom, n = _near_nonpos_int(nu + 1.5)
         if nm_pole:
             if not anom:
                 raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
-            # anomalous degree: paired poles, resolved by degree perturbation
-            d = 1e-6
-            qp = _legendre_q_series(_q_engine(nu + d, mu), nu + d, mu, z)
-            qm = _legendre_q_series(_q_engine(nu - d, mu), nu - d, mu, z)
-            val = 0.5 * (qp.value + qm.value)
-            err = qp.abs_err_est + qm.abs_err_est + abs(qp.value - qm.value)
-            return EvalResult(val, err, qp.terms_used + qm.terms_used,
-                              merge_flags(qp, qm) | {NEAR_POLE})
+            # paired poles: the order is n - k + 1/2 (see legendre_q)
+            return half_odd_eval("Q", nu, n - k + 0.5, z)
         loss = abs((nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z)
         if loss <= _LOSS_MAX or abs((nu + 0.5).imag) < 12.0:
             if self.h is None:
                 self.h = _q_engine(nu, mu)
-            out = _legendre_q_series(self.h, nu, mu, z)
-            if loss > _LOSS_MAX:
-                out = _slow(out, 10.0 ** (loss / math.log(10.0) - 16.0)
-                            * abs(out.value))
-            return out
+            return _legendre_q_series(self.h, nu, mu, z)
         xi = math.acosh(z)
         return _large_degree("Q", nu, mu, z, lambda kind, m:
                              _conical_legendre_q_integral(nu, -m, xi))

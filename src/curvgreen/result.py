@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 # Diagnostic flags attached to EvalResult.flags
 NEAR_POLE = "NEAR_POLE"
+# no route sets SLOW_CONVERGENCE; the name stays for the code that reads it
 SLOW_CONVERGENCE = "SLOW_CONVERGENCE"
 ASYMPTOTIC_REGIME = "ASYMPTOTIC_REGIME"
 RECURRENCE_UNSTABLE = "RECURRENCE_UNSTABLE"
@@ -27,7 +28,7 @@ class EvalResult:
     terms_used : int
         Number of series terms / quadrature panels consumed.
     flags : frozenset of str
-        Diagnostic flags (NEAR_POLE, SLOW_CONVERGENCE, ...).
+        Diagnostic flags (NEAR_POLE, RECURRENCE_UNSTABLE, ...).
     """
 
     value: complex

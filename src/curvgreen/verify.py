@@ -259,16 +259,16 @@ def check_flat_limit(variant: str, d: int, beta: float, r_phys: float,
 def check_beta_zero_limit(variant: str, m: ManifoldSpec, rho: float = 0.9,
                           betas=(1e-3, 1e-4, 1e-5, 1e-6, 1e-7),
                           tol: float = 1e-5) -> CheckReport:
-    """beta -> 0 behavior on the sphere (or hyperboloid A-variants).
+    """beta -> 0 behavior on the sphere.
 
     Antipodal variants converge to the Laplace antipodal solution;
     single-source variants diverge like C/beta^2 with
     C = Gamma((d+1)/2) / (2 pi^{(d+1)/2} R^d).
 
-    The antipodal comparison is made at beta = 1e-3, where the O(beta^2)
-    limit gap is already below the tolerance: the odd combination loses
-    a digit per decade of beta to cancellation, so probing much deeper
-    only measures roundoff.
+    The antipodal comparison is made at the single beta =
+    max(min(betas), 1e-3), where the O(beta^2) limit gap is already below
+    the tolerance: the odd combination loses a digit per decade of beta
+    to cancellation, so probing much deeper only measures roundoff.
     """
     d, R = m.d, m.R
     if variant in (A_PLUS, AF_MINUS, FRAKA_MINUS):

@@ -459,6 +459,14 @@ class TestGreenKernel:
         with pytest.raises(exc, match="^" + re.escape(msg) + "$"):
             green_value(variant, m, beta, rho)
 
+    @pytest.mark.parametrize("variant", [v for v in VARIANT_SPACES
+                                         if not v.startswith("LAPLACE")])
+    @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_beta_refused(self, variant, beta):
+        m = ManifoldSpec(VARIANT_SPACES[variant][0], 3, 1.0)
+        with pytest.raises(DomainError, match="^beta must be finite$"):
+            green_value(variant, m, beta, 1.0)
+
     def test_refusal_leaves_the_kernel_usable(self):
         ms = ManifoldSpec(HYPERSPHERE, 3, 1.0)
         for beta, rhos in ((0.8, (4.0, 1.0, 0.0, 2.0, -1.0, 1.0)),

@@ -93,17 +93,54 @@ class TestLegendreQ:
     @pytest.mark.parametrize("z", [1.3, 3.0])
     def test_anomalous_degree_paired_poles(self, nu, mu, z):
         # nu + 3/2 in -N0 and nu + mu + 1 in -N: the two gamma poles
-        # cancel; the limit is mpmath's mean at nu +- 1e-8
+        # cancel; the limit is mpmath's mean at nu +- 1e-20, and the
+        # half-odd closed form returns it exactly, with no flag
         mpmath = pytest.importorskip("mpmath")
         got = legendre_q(nu, mu, z)
-        with mpmath.workdps(80):
-            d = mpmath.mpf("1e-8")
+        with mpmath.workdps(60):
+            d = mpmath.mpf("1e-20")
             want = complex(sum(mpmath.legenq(nu + s * d, mu, mpmath.mpf(z),
                                              type=3) for s in (1, -1)) / 2)
         err = abs(got.value - want)
-        assert err < 1e-9 * abs(want)
+        assert err < 1e-13 * abs(want)
         assert err <= got.abs_err_est
-        assert NEAR_POLE in got.flags
+        assert NEAR_POLE not in got.flags
+
+    @pytest.mark.parametrize("nu,mu", [(-1.5, -1.5), (-1.5, -2.5),
+                                       (-2.5, -2.5), (-1.5, -3.5)])
+    def test_anomalous_degree_genuine_poles_refuse(self, nu, mu):
+        # nu + 3/2 = -n and nu + mu + 1 = -k with k >= 2n + 2: Q has a
+        # pole in nu there, not a removable limit
+        with pytest.raises(ParamPoleError):
+            legendre_q(nu, mu, 1.3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(0, 2).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(0, 2 * n + 1))),
+           st.floats(1e-7, 1e-4), st.sampled_from([1.0, -1.0]),
+           st.floats(0.3, 2.5))
+    def test_series_meets_the_closed_form_at_paired_poles(self, nk, d, sign,
+                                                          xi):
+        """Off the anomalous degree by delta the series runs; it tends to
+        the closed form at nu0, Q moving by about |delta| (1 + xi) |Q| in
+        between, or, where Q(nu0) is near a zero (n = 1, k = 3 at
+        xi ~ 0.55), by what the exact closed form at nu0 + delta moves."""
+        n, k = nk
+        nu0, mu0, z = -1.5 - n, n - k + 0.5, math.cosh(xi)
+        at = legendre_q(nu0, mu0, z).value
+        near = legendre_q(nu0 + sign * d, mu0, z).value
+        moved = half_odd_eval("Q", nu0 + sign * d, mu0, z).value - at
+        assert abs(near - at) <= (10.0 * d * (1.0 + xi) * abs(at)
+                                  + 2.0 * abs(moved))
+
+    def test_paired_poles_take_the_callers_degree(self):
+        # 5e-11 off nu0, inside the pole test's tolerance: the closed form
+        # is evaluated at the caller's nu, not at nu0 (which is 3.8e-11
+        # off); reference mpmath at 30 digits
+        nu, mu, z = -2.5 + 5e-11, 0.5, 1.3
+        got = legendre_q(nu, mu, z)
+        assert relerr(got.value, _mp_legendre("Q", nu, mu, z)) < 1e-15
 
     def test_half_odd_closed_form(self):
         r = 1.0
@@ -234,6 +271,22 @@ class TestConicalQ:
                 err = abs(got.value - _mp_legendre("Q", nu, mu, z))
                 assert err <= 5e-14 * abs(got.value), (mu, z)
                 assert err <= got.abs_err_est, (mu, z)
+
+    @pytest.mark.parametrize("tau", [1.5, 3.0, 8.0, 11.9])
+    def test_weakly_conical_series(self, tau):
+        """|tau| < 12 keeps the series even past the loss threshold; its
+        estimate is the engine's, with no flag and no floor."""
+        nu = complex(-0.5, tau)
+        for rho in (0.01, 0.3, 1.2):
+            z = math.cosh(rho)
+            if tau * 2.0 * math.atanh(1.0 / z) <= legendre._LOSS_MAX:
+                continue
+            for mu in (0.0, 0.5, -0.5, 0.3, 1.0):
+                got = legendre_q(nu, mu, z)
+                assert not got.flags, (rho, mu)
+                assert got.abs_err_est <= 1e-12 * abs(got.value), (rho, mu)
+                assert relerr(got.value, _mp_legendre("Q", nu, mu, z)) \
+                    <= 1e-12, (rho, mu)
 
     def test_takes_the_connection(self, monkeypatch):
         def no_series(*args):

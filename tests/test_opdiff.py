@@ -22,8 +22,8 @@ ULP = 2.0 ** -52
 OP = ("green", "S_PLUS", 3, 1.0, 0.5)
 
 
-def _ok(value, terms=5, flags=()):
-    return ["ok", value, 0.0, 1e-15, terms, list(flags)]
+def _ok(value, terms=5, flags=(), est=1e-15):
+    return ["ok", value, 0.0, est, terms, list(flags)]
 
 
 def _raise(name):
@@ -78,6 +78,22 @@ def test_outcome_changes_are_counted_by_kind(opdiff):
     assert res["unchanged"] == 3
     assert res["max_new_value_err"] == pytest.approx(1e-10, rel=1e-6)
     assert len(res["examples"]) == opdiff.EXAMPLES
+
+
+def test_estimate_only_change_is_counted(opdiff):
+    # the estimate covers the 1e-13 error only after the change; an expand
+    # op's rel_err moving is neither est_changed nor err_over_est
+    expand = ("expand", "S_PLUS", 3, 1.0, 0.5)
+    old = [_ok(1.0 + 1e-13), _ok(1.0 + 1e-13)]
+    new = [_ok(1.0 + 1e-13, est=1e-12), _ok(1.0 + 1e-13, est=1e-12)]
+    res = opdiff.compare([OP, expand], old, new, [1.0 + 0.0j] * 2)
+    assert res["est_changed"] == 1
+    assert res["err_over_est"] == [1, 0]
+    assert res["identical"] == 0
+    for key in ("terms_changed", "flags_changed", "closer", "farther"):
+        assert res[key] == 0, key
+    assert res["unchanged"] == 2
+    assert res["examples"] == [["est_changed", list(OP), old[0], new[0]]]
 
 
 def test_verify_rows_name_the_one_changed_row(opdiff):

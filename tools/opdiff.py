@@ -13,7 +13,8 @@ and seed it prints one JSON line:
 
 * ``ops``, ``identical`` (bit-identical outcome), ``raise_to_value``,
   ``value_to_raise``, ``raise_changed`` (another exception type),
-  ``terms_changed`` and ``flags_changed``, each a count, with the first
+  ``terms_changed``, ``flags_changed`` and, for ``green`` ops,
+  ``est_changed`` (another ``abs_err_est``), each a count, with the first
   few such ops listed under ``examples``;
 * ``max_value_move``: the largest |new - old| / |old| over ops that
   return a value on both sides; for ``expand`` also ``max_rel_err_move``,
@@ -22,9 +23,11 @@ and seed it prints one JSON line:
   ``closer``, ``farther`` and ``unchanged`` counts of the ops that return
   a value on both sides; ``farther_2ulp``, the count of those whose
   relative error grew by more than 2 ulp (2 * 2**-52);
-  ``max_farther``, the largest increase of the relative error; and
+  ``max_farther``, the largest increase of the relative error;
   ``max_new_value_err``, the largest relative error of a
-  ``raise_to_value`` op's new value.
+  ``raise_to_value`` op's new value; and ``err_over_est`` as [old, new],
+  the counts of the ``green`` ops returning a value on both sides whose
+  error exceeds their ``abs_err_est``.
   ``verify`` ops have no oracle value.
 
 For ``verify`` each seed's line is followed by one line per verify row
@@ -96,10 +99,11 @@ def compare(ops, old, new, refs) -> dict:
     """The counts and extremes that the module docstring lists."""
     res = {"ops": len(ops), "identical": 0, "raise_to_value": 0,
            "value_to_raise": 0, "raise_changed": 0, "terms_changed": 0,
-           "flags_changed": 0, "max_value_move": 0.0,
+           "flags_changed": 0, "est_changed": 0, "max_value_move": 0.0,
            "max_rel_err_move": 0.0, "closer": 0, "farther": 0,
            "unchanged": 0, "farther_2ulp": 0, "max_farther": 0.0,
-           "max_new_value_err": 0.0, "examples": []}
+           "max_new_value_err": 0.0, "err_over_est": [0, 0],
+           "examples": []}
 
     def note(key, i):
         res[key] += 1
@@ -126,6 +130,8 @@ def compare(ops, old, new, refs) -> dict:
             note("terms_changed", i)
         if a[5] != b[5]:
             note("flags_changed", i)
+        if ops[i][0] == "green" and a[3] != b[3]:
+            note("est_changed", i)
         va, vb = _value(a), _value(b)
         res["max_value_move"] = max(res["max_value_move"],
                                     abs(vb - va) / abs(va) if va else
@@ -136,6 +142,9 @@ def compare(ops, old, new, refs) -> dict:
         ref = refs[i]
         if ref is None:
             continue
+        if ops[i][0] == "green":
+            res["err_over_est"][0] += abs(va - ref) > a[3]
+            res["err_over_est"][1] += abs(vb - ref) > b[3]
         ea, eb = abs(va - ref) / abs(ref), abs(vb - ref) / abs(ref)
         if eb < ea:
             res["closer"] += 1
