@@ -1,7 +1,9 @@
 """Command-line front end: eval, expand, verify, sweep, poles, special.
 
 Configuration may come from flags or from a single JSON document passed
-via --config; flags override config-file keys.  Output is JSON
+via --config; flags override config-file keys, and numeric config values
+are converted as they are read (one that is not a number is an error,
+exit status 1).  Output is JSON
 (default) or CSV with 17-significant-digit numbers; complex values are
 always serialized as paired *_re / *_im fields.  Exit status: 0 on
 success (all checks PASS), 2 if any check FAILs, 1 on usage or domain
@@ -23,6 +25,15 @@ from .greens import (MINUS, PLUS, VARIANT_SPACES, WaveParams,
                      eigenvalue_poles, euclidean_green, green_value,
                      pole_proximity, sphere_candidate_minus)
 from .verify import check_normalization, default_suite
+
+
+# the options the commands read as numbers, by config-file key; flags
+# arrive converted by argparse, config values are converted on reading
+_NUMERIC_KEYS = {
+    **dict.fromkeys(("d", "lmax", "count", "k", "m", "nmax"), int),
+    **dict.fromkeys(("R", "beta", "rho", "theta", "theta_prime", "r",
+                     "r_prime", "gamma", "r_phys", "mu", "nu"), float),
+}
 
 
 def _fmt(x: float) -> str:
@@ -320,6 +331,14 @@ def run(argv=None, stdout=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             print(f"error: cannot read config: {e}", file=sys.stderr)
             return 1
+        for key, kind in _NUMERIC_KEYS.items():
+            try:
+                if key in cfg:
+                    cfg[key] = kind(cfg[key])
+            except (TypeError, ValueError):
+                print(f"error: config key {key!r} must be {kind.__name__}, "
+                      f"got {cfg[key]!r}", file=sys.stderr)
+                return 1
     for k, v in vars(ns).items():
         if k in ("command", "config"):
             continue

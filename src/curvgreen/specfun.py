@@ -11,8 +11,10 @@ Provides the scalar kernels everything else is built on:
 * Pochhammer symbols evaluated as exact products,
 * the Gauss hypergeometric function 2F1 and its regularized variant,
   continued beyond the defining disk by the Pfaff z/(z-1) map and by
-  the 1-z linear transformation, including the logarithmic cases when
-  the parameter combination c-a-b is an integer,
+  the 1-z linear transformation, including the logarithmic case when
+  the parameter combination c-a-b is an integer m: one body for both
+  signs of m, the sums for m < 0 being those for m >= 0 at parameters
+  shifted by Euler's transformation,
 * cylinder functions J, Y, I, K, H1, H2 at real order and the
   zero-free envelope functions used to normalize asymptotic errors, in
   pure Python by Temme's method: CF1 and Miller's recurrence for J and
@@ -76,6 +78,7 @@ _LOG_SQRT_2PI = 0.91893853320467274178
 _EULER = 0.57721566490153286061
 
 _MAX_TERMS = 6000
+_LOG_RANGE = "2F1 logarithmic 1-z case leaves the double range"
 
 
 def _near_nonpos_int(z, tol=1e-10):
@@ -157,6 +160,21 @@ def _digamma(z) -> complex:
     w = 1.0 / z
     w2 = w * w
     return cmath.log(z) - 0.5 * w - w2 * _asym_sum(_PSI_ASYM, w2) - acc
+
+
+def _trigamma(z) -> complex:
+    """psi'(z) for complex z off the poles, shifted up as :func:`_digamma`
+    is, then by its asymptotic series (DLMF 5.15.8)."""
+    z = complex(z)
+    acc = 0.0
+    if z.real < _ASYM_MIN:
+        n = math.ceil(_ASYM_MIN - z.real)
+        for k in range(n):
+            acc += 1.0 / ((z + k) * (z + k))
+        z += n
+    w = 1.0 / z
+    w2 = w * w
+    return w + 0.5 * w2 + w * w2 * _asym_sum(_BERNOULLI, w2) + acc
 
 
 def _asym_sum(coef, w2):
@@ -391,13 +409,80 @@ def _log_sum(a_s, b_s, m, w, gaps):
     raise NoConvergenceError("2F1 logarithmic series did not converge")
 
 
+def _log_drop(m, lo, hi, w, n_fin, n_log, gaps):
+    """The derivatives in s = c - a - b, at s = m, of the logarithmic
+    case's finite and log sums over their first n_fin and n_log terms.
+
+    Rounding s to m drops (s - m) (A' finite - (-1)^m B' log) plus
+    O((s - m)^2), A' and B' the factors the case puts on its two sums.
+    DLMF 15.8.4 writes F/Gamma(c) as pi/sin(pi s) D(s) with D(m) = 0, so
+    that term is (-1)^m D''(m) (s - m)/2, and D'' is taken term by term.
+    With (p, q) = lo, (a_s, b_s) = hi and j = max(0, -m), log-sum term k
+    has (bracket^2 + 2 g bracket - t)/2 in place of its bracket, where
+    g = psi(k + j + 1) - psi(a + m) - psi(b + m) and t = +-(psi'(k + 1)
+    - psi'(k + |m| + 1)) - psi'(a_s + k) - psi'(b_s + k), + for m < 0.
+    Finite-sum term k has psi(|m| - k) - psi(a + m) - psi(b + m) (m > 0)
+    or log w + psi(p + k) - psi(p) + psi(q + k) - psi(q) - psi(|m| - k)
+    (m < 0) in place of 1.
+    """
+    n = abs(m)
+    logw = cmath.log(w)
+    ha, hb = hi
+    p, q = lo
+    psi_m = 0.0  # psi(a + m) + psi(b + m): off the poles where it is used
+    if n_log or (m > 0 and n_fin):
+        pa, pb = hi if m >= 0 else lo
+        psi_m = _digamma(pa) + _digamma(pb)
+    fin = 0.0 + 0.0j
+    coef = 1.0 + 0.0j
+    psi_nk = _psi_int(n) if n else 0.0  # psi(n - k)
+    shift = 0.0  # psi(p + k) - psi(p) + psi(q + k) - psi(q)
+    for k in range(n_fin):
+        fin += coef * (psi_nk - psi_m if m > 0 else logw + shift - psi_nk)
+        if k == n - 1:
+            break
+        coef = coef * (p + k) * (q + k) / ((k + 1.0) * (k - n + 1.0)) * w
+        if coef == 0.0:
+            break  # p + k or q + k is 0: the rest vanish
+        shift += 1.0 / (p + k) + 1.0 / (q + k)
+        psi_nk -= 1.0 / (n - k - 1)
+    if not n_log:
+        return fin, 0.0
+    total = 0.0 + 0.0j
+    coef = 1.0 / math.gamma(n + 1)
+    j = 0 if m >= 0 else n
+    psi_k = _psi_int(j + 1)
+    tri_h = math.fsum([1.0 / (i * i) for i in range(1, n + 1)])
+    tri = _trigamma(ha) + _trigamma(hb)
+    ga, gb = gaps or (None, None)
+    runs = zip(_psi_gaps(ga, ha, 0), _psi_gaps(gb, hb, n))
+    for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, n_log)):
+        bracket = logw + gap_a + gap_b
+        tau = (tri_h if m < 0 else -tri_h) - tri
+        total += coef * (bracket * (bracket + 2.0 * (psi_k - psi_m)) - tau)
+        coef = coef * (ha + k) * (hb + k) / ((k + 1.0) * (k + n + 1.0)) * w
+        psi_k += 1.0 / (k + j + 1)
+        tri_h += 1.0 / ((k + n + 1) * (k + n + 1)) - 1.0 / ((k + 1) * (k + 1))
+        tri -= 1.0 / ((ha + k) * (ha + k)) + 1.0 / ((hb + k) * (hb + k))
+    return fin, 0.5 * total
+
+
 class Hyp2F1:
     """Gauss hypergeometric 2F1(a, b; c; .) at fixed parameters: called
     with z it is :func:`gauss_2f1`, ``.regularized(z)`` is
     :func:`regularized_2f1`.  The defining series is used for
     |z| <= 0.75; outside the disk the Pfaff transformation (Re z < 0 or
-    |z/(z-1)| <= 0.75) or the 1-z connection formula, whose
-    integer-c-a-b logarithmic cases are handled explicitly.
+    |z/(z-1)| <= 0.75) or the 1-z connection formula.
+
+    When c - a - b is within 1e-8 of an integer m the connection takes
+    its logarithmic form, DLMF 15.8.10 for m >= 0 and 15.8.12 for m < 0,
+    in one body: a finite sum of |m| terms and a log sum, whose
+    parameters :meth:`_connect` picks once (see there), with (1-z)^m on
+    the log sum for m >= 0 and on the finite sum for m < 0.  Its error
+    estimate adds twice the term dropped by rounding c - a - b to m
+    (:func:`_log_drop`).  It refuses |m| > 6000, the series' term
+    budget, with NoConvergenceError before any sum, and a coefficient,
+    1/|m|! or power of 1-z outside the double range with RangeError.
     """
 
     # kept by the first call that needs it: the snapped a and b,
@@ -484,21 +569,36 @@ class Hyp2F1:
         m, *case = self._connection
         if m is None:
             return self._lin_1mz_generic(z, *case)
-        return self._lin_1mz_log(z, m, *case)
+        try:  # 1/|m|! or a power of 1 - z
+            return self._lin_1mz_log(z, m, *case)
+        except OverflowError:
+            raise RangeError(_LOG_RANGE) from None
 
     def _connect(self):
-        """(m, A, B) if c - a - b = m is an integer (A is None at m = 0),
-        else (None, s, c1, c2, f1, f2), f1 and f2 the engines of DLMF
-        15.8.4's two functions of 1 - z."""
+        """(m, lo, hi, A, B, s - m) if s = c - a - b is within 1e-8 of an
+        integer m, else (None, s, c1, c2, f1, f2), f1 and f2 the engines
+        of DLMF 15.8.4's two functions of 1 - z.  The logarithmic case's
+        finite sum runs at lo, its log sum at hi = lo + |m|: (a, b) and
+        (a + m, b + m) for m >= 0, (a - |m|, b - |m|) and (a, b) for
+        m < 0, which is Euler's transformation of the first at the
+        parameters.  A is Gamma(|m|) Gamma(c)/Gamma(hi), None at m = 0
+        (Gamma(0) is a pole); B is Gamma(c)/Gamma(lo)."""
         a, b, c = self.a, self.b, self.c
         s = c - a - b
         if abs(s.imag) < 1e-10 and abs(s.real - round(s.real)) < 1e-8:
             m = round(s.real)
-            if m >= 0:  # c = a + b + m
-                return (m, _coeff((m, c), (a + m, b + m)) if m > 0 else None,
-                        _coeff((c,), (a, b)))
-            mm = -m  # c = a + b - mm
-            return m, _coeff((mm, c), (a, b)), _coeff((c,), (a - mm, b - mm))
+            n = abs(m)
+            if n > _MAX_TERMS:
+                raise NoConvergenceError(
+                    "2F1 logarithmic 1-z case: |c - a - b| exceeds the "
+                    "term budget")
+            lo = (a, b) if m >= 0 else (a - n, b - n)
+            hi = (a + n, b + n) if m >= 0 else (a, b)
+            try:
+                return (m, lo, hi, _coeff((n, c), hi) if n else None,
+                        _coeff((c,), lo), s - m)
+            except OverflowError:
+                raise RangeError(_LOG_RANGE) from None
         return (None, s, _coeff((c, s), (c - a, c - b)),
                 _coeff((c, -s), (a, b)),
                 Hyp2F1(a, b, a + b - c + 1.0, self.depth + 1),
@@ -507,18 +607,11 @@ class Hyp2F1:
     def _lin_1mz_generic(self, z, s, c1, c2, f1, f2):
         """DLMF 15.8.4 two-term connection, c-a-b not an integer."""
         w = 1.0 - z
-        v1 = e1 = 0.0
-        t1 = 0
-        fl = set()
-        if c1 != 0.0:
-            v1, e1, t1, g1 = f1._core(w)
-            fl |= set(g1)
-        v2 = e2 = 0.0
-        t2 = 0
-        if c2 != 0.0:
-            v2, e2, t2, g2 = f2._core(w)
-            fl |= set(g2)
-        pw = w ** s if w != 0 else (0.0 if s.real > 0 else complex("inf"))
+        (v1, e1, t1, g1), (v2, e2, t2, g2) = [
+            f._core(w) if cf != 0.0 else (0.0, 0.0, 0, frozenset())
+            for cf, f in ((c1, f1), (c2, f2))]
+        fl = set(g1 | g2)
+        pw = w ** s
         p1 = c1 * v1
         p2 = c2 * pw * v2
         total = p1 + p2
@@ -528,53 +621,42 @@ class Hyp2F1:
             fl.add(NEAR_POLE)
         return total, err, t1 + t2, frozenset(fl)
 
-    def _lin_1mz_log(self, z, m, A, B):
+    def _lin_1mz_log(self, z, m, lo, hi, A, B, delta):
         """1-z connection when c-a-b = m is an integer (DLMF
-        15.8.10/15.8.12)."""
-        a, b = self.a, self.b
+        15.8.10/15.8.12): A times the finite sum at lo, less (-1)^m B
+        times the log sum at hi; w^m multiplies the log sum for m >= 0,
+        the finite sum for m < 0."""
+        n = abs(m)
         w = 1.0 - z
         # the first sum keeps no psi gaps: a one-shot call reuses none
         gaps, self._gaps = self._gaps, self._gaps or ([], [])
-        fl = set()
+        finite = 0.0 + 0.0j
+        afac = 0.0  # the factor the finite sum carries: A, or A w^m
+        if n and A != 0.0:
+            p, q = lo
+            coef = 1.0 + 0.0j
+            for k in range(n):
+                finite += coef
+                if k < n - 1:  # the next step would divide by zero
+                    coef = coef * (p + k) * (q + k) / ((k + 1.0) * (k - n + 1.0)) * w
+            afac = A if m > 0 else A * w ** m
+            finite *= afac
+        logsum = 0.0 + 0.0j
+        lerr = 0.0
+        lt = 0
+        if B != 0.0:
+            logsum, lerr, lt = _log_sum(*hi, n, w, gaps)
+        lcoef, lscale = (-1.0 if n % 2 else 1.0) * B, abs(B)
         if m >= 0:
-            finite = 0.0 + 0.0j
-            if m > 0 and A != 0.0:
-                coef = 1.0 + 0.0j
-                for k in range(m):
-                    finite += coef
-                    if k < m - 1:
-                        coef = coef * (a + k) * (b + k) / ((k + 1.0) * (k - m + 1.0)) * w
-                finite *= A
-            logsum = 0.0 + 0.0j
-            lerr = 0.0
-            lt = 0
-            if B != 0.0:
-                logsum, lerr, lt = _log_sum(a + m, b + m, m, w, gaps)
-            sign = -1.0 if m % 2 else 1.0
-            total = finite - sign * B * (w ** m) * logsum
-            err = abs(B) * abs(w) ** m * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
-        else:
-            mm = -m
-            finite = 0.0 + 0.0j
-            if A != 0.0:
-                coef = 1.0 + 0.0j
-                for k in range(mm):
-                    finite += coef
-                    if k < mm - 1:
-                        coef = coef * (a - mm + k) * (b - mm + k) / ((k + 1.0) * (k - mm + 1.0)) * w
-                finite *= A * w ** (-mm)
-            logsum = 0.0 + 0.0j
-            lerr = 0.0
-            lt = 0
-            if B != 0.0:
-                logsum, lerr, lt = _log_sum(a, b, mm, w, gaps)
-            sign = -1.0 if mm % 2 else 1.0
-            total = finite - sign * B * logsum
-            err = abs(B) * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
+            lcoef, lscale = lcoef * (w ** m), lscale * abs(w) ** m
+        total = finite - lcoef * logsum
+        err = lscale * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
+        if delta:  # twice the term dropped by rounding c - a - b to m
+            dfin, dlog = _log_drop(m, lo, hi, w, n if afac else 0, lt, gaps)
+            err += 2.0 * abs(delta) * (abs(afac * dfin) + abs(lcoef * dlog))
         scale = abs(finite) + abs(total - finite)
-        if scale > 1e6 * max(abs(total), 1e-300):
-            fl.add(NEAR_POLE)
-        return total, err, lt + abs(m), frozenset(fl)
+        near = scale > 1e6 * max(abs(total), 1e-300)
+        return total, err, lt + n, frozenset({NEAR_POLE} if near else ())
 
 
 def gauss_2f1(a, b, c, z) -> EvalResult:

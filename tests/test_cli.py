@@ -209,6 +209,19 @@ class TestConfigAndDeterminism:
         assert json.loads(out1)["value_re"] != json.loads(out2)["value_re"]
         assert json.loads(out2)["config_echo"]["rho"] == 0.9
 
+    @pytest.mark.parametrize("key,value", [("d", "three"), ("beta", None)])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = {"manifold": "hyperboloid", "d": 3, "R": 1.0, "beta": 1.0,
+               "sign": "plus", "rho": 0.7}
+        cfg[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        code, out = capture(["eval", "--config", str(path)])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self):
         argv = ["expand", "--variant", "H_PLUS", "--manifold",
                 "hyperboloid", "--d", "3", "--beta", "1.0", "--r", "0.6",
