@@ -9,9 +9,9 @@ functions,
 * the reflected first-kind function FP_nu^{-mu}(-x), which is FP at
   -mu and -x,
 * the odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x),
-* elementary closed forms for half-odd-integer orders lifted by the
-  order recurrence (an evaluation path independent of the
-  hypergeometric one),
+* orders +-1/2 by their elementary closed forms at every degree, and
+  the other half-odd-integer orders lifted from them by the order
+  recurrence (a path independent of the hypergeometric one),
 * the Gegenbauer function of the first kind for non-integer degree,
 * a kind's values at the orders +-(mu + l), l = 0, 1, ..., carried by
   the order recurrence from two direct values (``order_sequence``, the
@@ -360,7 +360,9 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
       h_{l+2} = s (2 (m + 1) c h_{l+1} - (nu + m + 1)(m - nu) h_l);
       for FQ, h_1 = s (2 mu c FQ^{-mu} - FQ^{1-mu}) is the same rule
       one order up, so where a zero weight meets a pole of FQ (nu - mu
-      in N0) no value is drawn at or near that pole;
+      in N0) no value is drawn at or near that pole; every kind takes it
+      at mu = 1/2, where both are closed forms (a series value at -3/2
+      would start the dominant solution with its own error);
     * miller = n > 0 (lowered P or FP at z > 1 or x > 0, unweighted):
       the first n values of the solution minimal in the order, by
       Miller's backward algorithm (Gil, Segura & Temme 2007, ch. 4; the
@@ -397,7 +399,7 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     for l in count():
         if l == 0:
             h = direct(0)
-        elif l == 1 and lowered and kind == "FQ":
+        elif l == 1 and lowered and (kind == "FQ" or mu == 0.5):
             h = s * (2.0 * mu * c * b - direct(-1))
         elif l == 1:
             h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
@@ -468,6 +470,8 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
     """
     z = _check_hyperbolic(z)
     nu, mu = complex(nu), complex(mu)
+    if mu in (0.5, -0.5):
+        return _half_order("P", nu, mu.real > 0, z)
     # only the oscillatory (conical) part of the degree causes series
     # cancellation for z > 1; real parts produce same-sign terms
     loss = 2.0 * abs(nu.imag) * math.sqrt((z - 1.0) / 2.0)
@@ -486,11 +490,12 @@ def legendre_q(nu, mu, z: float) -> EvalResult:
     are continued through the 1-z connection inside the hypergeometric
     engine.  Carries the e^{i pi mu} factor of the classical function.
     Conical degrees with strong series cancellation take
-    ``_large_degree`` on the contour-rotated Laplace integral.  At an
-    anomalous degree nu + 3/2 = -n with nu + mu + 1 = -k, where the
-    series has paired gamma poles, mu = n - k + 1/2 is half-odd and the
-    closed form (``half_odd_eval``) gives the limit in nu, or
-    ParamPoleError where Q has a pole (k >= 2n + 2).
+    ``_large_degree`` on the contour-rotated Laplace integral.  Orders
+    +-1/2 take their closed form at every degree.  At an anomalous
+    degree nu + 3/2 = -n with nu + mu + 1 = -k, where the series has
+    paired gamma poles, mu = n - k + 1/2 is half-odd and the closed form
+    (``half_odd_eval``) gives the limit in nu, or ParamPoleError where Q
+    has a pole (k >= 2n + 2).
     """
     return LegendreQ(nu, mu)(z)
 
@@ -507,6 +512,8 @@ class LegendreQ:
     def __call__(self, z: float) -> EvalResult:
         z = _check_hyperbolic(z)
         nu, mu = self.nu, self.mu
+        if mu in (0.5, -0.5):
+            return _half_order("Q", nu, mu.real > 0, z)
         nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
         anom, n = _near_nonpos_int(nu + 1.5)
         if nm_pole:
@@ -543,6 +550,8 @@ class FerrersP:
     def __call__(self, x: float) -> EvalResult:
         x = _check_ferrers(x)
         nu, mu = self.nu, self.mu
+        if mu in (0.5, -0.5):
+            return _half_order("FP", nu, mu.real > 0, x)
         theta = math.acos(x)
         loss = _degree_loss(nu, math.sin(theta / 2.0))
         if loss <= _LOSS_MAX:
@@ -662,6 +671,8 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     """
     x = _check_ferrers(x)
     nu, mu = complex(nu), complex(mu)
+    if mu in (0.5, -0.5):
+        return _half_order("FQ", nu, mu.real > 0, x)
     theta = math.acos(x)
     loss = _degree_loss(nu, max(math.sin(theta / 2.0), math.cos(theta / 2.0)))
     if loss > _LOSS_MAX:
@@ -728,60 +739,83 @@ def odd_ferrers_f(nu, mu, x: float) -> EvalResult:
 # Half-odd-integer orders: elementary forms + order recurrence
 # ----------------------------------------------------------------------
 
-def _seed_halfodd(kind: str, nu, arg: float, lift: bool):
-    """Closed forms: the value at order +1/2 and, if lift, (nu + 1/2)
-    times the value at order -1/2; then their relative error and their
-    envelope.
+def _seed_halfodd(kind: str, nu, arg: float):
+    """Closed forms: the value at order +1/2 and (nu + 1/2) times the
+    value at order -1/2; then their relative error, their envelope and
+    the angle.
 
     The order -1/2 forms carry a factor 1/(nu + 1/2); the upward
     recurrence takes them only through (nu + 1/2)^2 v_{-1/2}, so the
     product is formed without that division and stays finite at
     nu = -1/2.  Legendre seeds take z = cosh xi > 1, Ferrers seeds
     x = cos theta; the first kind is one form, with sinh/cosh in place
-    of sin/cos.  Each form is an amplitude times a trigonometric (or
-    hyperbolic, or exponential) function of the phase (nu + 1/2) angle,
-    whose size the envelope bounds; rounding the angle and the product
-    moves the phase by eps |phase|, so the error is eps (4 + |phase|)
+    of sin/cos, and sinh xi or sin theta is sqrt|(1 - arg)(1 + arg)|,
+    precise near x = -1 as sin(acos x) is not.  Each form is an
+    amplitude times a trigonometric (or hyperbolic, or exponential)
+    function of the phase (nu + 1/2) angle, whose size the envelope
+    bounds; rounding nu + 1/2, the angle and their product moves the
+    phase by up to 1.5 eps |phase|, so the error is eps (4 + 2 |phase|)
     relative to the envelope.
     """
-    nu = complex(nu)
-    half = nu + 0.5
     hyperbolic = kind in ("P", "Q")
     angle = math.acosh(arg) if hyperbolic else math.acos(arg)
-    sa = math.sinh(angle) if hyperbolic else math.sin(angle)
-    phase = half * angle
-    minus = None
+    sa = math.sqrt(abs((1.0 - arg) * (1.0 + arg)))
+    phase = (complex(nu) + 0.5) * angle
     if kind in ("P", "FP"):
         sin, cos = (cmath.sinh, cmath.cosh) if hyperbolic else \
             (cmath.sin, cmath.cos)
         amp = math.sqrt(2.0 / (math.pi * sa))
-        plus = amp * cos(phase)
-        if lift:
-            minus = amp * sin(phase)
+        plus, minus = amp * cos(phase), amp * sin(phase)
     elif kind == "Q":
-        e = cmath.exp(-phase)
         amp = math.sqrt(math.pi / (2.0 * sa))
-        plus = 1j * amp * e
-        if lift:
-            minus = -plus
+        plus = 1j * amp * cmath.exp(-phase)
+        minus = -plus
     else:
         amp = math.sqrt(math.pi / (2.0 * sa))
-        plus = -amp * cmath.sin(phase)
-        if lift:
-            minus = amp * cmath.cos(phase)
+        plus, minus = -amp * cmath.sin(phase), amp * cmath.cos(phase)
     if kind == "Q":
         env = abs(plus)
     else:
         env = amp * math.cosh(phase.real if hyperbolic else phase.imag)
-    return plus, minus, _EPS * (4.0 + abs(phase)), env
+    return plus, minus, _EPS * (4.0 + 2.0 * abs(phase)), env, angle
+
+
+def _half_order(kind: str, nu, up: bool, arg: float) -> EvalResult:
+    """kind (P, Q, FP or FQ) at order 1/2 if up, else -1/2, by its
+    elementary closed form (DLMF 14.5.11-17), at any degree: at -1/2,
+    _seed_halfodd's product over nu + 1/2, whose pole at nu = -1/2 Q and
+    FQ refuse as legendre_q and ferrers_q refuse nu + mu in -N.  FQ at
+    1/2 and P and FP at -1/2 are a sine of the phase p (over nu + 1/2):
+    below |p| = 1e-8 they take sin p = p (within p^3/6; a subnormal p
+    would round), and their envelope takes the factor min(1, |p|), as a
+    sine keeps its relative precision as p tends to 0.  The estimate is
+    _seed_halfodd's on the envelope, over |nu + 1/2| at -1/2.
+    """
+    plus, minus, rel, env, angle = _seed_halfodd(kind, nu, arg)
+    half = complex(nu) + 0.5
+    size, p = abs(half), abs(half) * angle
+    if up and kind != "FQ":
+        return EvalResult(plus, rel * env, 1)
+    if up:
+        return EvalResult(-env * angle * half if p < 1e-8 else plus,
+                          rel * env * min(1.0, p), 1)
+    if kind in ("Q", "FQ"):
+        if not size:
+            raise (ParamPoleError if kind == "Q" else UndefinedError)(
+                f"{'Q_nu^mu' if kind == 'Q' else 'FQ'} undefined: "
+                "nu + mu in -N")
+        return EvalResult(minus / half, rel * env / size, 1)
+    return EvalResult(complex(env * angle) if p < 1e-8 else minus / half,
+                      rel * env * (angle if p <= 1.0 else 1.0 / size), 1)
 
 
 @_refuse_overflow(None)
 def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     """Evaluate P/Q/FP/FQ at half-odd-integer order mu = m + 1/2, m in Z.
 
-    Upward order recurrence from the exact +/-1/2 elementary seeds;
-    negative orders come from the positive-order values through the
+    Orders +-1/2 are their elementary closed forms (``_half_order``);
+    higher orders take the upward order recurrence from them, and orders
+    below -1/2 come from the positive-order values through the
     order-reflection connection formulas.  This path never touches the
     hypergeometric engine, so it serves as an independent oracle for
     it.  Sets RECURRENCE_UNSTABLE if more than six digits were lost to
@@ -803,13 +837,13 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         q_sign = -1.0  # Ferrers recurrence has the opposite last sign
     nu, mu = complex(nu), complex(mu).real
 
+    if m in (0, -1):
+        return _half_order(kind, nu, m == 0, arg)
     if mu < 0:
         return _connect(kind, nu, mu,
                         lambda k: half_odd_eval(k, nu, -mu, arg))
 
-    plus, minus, rel, env = _seed_halfodd(kind, nu, arg, m > 0)
-    if m == 0:
-        return EvalResult(plus, rel * env, 1)
+    plus, minus, rel, env, _ = _seed_halfodd(kind, nu, arg)
     # upward in order: v_{k+1/2} for k = -1/2, 1/2, ..., m + 1/2; the
     # first step's (nu - order)(nu + order + 1) v_{-1/2} is
     # (nu + 1/2) minus

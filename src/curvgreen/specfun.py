@@ -385,20 +385,23 @@ def _log_sum(a_s, b_s, m, w, gaps):
     """sum_k (a_s)_k (b_s)_k / (k! (k+m)!) w^k * bracket(k), where
     bracket = log w - psi(k+1) - psi(k+m+1) + psi(a_s+k) + psi(b_s+k) is
     log w plus the :func:`_psi_gaps` of (a_s, 0) and (b_s, m), kept in
-    the pair of lists gaps (or in none, if it is None).
+    the pair of lists gaps (or in none, if it is None).  The estimate
+    charges 2 eps per term on the bracket's parts, |log w| + |gap_a| +
+    |gap_b|, whose rounding outlives their cancellation in the bracket.
     """
     coef = 1.0 / math.gamma(m + 1)
     total = 0.0 + 0.0j
     total_abs = 0.0
     small = 0
     logw = cmath.log(w)
+    alogw = abs(logw)
     ga, gb = gaps or (None, None)
     runs = zip(_psi_gaps(ga, a_s, 0), _psi_gaps(gb, b_s, m))
     for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, _MAX_TERMS)):
         term = coef * (logw + gap_a + gap_b)
         mag = abs(term)
         total += term
-        total_abs += mag
+        total_abs += abs(coef) * (alogw + abs(gap_a) + abs(gap_b))
         if mag <= 1e-16 * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
@@ -631,16 +634,19 @@ class Hyp2F1:
         # the first sum keeps no psi gaps: a one-shot call reuses none
         gaps, self._gaps = self._gaps, self._gaps or ([], [])
         finite = 0.0 + 0.0j
+        fsize = 0.0  # the finite sum's terms before they cancel
         afac = 0.0  # the factor the finite sum carries: A, or A w^m
         if n and A != 0.0:
             p, q = lo
             coef = 1.0 + 0.0j
             for k in range(n):
                 finite += coef
+                fsize += abs(coef)
                 if k < n - 1:  # the next step would divide by zero
                     coef = coef * (p + k) * (q + k) / ((k + 1.0) * (k - n + 1.0)) * w
             afac = A if m > 0 else A * w ** m
             finite *= afac
+            fsize *= abs(afac)
         logsum = 0.0 + 0.0j
         lerr = 0.0
         lt = 0
@@ -650,11 +656,11 @@ class Hyp2F1:
         if m >= 0:
             lcoef, lscale = lcoef * (w ** m), lscale * abs(w) ** m
         total = finite - lcoef * logsum
-        err = lscale * lerr + 4.0 * _EPS * (abs(finite) + abs(B * logsum))
+        err = lscale * lerr + 4.0 * _EPS * (fsize + abs(B * logsum))
         if delta:  # twice the term dropped by rounding c - a - b to m
             dfin, dlog = _log_drop(m, lo, hi, w, n if afac else 0, lt, gaps)
             err += 2.0 * abs(delta) * (abs(afac * dfin) + abs(lcoef * dlog))
-        scale = abs(finite) + abs(total - finite)
+        scale = fsize + abs(total - finite)
         near = scale > 1e6 * max(abs(total), 1e-300)
         return total, err, lt + n, frozenset({NEAR_POLE} if near else ())
 

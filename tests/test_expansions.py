@@ -240,6 +240,18 @@ class TestGreenExpansions:
         rep = green_expansion(variant, wp, TwoPointConfig(0.4, 0.8, 1.2), 40)
         assert rep.rel_err < 1e-7
 
+    def test_half_order_seeds_from_closed_forms(self):
+        """d = 3 (mu = 1/2): the lowered sequences of FP(+-cos th>) start
+        from FP^{-1/2} and FP^{1/2}, both closed forms.  A series value at
+        order -3/2 (3e-13 off at x = -0.696, conical degree) paired with
+        the closed form at -1/2 left this sum 2.1e-12 off; two series
+        values, 2.6e-13."""
+        wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 3.6476139898472755,
+                        PLUS)
+        cfg = TwoPointConfig(0.8008376579419825, 0.3804530122726887,
+                             2.619598783996111)
+        assert green_expansion("A_PLUS", wp, cfg, 60).rel_err < 2e-14
+
     def test_degenerate_gamma_zero(self):
         # gamma = 0: composite separation is the radial difference
         wp = WaveParams(ManifoldSpec(HYPERBOLOID, 3, 1.0), 1.0, PLUS)

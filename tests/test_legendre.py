@@ -4,6 +4,8 @@ import cmath
 import functools
 import math
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -460,8 +462,12 @@ class TestHalfOdd:
         assert relerr(got, ref) < 1e-14
 
     def test_ferrers_p_consistency(self):
+        # ferrers_p takes the closed form at order 1/2 too, so the
+        # independent path is the first-kind series
         got = half_odd_eval("FERRERS_P", 0.5, 0.5, 0.4).value
-        ref = ferrers_p(0.5, 0.5, 0.4).value
+        x = 0.4
+        ref = legendre._p_series(legendre._p_engine(0.5, 0.5), 0.5, x,
+                                 (1.0 + x) / (1.0 - x)).value
         assert abs(got - ref) < 1e-10 * abs(ref)
 
     def test_recurrence_vs_hypergeometric(self):
@@ -522,6 +528,119 @@ class TestHalfOdd:
     def test_degree_minus_half_order_minus_half_refuses(self, kind, arg):
         with pytest.raises(CurvGreenError):
             half_odd_eval(kind, -0.5, -0.5, arg)
+
+
+_HALF_FNS = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
+             "FQ": ferrers_q}
+
+
+@st.composite
+def _half_case(draw):
+    """(kind, nu, mu, arg) at mu = +-1/2: a real degree in [-0.4, 60], a
+    conical one with tau in [0, 60] or one within 1e-12 of -1/2; an
+    argument anywhere, or within 1e-12..0.1 of either end (for z > 1,
+    of 1, or up to cosh 8)."""
+    kind = draw(st.sampled_from(sorted(_HALF_FNS)))
+    nu = draw(st.one_of(
+        st.floats(-0.4, 60.0),
+        st.builds(lambda t: complex(-0.5, t), st.floats(0.0, 60.0)),
+        st.builds(lambda d: -0.5 + d, st.floats(-1e-12, 1e-12))))
+    near = 10.0 ** draw(st.floats(-12.0, -1.0))
+    if kind in ("P", "Q"):
+        arg = draw(st.sampled_from((1.0 + near, math.cosh(8.0 - near),
+                                    math.cosh(draw(st.floats(0.05, 8.0))))))
+    else:
+        arg = draw(st.sampled_from((1.0 - near, near - 1.0,
+                                    draw(st.floats(-0.99, 0.99)))))
+    return kind, nu, draw(st.sampled_from((0.5, -0.5))), arg
+
+
+class TestHalfOrderRung:
+    """Orders +-1/2 of every kind take their closed form at every degree
+    (DLMF 14.5.11-17) and build no 2F1; the error is within the estimate
+    against mpmath at 30 digits."""
+
+    @staticmethod
+    def _check(kind, nu, mu, arg):
+        if nu == -0.5 and mu < 0 and kind in ("Q", "FQ"):
+            return  # the pole, pinned by test_pole_refusals
+        # zeroprec: mpmath cannot resolve a value that vanishes at x = 0
+        # (FP_{3/2}^{-1/2}(1e-108)) and would refuse; it returns 0 there
+        ref = _mp_legendre(kind, nu, mu, arg, zeroprec=1024)
+        if not cmath.isfinite(ref):  # next to the pole
+            with pytest.raises(RangeError):
+                _HALF_FNS[kind](nu, mu, arg)
+            return
+        got = _HALF_FNS[kind](nu, mu, arg)
+        if 0.0 < abs(ref) < sys.float_info.min:
+            # a subnormal value's last-bit rounding is no share of it,
+            # which no relative estimate can carry
+            assert abs(got.value - ref) <= 1e-320
+            return
+        assert abs(got.value - ref) <= got.abs_err_est, (kind, nu, mu, arg)
+        assert got.terms_used == 1
+        return got, ref
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_half_case())
+    def test_against_mpmath(self, case):
+        self._check(*case)
+
+    @pytest.mark.parametrize("kind", sorted(_HALF_FNS))
+    def test_grid(self, kind):
+        """At the degrees next to -1/2 every value keeps its relative
+        precision and so does the estimate: the forms of P and FP at
+        -1/2 and FQ at 1/2 are sines of a phase that tends to 0."""
+        hyperbolic = kind in ("P", "Q")
+        args = ((1.0 + 1e-10, 1.3, math.cosh(7.5)) if hyperbolic
+                else (-1.0 + 1e-10, -0.3, 0.6, 1.0 - 1e-10))
+        for nu in (-0.4, 0.5, 7.3, 59.9, -0.5 + 0.7j, -0.5 + 45j, -0.5,
+                   -0.5 + 1e-13, -0.5 - 1e-13):
+            for mu in (0.5, -0.5):
+                for arg in args:
+                    out = self._check(kind, nu, mu, arg)
+                    if out and abs(complex(nu) + 0.5) < 1e-12:
+                        got, ref = out
+                        assert got.abs_err_est <= 2e-15 * abs(ref)
+
+    @pytest.mark.parametrize("fn,kind,arg,exc,msg", [
+        (legendre_q, "Q", 1.3, ParamPoleError,
+         "Q_nu^mu undefined: nu + mu in -N"),
+        (ferrers_q, "FQ", 0.3, UndefinedError,
+         "FQ undefined: nu + mu in -N"),
+    ])
+    def test_pole_refusals(self, fn, kind, arg, exc, msg):
+        pattern = "^" + re.escape(msg) + "$"
+        with pytest.raises(exc, match=pattern):
+            fn(-0.5, -0.5, arg)
+        with pytest.raises(exc, match=pattern):
+            half_odd_eval(kind, -0.5, -0.5, arg)
+        with pytest.raises(exc, match=pattern):
+            fn(complex(-0.5, 0.0), complex(-0.5, 0.0), arg)
+
+    @pytest.mark.parametrize("kind", sorted(_HALF_FNS))
+    def test_builds_no_2f1(self, kind, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 2F1 was built")
+
+        monkeypatch.setattr(legendre, "Hyp2F1", refuse)
+        monkeypatch.setattr(legendre, "gauss_2f1", refuse)
+        arg = 1.3 if kind in ("P", "Q") else 0.3
+        for mu in (0.5, -0.5):
+            _HALF_FNS[kind](1.2, mu, arg)
+
+    def test_order_minus_half_off_an_anomalous_degree(self):
+        """nu = -3/2 + 5e-11 sits within the pole test's 1e-10 of the
+        paired poles; the closed form takes the caller's degree, where
+        the both-poles limit of the connection was 5.0e-11 off."""
+        mpmath = pytest.importorskip("mpmath")
+        nu, z = -1.5 + 5e-11, 1.3
+        got = legendre_q(nu, -0.5, z)
+        with mpmath.workdps(60):
+            ref = complex(mpmath.legenq(nu, -0.5, mpmath.mpf(z), type=3))
+        assert abs(got.value - ref) <= 1e-15 * abs(ref)
+        assert abs(got.value - ref) <= got.abs_err_est
 
 
 class TestGegenbauerFunction:
@@ -651,16 +770,17 @@ _SEQ_CASES = [fam + (nu,) for fam in [
 
 
 @functools.lru_cache(maxsize=None)
-def _mp_legendre(kind, nu, order, arg):
-    """kind (P, Q, FP or FQ) by mpmath at 30 digits, rounded to complex.
-    The argument is made an mpf first: mpmath forms 1 +- z in the
-    argument's own type, which for a float rounds them."""
+def _mp_legendre(kind, nu, order, arg, **opts):
+    """kind (P, Q, FP or FQ) by mpmath at 30 digits, rounded to complex;
+    opts go to mpmath's hypergeometric sum.  The argument is made an mpf
+    first: mpmath forms 1 +- z in the argument's own type, which for a
+    float rounds them."""
     mpmath = pytest.importorskip("mpmath")
     f = mpmath.legenp if kind in ("P", "FP") else mpmath.legenq
     with mpmath.workdps(30):
         return complex(f(nu, order, mpmath.mpf(arg),
                          type=3 if kind in ("P", "Q") else 2,
-                         maxterms=10 ** 6))
+                         maxterms=10 ** 6, **opts))
 
 
 class TestOrderSequence:
@@ -780,8 +900,9 @@ _LADDER = {
 }
 _LADDER_NUS = (15.3, 25.3, 59.7, -0.5 + 15j, -0.5 + 30j)
 _LADDER_THETAS = (0.3, 1.2, 2.6)
-# the orders that reach each branch; reflected FP puts -mu on the ladder,
-# so its orders are positive and never reach the connection
+# the orders that reach each branch (orders +-1/2 take their closed form
+# before the ladder); reflected FP puts -mu on the ladder, so its orders
+# are positive and never reach the connection
 _LADDER_ORDERS = {"half-odd": (-1.5, -0.5, 0.5, 1.5), "at_neg": (0.0, -1.0),
                   "connect": (0.7, 1.0)}
 _REFLECTED_ORDERS = {"half-odd": (0.5, 1.5), "at_neg": (0.7, 1.0)}

@@ -96,6 +96,27 @@ def test_estimate_only_change_is_counted(opdiff):
     assert res["examples"] == [["est_changed", list(OP), old[0], new[0]]]
 
 
+def test_cells_carry_their_own_counts(opdiff, capsys):
+    # two cells: an estimate-only change in one, a term count and a flag
+    # in the other
+    other = ("green", "H_PLUS", 2, 1.0, 0.5)
+    ops = [OP, OP, other]
+    old = [_ok(1.0 + 1e-13), _ok(1.0), _ok(1.0)]
+    new = [_ok(1.0 + 1e-13, est=1e-12), _ok(1.0),
+           _ok(1.0, terms=6, flags=["NEAR_POLE"])]
+    opdiff._print_cells("points", 1, ops, old, new, [1.0 + 0.0j] * 3)
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [c["cell"] for c in lines] == [["H_PLUS", 2], ["S_PLUS", 3]]
+    h, s = lines
+    assert set(opdiff.CELL_KEYS) <= set(s)
+    assert (s["est_changed"], s["err_over_est"], s["identical"]) \
+        == (1, [1, 0], 1)
+    assert (s["terms_changed"], s["flags_changed"]) == (0, 0)
+    assert (h["terms_changed"], h["flags_changed"], h["est_changed"]) \
+        == (1, 1, 0)
+    assert h["err_over_est"] == [0, 0]
+
+
 def test_verify_rows_name_the_one_changed_row(opdiff):
     rows = [{"check_id": "a", "status": "PASS", "measured": 1.0,
              "target": 1.0},

@@ -635,6 +635,27 @@ class TestLogCase:
         assert gap <= (left.abs_err_est + abs(power) * right.abs_err_est
                        + (abs(m) + 2) * 2.0 ** -52 * abs(power * right.value))
 
+    def test_cancelling_finite_sum_is_charged(self):
+        """m = -200 and a - 200 a pole of Gamma: B = 0 and the finite
+        sum, whose terms cancel, is the whole value; every digit is
+        lost, which the estimate and NEAR_POLE show."""
+        got = gauss_2f1(3.0, 0.25, 3.25 - 200.0, 0.9)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(3.0, 0.25, 3.25 - 200.0, 0.9))
+        assert abs(got.value - ref) > 0.5 * abs(ref)
+        assert abs(got.value - ref) <= got.abs_err_est
+        assert NEAR_POLE in got.flags
+
+    @pytest.mark.parametrize("a,b", [(0.5, -2.28125), (-2.28125, 0.5)])
+    def test_cancelling_log_bracket_is_charged(self, a, b):
+        """m = 0: log w + psi gaps cancel in the log sum's brackets; the
+        estimate charges the rounding of their parts."""
+        c, z = a + b, 0.939453125
+        got = gauss_2f1(a, b, c, z)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(got.value - ref) <= got.abs_err_est <= 1e-12 * abs(ref)
+
     @pytest.mark.xfail(strict=True, reason="the estimate misses the "
                        "rounding of b - 1 = -1.99999 next to a pole")
     def test_shift_rounding_near_pole(self):

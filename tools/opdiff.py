@@ -38,8 +38,9 @@ side).
 
 With ``--by-cell`` each seed's line is followed by one line per
 (variant, d) cell of its ops, sorted by cell: ``workload``, ``seed``,
-``cell`` and that cell's ``identical``, ``closer``, ``farther``,
-``farther_2ulp`` and ``max_farther``.
+``cell`` and that cell's ``identical``, ``terms_changed``,
+``flags_changed``, ``est_changed``, ``closer``, ``farther``,
+``farther_2ulp``, ``max_farther`` and ``err_over_est``.
 
 Run it from the root of the checkout.  It writes nothing into the
 repository; the temporary export is removed when it ends.
@@ -66,7 +67,9 @@ SECONDS = 10
 EXAMPLES = 5
 TWO_ULP = 2.0 * 2.0 ** -52
 ORACLE_WORKERS = 2
-CELL_KEYS = ("identical", "closer", "farther", "farther_2ulp", "max_farther")
+CELL_KEYS = ("identical", "terms_changed", "flags_changed", "est_changed",
+             "closer", "farther", "farther_2ulp", "max_farther",
+             "err_over_est")
 
 
 def run_ops(ops) -> list:
@@ -204,7 +207,7 @@ def main() -> int:
                     choices=workloads.NAMES)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--by-cell", action="store_true",
-                    help="also print the oracle counts of each (variant, d)")
+                    help="also print the counts of each (variant, d)")
     ap.add_argument("--run", action="store_true",
                     help="internal: run the op list on stdin, print outcomes")
     args = ap.parse_args()
