@@ -470,8 +470,8 @@ def legendre_p(nu, mu, z: float) -> EvalResult:
     """
     z = _check_hyperbolic(z)
     nu, mu = complex(nu), complex(mu)
-    if mu in (0.5, -0.5):
-        return _half_order("P", nu, mu.real > 0, z)
+    if (half := _half_order("P", nu, mu, z)) is not None:
+        return half
     # only the oscillatory (conical) part of the degree causes series
     # cancellation for z > 1; real parts produce same-sign terms
     loss = 2.0 * abs(nu.imag) * math.sqrt((z - 1.0) / 2.0)
@@ -512,8 +512,8 @@ class LegendreQ:
     def __call__(self, z: float) -> EvalResult:
         z = _check_hyperbolic(z)
         nu, mu = self.nu, self.mu
-        if mu in (0.5, -0.5):
-            return _half_order("Q", nu, mu.real > 0, z)
+        if (half := _half_order("Q", nu, mu, z)) is not None:
+            return half
         nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
         anom, n = _near_nonpos_int(nu + 1.5)
         if nm_pole:
@@ -550,8 +550,8 @@ class FerrersP:
     def __call__(self, x: float) -> EvalResult:
         x = _check_ferrers(x)
         nu, mu = self.nu, self.mu
-        if mu in (0.5, -0.5):
-            return _half_order("FP", nu, mu.real > 0, x)
+        if (half := _half_order("FP", nu, mu, x)) is not None:
+            return half
         theta = math.acos(x)
         loss = _degree_loss(nu, math.sin(theta / 2.0))
         if loss <= _LOSS_MAX:
@@ -671,8 +671,8 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     """
     x = _check_ferrers(x)
     nu, mu = complex(nu), complex(mu)
-    if mu in (0.5, -0.5):
-        return _half_order("FQ", nu, mu.real > 0, x)
+    if (half := _half_order("FQ", nu, mu, x)) is not None:
+        return half
     theta = math.acos(x)
     loss = _degree_loss(nu, max(math.sin(theta / 2.0), math.cos(theta / 2.0)))
     if loss > _LOSS_MAX:
@@ -749,54 +749,53 @@ def _seed_halfodd(kind: str, nu, arg: float):
     product is formed without that division and stays finite at
     nu = -1/2.  Legendre seeds take z = cosh xi > 1, Ferrers seeds
     x = cos theta; the first kind is one form, with sinh/cosh in place
-    of sin/cos, and sinh xi or sin theta is sqrt|(1 - arg)(1 + arg)|,
-    precise near x = -1 as sin(acos x) is not.  Each form is an
-    amplitude times a trigonometric (or hyperbolic, or exponential)
-    function of the phase (nu + 1/2) angle, whose size the envelope
-    bounds; rounding nu + 1/2, the angle and their product moves the
-    phase by up to 1.5 eps |phase|, so the error is eps (4 + 2 |phase|)
-    relative to the envelope.
+    of sin/cos, and sinh xi or sin theta is sqrt|1 - arg| sqrt(1 + arg):
+    precise near x = -1 as sin(acos x) is not, and finite at any z.  Each
+    form is an amplitude times a trigonometric (or hyperbolic, or
+    exponential) function of the phase (nu + 1/2) angle, whose size the
+    envelope bounds; rounding nu + 1/2, the angle and their product
+    moves the phase by up to 1.5 eps |phase|, so the error is
+    eps (4 + 2 |phase|) relative to the envelope.
     """
     hyperbolic = kind in ("P", "Q")
     angle = math.acosh(arg) if hyperbolic else math.acos(arg)
-    sa = math.sqrt(abs((1.0 - arg) * (1.0 + arg)))
+    root = math.sqrt(math.sqrt(abs(1.0 - arg)) * math.sqrt(1.0 + arg))
+    amp = math.sqrt(2.0 / math.pi if kind in ("P", "FP")
+                    else math.pi / 2.0) / root
     phase = (complex(nu) + 0.5) * angle
     if kind in ("P", "FP"):
         sin, cos = (cmath.sinh, cmath.cosh) if hyperbolic else \
             (cmath.sin, cmath.cos)
-        amp = math.sqrt(2.0 / (math.pi * sa))
         plus, minus = amp * cos(phase), amp * sin(phase)
     elif kind == "Q":
-        amp = math.sqrt(math.pi / (2.0 * sa))
         plus = 1j * amp * cmath.exp(-phase)
         minus = -plus
     else:
-        amp = math.sqrt(math.pi / (2.0 * sa))
         plus, minus = -amp * cmath.sin(phase), amp * cmath.cos(phase)
-    if kind == "Q":
-        env = abs(plus)
-    else:
-        env = amp * math.cosh(phase.real if hyperbolic else phase.imag)
+    env = abs(plus) if kind == "Q" else \
+        amp * math.cosh(phase.real if hyperbolic else phase.imag)
     return plus, minus, _EPS * (4.0 + 2.0 * abs(phase)), env, angle
 
 
-def _half_order(kind: str, nu, up: bool, arg: float) -> EvalResult:
-    """kind (P, Q, FP or FQ) at order 1/2 if up, else -1/2, by its
-    elementary closed form (DLMF 14.5.11-17), at any degree: at -1/2,
-    _seed_halfodd's product over nu + 1/2, whose pole at nu = -1/2 Q and
-    FQ refuse as legendre_q and ferrers_q refuse nu + mu in -N.  FQ at
+def _half_order(kind: str, nu, mu, arg: float):
+    """kind (P, Q, FP or FQ) at order mu = +-1/2 by its elementary closed
+    form (DLMF 14.5.11-17), at any degree; None at any other order.  At
+    -1/2, _seed_halfodd's product over nu + 1/2, whose pole at nu = -1/2
+    Q and FQ refuse as legendre_q and ferrers_q refuse nu + mu in -N.  FQ at
     1/2 and P and FP at -1/2 are a sine of the phase p (over nu + 1/2):
     below |p| = 1e-8 they take sin p = p (within p^3/6; a subnormal p
     would round), and their envelope takes the factor min(1, |p|), as a
     sine keeps its relative precision as p tends to 0.  The estimate is
     _seed_halfodd's on the envelope, over |nu + 1/2| at -1/2.
     """
+    if mu not in (0.5, -0.5):
+        return None
     plus, minus, rel, env, angle = _seed_halfodd(kind, nu, arg)
     half = complex(nu) + 0.5
     size, p = abs(half), abs(half) * angle
-    if up and kind != "FQ":
+    if mu == 0.5 and kind != "FQ":
         return EvalResult(plus, rel * env, 1)
-    if up:
+    if mu == 0.5:
         return EvalResult(-env * angle * half if p < 1e-8 else plus,
                           rel * env * min(1.0, p), 1)
     if kind in ("Q", "FQ"):
@@ -837,8 +836,8 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         q_sign = -1.0  # Ferrers recurrence has the opposite last sign
     nu, mu = complex(nu), complex(mu).real
 
-    if m in (0, -1):
-        return _half_order(kind, nu, m == 0, arg)
+    if (half := _half_order(kind, nu, m + 0.5, arg)) is not None:
+        return half
     if mu < 0:
         return _connect(kind, nu, mu,
                         lambda k: half_odd_eval(k, nu, -mu, arg))

@@ -604,6 +604,25 @@ class TestHalfOrderRung:
                         got, ref = out
                         assert got.abs_err_est <= 2e-15 * abs(ref)
 
+    @pytest.mark.parametrize("kind", ["P", "Q"])
+    def test_huge_argument(self, kind):
+        """sinh xi is formed without (z - 1)(z + 1), which overflows above
+        z = 1e154 and left an amplitude of 0 with an estimate of 0:
+        P_0^{1/2}(1e200) is 1/sqrt(pi)."""
+        for z in (1e155, 1e200, 1e300, 1.7e308):
+            for nu in (0.0, 0.3, -0.5, -0.5 + 1e-13, -0.5 + 2j):
+                for mu in (0.5, -0.5):
+                    out = self._check(kind, nu, mu, z)
+                    if out:
+                        got = half_odd_eval(kind, nu, mu, z)
+                        assert (got.value, got.abs_err_est) \
+                            == (out[0].value, out[0].abs_err_est)
+        got = legendre_p(0.0, 0.5, 1e200) if kind == "P" \
+            else legendre_q(0.0, 0.5, 1e200)
+        ref = 1.0 / math.sqrt(math.pi) if kind == "P" \
+            else 0.5j * math.sqrt(math.pi) * 1e-200
+        assert abs(got.value - ref) <= got.abs_err_est <= 1e-12 * abs(ref)
+
     @pytest.mark.parametrize("fn,kind,arg,exc,msg", [
         (legendre_q, "Q", 1.3, ParamPoleError,
          "Q_nu^mu undefined: nu + mu in -N"),
