@@ -828,7 +828,8 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
         raise DomainError("half_odd_eval requires mu = m + 1/2, m integer")
     if kind in ("P", "Q"):
         arg = _check_hyperbolic(arg)
-        xfac = arg / math.sqrt(arg * arg - 1.0)
+        # 1 from 2^27 on, where arg^2 - 1 rounds to arg^2 (it overflows)
+        xfac = 1.0 if arg >= 2.0 ** 27 else arg / math.sqrt(arg * arg - 1.0)
         q_sign = +1.0  # Legendre recurrence: P^{mu+2} = -2(mu+1)x' P^{mu+1} + (nu-mu)(nu+mu+1) P^mu
     else:
         arg = _check_ferrers(arg)

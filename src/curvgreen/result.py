@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # Diagnostic flags attached to EvalResult.flags
 NEAR_POLE = "NEAR_POLE"
@@ -14,9 +14,11 @@ CANDIDATE = "CANDIDATE"
 NONCONVERGENT = "NONCONVERGENT"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult",
+                            "value abs_err_est terms_used flags")):
     """Value of a special-function evaluation plus error bookkeeping.
+
+    An immutable record: a tuple, so equal records hash equal.
 
     Attributes
     ----------
@@ -31,22 +33,21 @@ class EvalResult:
         Diagnostic flags (NEAR_POLE, RECURRENCE_UNSTABLE, ...).
     """
 
-    value: complex
-    abs_err_est: float = 0.0
-    terms_used: int = 0
-    flags: frozenset = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.abs_err_est < 0:
+    def __new__(cls, value, abs_err_est=0.0, terms_used=0,
+                flags=frozenset()):
+        if abs_err_est < 0:
             raise ValueError("abs_err_est must be nonnegative")
+        return tuple.__new__(cls, (value, abs_err_est, terms_used, flags))
 
     @property
     def re(self) -> float:
-        return complex(self.value).real
+        return complex(self[0]).real
 
     @property
     def im(self) -> float:
-        return complex(self.value).imag
+        return complex(self[0]).imag
 
     def scaled(self, c) -> "EvalResult":
         """The result times the prefactor c; the estimate scales by |c|."""

@@ -35,12 +35,14 @@ Fast path of the 2F1 engine.  Its results are bit-identical to the
 term-by-term complex evaluation (value, error estimate, term count,
 flags and every exception), and it changes no tolerance:
 
-* When a, b, c and z are finite with zero imaginary parts, the defining
-  series runs in float.  CPython's complex +, *, / and abs give, on
-  operands whose imaginary parts are zero and whose parts stay finite,
-  exactly the real part the float operation gives, and the imaginary
-  parts stay zero.  If a float term or sum overflows, the complex loop
-  runs instead, because its inf/nan parts propagate differently.
+* Real finite a, b, c and z run the defining series in float, and real
+  finite log-sum parameters and w = 1 - z the logarithmic case's log
+  sum; complex ones (conical degrees) take complex bodies.  CPython's
+  complex +, *, / and abs give, on operands whose imaginary parts are
+  zero and whose parts stay finite, exactly the real part of the float
+  operation (abs: x if x >= 0 else -x, as the float bodies write it).
+  A non-finite float sum or estimate reruns in complex, whose inf/nan
+  parts propagate differently.
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
 * Each parameter is checked against the poles once per engine, and the
@@ -79,6 +81,7 @@ _EULER = 0.57721566490153286061
 
 _MAX_TERMS = 6000
 _LOG_RANGE = "2F1 logarithmic 1-z case leaves the double range"
+_GAP_STEP = 8  # psi gaps computed at a time, ahead of the log sum
 
 
 def _near_nonpos_int(z, tol=1e-10):
@@ -192,16 +195,22 @@ def gamma(z) -> EvalResult:
     ------
     PoleError
         If z is a nonpositive integer.
+    RangeError
+        If |Gamma(z)| exceeds the double range.
     """
     hit, n = _near_nonpos_int(z, tol=1e-13)
     if hit:
         raise PoleError(f"gamma pole at z = -{n}")
-    v = _cgamma(z)
+    try:  # |v| itself may overflow where its parts do not
+        v = _cgamma(z)
+        err = 4e-15 * abs(v)
+    except OverflowError:
+        raise RangeError(f"gamma({z}) exceeds the double range") from None
     flags = frozenset()
     hit, _ = _near_nonpos_int(z, tol=1e-6)
     if hit:
         flags = frozenset({NEAR_POLE})
-    return EvalResult(v, 4e-15 * abs(v), 0, flags)
+    return EvalResult(v, err, 0, flags)
 
 
 def gamma_ratio(p, q) -> complex:
@@ -263,14 +272,17 @@ def _series_2f1(a, b, c, z):
     pole-free.  Real finite arguments run the loop in float (see the
     module docstring); if that loop overflows, the complex loop runs.
     """
+    # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
+    # can set NEAR_POLE, and only if the loop reaches it
+    n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
     out = None
     if (not (a.imag or b.imag or c.imag or z.imag)
             and math.isfinite(a.real + b.real + c.real + z.real)):
-        out = _series_loop(a.real, b.real, c.real, z.real, 1.0)
+        out = _series_real(a.real, b.real, c.real, z.real, n0)
         if not math.isfinite(out[1]):
             out = None  # complex inf/nan parts propagate differently
     if out is None:
-        out = _series_loop(a, b, c, z, 1.0 + 0.0j)
+        out = _series_complex(a, b, c, z, n0)
     total, total_abs, term, terms_used, near = out
     if not terms_used:
         raise NoConvergenceError("2F1 series did not settle within budget")
@@ -281,16 +293,42 @@ def _series_2f1(a, b, c, z):
     return complex(total), err, terms_used, frozenset(flags)
 
 
-def _series_loop(a, b, c, z, one):
-    """The loop of _series_2f1 in the arithmetic of ``one`` (float or
-    complex): (total, sum of |terms|, last term, terms used or 0 if the
-    budget ran out, whether a denominator fell below 1e-8)."""
-    # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
-    # can set NEAR_POLE, and only if the loop reaches it
-    n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
+def _series_real(a, b, c, z, n0):
+    """The loop of _series_2f1 in float: (total, sum of |terms|, last
+    term, terms used or 0 if the budget ran out, whether the denominator
+    at n0 fell below 1e-8)."""
     n_max = float(_MAX_TERMS)  # float-float comparisons are the fast ones
     near = False
-    term = total = one
+    term = total = total_abs = 1.0
+    small = 0
+    n = 0.0
+    while n < n_max:
+        denom = (c + n) * (n + 1.0)
+        if n == n0:
+            near = (denom if denom >= 0.0 else -denom) < 1e-8
+        term = term * (a + n) * (b + n) / denom * z
+        if term == 0.0:
+            break  # terminating polynomial: count nonzero terms only
+        mag = term if term >= 0.0 else -term
+        total += term
+        total_abs += mag
+        n += 1.0
+        if mag <= 1e-15 * (total if total >= 0.0 else -total):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    else:
+        return total, total_abs, term, 0, near
+    return total, total_abs, term, int(n) + 1, near
+
+
+def _series_complex(a, b, c, z, n0):
+    """_series_real in complex arithmetic."""
+    n_max = float(_MAX_TERMS)
+    near = False
+    term = total = 1.0 + 0.0j
     total_abs = 1.0
     small = 0
     n = 0.0
@@ -300,7 +338,7 @@ def _series_loop(a, b, c, z, one):
             near = abs(denom) < 1e-8
         term = term * (a + n) * (b + n) / denom * z
         if term == 0.0:
-            break  # terminating polynomial: count nonzero terms only
+            break
         mag = abs(term)
         total += term
         total_abs += mag
@@ -340,40 +378,31 @@ def _coeff(num, den):
     return cmath.exp(acc)
 
 
-def _psi_gaps(gaps, x, j: int):
-    """Yield psi(x + k) - psi(k + j + 1) for k = 0, 1, ...: those in the
-    list gaps, then new ones, appended to it (kept nowhere if gaps is
-    None).
+def _psi_gaps(gaps, a_s, b_s, m: int, n: int) -> int:
+    """Extend the pair of lists gaps to at least n entries each and
+    return the shorter length: psi(a_s + k) - psi(k + 1) and
+    psi(b_s + k) - psi(k + m + 1) for k = 0, 1, ..., in the arithmetic
+    of a_s and b_s (float or complex).
 
-    One direct digamma less the harmonic sum psi(j + 1) = H_j - gamma,
-    then gap(k + 1) = gap(k) + (j + 1 - x)/((x + k)(k + j + 1)).  The
-    recurrence carries the gap, which tends to 0, and not psi(x + k),
-    which grows like log k, so its rounding stays at the gap's size.  A
-    run that starts left of Re 1/2 may start at a pole's large value,
-    whose rounding the recurrence would carry on, so its first term
-    right of Re 1/2 is evaluated directly again.
+    Each run is one direct digamma less the harmonic sum
+    psi(j + 1) = H_j - gamma, then gap(k + 1) = gap(k) + (j + 1 - x)/
+    ((x + k)(k + j + 1)).  The recurrence carries the gap, which tends
+    to 0, and not psi(x + k), which grows like log k, so its rounding
+    stays at the gap's size.  A run that starts left of Re 1/2 may start
+    at a pole's large value, whose rounding the recurrence would carry
+    on, so its first term right of Re 1/2 is evaluated directly again.
     """
-    if gaps:
-        yield from gaps
-        k = len(gaps) - 1
-        gap = gaps[k]
-    else:
-        k, gap = 0, _digamma(x) - _psi_int(j + 1)
-        if gaps is not None:
-            gaps.append(gap)
-        yield gap
-    keep = None if gaps is None else gaps.append
-    left = x.real + k < 0.5
-    while True:
-        if left and x.real + (k + 1) >= 0.5:
-            left = False
-            gap = _digamma(x + (k + 1)) - _psi_int(k + j + 2)
-        else:
-            gap += (j + 1.0 - x) / ((x + k) * (k + j + 1.0))
-        if keep:
-            keep(gap)
-        yield gap
-        k += 1
+    for run, x, j in ((gaps[0], a_s, 0), (gaps[1], b_s, m)):
+        for k in range(len(run), n):  # entry k from entry i = k - 1
+            i = k - 1
+            if not k or x.real + i < 0.5 <= x.real + k:
+                gap = _digamma(x + k if k else x) - _psi_int(k + j + 1)
+                if type(x) is float:
+                    gap = gap.real
+            else:
+                gap = run[i] + (j + 1.0 - x) / ((x + i) * (i + j + 1.0))
+            run.append(gap)
+    return min(len(gaps[0]), len(gaps[1]))
 
 
 def _psi_int(n: int) -> float:
@@ -384,20 +413,61 @@ def _psi_int(n: int) -> float:
 def _log_sum(a_s, b_s, m, w, gaps):
     """sum_k (a_s)_k (b_s)_k / (k! (k+m)!) w^k * bracket(k), where
     bracket = log w - psi(k+1) - psi(k+m+1) + psi(a_s+k) + psi(b_s+k) is
-    log w plus the :func:`_psi_gaps` of (a_s, 0) and (b_s, m), kept in
-    the pair of lists gaps (or in none, if it is None).  The estimate
-    charges 2 eps per term on the bracket's parts, |log w| + |gap_a| +
-    |gap_b|, whose rounding outlives their cancellation in the bracket.
+    log w plus the :func:`_psi_gaps` of (a_s, 0) and (b_s, m), in the
+    engine's float or complex pair of lists gaps[0] or gaps[1]: (sum,
+    estimate, terms, the pair read).  The estimate charges 2 eps per term
+    on the bracket's parts, |log w| + |gap_a| + |gap_b|, whose rounding
+    outlives their cancellation in the bracket.  This is the float body;
+    complex or non-finite inputs, a non-finite sum or estimate and a
+    spent budget go to :func:`_log_sum_complex`.
     """
+    if (a_s.imag or b_s.imag or w.imag
+            or not math.isfinite(a_s.real + b_s.real + w.real)):
+        return _log_sum_complex(a_s, b_s, m, w, gaps[1])
+    p, q, x = a_s.real, b_s.real, w.real
+    coef = 1.0 / math.gamma(m + 1)
+    total = total_abs = 0.0
+    small = have = 0
+    logw = cmath.log(x).real
+    alogw = logw if logw >= 0.0 else -logw
+    ga, gb = gaps[0]
+    for k in range(_MAX_TERMS):
+        if k == have:
+            have = _psi_gaps(gaps[0], p, q, m, k + _GAP_STEP)
+        gap_a, gap_b = ga[k], gb[k]
+        term = coef * (logw + gap_a + gap_b)
+        mag = term if term >= 0.0 else -term
+        total += term
+        total_abs += (coef if coef >= 0.0 else -coef) * (
+            alogw + (gap_a if gap_a >= 0.0 else -gap_a)
+            + (gap_b if gap_b >= 0.0 else -gap_b))
+        size = total if total >= 0.0 else -total
+        if mag <= 1e-16 * (1e-300 if size < 1e-300 else size):
+            small += 1
+            if small >= 3:
+                err = 2.0 * _EPS * total_abs + mag
+                if math.isfinite(total) and math.isfinite(err):
+                    return complex(total), err, k + 1, gaps[0]
+                break
+        else:
+            small = 0
+        coef = coef * (p + k) * (q + k) / ((k + 1.0) * (k + m + 1.0)) * x
+    return _log_sum_complex(a_s, b_s, m, w, gaps[1])
+
+
+def _log_sum_complex(a_s, b_s, m, w, gaps):
+    """_log_sum in complex arithmetic, on the pair of lists gaps."""
     coef = 1.0 / math.gamma(m + 1)
     total = 0.0 + 0.0j
     total_abs = 0.0
-    small = 0
+    small = have = 0
     logw = cmath.log(w)
     alogw = abs(logw)
-    ga, gb = gaps or (None, None)
-    runs = zip(_psi_gaps(ga, a_s, 0), _psi_gaps(gb, b_s, m))
-    for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, _MAX_TERMS)):
+    ga, gb = gaps
+    for k in range(_MAX_TERMS):
+        if k == have:
+            have = _psi_gaps(gaps, a_s, b_s, m, k + _GAP_STEP)
+        gap_a, gap_b = ga[k], gb[k]
         term = coef * (logw + gap_a + gap_b)
         mag = abs(term)
         total += term
@@ -405,7 +475,7 @@ def _log_sum(a_s, b_s, m, w, gaps):
         if mag <= 1e-16 * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
-                return total, 2.0 * _EPS * total_abs + mag, k + 1
+                return total, 2.0 * _EPS * total_abs + mag, k + 1, gaps
         else:
             small = 0
         coef = coef * (a_s + k) * (b_s + k) / ((k + 1.0) * (k + m + 1.0)) * w
@@ -457,10 +527,9 @@ def _log_drop(m, lo, hi, w, n_fin, n_log, gaps):
     psi_k = _psi_int(j + 1)
     tri_h = math.fsum([1.0 / (i * i) for i in range(1, n + 1)])
     tri = _trigamma(ha) + _trigamma(hb)
-    ga, gb = gaps or (None, None)
-    runs = zip(_psi_gaps(ga, ha, 0), _psi_gaps(gb, hb, n))
-    for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, n_log)):
-        bracket = logw + gap_a + gap_b
+    ga, gb = gaps
+    for k in range(n_log):
+        bracket = logw + ga[k] + gb[k]
         tau = (tri_h if m < 0 else -tri_h) - tri
         total += coef * (bracket * (bracket + 2.0 * (psi_k - psi_m)) - tau)
         coef = coef * (ha + k) * (hb + k) / ((k + 1.0) * (k + n + 1.0)) * w
@@ -490,8 +559,8 @@ class Hyp2F1:
 
     # kept by the first call that needs it: the snapped a and b,
     # 1/Gamma(c), the engines of the transformed functions (one level
-    # down), the 1-z connection's case and coefficients, and (by the
-    # second) the psi gaps of the logarithmic case's sum
+    # down), the 1-z connection's case and coefficients, and the psi
+    # gaps of the logarithmic case's log sum, a float and a complex pair
     _snapped = _rgamma = _pfaff = _connection = _gaps = None
 
     def __init__(self, a, b, c, depth: int = 0):
@@ -631,8 +700,6 @@ class Hyp2F1:
         the finite sum for m < 0."""
         n = abs(m)
         w = 1.0 - z
-        # the first sum keeps no psi gaps: a one-shot call reuses none
-        gaps, self._gaps = self._gaps, self._gaps or ([], [])
         finite = 0.0 + 0.0j
         fsize = 0.0  # the finite sum's terms before they cancel
         afac = 0.0  # the factor the finite sum carries: A, or A w^m
@@ -649,9 +716,10 @@ class Hyp2F1:
             fsize *= abs(afac)
         logsum = 0.0 + 0.0j
         lerr = 0.0
-        lt = 0
+        lt, gaps = 0, None
         if B != 0.0:
-            logsum, lerr, lt = _log_sum(*hi, n, w, gaps)
+            self._gaps = self._gaps or (([], []), ([], []))
+            logsum, lerr, lt, gaps = _log_sum(*hi, n, w, self._gaps)
         lcoef, lscale = (-1.0 if n % 2 else 1.0) * B, abs(B)
         if m >= 0:
             lcoef, lscale = lcoef * (w ** m), lscale * abs(w) ** m

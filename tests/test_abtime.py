@@ -1,0 +1,74 @@
+"""tools/abtime.py: two copies of the library side by side, and a tiny run."""
+
+import importlib.util
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+_ROOT = os.path.dirname(os.path.dirname(__file__))
+_PATH = os.path.join(_ROOT, "tools", "abtime.py")
+_NAMES = ("curvgreen_test_a", "curvgreen_test_b")
+
+
+@pytest.fixture(scope="module")
+def abtime():
+    spec = importlib.util.spec_from_file_location("abtime", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in list(sys.modules):
+        if name.split(".")[0] in _NAMES:
+            del sys.modules[name]
+
+
+def test_each_runner_binds_its_own_package(abtime):
+    before = sys.modules.get("curvgreen")
+    src = os.path.join(_ROOT, "src")
+    op = ("green", "H_PLUS", 4, 1.3, 0.7)
+    outcomes = []
+    for name in _NAMES:
+        run_op = abtime.make_runner(abtime.load(name, src))
+        for module in inspect.getclosurevars(run_op).nonlocals.values():
+            if inspect.ismodule(module) and module.__name__ != "io":
+                assert module.__name__.startswith(name + "."), module
+        got = run_op(op)
+        assert type(got).__module__ == name + ".result"
+        outcomes.append((repr(got.value), repr(got.abs_err_est),
+                         got.terms_used, sorted(got.flags)))
+    assert outcomes[0] == outcomes[1]
+    assert sys.modules.get("curvgreen") is before
+
+
+def test_summary(abtime):
+    rev, src = [1.0, 2.0, 1.0, 4.0], [0.5, 3.0, 0.9, 2.0]
+    got = abtime.summary(rev, src)
+    assert got["rev_ms"] == {"min": 1000.0, "median": 1500.0}
+    assert got["src_ms"] == {"min": 500.0, "median": 1450.0}
+    assert got["won"] == 3
+    assert got["ratio"]["median"] == pytest.approx(0.7)
+    assert got["ratio"]["q1"] == pytest.approx(0.5)
+    assert got["ratio"]["q3"] == pytest.approx(1.05)
+
+
+def test_tiny_run():
+    """HEAD against this checkout on a 24-op points list, two rounds."""
+    head = subprocess.run(["git", "-C", _ROOT, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode:
+        pytest.skip("not a git checkout")
+    out = subprocess.run([sys.executable, _PATH, "HEAD", "--workload",
+                          "points", "--rounds", "2", "--seconds", "0.05"],
+                         capture_output=True, text=True, check=True,
+                         cwd=_ROOT)
+    got = json.loads(out.stdout)
+    assert (got["rev"], got["workload"], got["ops"], got["rounds"]) \
+        == ("HEAD", "points", 24, 2)
+    assert 0 <= got["won"] <= 2
+    for side in ("rev_ms", "src_ms"):
+        assert 0.0 < got[side]["min"] <= got[side]["median"]
+    ratio = got["ratio"]
+    assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]

@@ -524,6 +524,24 @@ class TestHalfOdd:
             err = abs(got.value - _mp_legendre(kind, nu, 0.5, x))
             assert err <= got.abs_err_est <= 1e-12 * amp, (nu, theta)
 
+    def test_recurrence_factor_is_one_from_two_to_the_27(self):
+        """From z = 2^27 on, z^2 - 1 rounds to z^2, so z/sqrt(z^2 - 1)
+        is exactly 1 on a grid up to 1e154, below the overflow of the
+        square; the lift takes 1 there, and no value below moves."""
+        for z in np.geomspace(2.0 ** 27, 1e154, 4001):
+            z = float(z)
+            assert z / math.sqrt(z * z - 1.0) == 1.0, z
+
+    @pytest.mark.parametrize("kind", ["P", "Q"])
+    @pytest.mark.parametrize("mu", [1.5, 2.5])
+    @pytest.mark.parametrize("z", [1e155, 1e200, 1e300])
+    def test_huge_argument_lift(self, kind, mu, z):
+        """Above z = 1.3e154 the factor's square overflowed to a factor
+        of 0: P_{0.3}^{3/2}(1e200) came out +5.56e59 for -1.39e59."""
+        got = half_odd_eval(kind, 0.3, mu, z)
+        ref = _mp_legendre(kind, 0.3, mu, z)
+        assert abs(got.value - ref) <= got.abs_err_est <= 1e-11 * abs(ref)
+
     @pytest.mark.parametrize("kind,arg", [("Q", 1.3), ("FQ", 0.3)])
     def test_degree_minus_half_order_minus_half_refuses(self, kind, arg):
         with pytest.raises(CurvGreenError):

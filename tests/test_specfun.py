@@ -1,10 +1,12 @@
 """Foundation special functions: values, identities, error behavior."""
 
 import cmath
+import contextlib
 import itertools
 import math
 import random
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -13,15 +15,16 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvgreen import specfun
 from curvgreen.errors import (CurvGreenError, DomainError, NoConvergenceError,
                               ParamPoleError, PoleError, RangeError)
 from curvgreen.result import NEAR_POLE
 from curvgreen.specfun import (Hyp2F1, _cgamma, _digamma, _lgamma,
-                               _near_nonpos_int, _psi_gaps, _series_2f1,
-                               _trigamma, chebyshev_t, cyl, env_h, env_j,
-                               gamma, gamma_ratio, gamma_ratio_asymptotic,
-                               gauss_2f1, gegenbauer_c, pochhammer,
-                               regularized_2f1)
+                               _near_nonpos_int, _psi_gaps, _psi_int,
+                               _series_2f1, _trigamma, chebyshev_t, cyl,
+                               env_h, env_j, gamma, gamma_ratio,
+                               gamma_ratio_asymptotic, gauss_2f1,
+                               gegenbauer_c, pochhammer, regularized_2f1)
 
 SQRT_PI = 1.7724538509055160273
 
@@ -89,6 +92,21 @@ class TestGamma:
             == pytest.approx(9.483367566824795e307, rel=4 * 2.0 ** -52)
         with pytest.raises(OverflowError):
             _cgamma(172.0)
+
+    @pytest.mark.parametrize("z", [172.0, 200.0, 1e300, 180.0 + 0.5j,
+                                   300.0 + 10.0j, 1e300 + 1.0j,
+                                   171.65 + 0.153j])
+    def test_overflow_is_range_error(self, z):
+        """Past the double range gamma refuses with RangeError; at
+        171.65 + 0.153i both parts are finite and only |Gamma| is not."""
+        with pytest.raises(RangeError, match="exceeds the double range"):
+            gamma(z)
+
+    def test_last_values_in_range(self):
+        for z in (171.6, -180.5, 171.0 + 1.0j):
+            got = gamma(z)
+            assert math.isfinite(abs(got.value)) and \
+                math.isfinite(got.abs_err_est)
 
 
 class TestPochhammer:
@@ -435,6 +453,126 @@ class TestSeriesBitIdentity:
                 == _outcome(_reference_series, *args))
 
 
+def _reference_psi_gaps(x, j):
+    """The psi gaps of the logarithmic case as one complex run, yielded
+    term by term: _psi_gaps' recurrence and restart, without a list."""
+    k, gap = 0, _digamma(x) - _psi_int(j + 1)
+    yield gap
+    left = x.real < 0.5
+    while True:
+        if left and x.real + (k + 1) >= 0.5:
+            left = False
+            gap = _digamma(x + (k + 1)) - _psi_int(k + j + 2)
+        else:
+            gap += (j + 1.0 - x) / ((x + k) * (k + j + 1.0))
+        yield gap
+        k += 1
+
+
+def _reference_log_sum(a_s, b_s, m, w, gaps):
+    """The log sum term by term in complex arithmetic, over generated
+    gaps, with abs(): the float body and the gap lists of _log_sum must
+    match it bit for bit.  The gaps it read go to _log_drop."""
+    coef = 1.0 / math.gamma(m + 1)
+    total = 0.0 + 0.0j
+    total_abs = 0.0
+    small = 0
+    logw = cmath.log(w)
+    alogw = abs(logw)
+    read = ([], [])
+    runs = zip(_reference_psi_gaps(a_s, 0), _reference_psi_gaps(b_s, m))
+    for k, (gap_a, gap_b) in enumerate(itertools.islice(runs, 6000)):
+        read[0].append(gap_a)
+        read[1].append(gap_b)
+        term = coef * (logw + gap_a + gap_b)
+        mag = abs(term)
+        total += term
+        total_abs += abs(coef) * (alogw + abs(gap_a) + abs(gap_b))
+        if mag <= 1e-16 * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                return (total, 2.0 * 2.220446049250313e-16 * total_abs + mag,
+                        k + 1, read)
+        else:
+            small = 0
+        coef = coef * (a_s + k) * (b_s + k) / ((k + 1.0) * (k + m + 1.0)) * w
+    raise NoConvergenceError("2F1 logarithmic series did not converge")
+
+
+def _log_case_outcomes(abc, zs, reference=False):
+    """_result_outcome of gauss_2f1 and regularized_2f1 at each z, with
+    the log sum of the engine or of _reference_log_sum."""
+    calls = [lambda z: gauss_2f1(*abc, z),
+             lambda z: regularized_2f1(*abc, z)]
+    with mock.patch.object(specfun, "_log_sum", _reference_log_sum) \
+            if reference else contextlib.nullcontext():
+        return [[_result_outcome(call, z) for z in zs] for call in calls]
+
+
+_OFFSET = st.sampled_from((0.0, 5e-14, 1e-9, -3e-10))
+
+
+class TestLogSumBitIdentity:
+    """The logarithmic 1-z case (float log sum, gap lists) against the
+    term-by-term complex reference: value, estimate, terms and flags,
+    or the same exception and message."""
+
+    @staticmethod
+    def check(a, b, c, zs):
+        assert (_log_case_outcomes((a, b, c), zs)
+                == _log_case_outcomes((a, b, c), zs, reference=True))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(-3, 3),
+           st.floats(0.75, 1.0, exclude_min=True, exclude_max=True),
+           _OFFSET)
+    def test_real_matches_reference(self, a, b, m, z, offset):
+        c = a + b + m + offset
+        if not _off_poles(a, b, c, gap=1e-6):
+            return
+        self.check(a, b, c, [z])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(_LOG_PARAM, _LOG_PARAM, st.integers(-3, 3), _LOG_ARG, _OFFSET)
+    def test_complex_matches_reference(self, a, b, m, z, offset):
+        """Complex parameters or z run the complex body on complex gap
+        lists."""
+        c = a + b + m + offset
+        if not _off_poles(a, b, c, gap=1e-6):
+            return
+        self.check(a, b, c, [z])
+
+    @pytest.mark.parametrize("args", [
+        (1000.0, -999.5, 0.5, 0.8),      # terms overflow: no convergence
+        (20000.0, -19999.5, 0.5, 0.8),
+        (1500.0, -1499.5, 0.5, 0.95),    # the sum near the top of range
+        (3000.0, -2999.5, 1.5, 0.99),
+        (290.0, 290.5, 580.5, 0.8),      # finite sum, infinite value
+        (500.0, 500.5, 1003.5, 0.8),     # coefficient out of range
+        (171.5, 0.25, 0.75, 0.9),        # 1/171! out of range
+    ])
+    def test_overflow_matches_reference(self, args):
+        self.check(*args[:3], [args[3]])
+
+    @pytest.mark.parametrize("abc", [(0.3, 1.45, 1.75), (0.3, 1.45, 3.75),
+                                     (0.3, 1.45, -0.25),
+                                     (-0.45, 2.3, 1.85 + 1e-9),
+                                     (0.5, -2.28125, -1.78125)])
+    def test_prepared_matches_one_shot(self, abc):
+        """One engine at several z, in both orders, float and complex
+        arguments mixed: each call has the reference one-shot bits."""
+        zs = [0.8, 0.99, 0.9 + 0.1j, 0.76, 0.939453125, 0.9 - 0.05j, 0.999]
+        ref = _log_case_outcomes(abc, zs, reference=True)
+        for step in (1, -1):
+            engine = Hyp2F1(*abc)
+            got = [[_result_outcome(call, z) for z in zs[::step]]
+                   for call in (engine, engine.regularized)]
+            assert got == [row[::step] for row in ref]
+            assert engine._gaps[0][0] and engine._gaps[1][0]
+
+
 def _region(z):
     return ("real" if z.imag == 0 else "complex",
             "negative" if z.real < 0 else "positive")
@@ -536,8 +674,9 @@ class TestLogGammaDigamma:
         run starts 3.3e-7 from a pole and crosses two more.  Relative
         where |bracket| >= 1, absolute below, as for psi."""
         w = 0.2 - 0.1j
-        gaps = zip(_psi_gaps([], pa, 0), _psi_gaps([], pb, m))
-        got = [cmath.log(w) + x + y for x, y in itertools.islice(gaps, 100)]
+        gaps = ([], [])
+        assert _psi_gaps(gaps, pa, pb, m, 100) == 100
+        got = [cmath.log(w) + x + y for x, y in zip(*gaps)]
         assert len(got) == 100
         with mpmath.workdps(30):
             for k, g in enumerate(got):

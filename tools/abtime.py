@@ -1,0 +1,150 @@
+"""Time a git revision against this checkout, interleaved in one interpreter.
+
+    python3 tools/abtime.py REV [--workload verify] [--rounds 30]
+                            [--seed 1] [--seconds 1]
+
+Exports ``src/`` at REV with ``git archive`` into a temporary directory
+and imports it and ``src/`` of this checkout as two packages under
+distinct names, ``curvgreen_rev`` and ``curvgreen_src``, in this
+interpreter.  Builds one op list with ``perfbench/workloads.generate``
+(this checkout's copy, imported read-only, as ``tools/opdiff.py`` does)
+and a runner for each package from ``workloads.make_runner``.  After
+one untimed pass per side, each round runs the whole op list once per
+side, alternating which side runs first, and takes the process CPU time
+of each pass.  A refusal is an outcome, as in ``tools/opdiff.py``: it is
+caught and timed.  Prints one JSON line:
+
+* ``rev``, ``workload``, ``seed``, ``ops`` and ``rounds``;
+* ``rev_ms`` and ``src_ms``: each side's ``min`` and ``median`` CPU
+  milliseconds per pass;
+* ``ratio``: the ``median`` and the quartiles ``q1`` and ``q3`` of the
+  per-round ratios src/rev (below 1: this checkout is faster);
+* ``won``: the number of rounds in which src took less time than rev.
+
+Run it from the root of the checkout.  It writes nothing into the
+repository; the temporary export is removed when it ends.  Both sides
+share one process, so machine-wide swings hit both alike; a gain still
+counts only from paired ``perfbench/run.py`` runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+PACKAGE = "curvgreen"
+
+
+def load(name: str, src: str):
+    """The package in src/curvgreen, imported as ``name``."""
+    path = os.path.join(src, PACKAGE)
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"),
+        submodule_search_locations=[path])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def make_runner(pkg):
+    """``workloads.make_runner()`` bound to pkg: it imports
+    ``curvgreen``, which for that call is pkg, its submodules loaded
+    under pkg's own name first."""
+    importlib.import_module(pkg.__name__ + ".cli")
+    saved = sys.modules.get(PACKAGE)
+    sys.modules[PACKAGE] = pkg
+    try:
+        return workloads.make_runner()
+    finally:
+        if saved is None:
+            del sys.modules[PACKAGE]
+        else:
+            sys.modules[PACKAGE] = saved
+
+
+def run_pass(run_op, ops) -> float:
+    """CPU seconds of one pass over ops."""
+    gc.collect()
+    start = time.process_time()
+    for op in ops:
+        try:
+            run_op(op)
+        except Exception:  # a refusal is an outcome, timed as such
+            pass
+    return time.process_time() - start
+
+
+def time_rounds(run_rev, run_src, ops, rounds: int) -> tuple:
+    """(rev seconds, src seconds) per round, the first side alternating,
+    after one untimed pass of each."""
+    run_pass(run_rev, ops)
+    run_pass(run_src, ops)
+    rev, src = [], []
+    for r in range(rounds):
+        sides = [(run_rev, rev), (run_src, src)]
+        for run_op, out in sides if r % 2 == 0 else sides[::-1]:
+            out.append(run_pass(run_op, ops))
+    return rev, src
+
+
+def summary(rev: list, src: list) -> dict:
+    """The timing fields of the module docstring (two or more rounds)."""
+    ratios = [s / r for r, s in zip(rev, src)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+
+    def ms(times):
+        return {"min": 1e3 * min(times),
+                "median": 1e3 * statistics.median(times)}
+
+    return {"rev_ms": ms(rev), "src_ms": ms(src),
+            "ratio": {"median": median, "q1": q1, "q3": q3},
+            "won": sum(s < r for r, s in zip(rev, src))}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("rev")
+    ap.add_argument("--workload", default="verify", choices=workloads.NAMES)
+    ap.add_argument("--rounds", type=int, default=30)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=1.0,
+                    help="run length the op list is generated for")
+    args = ap.parse_args()
+    if args.rounds < 2:
+        ap.error("--rounds must be at least 2")
+    ops = [op for chunk in workloads.generate(args.workload, args.seed,
+                                              args.seconds) for op in chunk]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
+                                  "src"], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        run_rev = make_runner(load(PACKAGE + "_rev",
+                                   os.path.join(tmp, "src")))
+        run_src = make_runner(load(PACKAGE + "_src",
+                                   os.path.join(ROOT, "src")))
+        rev, src = time_rounds(run_rev, run_src, ops, args.rounds)
+    print(json.dumps({"rev": args.rev, "workload": args.workload,
+                      "seed": args.seed, "ops": len(ops),
+                      "rounds": args.rounds, **summary(rev, src)}),
+          flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
