@@ -28,12 +28,20 @@ from .verify import check_normalization, default_suite
 
 
 # the options the commands read as numbers, by config-file key; flags
-# arrive converted by argparse, config values are converted on reading
+# are converted by argparse with these types, config values on reading
 _NUMERIC_KEYS = {
     **dict.fromkeys(("d", "lmax", "count", "k", "m", "nmax"), int),
     **dict.fromkeys(("R", "beta", "rho", "theta", "theta_prime", "r",
                      "r_prime", "gamma", "r_phys", "mu", "nu"), float),
 }
+# the options restricted to a set of values; every other option is a
+# number (_NUMERIC_KEYS) or a string
+_CHOICES = {"output": ("json", "csv"),
+            "manifold": (HYPERBOLOID, HYPERSPHERE, EUCLIDEAN),
+            "sign": (PLUS, MINUS), "form": ("cosh", "exp")}
+# the option blocks that several commands share
+_SPACE = ("manifold", "d", "R", "beta", "sign")
+_PAIR = ("theta", "theta-prime", "r", "r-prime", "gamma")
 
 
 def _fmt(x: float) -> str:
@@ -64,11 +72,11 @@ def _emit(doc: dict, config: dict, output: str, stream) -> None:
 
 def _manifold(cfg: dict) -> ManifoldSpec:
     kind = cfg.get("manifold", "hyperboloid")
-    if kind not in (HYPERBOLOID, HYPERSPHERE, EUCLIDEAN):
+    if kind not in _CHOICES["manifold"]:
         raise CurvGreenError(
             f"--manifold must be hyperboloid|hypersphere|euclidean, "
             f"got {kind!r}")
-    return ManifoldSpec(kind, int(cfg["d"]), float(cfg.get("R", 1.0)))
+    return ManifoldSpec(kind, cfg["d"], cfg.get("R", 1.0))
 
 
 def _eval_result_doc(res) -> dict:
@@ -99,8 +107,7 @@ def _series_doc(rep) -> dict:
 
 def _cmd_eval(cfg, out):
     m = _manifold(cfg)
-    beta = float(cfg["beta"])
-    rho = float(cfg["rho"])
+    beta, rho = cfg["beta"], cfg["rho"]
     variant = cfg.get("variant")
     if m.kind == EUCLIDEAN:
         sign = cfg.get("sign", "plus")
@@ -137,23 +144,20 @@ def _cmd_eval(cfg, out):
 def _cmd_expand(cfg, out):
     m = _manifold(cfg)
     variant = cfg["variant"]
-    l_max = int(cfg.get("lmax", 40))
+    l_max = cfg.get("lmax", 40)
     if m.kind == EUCLIDEAN:
-        rep = euclidean_expansion(cfg.get("sign", "plus"), m.d,
-                                  float(cfg["beta"]), float(cfg["r"]),
-                                  float(cfg["r_prime"]),
-                                  float(cfg["gamma"]), l_max)
+        rep = euclidean_expansion(cfg.get("sign", "plus"), m.d, cfg["beta"],
+                                  cfg["r"], cfg["r_prime"], cfg["gamma"],
+                                  l_max)
     else:
         if m.kind == HYPERSPHERE:
-            pair = TwoPointConfig(float(cfg["theta"]),
-                                  float(cfg["theta_prime"]),
-                                  float(cfg["gamma"]))
+            pair = TwoPointConfig(cfg["theta"], cfg["theta_prime"],
+                                  cfg["gamma"])
         else:
-            pair = TwoPointConfig(float(cfg["r"]), float(cfg["r_prime"]),
-                                  float(cfg["gamma"]))
+            pair = TwoPointConfig(cfg["r"], cfg["r_prime"], cfg["gamma"])
         # an unknown tag takes the + sign and is refused by the expansion
         sign = VARIANT_SPACES.get(variant, (None, PLUS))[1]
-        wp = WaveParams(m, float(cfg["beta"]), sign)
+        wp = WaveParams(m, cfg["beta"], sign)
         if m.d == 2:
             rep = fourier_2d(variant, wp, pair, l_max)
         else:
@@ -176,9 +180,7 @@ def _cmd_verify(cfg, out):
 def _cmd_sweep(cfg, out):
     m_kind = cfg.get("manifold", "hyperboloid")
     variant = cfg["variant"]
-    beta = float(cfg["beta"])
-    d = int(cfg["d"])
-    r_phys = float(cfg["r_phys"])
+    beta, d, r_phys = cfg["beta"], cfg["d"], cfg["r_phys"]
     r_list = [float(x) for x in str(cfg["R_list"]).split(",")]
     # an unknown tag takes the + sign here and is refused by green_value
     sign = VARIANT_SPACES.get(variant, (None, PLUS))[1]
@@ -198,9 +200,9 @@ def _cmd_sweep(cfg, out):
 
 
 def _cmd_poles(cfg, out):
-    m = ManifoldSpec(HYPERSPHERE, int(cfg["d"]), float(cfg.get("R", 1.0)))
-    wp = WaveParams(m, float(cfg.get("beta", 1.0)), MINUS)
-    poles = eigenvalue_poles(wp, int(cfg.get("count", 5)))
+    m = ManifoldSpec(HYPERSPHERE, cfg["d"], cfg.get("R", 1.0))
+    wp = WaveParams(m, cfg.get("beta", 1.0), MINUS)
+    poles = eigenvalue_poles(wp, cfg.get("count", 5))
     rows = [{"n": i + 1, "beta": b, "beta_squared_R_squared":
              (b * m.R) ** 2} for i, b in enumerate(poles)]
     _emit({"rows": rows, "pole_proximity": pole_proximity(wp)},
@@ -210,22 +212,13 @@ def _cmd_poles(cfg, out):
 
 def _cmd_special(cfg, out):
     case = cfg["case"]
-    params = {}
-    for key in ("k", "m"):
-        if cfg.get(key) is not None:
-            params[key] = int(cfg[key])
-    for key in ("mu", "nu"):
-        if cfg.get(key) is not None:
-            params[key] = float(cfg[key])
-    if cfg.get("form") is not None:
-        params["form"] = cfg["form"]
+    params = {key: cfg[key] for key in ("k", "m", "mu", "nu", "form")
+              if cfg.get(key) is not None}
     if case == "COSH_SINH_LEGENDRE":
-        pair = TwoPointConfig(float(cfg["r"]), float(cfg["r_prime"]),
-                              float(cfg["gamma"]))
+        pair = TwoPointConfig(cfg["r"], cfg["r_prime"], cfg["gamma"])
     else:
-        pair = TwoPointConfig(float(cfg["theta"]), float(cfg["theta_prime"]),
-                              float(cfg["gamma"]))
-    rep = addition_special(case, params, pair, int(cfg.get("nmax", 80)))
+        pair = TwoPointConfig(cfg["theta"], cfg["theta_prime"], cfg["gamma"])
+    rep = addition_special(case, params, pair, cfg.get("nmax", 80))
     _emit(_series_doc(rep), cfg, cfg["output"], out)
     return 0
 
@@ -240,6 +233,17 @@ _COMMANDS = {
 }
 
 
+def _add(p, *names, required=(), **choices) -> None:
+    """--name for each name, typed by _NUMERIC_KEYS and restricted by
+    choices (a name's keyword) or else _CHOICES; names in required are
+    required."""
+    for name in names:
+        key = name.replace("-", "_")
+        p.add_argument("--" + name, type=_NUMERIC_KEYS.get(key),
+                       choices=choices.get(key, _CHOICES.get(key)),
+                       required=name in required)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curvgreen",
@@ -247,71 +251,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "manifolds: evaluation, expansions, verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--output", choices=("json", "csv"), default=None)
+        _add(p, "output")
+        return p
 
-    p = sub.add_parser("eval", help="evaluate a Green's function")
-    common(p)
-    p.add_argument("--manifold",
-                   choices=(HYPERBOLOID, HYPERSPHERE, EUCLIDEAN))
-    p.add_argument("--d", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sign", choices=(PLUS, MINUS))
-    p.add_argument("--variant")
-    p.add_argument("--rho", type=float)
-
-    p = sub.add_parser("expand", help="series expansion vs closed form")
-    common(p)
-    p.add_argument("--variant", required=True)
-    p.add_argument("--manifold",
-                   choices=(HYPERBOLOID, HYPERSPHERE, EUCLIDEAN))
-    p.add_argument("--d", type=int)
-    p.add_argument("--R", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sign", choices=(PLUS, MINUS))
-    p.add_argument("--theta", type=float)
-    p.add_argument("--theta-prime", dest="theta_prime", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--r-prime", dest="r_prime", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lmax", type=int)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-
-    p = sub.add_parser("sweep", help="flat-space limit sweep over R")
-    common(p)
-    p.add_argument("--variant", required=True)
-    p.add_argument("--manifold",
-                   choices=(HYPERBOLOID, HYPERSPHERE), default=None)
-    p.add_argument("--d", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--r-phys", dest="r_phys", type=float)
-    p.add_argument("--R-list", dest="R_list")
-
-    p = sub.add_parser("poles", help="eigenvalue (bad wavenumber) lattice")
-    common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--R", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--count", type=int)
-
-    p = sub.add_parser("special", help="special-case addition series")
-    common(p)
-    p.add_argument("--case", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--theta-prime", dest="theta_prime", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--r-prime", dest="r_prime", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--form", choices=("cosh", "exp"))
-    p.add_argument("--nmax", type=int)
+    _add(command("eval", "evaluate a Green's function"), *_SPACE, "variant",
+         "rho")
+    _add(command("expand", "series expansion vs closed form"), "variant",
+         *_SPACE, *_PAIR, "lmax", required=("variant",))
+    command("verify", "run the verification suite")
+    _add(command("sweep", "flat-space limit sweep over R"), "variant",
+         "manifold", "d", "beta", "r-phys", "R-list", required=("variant",),
+         manifold=(HYPERBOLOID, HYPERSPHERE))
+    _add(command("poles", "eigenvalue (bad wavenumber) lattice"), "d", "R",
+         "beta", "count", required=("d",))
+    _add(command("special", "special-case addition series"), "case", *_PAIR,
+         "k", "m", "mu", "nu", "form", "nmax", required=("case",))
     return ap
 
 

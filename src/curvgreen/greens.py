@@ -159,8 +159,13 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
 def _hyperboloid_body(m: ManifoldSpec, q: LegendreQ, mu: float,
                       rho: float) -> EvalResult:
     """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d} sinh(rho)^{-mu} Q_nu^mu(cosh rho),
-    with q = LegendreQ(nu, mu)."""
-    return q(math.cosh(rho)).scaled(
+    with q = LegendreQ(nu, mu); RangeError where cosh rho overflows."""
+    try:
+        z = math.cosh(rho)
+    except OverflowError:
+        raise RangeError(f"cosh(rho) overflows the double range at "
+                         f"rho = {rho}") from None
+    return q(z).scaled(
         cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * m.d)
         * m.R ** (2 - m.d) * math.sinh(rho) ** (-mu))
 

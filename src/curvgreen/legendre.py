@@ -18,27 +18,24 @@ functions,
   radial factors of the expansions).
 
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
-supported.  Hypergeometric series lose roughly 2|nu + 1/2| sqrt(|w|)
-digits of precision at large degree (w the series argument), so above a
-fixed loss threshold P, Q, FP and FQ take one route ladder,
-``_large_degree``: a half-odd order takes its elementary closed form,
-an order below 0.35 a large-degree route at -mu, and any other order
-the order connection ``_connect`` (DLMF 14.9), one routine that takes
-every kind from order -mu to mu.  At -mu, FP and FQ of a real degree
-nu >= 0 and |mu| <= 1 run the degree recurrence (DLMF 14.10.3) up from
-series seeds at nu - floor(nu) and one above; any other degree or order
-takes an integral representation (the Mehler-Dirichlet integral, one
-kernel for Legendre and Ferrers with sinh/cosh in place of sin/cos; FQ
-from two such integrals), as P does.  Q leaves its series only at a
-strongly conical degree, for a contour-rotated Laplace-type integral
-at -mu; a conical degree with |tau| < 12 keeps the series at any loss,
-with the series engine's estimate.  The first-kind series is likewise
-one routine for both families.  A value beyond the double range is
-refused with RangeError by every public function, never returned as
-inf/nan.
-``FerrersP`` and ``LegendreQ`` are FP and Q at a fixed (nu, mu), called
-with the argument (``ferrers_p``, ``legendre_q`` build one per call); each
-keeps its series' ``specfun.Hyp2F1``.  The module keeps no state.
+supported.  ``LegendreP``, ``LegendreQ``, ``FerrersP`` and ``FerrersQ``
+are the kinds at a fixed (nu, mu), called with the argument (the public
+functions build one per call).  All four run one route ladder over
+their kind's row of ``ROUTES``: the argument check; orders +-1/2 by
+their closed forms; Q's paired poles; the hypergeometric series while
+the row's loss estimate (about 2|nu + 1/2| sqrt(|w|) digits at series
+argument w) is at most _LOSS_MAX, and for Q at any loss while
+|Im nu| < 12; else ``_large_degree``: a half-odd order by its closed
+form, an order below 0.35 by the row's backend at -mu, any other order
+by the order connection ``_connect`` (DLMF 14.9) from -mu.  Backends: P
+the Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
+sinh/cosh in place of sin/cos), with Q by Q's own ladder as partner; Q
+a contour-rotated Laplace-type integral; FP and FQ the degree
+recurrence (DLMF 14.10.3) from series seeds at a real degree
+0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the Mehler integral (FQ
+from two).  A value beyond the double range is refused with RangeError
+by every public function, never returned as inf/nan.  The module keeps
+no state.
 """
 
 from __future__ import annotations
@@ -47,13 +44,14 @@ import cmath
 import functools
 import math
 from itertools import count
+from typing import Callable, NamedTuple
 
 from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
 from .specfun import (_EPS, Hyp2F1, _cgamma, _lgamma, _near_nonpos_int,
-                      gamma_ratio, gauss_2f1)
+                      gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
 # beyond this estimated digit-loss exponent (~5 digits) the series route
@@ -89,11 +87,6 @@ def _halfodd_part(mu) -> int | None:
     if abs(mu.real - (m + 0.5)) < 1e-12:
         return m
     return None
-
-
-def _degree_loss(nu, sqrt_w: float) -> float:
-    """Estimated exponent of peak-to-sum growth in the defining series."""
-    return 2.0 * abs(complex(nu) + 0.5) * sqrt_w
 
 
 # ----------------------------------------------------------------------
@@ -198,27 +191,18 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
 # Hypergeometric (series) routes
 # ----------------------------------------------------------------------
 
-def _p_engine(nu, mu) -> Hyp2F1:
-    """The 2F1 of the first-kind series, 2F1(-nu, nu + 1; 1 - mu; .)."""
-    return Hyp2F1(-nu, complex(nu) + 1.0, 1.0 - complex(mu))
-
-
 def _p_series(h: Hyp2F1, mu, t: float, ratio: float) -> EvalResult:
     """P_nu^mu(t) or FP_nu^mu(t) by the defining series ratio^{mu/2}
-    2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), the 2F1 h = _p_engine(nu, mu);
-    ratio is (t + 1)/(t - 1) for Legendre, (1 + t)/(1 - t) for Ferrers."""
+    2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), h that 2F1 (the P and FP rows'
+    engine); ratio is (t + 1)/(t - 1) for Legendre, (1 + t)/(1 - t) for
+    Ferrers."""
     pre = ratio ** (complex(mu) / 2.0)
     return h.regularized((1.0 - t) / 2.0).scaled(pre)
 
 
-def _q_engine(nu, mu) -> Hyp2F1:
-    """The 2F1 of Q's 1/z^2 series, complex nu and mu."""
-    return Hyp2F1((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0, nu + 1.5)
-
-
 def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
     """Paper-convention Q via the 1/z^2 hypergeometric representation,
-    h = _q_engine(nu, mu); legendre_q refuses nu + mu in -N."""
+    h its 2F1 (the Q row's engine); Q's pole route takes nu + mu in -N."""
     w = 1.0 / (z * z)
     if h.c_pole[0]:
         # anomalous degree: regularized engine absorbs the Gamma(c) pole
@@ -243,9 +227,9 @@ def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
 def _refuse_overflow(name):
     """The overflow check shared by the public functions, which take
     ``([kind,] nu, mu, arg)``, and the prepared ones, which take
-    ``(self, arg)`` and hold nu and mu: an OverflowError, or a
+    ``(self, arg)`` and hold kind, nu and mu: an OverflowError, or a
     non-finite value or estimate, becomes a RangeError that names the
-    function (the kind argument names it where name is None)."""
+    function (the kind argument or attribute where name is None)."""
     def wrap(fn):
         @functools.wraps(fn)
         def checked(*args):
@@ -257,7 +241,7 @@ def _refuse_overflow(name):
             except OverflowError:
                 pass
             *kind, nu, mu, _ = args if len(args) > 2 else (
-                args[0].nu, args[0].mu, None)
+                args[0].kind, args[0].nu, args[0].mu, None)
             raise RangeError(f"{name or kind[0]}_nu^mu overflows the double "
                              f"range at nu = {complex(nu)}, "
                              f"mu = {complex(mu)}")
@@ -315,22 +299,19 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
 
 
 def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
-    """kind (P, Q, FP or FQ) at a degree beyond the series' loss threshold.
-
-    The one route ladder of the public functions: a complex order is
-    refused (DomainError); a half-odd order takes its closed form
-    (``half_odd_eval``); an order below 0.35 is at_neg(kind, -mu); any
-    other order is connected from -mu (``_connect``).  at_neg(kind, m)
-    evaluates kind, or its partner in the connection, at order -m by an
-    integral representation.
-    """
+    """kind (P, Q, FP or FQ) past the series' loss threshold, the last
+    rung of the route ladder: a complex order is refused (DomainError), a
+    half-odd order takes its closed form (``half_odd_eval``), an order
+    below 0.35 is at_neg[kind] at -mu, any other order is connected from
+    -mu (``_connect``).  at_neg[k](nu, m, arg) is the row's backend for
+    k, kind or its connection partner, at order -m."""
     if abs(mu.imag) > 1e-12:
         raise DomainError("large-degree route requires real order")
     if _halfodd_part(mu) is not None:
         return half_odd_eval(kind, nu, mu.real, arg)
     if mu.real < 0.35:
-        return at_neg(kind, -mu.real)
-    return _connect(kind, nu, mu, lambda k: at_neg(k, mu.real))
+        return at_neg[kind](nu, -mu.real, arg)
+    return _connect(kind, nu, mu, lambda k: at_neg[k](nu, mu.real, arg))
 
 
 def _fq_undefined(nu, order) -> bool:
@@ -351,7 +332,7 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
         F^{k+2} = -2 (k + 1) c F^{k+1} + s (nu - k)(nu + k + 1) F^k,
 
     with c = x/sqrt(1 - x^2), s = -1 on (-1, 1) and c = z/sqrt(z^2 - 1),
-    s = 1 on z > 1.  Two values come from the public function, the rest
+    s = 1 on z > 1.  Two values come from the kind's evaluator, the rest
     from the recurrence, which never divides:
 
     * raised: forward from l = 0, 1;
@@ -379,11 +360,10 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     c = arg / math.sqrt(arg * arg - 1.0 if hyperbolic else 1.0 - arg * arg)
     s = 1.0 if hyperbolic else -1.0
     nu, mu = complex(nu), complex(mu)
-    fn = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
-          "FQ": ferrers_q}[kind]
+    prepared = _PREPARED[kind]
 
     def direct(l):
-        return fn(nu, -(mu + l) if lowered else mu + l, arg).value
+        return prepared(nu, -(mu + l) if lowered else mu + l)(arg).value
 
     if miller:
         if not (lowered and kind in ("P", "FP")):
@@ -459,119 +439,6 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
     return [v * scale for v in g[:n]]
 
 
-@_refuse_overflow("P")
-def legendre_p(nu, mu, z: float) -> EvalResult:
-    """Associated Legendre function of the first kind P_nu^mu(z), z > 1.
-
-    Integer orders are routed through the regularized hypergeometric
-    function, so removable 1/Gamma(1-mu) singularities never appear.
-    Large degrees take ``_large_degree`` on the cosine-kernel integral
-    representation.
-    """
-    z = _check_hyperbolic(z)
-    nu, mu = complex(nu), complex(mu)
-    if (half := _half_order("P", nu, mu, z)) is not None:
-        return half
-    # only the oscillatory (conical) part of the degree causes series
-    # cancellation for z > 1; real parts produce same-sign terms
-    loss = 2.0 * abs(nu.imag) * math.sqrt((z - 1.0) / 2.0)
-    if loss <= _LOSS_MAX:
-        return _p_series(_p_engine(nu, mu), mu, z, (z + 1.0) / (z - 1.0))
-    xi = math.acosh(z)
-    return _large_degree("P", nu, mu, z, lambda kind, m: (
-        _mehler_p(nu, m, xi, True) if kind == "P"
-        else legendre_q(nu, -m, z)))
-
-
-def legendre_q(nu, mu, z: float) -> EvalResult:
-    """Associated Legendre function of the second kind Q_nu^mu(z), z > 1.
-
-    Uses the 1/z^2 hypergeometric representation; arguments close to 1
-    are continued through the 1-z connection inside the hypergeometric
-    engine.  Carries the e^{i pi mu} factor of the classical function.
-    Conical degrees with strong series cancellation take
-    ``_large_degree`` on the contour-rotated Laplace integral.  Orders
-    +-1/2 take their closed form at every degree.  At an anomalous
-    degree nu + 3/2 = -n with nu + mu + 1 = -k, where the series has
-    paired gamma poles, mu = n - k + 1/2 is half-odd and the closed form
-    (``half_odd_eval``) gives the limit in nu, or ParamPoleError where Q
-    has a pole (k >= 2n + 2).
-    """
-    return LegendreQ(nu, mu)(z)
-
-
-class LegendreQ:
-    """Q_nu^mu at a fixed (nu, mu), called with z > 1 (``legendre_q``)."""
-
-    h = None  # the series' 2F1 engine, built by the first call it serves
-
-    def __init__(self, nu, mu):
-        self.nu, self.mu = complex(nu), complex(mu)
-
-    @_refuse_overflow("Q")
-    def __call__(self, z: float) -> EvalResult:
-        z = _check_hyperbolic(z)
-        nu, mu = self.nu, self.mu
-        if (half := _half_order("Q", nu, mu, z)) is not None:
-            return half
-        nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
-        anom, n = _near_nonpos_int(nu + 1.5)
-        if nm_pole:
-            if not anom:
-                raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
-            # paired poles: the order is n - k + 1/2 (see legendre_q)
-            return half_odd_eval("Q", nu, n - k + 0.5, z)
-        loss = abs((nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z)
-        if loss <= _LOSS_MAX or abs((nu + 0.5).imag) < 12.0:
-            if self.h is None:
-                self.h = _q_engine(nu, mu)
-            return _legendre_q_series(self.h, nu, mu, z)
-        xi = math.acosh(z)
-        return _large_degree("Q", nu, mu, z, lambda kind, m:
-                             _conical_legendre_q_integral(nu, -m, xi))
-
-
-def ferrers_p(nu, mu, x: float) -> EvalResult:
-    """Ferrers function of the first kind FP_nu^mu(x), -1 < x < 1:
-    ``FerrersP(nu, mu)(x)``."""
-    return FerrersP(nu, mu)(x)
-
-
-class FerrersP:
-    """FP_nu^mu at a fixed (nu, mu), called with x in (-1, 1)
-    (``ferrers_p``)."""
-
-    h = None  # the series' 2F1 engine, built by the first call it serves
-
-    def __init__(self, nu, mu):
-        self.nu, self.mu = complex(nu), complex(mu)
-
-    @_refuse_overflow("FP")
-    def __call__(self, x: float) -> EvalResult:
-        x = _check_ferrers(x)
-        nu, mu = self.nu, self.mu
-        if (half := _half_order("FP", nu, mu, x)) is not None:
-            return half
-        theta = math.acos(x)
-        loss = _degree_loss(nu, math.sin(theta / 2.0))
-        if loss <= _LOSS_MAX:
-            if self.h is None:
-                self.h = _p_engine(nu, mu)
-            return _p_series(self.h, mu, x, (1.0 + x) / (1.0 - x))
-        return _large_degree("FP", nu, mu, x, _ferrers_at_neg(nu, x, theta))
-
-    def odd(self, x: float) -> EvalResult:
-        """The odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)
-        (``odd_ferrers_f``)."""
-        x = _check_ferrers(x)
-        if x == 0.0:
-            return EvalResult(0.0, 0.0, 0)
-        a = self(-x)
-        b = self(x)
-        return EvalResult(a.value - b.value, a.abs_err_est + b.abs_err_est,
-                          a.terms_used + b.terms_used, merge_flags(a, b))
-
-
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
     """FQ_nu^{-m}(cos theta) from first-kind values at +/- cos theta."""
     nu = complex(nu)
@@ -610,11 +477,11 @@ def _degree_recurrence(kind: str, nu: float, m: float,
     from DLMF 14.10.4-5.  Near x = -1 at mu = 0, FP's log singularity,
     that term outweighs the rest.
     """
-    fn = ferrers_p if kind == "FP" else ferrers_q
+    prepared = _PREPARED[kind]
     start = nu - math.floor(nu)
     if _fq_undefined(start, -m):
         start += 1.0
-    a, b = fn(start, -m, x), fn(start + 1.0, -m, x)
+    a, b = prepared(start, -m)(x), prepared(start + 1.0, -m)(x)
     f0, f1 = a.value.real, b.value.real
     # (1 - x^2) y_0' and (1 - x^2) y_1'
     s0 = (start + 1.0) * x * f0 - (start + m + 1.0) * f1
@@ -643,41 +510,13 @@ def _degree_recurrence(kind: str, nu: float, m: float,
                       a.terms_used + b.terms_used + len(rounding))
 
 
-def _ferrers_at_neg(nu, x: float, theta: float):
-    """_large_degree's at_neg on the sphere: FP or FQ at order -m, x =
-    cos theta.  A real degree 0 <= nu <= _DEGREE_MAX at |m| <= 1 takes
-    the degree recurrence; any other (nu, m) the Mehler integral, FQ
-    from two."""
-    real = nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX
-
-    def at_neg(kind, m):
-        if real and abs(m) <= 1.0:
-            return _degree_recurrence(kind, nu.real, m, x)
-        if kind == "FP":
-            return _mehler_p(nu, m, theta, False)
-        return _ferrers_q_reflection(nu, m, theta)
-    return at_neg
-
-
-@_refuse_overflow("FQ")
-def ferrers_q(nu, mu, x: float) -> EvalResult:
-    """Ferrers function of the second kind FQ_nu^mu(x), -1 < x < 1.
-
-    Evaluated from its two-hypergeometric-term definition.  Parameter
-    combinations nu + mu in -N raise UndefinedError except for the
-    anomalous degrees nu = -3/2, -5/2, ..., where the paired gamma
-    poles are resolved by their exact ratio limit.  Cancellation
-    between the two terms beyond six digits sets the NEAR_POLE flag.
-    """
-    x = _check_ferrers(x)
-    nu, mu = complex(nu), complex(mu)
-    if (half := _half_order("FQ", nu, mu, x)) is not None:
-        return half
-    theta = math.acos(x)
-    loss = _degree_loss(nu, max(math.sin(theta / 2.0), math.cos(theta / 2.0)))
-    if loss > _LOSS_MAX:
-        return _large_degree("FQ", nu, mu, x, _ferrers_at_neg(nu, x, theta))
-
+def _fq_series(fq, x: float) -> EvalResult:
+    """FQ_nu^mu(x) by its two-2F1 definition, fq.h the two 2F1s.  nu + mu
+    in -N is UndefinedError except at the anomalous degrees nu = -3/2,
+    -5/2, ..., where the paired gamma poles take their ratio limit.
+    Cancellation of more than six digits between the terms sets
+    NEAR_POLE."""
+    nu, mu = fq.nu, fq.mu
     spar = nu + mu
     x2 = x * x
     pre = (1.0 - x2) ** (-mu / 2.0)
@@ -685,32 +524,28 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     if abs(spar.imag) < 1e-12 and abs(spar.real - round(spar.real)) < 1e-10:
         s_int = round(spar.real)
 
-    def term(k, num, den, a, b, c, trig):
+    def term(k, num, den, engine, trig):
         # sqrt(pi) 2^(mu-k) x^(1-k) Gamma(num)/Gamma(den) trig(pi s/2)
-        # 2F1(a, b; c; x^2); at integer s = nu + mu, trig(pi s/2) is 0 if
-        # s - k is odd, else (-1)^((s-k)//2), and a pole of Gamma(num)
-        # alone is undefined
+        # engine(x^2); at integer s = nu + mu, trig(pi s/2) is 0 if s - k
+        # is odd, else (-1)^((s-k)//2), and a pole of Gamma(num) alone is
+        # undefined
         if s_int is not None:
             if (s_int - k) % 2:
                 return EvalResult(0.0)
-            hit, _ = _near_nonpos_int(num)
-            dhit, _ = _near_nonpos_int(den)
-            if hit and not dhit:
+            if _near_nonpos_int(num)[0] and not _near_nonpos_int(den)[0]:
                 raise UndefinedError("FQ undefined: nu + mu in -N")
         coef = gamma_ratio(num, den)
         if coef == 0.0:
             return EvalResult(0.0)
-        h = gauss_2f1(a, b, c, x2)
+        h = engine(x2)
         f = (trig((math.pi / 2.0) * spar) if s_int is None
              else float((-1) ** ((s_int - k) // 2)))
         w = _SQRT_PI * 2.0 ** (mu - k) * coef
         return h.scaled((w * x if k == 0 else w) * f)
 
     b1, b2 = (nu - mu + 2.0) / 2.0, (nu - mu + 1.0) / 2.0
-    t1 = term(0, (spar + 2.0) / 2.0, b2, (1.0 - nu - mu) / 2.0, b1, 1.5,
-              cmath.cos)
-    t2 = term(1, (spar + 1.0) / 2.0, b1, (-nu - mu) / 2.0, b2, 0.5,
-              cmath.sin)
+    t1 = term(0, (spar + 2.0) / 2.0, b2, fq.h[0], cmath.cos)
+    t2 = term(1, (spar + 1.0) / 2.0, b1, fq.h[1], cmath.sin)
     size = abs(t1.value) + abs(t2.value)
     out = EvalResult(t1.value - t2.value,
                      t1.abs_err_est + t2.abs_err_est + 4e-16 * size,
@@ -718,6 +553,171 @@ def ferrers_q(nu, mu, x: float) -> EvalResult:
     if size > 1e6 * max(abs(out.value), 1e-300):
         out = out.with_flags(NEAR_POLE)
     return out.scaled(pre)
+
+
+def _fp_at_neg(nu, m, x: float) -> EvalResult:
+    """FP_nu^{-m}(x): the degree recurrence at a real degree
+    0 <= nu <= _DEGREE_MAX and |m| <= 1, else the Mehler integral."""
+    if nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX and abs(m) <= 1.0:
+        return _degree_recurrence("FP", nu.real, m, x)
+    return _mehler_p(nu, m, math.acos(x), False)
+
+
+def _fq_at_neg(nu, m, x: float) -> EvalResult:
+    """FQ_nu^{-m}(x): as ``_fp_at_neg``, with two Mehler integrals."""
+    if nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX and abs(m) <= 1.0:
+        return _degree_recurrence("FQ", nu.real, m, x)
+    return _ferrers_q_reflection(nu, m, math.acos(x))
+
+
+def _q_pole(z: float):
+    raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
+
+
+def _q_setup(nu, mu) -> tuple:
+    """Q's pole route and its series-at-any-loss rule.  At paired poles
+    of the series, nu + 3/2 = -n and nu + mu + 1 = -k, the order
+    n - k + 1/2 is half-odd and its closed form (``half_odd_eval``) is
+    the limit in nu, or ParamPoleError where Q has a pole (k >= 2n + 2);
+    other nu + mu in -N is ParamPoleError.  A conical degree with
+    |tau| < 12 keeps the series at any loss."""
+    nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
+    anom, n = _near_nonpos_int(nu + 1.5)
+    pole = (functools.partial(half_odd_eval, "Q", nu, n - k + 0.5) if anom
+            else _q_pole) if nm_pole else None
+    return pole, abs((nu + 0.5).imag) < 12.0
+
+
+class _Route(NamedTuple):
+    """A kind's row of ROUTES, the parts the route ladder reads."""
+    check: Callable   # arg -> the checked float argument, or DomainError
+    loss: Callable    # (f, arg) -> the series' estimated digit loss
+    engine: Callable  # (nu, mu) -> the series' 2F1 engine(s), kept as f.h
+    series: Callable  # (f, arg) -> the series value
+    at_neg: dict      # kind -> (nu, m, arg) -> kind at order -m
+    # None, or (nu, mu) -> (pole route or None, series at any loss)
+    setup: Callable = None
+
+
+ROUTES = {
+    "P": _Route(
+        _check_hyperbolic,
+        # only the oscillatory (conical) part of the degree causes series
+        # cancellation for z > 1; real parts produce same-sign terms
+        lambda f, z: 2.0 * abs(f.nu.imag) * math.sqrt((z - 1.0) / 2.0),
+        lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
+        lambda f, z: _p_series(f.h, f.mu, z, (z + 1.0) / (z - 1.0)),
+        {"P": lambda nu, m, z: _mehler_p(nu, m, math.acosh(z), True),
+         "Q": lambda nu, m, z: legendre_q(nu, -m, z)}),
+    "Q": _Route(
+        _check_hyperbolic,
+        lambda f, z: abs((f.nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z),
+        lambda nu, mu: Hyp2F1((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0,
+                              nu + 1.5),
+        lambda f, z: _legendre_q_series(f.h, f.nu, f.mu, z),
+        {"Q": lambda nu, m, z: _conical_legendre_q_integral(
+            nu, -m, math.acosh(z))},
+        _q_setup),
+    "FP": _Route(
+        _check_ferrers,
+        lambda f, x: 2.0 * abs(f.nu + 0.5) * math.sin(math.acos(x) / 2.0),
+        lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
+        lambda f, x: _p_series(f.h, f.mu, x, (1.0 + x) / (1.0 - x)),
+        {"FP": _fp_at_neg, "FQ": _fq_at_neg}),
+    "FQ": _Route(
+        _check_ferrers,
+        lambda f, x: 2.0 * abs(f.nu + 0.5) * max(
+            math.sin(t := math.acos(x) / 2.0), math.cos(t)),
+        lambda nu, mu: (
+            Hyp2F1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
+            Hyp2F1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)),
+        _fq_series, {"FP": _fp_at_neg, "FQ": _fq_at_neg}),
+}
+
+
+class _Prepared:
+    """A kind, fixed with its row of ROUTES by each subclass, at a fixed
+    (nu, mu): the constructor does the work that depends only on (nu, mu),
+    a call runs the route ladder (module docstring) on the argument."""
+
+    kind = row = h = pole = None
+    half = series_only = False
+
+    def __init__(self, nu, mu):
+        self.nu, self.mu = nu, mu = complex(nu), complex(mu)
+        if mu == 0.5 or mu == -0.5:
+            self.half = True
+        elif self.row.setup:
+            self.pole, self.series_only = self.row.setup(nu, mu)
+
+    @_refuse_overflow(None)
+    def __call__(self, arg: float) -> EvalResult:
+        row = self.row
+        arg = row.check(arg)
+        if self.half:
+            return _half_order(self.kind, self.nu, self.mu, arg)
+        if self.pole is not None:
+            return self.pole(arg)
+        if self.series_only or row.loss(self, arg) <= _LOSS_MAX:
+            if self.h is None:
+                self.h = row.engine(self.nu, self.mu)
+            return row.series(self, arg)
+        return _large_degree(self.kind, self.nu, self.mu, arg, row.at_neg)
+
+
+class LegendreP(_Prepared):
+    """P_nu^mu at a fixed (nu, mu), called with z > 1."""
+    kind, row = "P", ROUTES["P"]
+
+
+class LegendreQ(_Prepared):
+    """Q_nu^mu at a fixed (nu, mu), called with z > 1."""
+    kind, row = "Q", ROUTES["Q"]
+
+
+class FerrersP(_Prepared):
+    """FP_nu^mu at a fixed (nu, mu), called with x in (-1, 1)."""
+    kind, row = "FP", ROUTES["FP"]
+
+    def odd(self, x: float) -> EvalResult:
+        """The odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)
+        (``odd_ferrers_f``)."""
+        x = _check_ferrers(x)
+        if x == 0.0:
+            return EvalResult(0.0, 0.0, 0)
+        a = self(-x)
+        b = self(x)
+        return EvalResult(a.value - b.value, a.abs_err_est + b.abs_err_est,
+                          a.terms_used + b.terms_used, merge_flags(a, b))
+
+
+class FerrersQ(_Prepared):
+    """FQ_nu^mu at a fixed (nu, mu), called with x in (-1, 1)."""
+    kind, row = "FQ", ROUTES["FQ"]
+
+
+_PREPARED = {c.kind: c for c in (LegendreP, LegendreQ, FerrersP, FerrersQ)}
+
+
+def legendre_p(nu, mu, z: float) -> EvalResult:
+    """Legendre function of the first kind P_nu^mu(z), z > 1."""
+    return LegendreP(nu, mu)(z)
+
+
+def legendre_q(nu, mu, z: float) -> EvalResult:
+    """Legendre function of the second kind Q_nu^mu(z), z > 1, with the
+    e^{i pi mu} factor of the classical function."""
+    return LegendreQ(nu, mu)(z)
+
+
+def ferrers_p(nu, mu, x: float) -> EvalResult:
+    """Ferrers function of the first kind FP_nu^mu(x), -1 < x < 1."""
+    return FerrersP(nu, mu)(x)
+
+
+def ferrers_q(nu, mu, x: float) -> EvalResult:
+    """Ferrers function of the second kind FQ_nu^mu(x), -1 < x < 1."""
+    return FerrersQ(nu, mu)(x)
 
 
 def ferrers_p_reflected(nu, mu, x: float) -> EvalResult:
@@ -821,18 +821,17 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     cancellation during the lift.
     """
     kind = kind.upper().replace("FERRERS_", "F")
-    if kind not in ("P", "Q", "FP", "FQ"):
+    if kind not in ROUTES:
         raise DomainError("kind must be P, Q, FERRERS_P or FERRERS_Q")
     m = _halfodd_part(mu)
     if m is None:
         raise DomainError("half_odd_eval requires mu = m + 1/2, m integer")
+    arg = ROUTES[kind].check(arg)
     if kind in ("P", "Q"):
-        arg = _check_hyperbolic(arg)
         # 1 from 2^27 on, where arg^2 - 1 rounds to arg^2 (it overflows)
         xfac = 1.0 if arg >= 2.0 ** 27 else arg / math.sqrt(arg * arg - 1.0)
         q_sign = +1.0  # Legendre recurrence: P^{mu+2} = -2(mu+1)x' P^{mu+1} + (nu-mu)(nu+mu+1) P^mu
     else:
-        arg = _check_ferrers(arg)
         xfac = arg / math.sqrt(1.0 - arg * arg)
         q_sign = -1.0  # Ferrers recurrence has the opposite last sign
     nu, mu = complex(nu), complex(mu).real

@@ -55,20 +55,25 @@ def test_summary(abtime):
 
 
 def test_tiny_run():
-    """HEAD against this checkout on a 24-op points list, two rounds."""
+    """HEAD against this checkout on 24-op points and expand lists, two
+    rounds each, in one command: one JSON line per workload."""
     head = subprocess.run(["git", "-C", _ROOT, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     if head.returncode:
         pytest.skip("not a git checkout")
     out = subprocess.run([sys.executable, _PATH, "HEAD", "--workload",
-                          "points", "--rounds", "2", "--seconds", "0.05"],
+                          "points", "expand", "--rounds", "2", "--seconds",
+                          "0.05"],
                          capture_output=True, text=True, check=True,
                          cwd=_ROOT)
-    got = json.loads(out.stdout)
-    assert (got["rev"], got["workload"], got["ops"], got["rounds"]) \
-        == ("HEAD", "points", 24, 2)
-    assert 0 <= got["won"] <= 2
-    for side in ("rev_ms", "src_ms"):
-        assert 0.0 < got[side]["min"] <= got[side]["median"]
-    ratio = got["ratio"]
-    assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [got["workload"] for got in lines] == ["points", "expand"]
+    for got in lines:
+        assert (got["rev"], got["rounds"]) == ("HEAD", 2)
+        assert got["ops"] > 0
+        assert 0 <= got["won"] <= 2
+        for side in ("rev_ms", "src_ms"):
+            assert 0.0 < got[side]["min"] <= got[side]["median"]
+        ratio = got["ratio"]
+        assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert lines[0]["ops"] == 24

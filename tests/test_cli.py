@@ -53,6 +53,12 @@ class TestEval:
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_overflowing_cosh_is_a_range_error(self, capsys):
+        code, out = capture(["eval", "--manifold", "hyperboloid", "--d", "3",
+                             "--beta", "2", "--rho", "1000"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err.startswith("error[RANGE]: cosh")
+
 
 class TestExpand:
     def test_series_report_schema(self):

@@ -463,6 +463,19 @@ class TestGreenKernel:
         with pytest.raises(exc, match="^" + re.escape(msg) + "$"):
             green_value(variant, m, beta, rho)
 
+    @pytest.mark.parametrize("variant", ["H_PLUS", "H_MINUS", "LAPLACE_H"])
+    @pytest.mark.parametrize("d", (3, 4))
+    @pytest.mark.parametrize("rho", (711.0, 1e3, 1e300))
+    def test_cosh_overflow_is_a_range_error(self, variant, d, rho):
+        """Past rho ~ 710.5 cosh rho leaves the double range: a typed
+        refusal, not a bare OverflowError."""
+        m = ManifoldSpec(HYPERBOLOID, d, 1.0)
+        with pytest.raises(RangeError, match="^cosh"):
+            green_value(variant, m, 2.0, rho)
+        if variant == "LAPLACE_H":
+            with pytest.raises(RangeError, match="^cosh"):
+                laplace_green(m, rho)
+
     @pytest.mark.parametrize("variant", [v for v in VARIANT_SPACES
                                          if not v.startswith("LAPLACE")])
     @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])

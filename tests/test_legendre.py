@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import re
@@ -9,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvgreen import legendre
@@ -466,8 +467,8 @@ class TestHalfOdd:
         # independent path is the first-kind series
         got = half_odd_eval("FERRERS_P", 0.5, 0.5, 0.4).value
         x = 0.4
-        ref = legendre._p_series(legendre._p_engine(0.5, 0.5), 0.5, x,
-                                 (1.0 + x) / (1.0 - x)).value
+        ref = legendre._p_series(legendre.ROUTES["FP"].engine(0.5, 0.5),
+                                 0.5, x, (1.0 + x) / (1.0 - x)).value
         assert abs(got - ref) < 1e-10 * abs(ref)
 
     def test_recurrence_vs_hypergeometric(self):
@@ -662,7 +663,6 @@ class TestHalfOrderRung:
             raise AssertionError("a 2F1 was built")
 
         monkeypatch.setattr(legendre, "Hyp2F1", refuse)
-        monkeypatch.setattr(legendre, "gauss_2f1", refuse)
         arg = 1.3 if kind in ("P", "Q") else 0.3
         for mu in (0.5, -0.5):
             _HALF_FNS[kind](1.2, mu, arg)
@@ -1026,6 +1026,196 @@ class TestLargeDegreeLadder:
                       - mpmath.legenp(nu, -0.5, x, type=2)))
             ref = complex(ref)
         assert relerr(got, ref) < 1e-9
+
+
+# the route cells: kind x degree class x order class x side of the
+# series' loss threshold, each argument's side read from its kind's row
+# of ROUTES; P and Q at a real degree have no loss, and FQ's is at least
+# sqrt(2) |nu + 1/2|, so those cells exist on one side only.  The conical
+# classes take a degree on each side of Q's |tau| = 12.
+_DEGREE_CLASSES = {"real": (6.3,),
+                   "conical": (complex(-0.5, 8.0), complex(-0.5, 11.5)),
+                   "strongly conical": (complex(-0.5, 12.5),
+                                        complex(-0.5, 25.0)),
+                   "complex": (complex(2.3, 20.0),)}
+_ORDER_CLASSES = ((0.5, -0.5), (1.5, -1.5), (0.0, -1.0, 0.2), (0.7, 1.0))
+_CELL_ARGS = {"P": (math.cosh(0.05), math.cosh(2.0)),
+              "Q": (math.cosh(3.0), math.cosh(0.3)),
+              "FP": (math.cos(0.1), math.cos(2.6)), "FQ": (0.05, 0.995)}
+# the backend of each cell for the orders +-1/2, other half-odd, below
+# 0.35 and from 0.35 up, recorded from the four hand-written ladders
+# before they became one
+_ROUTE_CELLS = {
+    ('P', 'real', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('P', 'conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('P', 'conical', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('P', 'strongly conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('P', 'strongly conical', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('P', 'complex', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('P', 'complex', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('Q', 'real', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('Q', 'conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('Q', 'conical', 'above'):
+        ('closed form', 'series', 'series', 'series'),
+    ('Q', 'strongly conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('Q', 'strongly conical', 'above'):
+        ('closed form', 'closed form', 'rotated contour', 'connection'),
+    ('Q', 'complex', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('Q', 'complex', 'above'):
+        ('closed form', 'closed form', 'rotated contour', 'connection'),
+    ('FP', 'real', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FP', 'real', 'above'):
+        ('closed form', 'closed form', 'degree recurrence', 'connection'),
+    ('FP', 'conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FP', 'conical', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('FP', 'strongly conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FP', 'strongly conical', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('FP', 'complex', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FP', 'complex', 'above'):
+        ('closed form', 'closed form', 'Mehler', 'connection'),
+    ('FQ', 'real', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FQ', 'real', 'above'):
+        ('closed form', 'closed form', 'degree recurrence', 'connection'),
+    ('FQ', 'conical', 'below'):
+        ('closed form', 'series', 'series', 'series'),
+    ('FQ', 'conical', 'above'):
+        ('closed form', 'closed form', 'reflection', 'connection'),
+    ('FQ', 'strongly conical', 'above'):
+        ('closed form', 'closed form', 'reflection', 'connection'),
+    ('FQ', 'complex', 'above'):
+        ('closed form', 'closed form', 'reflection', 'connection'),
+}
+_BACKENDS = {"_half_order": "closed form", "half_odd_eval": "closed form",
+             "_mehler_p": "Mehler",
+             "_conical_legendre_q_integral": "rotated contour",
+             "_degree_recurrence": "degree recurrence",
+             "_ferrers_q_reflection": "reflection", "_connect": "connection"}
+
+
+class TestRouteCells:
+    """Every route cell reaches exactly one backend, the pinned one."""
+
+    @pytest.fixture
+    def reached(self, monkeypatch):
+        """The backends entered from the ladder (outermost calls only), in
+        a list the test clears."""
+        hits, depth = [], [0]
+
+        def spy(label, fn):
+            def entered(*args):
+                top = not depth[0]
+                depth[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    depth[0] -= 1
+                    if top:
+                        hits.append(label)
+            return entered
+
+        for name, label in _BACKENDS.items():
+            monkeypatch.setattr(legendre, name,
+                                spy(label, getattr(legendre, name)))
+        for cls in legendre._PREPARED.values():
+            monkeypatch.setattr(cls, "row", cls.row._replace(
+                series=spy("series", cls.row.series)))
+        return hits
+
+    def test_each_cell_reaches_its_pinned_backend(self, reached):
+        cells = {}
+        for kind, cls in legendre._PREPARED.items():
+            for degree, nus in _DEGREE_CLASSES.items():
+                for i, orders in enumerate(_ORDER_CLASSES):
+                    for nu, mu, arg in itertools.product(
+                            nus, orders, _CELL_ARGS[kind]):
+                        f = cls(nu, mu)
+                        side = ("below" if f.row.loss(f, arg)
+                                <= legendre._LOSS_MAX else "above")
+                        reached.clear()
+                        f(arg)
+                        assert len(reached) == 1, (kind, nu, mu, arg)
+                        cells.setdefault((kind, degree, side), [
+                            set() for _ in _ORDER_CLASSES])[i].update(reached)
+        assert all(len(s) == 1 for v in cells.values() for s in v)
+        assert {k: tuple(s.pop() for s in v) for k, v in cells.items()} \
+            == _ROUTE_CELLS
+
+    def test_q_pole_route(self, reached):
+        """At paired poles (nu = -5/2, nu + mu + 1 = -3) Q takes the
+        half-odd closed form; at a pole elsewhere it refuses before any
+        backend."""
+        legendre_q(-2.5, -1.5, 1.3)
+        assert reached == ["closed form"]
+        reached.clear()
+        with pytest.raises(ParamPoleError):
+            legendre_q(0.3, -2.3, 1.3)
+        assert reached == []
+
+
+_KIND_FNS = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
+             "FQ": ferrers_q}
+
+
+def _outcome(fn, arg):
+    """Bitwise-comparable outcome of fn(arg): reprs of the floats (which
+    keep the sign of zero), terms and flags, or the refusal."""
+    try:
+        r = fn(arg)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc).__name__, str(exc)
+    v = complex(r.value)
+    return (repr(v.real), repr(v.imag), repr(r.abs_err_est), r.terms_used,
+            sorted(r.flags))
+
+
+class TestPreparedIsOneShot:
+    """One prepared evaluator called at many arguments, in either order,
+    returns or raises what fresh one-shot calls do.  Orders stay within
+    |mu| <= 1 off the half-odd ones: beyond, a real large degree takes
+    the Mehler integral, which can spend a second refusing."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(sorted(_KIND_FNS)),
+           st.one_of(st.sampled_from(sum(_DEGREE_CLASSES.values(),
+                                         (25.3, -2.5, -0.5))),
+                     st.floats(-3.0, 30.0)),
+           st.one_of(st.sampled_from(sum(_ORDER_CLASSES, ())),
+                     st.floats(-1.0, 1.0)),
+           st.lists(st.floats(0.005, 3.1), max_size=8))
+    # the pole routes: Q's paired poles and its refusal, FQ's refusal
+    @example("Q", -2.5, -1.5, [0.3, 1.2])
+    @example("Q", 0.3, -2.3, [0.3, 1.2])
+    @example("FQ", 0.3, -1.3, [0.3, 1.2])
+    def test_one_evaluator_is_fresh_calls(self, kind, nu, mu, angles):
+        hyperbolic = kind in ("P", "Q")
+        args = [math.cosh(t) if hyperbolic else math.cos(t) for t in angles]
+        args += list(_CELL_ARGS[kind]) + [1.0, -1.5, 0.0]
+        one_shot = functools.partial(_KIND_FNS[kind], nu, mu)
+        ref = [_outcome(one_shot, arg) for arg in args]
+        f = legendre._PREPARED[kind](nu, mu)
+        assert [_outcome(f, arg) for arg in args] == ref
+        assert [_outcome(f, arg) for arg in args[::-1]] == ref[::-1]
+        f = legendre._PREPARED[kind](nu, mu)
+        assert [_outcome(f, arg) for arg in args[::-1]] == ref[::-1]
 
 
 def _real_degree_grid(seed=15, size=200):

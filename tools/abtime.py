@@ -1,18 +1,20 @@
 """Time a git revision against this checkout, interleaved in one interpreter.
 
-    python3 tools/abtime.py REV [--workload verify] [--rounds 30]
-                            [--seed 1] [--seconds 1]
+    python3 tools/abtime.py REV [--workload verify [points ...]]
+                            [--rounds 30] [--seed 1] [--seconds 1]
 
 Exports ``src/`` at REV with ``git archive`` into a temporary directory
 and imports it and ``src/`` of this checkout as two packages under
 distinct names, ``curvgreen_rev`` and ``curvgreen_src``, in this
-interpreter.  Builds one op list with ``perfbench/workloads.generate``
-(this checkout's copy, imported read-only, as ``tools/opdiff.py`` does)
-and a runner for each package from ``workloads.make_runner``.  After
-one untimed pass per side, each round runs the whole op list once per
-side, alternating which side runs first, and takes the process CPU time
-of each pass.  A refusal is an outcome, as in ``tools/opdiff.py``: it is
-caught and timed.  Prints one JSON line:
+interpreter, and builds a runner for each package from
+``workloads.make_runner``.  For each workload named (``verify`` by
+default), in turn, it builds one op list with
+``perfbench/workloads.generate`` (this checkout's copy, imported
+read-only, as ``tools/opdiff.py`` does); after one untimed pass per
+side, each round runs the whole op list once per side, alternating
+which side runs first, and takes the process CPU time of each pass.  A
+refusal is an outcome, as in ``tools/opdiff.py``: it is caught and
+timed.  Prints one JSON line per workload:
 
 * ``rev``, ``workload``, ``seed``, ``ops`` and ``rounds``;
 * ``rev_ms`` and ``src_ms``: each side's ``min`` and ``median`` CPU
@@ -119,7 +121,8 @@ def summary(rev: list, src: list) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("rev")
-    ap.add_argument("--workload", default="verify", choices=workloads.NAMES)
+    ap.add_argument("--workload", nargs="+", default=["verify"],
+                    choices=workloads.NAMES)
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=1.0,
@@ -127,8 +130,6 @@ def main() -> int:
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
-    ops = [op for chunk in workloads.generate(args.workload, args.seed,
-                                              args.seconds) for op in chunk]
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
                                   "src"], capture_output=True, check=True)
@@ -138,11 +139,15 @@ def main() -> int:
                                    os.path.join(tmp, "src")))
         run_src = make_runner(load(PACKAGE + "_src",
                                    os.path.join(ROOT, "src")))
-        rev, src = time_rounds(run_rev, run_src, ops, args.rounds)
-    print(json.dumps({"rev": args.rev, "workload": args.workload,
-                      "seed": args.seed, "ops": len(ops),
-                      "rounds": args.rounds, **summary(rev, src)}),
-          flush=True)
+        for name in args.workload:
+            ops = [op for chunk in workloads.generate(name, args.seed,
+                                                      args.seconds)
+                   for op in chunk]
+            rev, src = time_rounds(run_rev, run_src, ops, args.rounds)
+            print(json.dumps({"rev": args.rev, "workload": name,
+                              "seed": args.seed, "ops": len(ops),
+                              "rounds": args.rounds, **summary(rev, src)}),
+                  flush=True)
     return 0
 
 
