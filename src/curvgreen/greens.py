@@ -156,18 +156,20 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
     raise DomainError("sign must be 'plus' or 'minus'")
 
 
-def _hyperboloid_body(m: ManifoldSpec, q: LegendreQ, mu: float,
-                      rho: float) -> EvalResult:
-    """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d} sinh(rho)^{-mu} Q_nu^mu(cosh rho),
-    with q = LegendreQ(nu, mu); RangeError where cosh rho overflows."""
+def _cosh(rho: float) -> float:
+    """cosh rho; RangeError where it overflows."""
     try:
-        z = math.cosh(rho)
+        return math.cosh(rho)
     except OverflowError:
         raise RangeError(f"cosh(rho) overflows the double range at "
                          f"rho = {rho}") from None
-    return q(z).scaled(
-        cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * m.d)
-        * m.R ** (2 - m.d) * math.sinh(rho) ** (-mu))
+
+
+def _hyperboloid_constant(m: ManifoldSpec, mu: float) -> complex:
+    """e^{-i pi mu} (2 pi)^{-d/2} R^{2-d}: the hyperboloid solution is this
+    times sinh(rho)^{-mu} Q_nu^mu(cosh rho)."""
+    return (cmath.exp(-1j * math.pi * mu) * (2.0 * math.pi) ** (-0.5 * m.d)
+            * m.R ** (2 - m.d))
 
 
 def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
@@ -265,7 +267,9 @@ def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
     if m.kind == HYPERBOLOID:
         if not rho > 0:
             raise RangeError("rho must be positive")
-        return _hyperboloid_body(m, LegendreQ(mu, mu), mu, rho)
+        q = LegendreQ(mu, mu)(_cosh(rho))
+        return q.scaled(_hyperboloid_constant(m, mu)
+                        * math.sinh(rho) ** (-mu))
     if m.kind == HYPERSPHERE:
         if not 0.0 < rho < math.pi:
             raise RangeError("rho must lie in (0, pi)")
@@ -285,12 +289,19 @@ class GreenKernel:
     """A variant's Green's function at a fixed manifold and wavenumber,
     called with rho.  The constructor does the VARIANT_SPACES lookup and
     builds WaveParams and the ``LegendreQ`` or ``FerrersP``; the first call
-    past the rho check computes the eigenvalue-pole test and the sphere
-    constant.  Each call returns, or raises, what ``green_value`` does."""
+    past the rho check computes the eigenvalue-pole test and the constant
+    factor.  Each call returns, or raises, what ``green_value`` does.
+
+    ``fn``, where given, is the variant's evaluator to read instead of a
+    new one: ``FerrersP(nu, -mu)`` on the sphere, ``LegendreQ(nu, mu)`` on
+    the hyperboloid, at this kernel's WaveParams.  Every sphere variant
+    of one manifold, wavenumber and sign reads the same one, so
+    ``verify`` hands one to each variant of such a family."""
 
     fn = near_pole = constant = None  # kept by the first call
 
-    def __init__(self, variant: str, m: ManifoldSpec, beta: float):
+    def __init__(self, variant: str, m: ManifoldSpec, beta: float, *,
+                 fn=None):
         self.kind, self.sign = VARIANT_SPACES[variant]
         self.variant, self.m, self.beta = variant, m, beta
         if self.kind == EUCLIDEAN:
@@ -303,8 +314,12 @@ class GreenKernel:
             raise WrongVariantError(
                 "WaveParams is not a hyperboloid case" if m.kind == HYPERSPHERE
                 else f"WaveParams is not the sphere {self.sign} case")
-        self.fn = (LegendreQ(wp.nu, wp.mu) if self.kind == HYPERBOLOID
-                   else FerrersP(wp.nu, -wp.mu))
+        self.fn = fn or (LegendreQ(wp.nu, wp.mu) if self.kind == HYPERBOLOID
+                         else FerrersP(wp.nu, -wp.mu))
+        if variant in (FRAK_MINUS, FRAKA_MINUS):
+            # FRAK_MINUS's e^{i pi (nu - mu)}, FRAKA_MINUS's 1 plus that
+            phase = cmath.exp(1j * math.pi * (wp.nu - wp.mu))
+            self.phase = phase if variant == FRAK_MINUS else 1.0 + phase
 
     def __call__(self, rho: float) -> EvalResult:
         if self.kind == EUCLIDEAN:
@@ -315,7 +330,10 @@ class GreenKernel:
         if self.kind == HYPERBOLOID:
             if not rho > 0:
                 raise DomainError("rho must be positive")
-            return _hyperboloid_body(self.m, self.fn, mu, rho)
+            q = self.fn(_cosh(rho))
+            if self.constant is None:
+                self.constant = _hyperboloid_constant(self.m, mu)
+            return q.scaled(self.constant * math.sinh(rho) ** (-mu))
         if not 0.0 < rho < math.pi:
             raise RangeError("rho must lie in (0, pi)")
         if self.sign == MINUS:
@@ -335,13 +353,12 @@ class GreenKernel:
         elif self.variant == FRAK_MINUS:
             pm = self.fn(-math.cos(rho))
             pp = self.fn(math.cos(rho))
-            phase = cmath.exp(1j * math.pi * (self.wp.nu - mu))
-            out = EvalResult(pm.value - phase * pp.value,
+            out = EvalResult(pm.value - self.phase * pp.value,
                              pm.abs_err_est + pp.abs_err_est,
                              pm.terms_used + pp.terms_used,
                              merge_flags(pm, pp)).scaled(pre)
         else:
             if self.variant == FRAKA_MINUS:
-                pre = pre * (1.0 + cmath.exp(1j * math.pi * (self.wp.nu - mu)))
+                pre = pre * self.phase
             out = self.fn.odd(math.cos(rho)).scaled(pre)
         return out if self.sign == PLUS else out.with_flags(CANDIDATE)

@@ -191,45 +191,71 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
 # Hypergeometric (series) routes
 # ----------------------------------------------------------------------
 
-def _p_series(h: Hyp2F1, mu, t: float, ratio: float) -> EvalResult:
+def _p_series(h: Hyp2F1, half_mu: complex, t: float,
+              ratio: float) -> EvalResult:
     """P_nu^mu(t) or FP_nu^mu(t) by the defining series ratio^{mu/2}
     2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), h that 2F1 (the P and FP rows'
-    engine); ratio is (t + 1)/(t - 1) for Legendre, (1 + t)/(1 - t) for
-    Ferrers."""
-    pre = ratio ** (complex(mu) / 2.0)
-    return h.regularized((1.0 - t) / 2.0).scaled(pre)
+    engine), half_mu the complex mu/2; ratio is (t + 1)/(t - 1) for
+    Legendre, (1 + t)/(1 - t) for Ferrers."""
+    return h.regularized((1.0 - t) / 2.0).scaled(ratio ** half_mu)
 
 
 def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
     """Paper-convention Q via the 1/z^2 hypergeometric representation,
-    h its 2F1 (the Q row's engine); Q's pole route takes nu + mu in -N."""
+    h its 2F1 (the Q row's engine); Q's pole route takes nu + mu in -N.
+
+    The prefactor takes (z^2 - 1)^{mu/2} apart from the power of z.
+    Where one of them leaves the double range (the prefactor is 0 or not
+    finite), (mu/2)(log(z - 1) + log(z + 1)) joins the exponent instead,
+    and the estimate adds the exponent's rounding: eps times the sum of
+    the sizes of its terms, relative to the value."""
     w = 1.0 / (z * z)
-    if h.c_pole[0]:
-        # anomalous degree: regularized engine absorbs the Gamma(c) pole
-        f = h.regularized(w)
-        pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-               * (z * z - 1.0) ** (mu / 2.0) * _cgamma(nu + mu + 1.0)
-               * 2.0 ** (-(nu + 1.0)) * z ** (-(nu + mu + 1.0)))
-    else:
-        f = h(w)
-        # log-space prefactor keeps large real degrees inside double range
-        lg = (_lgamma(nu + mu + 1.0) - _lgamma(nu + 1.5)
-              - (nu + 1.0) * math.log(2.0) - (nu + mu + 1.0) * math.log(z))
-        pre = (_SQRT_PI * cmath.exp(1j * math.pi * mu)
-               * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg))
-    return f.scaled(pre)
+    anomalous = h.c_pole[0]
+    # at an anomalous degree the regularized engine absorbs the Gamma(c)
+    # pole
+    f = h.regularized(w) if anomalous else h(w)
+    phase = _SQRT_PI * cmath.exp(1j * math.pi * mu)
+    try:
+        if anomalous:
+            pre = (phase * (z * z - 1.0) ** (mu / 2.0)
+                   * _cgamma(nu + mu + 1.0) * 2.0 ** (-(nu + 1.0))
+                   * z ** (-(nu + mu + 1.0)))
+        else:
+            # log-space gammas keep large real degrees inside double range
+            lg = (_lgamma(nu + mu + 1.0) - _lgamma(nu + 1.5)
+                  - (nu + 1.0) * math.log(2.0)
+                  - (nu + mu + 1.0) * math.log(z))
+            pre = phase * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg)
+        if pre != 0.0 and cmath.isfinite(pre):
+            return f.scaled(pre)
+    except OverflowError:
+        pass
+    terms = [_lgamma(nu + mu + 1.0), -(nu + 1.0) * math.log(2.0),
+             -(nu + mu + 1.0) * math.log(z),
+             (mu / 2.0) * (math.log(z - 1.0) + math.log(z + 1.0))]
+    if not anomalous:
+        terms.append(-_lgamma(nu + 1.5))
+    out = f.scaled(phase * cmath.exp(sum(terms)))
+    rounding = _EPS * sum(abs(t) for t in terms) * abs(out.value)
+    return EvalResult(out.value, out.abs_err_est + rounding, out.terms_used,
+                      out.flags)
 
 
 # ----------------------------------------------------------------------
 # Public operations
 # ----------------------------------------------------------------------
 
+def _overflow(name, nu, mu) -> RangeError:
+    return RangeError(f"{name}_nu^mu overflows the double range at "
+                      f"nu = {complex(nu)}, mu = {complex(mu)}")
+
+
 def _refuse_overflow(name):
-    """The overflow check shared by the public functions, which take
-    ``([kind,] nu, mu, arg)``, and the prepared ones, which take
-    ``(self, arg)`` and hold kind, nu and mu: an OverflowError, or a
-    non-finite value or estimate, becomes a RangeError that names the
-    function (the kind argument or attribute where name is None)."""
+    """The overflow check of the public functions that take
+    ``([kind,] nu, mu, arg)`` (``_Prepared.__call__`` makes its own): an
+    OverflowError, or a non-finite value or estimate, becomes a
+    RangeError that names the function (the kind argument where name is
+    None)."""
     def wrap(fn):
         @functools.wraps(fn)
         def checked(*args):
@@ -240,11 +266,8 @@ def _refuse_overflow(name):
                     return out
             except OverflowError:
                 pass
-            *kind, nu, mu, _ = args if len(args) > 2 else (
-                args[0].kind, args[0].nu, args[0].mu, None)
-            raise RangeError(f"{name or kind[0]}_nu^mu overflows the double "
-                             f"range at nu = {complex(nu)}, "
-                             f"mu = {complex(mu)}")
+            *kind, nu, mu, _ = args
+            raise _overflow(name or kind[0], nu, mu)
         return checked
     return wrap
 
@@ -606,7 +629,7 @@ ROUTES = {
         # cancellation for z > 1; real parts produce same-sign terms
         lambda f, z: 2.0 * abs(f.nu.imag) * math.sqrt((z - 1.0) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
-        lambda f, z: _p_series(f.h, f.mu, z, (z + 1.0) / (z - 1.0)),
+        lambda f, z: _p_series(f.h, f.half_mu, z, (z + 1.0) / (z - 1.0)),
         {"P": lambda nu, m, z: _mehler_p(nu, m, math.acosh(z), True),
          "Q": lambda nu, m, z: legendre_q(nu, -m, z)}),
     "Q": _Route(
@@ -620,13 +643,13 @@ ROUTES = {
         _q_setup),
     "FP": _Route(
         _check_ferrers,
-        lambda f, x: 2.0 * abs(f.nu + 0.5) * math.sin(math.acos(x) / 2.0),
+        lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
-        lambda f, x: _p_series(f.h, f.mu, x, (1.0 + x) / (1.0 - x)),
+        lambda f, x: _p_series(f.h, f.half_mu, x, (1.0 + x) / (1.0 - x)),
         {"FP": _fp_at_neg, "FQ": _fq_at_neg}),
     "FQ": _Route(
         _check_ferrers,
-        lambda f, x: 2.0 * abs(f.nu + 0.5) * max(
+        lambda f, x: f.loss_scale * max(
             math.sin(t := math.acos(x) / 2.0), math.cos(t)),
         lambda nu, mu: (
             Hyp2F1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
@@ -645,24 +668,36 @@ class _Prepared:
 
     def __init__(self, nu, mu):
         self.nu, self.mu = nu, mu = complex(nu), complex(mu)
+        # the FP and FQ loss factor 2 |nu + 1/2| and the P and FP
+        # series' power mu/2
+        self.loss_scale, self.half_mu = 2.0 * abs(nu + 0.5), mu / 2.0
         if mu == 0.5 or mu == -0.5:
             self.half = True
         elif self.row.setup:
             self.pole, self.series_only = self.row.setup(nu, mu)
 
-    @_refuse_overflow(None)
     def __call__(self, arg: float) -> EvalResult:
+        """The kind at arg; an OverflowError, or a non-finite value or
+        estimate, is a RangeError that names the kind."""
         row = self.row
-        arg = row.check(arg)
-        if self.half:
-            return _half_order(self.kind, self.nu, self.mu, arg)
-        if self.pole is not None:
-            return self.pole(arg)
-        if self.series_only or row.loss(self, arg) <= _LOSS_MAX:
-            if self.h is None:
-                self.h = row.engine(self.nu, self.mu)
-            return row.series(self, arg)
-        return _large_degree(self.kind, self.nu, self.mu, arg, row.at_neg)
+        try:
+            arg = row.check(arg)
+            if self.half:
+                out = _half_order(self.kind, self.nu, self.mu, arg)
+            elif self.pole is not None:
+                out = self.pole(arg)
+            elif self.series_only or row.loss(self, arg) <= _LOSS_MAX:
+                if self.h is None:
+                    self.h = row.engine(self.nu, self.mu)
+                out = row.series(self, arg)
+            else:
+                out = _large_degree(self.kind, self.nu, self.mu, arg,
+                                    row.at_neg)
+            if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
+                return out
+        except OverflowError:
+            pass
+        raise _overflow(self.kind, self.nu, self.mu)
 
 
 class LegendreP(_Prepared):

@@ -49,14 +49,16 @@ class EvalResult(namedtuple("EvalResult",
     def im(self) -> float:
         return complex(self[0]).imag
 
+    # scaled and with_flags skip __new__'s check: an estimate that is
+    # >= 0 stays so under |c| and under new flags
     def scaled(self, c) -> "EvalResult":
         """The result times the prefactor c; the estimate scales by |c|."""
-        return EvalResult(c * self.value, abs(c) * self.abs_err_est,
-                          self.terms_used, self.flags)
+        return tuple.__new__(EvalResult, (c * self[0], abs(c) * self[1],
+                                          self[2], self[3]))
 
     def with_flags(self, *extra: str) -> "EvalResult":
-        return EvalResult(self.value, self.abs_err_est, self.terms_used,
-                          self.flags | frozenset(extra))
+        return tuple.__new__(EvalResult, (self[0], self[1], self[2],
+                                          self[3] | frozenset(extra)))
 
 
 def merge_flags(*results: EvalResult) -> frozenset:

@@ -19,8 +19,17 @@ Builds CheckReports for
 A check that evaluates one Green's function at many rho (an ODE
 residual's stencils, the normalization and epsilon-ball nodes) shares
 one ``GreenKernel``, the weighted-integral check one ``FerrersP``, and
-drops it with the check.  Checks are pure given their configuration and
-deterministic, so every report is reproducible bit for bit.
+drops it with the check.  Every sphere variant of one manifold,
+wavenumber and sign is a combination of the same two values
+FP_nu^{-mu}(+-cos rho), so within ``default_suite`` the variants of such
+a family (S_PLUS and A_PLUS; SF, FRAK, AF and FRAKA_MINUS) read one
+``FerrersP`` that keeps each value by its argument: an ODE row's six
+sphere variants make 80 evaluations instead of 200, and the
+normalization and epsilon-ball checks of one family share their
+quadrature nodes.  The suite drops each family with its checks, so no
+value outlives one ``default_suite`` call.  Checks are pure given their
+configuration and deterministic, so every report is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -83,9 +92,27 @@ def _report(check_id, measured, target, tol, relative=True, notes=""):
 # Radial ODE residuals
 # ----------------------------------------------------------------------
 
-def _variant_function(variant, wp):
-    """The variant's value at rho, from one GreenKernel for every rho."""
-    kernel = GreenKernel(variant, wp.manifold, wp.beta)
+class _SharedFerrersP(FerrersP):
+    """FP_nu^{-mu} at the degree and order of a sphere WaveParams, for every
+    variant of its family to read (``GreenKernel``'s ``fn``).  It keeps
+    each value it returns by argument; a refusal is not kept, so it
+    raises again at the next call."""
+
+    def __init__(self, wp):
+        super().__init__(wp.nu, -wp.mu)
+        self.values = {}
+
+    def __call__(self, x):
+        out = self.values.get(x)
+        if out is None:
+            out = self.values[x] = super().__call__(x)
+        return out
+
+
+def _variant_function(variant, wp, fp=None):
+    """The variant's value at rho, from one GreenKernel for every rho;
+    fp, where given, is the _SharedFerrersP of the variant's family."""
+    kernel = GreenKernel(variant, wp.manifold, wp.beta, fn=fp)
     return lambda rho: kernel(rho).value
 
 
@@ -160,6 +187,11 @@ def _sphere_integral(fn, wp, tol=1e-9, lo=0.0, hi=math.pi):
 def check_normalization(variant: str, wp: WaveParams,
                         tol: float = 1e-6) -> CheckReport:
     """Total-integral normalization of a sphere solution."""
+    return _check_normalization(variant, wp, tol)
+
+
+def _check_normalization(variant, wp, tol=1e-6, fp=None):
+    """check_normalization, the variant read through fp where given."""
     if wp.manifold.kind != HYPERSPHERE:
         raise WrongVariantError("normalization checks cover the sphere")
     b2 = wp.beta ** 2
@@ -173,7 +205,7 @@ def check_normalization(variant: str, wp: WaveParams,
         target = -(1.0 - cmath.exp(1j * math.pi * (wp.nu - wp.mu))) / b2
     else:
         raise WrongVariantError(f"no normalization target for {variant!r}")
-    val = _sphere_integral(_variant_function(variant, wp),
+    val = _sphere_integral(_variant_function(variant, wp, fp),
                            wp, tol=abs(tol) * max(1.0, 1.0 / b2) * 1e-3)
     if variant == FRAK_MINUS:
         gap = abs(val - target) / abs(target)
@@ -193,10 +225,15 @@ def check_normalization(variant: str, wp: WaveParams,
 def check_eps_ball(variant: str, wp: WaveParams,
                    eps: float = 1e-2) -> CheckReport:
     """Divergence-theorem constraint on a geodesic ball of radius R eps."""
+    return _check_eps_ball(variant, wp, eps)
+
+
+def _check_eps_ball(variant, wp, eps=1e-2, fp=None):
+    """check_eps_ball, the variant read through fp where given."""
     if not 1e-3 <= eps <= 1e-1:
         raise DomainError("eps must lie in [1e-3, 1e-1]")
     d, R = wp.manifold.d, wp.manifold.R
-    fn = _variant_function(variant, wp)
+    fn = _variant_function(variant, wp, fp)
     ball = _sphere_integral(fn, wp, tol=1e-10, lo=0.0, hi=eps)
     sgn = 1.0 if wp.sign == PLUS else -1.0
     lhs = -1.0 + sgn * wp.beta ** 2 * ball
@@ -335,7 +372,8 @@ def default_suite() -> list:
     Covers normalization, eps-ball, ODE residuals for all variants in
     d = 2, 3, 4 (one damped and one oscillatory wavenumber per regime
     where the regime exists), flat-space and beta -> 0 limits, and the
-    weighted-integral identity.
+    weighted-integral identity.  The sphere variants of one family read
+    one _SharedFerrersP, dropped with the family's checks.
     """
     reports = []
     # normalization + eps-ball, d in {3, 4}
@@ -343,23 +381,28 @@ def default_suite() -> list:
         ms = ManifoldSpec(HYPERSPHERE, d, 1.0)
         wpp = WaveParams(ms, 1.3, PLUS)
         wpm = WaveParams(ms, 0.8, MINUS)
-        reports.append(check_normalization(S_PLUS, wpp))
-        reports.append(check_normalization(A_PLUS, wpp))
-        reports.append(check_normalization(SF_MINUS, wpm))
-        reports.append(check_normalization(FRAK_MINUS, wpm))
-        reports.append(check_eps_ball(S_PLUS, wpp))
-        reports.append(check_eps_ball(A_PLUS, wpp))
-        reports.append(check_eps_ball(SF_MINUS, wpm))
+        plus, minus = _SharedFerrersP(wpp), _SharedFerrersP(wpm)
+        reports.append(_check_normalization(S_PLUS, wpp, fp=plus))
+        reports.append(_check_normalization(A_PLUS, wpp, fp=plus))
+        reports.append(_check_normalization(SF_MINUS, wpm, fp=minus))
+        reports.append(_check_normalization(FRAK_MINUS, wpm, fp=minus))
+        reports.append(_check_eps_ball(S_PLUS, wpp, fp=plus))
+        reports.append(_check_eps_ball(A_PLUS, wpp, fp=plus))
+        reports.append(_check_eps_ball(SF_MINUS, wpm, fp=minus))
     # ODE residuals, all variants, d in {2, 3, 4}, two regimes
     grids = {HYPERBOLOID: [0.35, 0.8, 1.6, 2.4],
              HYPERSPHERE: [0.35, 0.9, 1.7, 2.6]}
     for d in (2, 3, 4):
         for beta in (0.4, 1.7):
+            sphere = ManifoldSpec(HYPERSPHERE, d, 1.0)
+            families = {sign: _SharedFerrersP(WaveParams(sphere, beta, sign))
+                        for sign in (PLUS, MINUS)}
             for variant in ALL_VARIANTS:
                 kind, sign = VARIANT_SPACES[variant]
                 wp = WaveParams(ManifoldSpec(kind, d, 1.0), beta, sign)
-                res = radial_residual(None, wp, 0, grids[kind],
-                                      variant=variant)
+                fp = families[sign] if kind == HYPERSPHERE else None
+                res = radial_residual(_variant_function(variant, wp, fp),
+                                      wp, 0, grids[kind])
                 reports.append(_report(
                     f"ode[{variant},d={d},beta={beta}]", res, 0.0, 1e-6,
                     relative=False))

@@ -20,6 +20,15 @@ def test_scaled_multiplies_value_and_estimate():
     assert neg.value == -3.0 and neg.abs_err_est == 0.5
 
 
+@pytest.mark.parametrize("c", [-2.0, -0.0, -1e300, 3.0 - 4.0j, -1j,
+                               complex(-0.0, -0.0)])
+def test_scaled_keeps_the_estimate_nonnegative(c):
+    got = EvalResult(1.5 - 0.5j, 0.25, 3).scaled(c)
+    assert got.abs_err_est >= 0.0
+    assert got.abs_err_est == abs(c) * 0.25
+    assert type(got) is EvalResult
+
+
 class TestContract:
     """EvalResult is an immutable record: fields, defaults, the check on
     the estimate, repr, equality and hashing."""

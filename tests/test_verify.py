@@ -5,11 +5,14 @@ import sys
 
 import pytest
 
+from curvgreen import legendre
 from curvgreen.errors import GridError
 from curvgreen.geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from curvgreen.greens import MINUS, PLUS, WaveParams
+from curvgreen.greens import (ALL_VARIANTS, MINUS, PLUS, VARIANT_SPACES,
+                              WaveParams, green_value)
 from curvgreen.legendre import legendre_p
-from curvgreen.verify import (check_beta_zero_limit, check_eps_ball,
+from curvgreen.verify import (_SharedFerrersP, _variant_function,
+                              check_beta_zero_limit, check_eps_ball,
                               check_flat_limit, check_mellin,
                               check_normalization, default_suite,
                               mellin_reference, quad, radial_residual)
@@ -209,3 +212,45 @@ def test_suite_keeps_no_module_state():
     assert before
     default_suite()
     assert _module_state() == before
+
+
+def test_suite_evaluator_calls(monkeypatch):
+    """The sphere variants of a family read one shared FerrersP: a suite
+    makes 1436 prepared Legendre/Ferrers calls (2396 with one evaluator
+    per variant), the same on every run."""
+    calls = []
+    call = legendre._Prepared.__call__
+
+    def counted(self, arg):
+        calls.append(arg)
+        return call(self, arg)
+
+    monkeypatch.setattr(legendre._Prepared, "__call__", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        default_suite()
+        counts.append(len(calls))
+    assert counts == [1436, 1436]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("sign,beta", [(PLUS, 0.4), (MINUS, 1.7)])
+def test_shared_family_is_one_shot(d, sign, beta):
+    """At an ODE row's stencil points each sphere variant read through its
+    family's shared FerrersP returns the bits of one-shot green_value."""
+    m = ManifoldSpec(HYPERSPHERE, d, 1.0)
+    wp = WaveParams(m, beta, sign)
+    fp = _SharedFerrersP(wp)
+    rhos = [x + k * 1e-3 for x in (0.35, 0.9, 1.7, 2.6)
+            for k in (-2, -1, 0, 1, 2)]
+    variants = [v for v in ALL_VARIANTS
+                if VARIANT_SPACES[v] == (HYPERSPHERE, sign)]
+    assert len(variants) == (2 if sign == PLUS else 4)
+    for variant in variants:
+        fn = _variant_function(variant, wp, fp)
+        for rho in rhos:
+            assert repr(fn(rho)) \
+                == repr(green_value(variant, m, beta, rho).value), \
+                (variant, rho)
+    assert len(fp.values) == 2 * len(rhos)
