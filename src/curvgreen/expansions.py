@@ -489,7 +489,7 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
     else:
         # the addition theorem's 2^mu times the closed form's constant
-        c = 2.0 ** mu * _sphere_constant(wp)
+        c = 2.0 ** mu * _sphere_constant(wp)[0]
         parts = [("FP", True, 1.0)]
         if variant == A_PLUS:
             # antipodal bracket: the unreflected parent series carries

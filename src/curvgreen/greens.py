@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import FerrersP, LegendreQ, ferrers_q
+from .legendre import _LOG_2, FerrersP, LegendreQ, ferrers_q
 from .result import CANDIDATE, EvalResult, merge_flags
-from .specfun import _lgamma, cyl
+from .specfun import _EPS, _lgamma, cyl
 
 PLUS = "plus"
 MINUS = "minus"
@@ -56,6 +56,8 @@ EUCLID_PLUS = "EUCLID_PLUS"
 EUCLID_MINUS = "EUCLID_MINUS"
 LAPLACE_H = "LAPLACE_H"
 LAPLACE_S = "LAPLACE_S"
+
+_LOG_PI = math.log(math.pi)
 
 CANDIDATE_VARIANTS = (SF_MINUS, FRAK_MINUS, AF_MINUS, FRAKA_MINUS)
 ALL_VARIANTS = (H_PLUS, H_MINUS, S_PLUS, A_PLUS) + CANDIDATE_VARIANTS
@@ -179,14 +181,14 @@ def hyperboloid_green(wp: WaveParams, rho: float) -> EvalResult:
                        wp.beta)(rho)
 
 
-def _sphere_constant(wp: WaveParams) -> complex:
+def _sphere_constant(wp: WaveParams) -> tuple:
     """Gamma(nu+mu+1) Gamma(mu-nu) / (2^{d/2+1} pi^{d/2} R^{d-2}), formed
-    from log-gammas, so it stays finite where a gamma alone overflows."""
+    from log-gammas, so it stays finite where a gamma alone overflows,
+    and the rounding of that exponent a + b - c relative to the value."""
     d, R = wp.manifold.d, wp.manifold.R
-    lg = _lgamma(wp.nu + wp.mu + 1.0) + _lgamma(wp.mu - wp.nu)
-    lg -= ((0.5 * d + 1.0) * math.log(2.0) + 0.5 * d * math.log(math.pi)
-           + (d - 2.0) * math.log(R))
-    return cmath.exp(lg)
+    a, b = _lgamma(wp.nu + wp.mu + 1.0), _lgamma(wp.mu - wp.nu)
+    c = (0.5 * d + 1.0) * _LOG_2 + 0.5 * d * _LOG_PI + (d - 2.0) * math.log(R)
+    return cmath.exp(a + b - c), _EPS * (abs(a) + abs(b) + abs(c))
 
 
 def _check_sphere(wp: WaveParams, sign: str, rho: float) -> None:
@@ -344,21 +346,22 @@ class GreenKernel:
                                           "Laplace-Beltrami eigenvalue")
         if self.constant is None:
             # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
-            self.constant = _sphere_constant(self.wp)
+            self.constant, self.share = _sphere_constant(self.wp)
         # pre FP(-cos rho), pre (FP(-cos) - e^{i pi (nu - mu)} FP(cos)),
         # or pre (1 + e^{i pi (nu - mu)} for FRAKA) times the odd f(cos)
         pre = self.constant * math.sin(rho) ** (-mu)
         if self.variant in (S_PLUS, SF_MINUS):
-            out = self.fn(-math.cos(rho)).scaled(pre)
+            out = self.fn(-math.cos(rho))
         elif self.variant == FRAK_MINUS:
             pm = self.fn(-math.cos(rho))
             pp = self.fn(math.cos(rho))
             out = EvalResult(pm.value - self.phase * pp.value,
                              pm.abs_err_est + pp.abs_err_est,
                              pm.terms_used + pp.terms_used,
-                             merge_flags(pm, pp)).scaled(pre)
+                             merge_flags(pm, pp))
         else:
             if self.variant == FRAKA_MINUS:
                 pre = pre * self.phase
-            out = self.fn.odd(math.cos(rho)).scaled(pre)
+            out = self.fn.odd(math.cos(rho))
+        out = out.scaled_rounded(pre, self.share)
         return out if self.sign == PLUS else out.with_flags(CANDIDATE)

@@ -54,6 +54,7 @@ from .specfun import (_EPS, Hyp2F1, _cgamma, _lgamma, _near_nonpos_int,
                       gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
+_LOG_2 = math.log(2.0)
 # beyond this estimated digit-loss exponent (~5 digits) the series route
 # is abandoned for an integral representation
 _LOSS_MAX = 12.0
@@ -203,42 +204,24 @@ def _p_series(h: Hyp2F1, half_mu: complex, t: float,
 def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
     """Paper-convention Q via the 1/z^2 hypergeometric representation,
     h its 2F1 (the Q row's engine); Q's pole route takes nu + mu in -N.
-
-    The prefactor takes (z^2 - 1)^{mu/2} apart from the power of z.
-    Where one of them leaves the double range (the prefactor is 0 or not
-    finite), (mu/2)(log(z - 1) + log(z + 1)) joins the exponent instead,
-    and the estimate adds the exponent's rounding: eps times the sum of
-    the sizes of its terms, relative to the value."""
+    The prefactor is sqrt(pi) e^{i pi mu} times the exponential of one
+    log sum, log-gammas, powers of 2 and z and (mu/2)(log(z - 1) +
+    log(z + 1)), so it stays in range wherever Q does; the estimate adds
+    that sum's rounding, eps times its terms' sizes, relative to Q."""
     w = 1.0 / (z * z)
     anomalous = h.c_pole[0]
     # at an anomalous degree the regularized engine absorbs the Gamma(c)
-    # pole
+    # pole, and its -log Gamma(nu + 3/2) leaves the sum
     f = h.regularized(w) if anomalous else h(w)
-    phase = _SQRT_PI * cmath.exp(1j * math.pi * mu)
-    try:
-        if anomalous:
-            pre = (phase * (z * z - 1.0) ** (mu / 2.0)
-                   * _cgamma(nu + mu + 1.0) * 2.0 ** (-(nu + 1.0))
-                   * z ** (-(nu + mu + 1.0)))
-        else:
-            # log-space gammas keep large real degrees inside double range
-            lg = (_lgamma(nu + mu + 1.0) - _lgamma(nu + 1.5)
-                  - (nu + 1.0) * math.log(2.0)
-                  - (nu + mu + 1.0) * math.log(z))
-            pre = phase * (z * z - 1.0) ** (mu / 2.0) * cmath.exp(lg)
-        if pre != 0.0 and cmath.isfinite(pre):
-            return f.scaled(pre)
-    except OverflowError:
-        pass
-    terms = [_lgamma(nu + mu + 1.0), -(nu + 1.0) * math.log(2.0),
-             -(nu + mu + 1.0) * math.log(z),
-             (mu / 2.0) * (math.log(z - 1.0) + math.log(z + 1.0))]
+    top = nu + mu + 1.0
+    a, b, c = _lgamma(top), -(nu + 1.0) * _LOG_2, -top * math.log(z)
+    e = (mu / 2.0) * (math.log(z - 1.0) + math.log(z + 1.0))
+    lg, size = a + b + c + e, abs(a) + abs(b) + abs(c) + abs(e)
     if not anomalous:
-        terms.append(-_lgamma(nu + 1.5))
-    out = f.scaled(phase * cmath.exp(sum(terms)))
-    rounding = _EPS * sum(abs(t) for t in terms) * abs(out.value)
-    return EvalResult(out.value, out.abs_err_est + rounding, out.terms_used,
-                      out.flags)
+        g = -_lgamma(nu + 1.5)
+        lg, size = lg + g, size + abs(g)
+    return f.scaled_rounded(
+        _SQRT_PI * cmath.exp(1j * math.pi * mu) * cmath.exp(lg), _EPS * size)
 
 
 # ----------------------------------------------------------------------

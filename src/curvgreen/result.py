@@ -49,12 +49,19 @@ class EvalResult(namedtuple("EvalResult",
     def im(self) -> float:
         return complex(self[0]).imag
 
-    # scaled and with_flags skip __new__'s check: an estimate that is
-    # >= 0 stays so under |c| and under new flags
+    # scaled, scaled_rounded and with_flags skip __new__'s check: an
+    # estimate that is >= 0 stays so under |c|, a share >= 0 and flags
     def scaled(self, c) -> "EvalResult":
         """The result times the prefactor c; the estimate scales by |c|."""
         return tuple.__new__(EvalResult, (c * self[0], abs(c) * self[1],
                                           self[2], self[3]))
+
+    def scaled_rounded(self, c, share: float) -> "EvalResult":
+        """``scaled`` for a prefactor c whose own relative rounding is
+        share: the estimate also adds share times the new value's size."""
+        v = c * self[0]
+        return tuple.__new__(EvalResult, (v, abs(c) * self[1]
+                                          + share * abs(v), self[2], self[3]))
 
     def with_flags(self, *extra: str) -> "EvalResult":
         return tuple.__new__(EvalResult, (self[0], self[1], self[2],

@@ -418,8 +418,8 @@ def _log_sum(a_s, b_s, m, w, gaps):
     estimate, terms, the pair read).  The estimate charges 2 eps per term
     on the bracket's parts, |log w| + |gap_a| + |gap_b|, whose rounding
     outlives their cancellation in the bracket.  This is the float body;
-    complex or non-finite inputs, a non-finite sum or estimate and a
-    spent budget go to :func:`_log_sum_complex`.
+    complex or non-finite inputs, a non-finite sum or estimate, a nan sum
+    and a spent budget go to :func:`_log_sum_complex`.
     """
     if (a_s.imag or b_s.imag or w.imag
             or not math.isfinite(a_s.real + b_s.real + w.real)):
@@ -433,6 +433,8 @@ def _log_sum(a_s, b_s, m, w, gaps):
     ga, gb = gaps[0]
     for k in range(_MAX_TERMS):
         if k == have:
+            if total != total:  # a nan sum never recovers
+                break
             have = _psi_gaps(gaps[0], p, q, m, k + _GAP_STEP)
         gap_a, gap_b = ga[k], gb[k]
         term = coef * (logw + gap_a + gap_b)
@@ -456,7 +458,8 @@ def _log_sum(a_s, b_s, m, w, gaps):
 
 
 def _log_sum_complex(a_s, b_s, m, w, gaps):
-    """_log_sum in complex arithmetic, on the pair of lists gaps."""
+    """_log_sum in complex arithmetic, on the pair of lists gaps; a nan
+    sum (coefficients past the double range) refuses at once."""
     coef = 1.0 / math.gamma(m + 1)
     total = 0.0 + 0.0j
     total_abs = 0.0
@@ -466,6 +469,8 @@ def _log_sum_complex(a_s, b_s, m, w, gaps):
     ga, gb = gaps
     for k in range(_MAX_TERMS):
         if k == have:
+            if total != total:
+                break
             have = _psi_gaps(gaps, a_s, b_s, m, k + _GAP_STEP)
         gap_a, gap_b = ga[k], gb[k]
         term = coef * (logw + gap_a + gap_b)

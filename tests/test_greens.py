@@ -150,6 +150,44 @@ class TestSpherePlus:
         assert abs(got - ref) < 1e-4 * abs(ref)
 
 
+def _mp_sphere(variant, d, beta, rho):
+    """A sphere variant at R = 1 by mpmath at 30 digits, written out from
+    the closed forms with the degree formed from beta in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        beta, rho = mp.mpf(beta), mp.mpf(rho)
+        mu = mp.mpf(d) / 2 - 1
+        disc = (d - 1) ** 2 + (4 if variant.endswith("MINUS") else -4) \
+            * beta ** 2
+        nu = (-mp.mpf(1) / 2 + mp.sqrt(disc) / 2 if disc >= 0
+              else mp.mpc(-0.5, mp.sqrt(-disc) / 2))
+        pre = (mp.gamma(nu + mu + 1) * mp.gamma(mu - nu) * mp.sin(rho) ** -mu
+               / (2 ** (mp.mpf(d) / 2 + 1) * mp.pi ** (mp.mpf(d) / 2)))
+        refl = mp.legenp(nu, -mu, -mp.cos(rho), type=2)
+        direct = mp.legenp(nu, -mu, mp.cos(rho), type=2)
+        phase = mp.exp(1j * mp.pi * (nu - mu))
+        return complex(pre * {
+            "S_PLUS": refl, "SF_MINUS": refl, "A_PLUS": refl - direct,
+            "AF_MINUS": refl - direct, "FRAK_MINUS": refl - phase * direct,
+            "FRAKA_MINUS": (1 + phase) * (refl - direct)}[variant])
+
+
+@pytest.mark.parametrize("variant", ["S_PLUS", "A_PLUS", "SF_MINUS",
+                                     "FRAK_MINUS", "AF_MINUS", "FRAKA_MINUS"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sphere_within_estimate(variant, d):
+    """Every sphere variant is within twice its estimate of mpmath from
+    small to large beta: the estimate carries the rounding of the
+    constant's exponent, log Gamma(nu + mu + 1) + log Gamma(mu - nu)."""
+    m = ManifoldSpec(HYPERSPHERE, d, 1.0)
+    for beta in (0.7, 2.2, 15.3, 37.6):
+        kernel = GreenKernel(variant, m, beta)
+        for rho in (0.3, 0.9, 1.5, 2.1, 2.7):
+            got = kernel(rho)
+            err = abs(got.value - _mp_sphere(variant, d, beta, rho))
+            assert err <= 2.0 * got.abs_err_est, (beta, rho, err)
+
+
 class TestSphereAntipodal:
     def test_odd_about_equator(self):
         wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 1.3, PLUS)

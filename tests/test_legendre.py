@@ -17,7 +17,7 @@ from curvgreen import legendre
 from curvgreen.errors import (CurvGreenError, DomainError, NoConvergenceError,
                               ParamPoleError, RangeError, UndefinedError)
 from curvgreen.geometry import ManifoldSpec
-from curvgreen.greens import green_value
+from curvgreen.greens import MINUS, PLUS, WaveParams, green_value
 from curvgreen.legendre import (ferrers_p, ferrers_p_reflected, ferrers_q,
                                 gegenbauer_function, half_odd_eval,
                                 legendre_p, legendre_q, odd_ferrers_f)
@@ -62,17 +62,6 @@ class TestLegendreP:
     def test_domain(self):
         with pytest.raises(DomainError):
             legendre_p(1.0, 0.5, 0.9)
-
-
-# Q at large z where its split prefactor is in range: the estimate omits
-# the rounding of the prefactor's exponent, and charging it would move
-# the estimate of every Q series value (ROADMAP item 4)
-_SPLIT_ESTIMATE = pytest.mark.xfail(
-    strict=True, reason="split-form estimate omits the exponent's rounding")
-_SPLIT_CELLS = [(0.3, 1.0, 1e10), (0.3, 1.0, 1e100), (0.3, -1.0, 1e10),
-                (0.3, -1.0, 1e100), (0.3, -1.0, 1e150), (1.0, 1.0, 1e10),
-                (1.0, 1.0, 1e100), (1.0, 0.7, 1e10), (1.0, 0.7, 1e100),
-                (2.0, 1.0, 1e10)]
 
 
 class TestLegendreQ:
@@ -173,18 +162,36 @@ class TestLegendreQ:
     @pytest.mark.parametrize("nu,mu,z", [
         (0.3, 1.0, 1e150), (0.3, 1.0, 1e160), (0.3, -1.0, 1e160),
         (1.0, 1.0, 1e150), (1.0, 0.7, 1e150), (2.0, 1.0, 1e100),
-        *(pytest.param(*c, marks=_SPLIT_ESTIMATE) for c in _SPLIT_CELLS)])
+        (0.3, 1.0, 1e10), (0.3, 1.0, 1e100), (0.3, -1.0, 1e10),
+        (0.3, -1.0, 1e100), (0.3, -1.0, 1e150), (1.0, 1.0, 1e10),
+        (1.0, 1.0, 1e100), (1.0, 0.7, 1e10), (1.0, 0.7, 1e100),
+        (2.0, 1.0, 1e10)])
     def test_large_argument_within_estimate(self, nu, mu, z):
         """Each value of the grid above that is in the normal range is
-        within its estimate (the log-space prefactor charges the
+        within its estimate (the prefactor's estimate charges the
         rounding of its exponent)."""
         got = legendre_q(nu, mu, z)
         assert abs(got.value - _mp_legendre("Q", nu, mu, z)) \
             <= got.abs_err_est
 
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 1.1, 2.3, 3.9])
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("sign", [PLUS, MINUS])
+    def test_green_degrees_within_estimate(self, sign, d, beta):
+        """Q at the H_PLUS and H_MINUS degrees (real, or conical at
+        H_MINUS once 2 beta > d - 1) is within twice its estimate of
+        mpmath at every z of a grid from near 1 to 1e6: the estimate
+        carries the rounding of the prefactor's exponent."""
+        wp = WaveParams(ManifoldSpec("hyperboloid", d, 1.0), beta, sign)
+        q = legendre.LegendreQ(wp.nu, wp.mu)
+        for z in (1.02, 1.3, 2.0, 3.7, 9.0, 40.0, 1e3, 1e6):
+            got = q(z)
+            err = abs(got.value - _mp_legendre("Q", wp.nu, wp.mu, z))
+            assert err <= 2.0 * got.abs_err_est, (z, err, got.abs_err_est)
+
     def test_underflowing_green_function(self):
-        # Q_nu^mu(cosh 700) underflows: the log-space prefactor returns 0
-        # where the split one raised RangeError
+        # Q_nu^mu(cosh 700) underflows: the prefactor, one exponential
+        # of a log sum, returns 0 where (z^2 - 1)^{mu/2} alone overflows
         m = ManifoldSpec("hyperboloid", 4, 1.0)
         got = green_value("H_PLUS", m, 2.0, 700.0)
         assert got.value == 0.0

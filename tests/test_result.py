@@ -29,6 +29,17 @@ def test_scaled_keeps_the_estimate_nonnegative(c):
     assert type(got) is EvalResult
 
 
+def test_scaled_rounded_adds_the_prefactors_share():
+    r = EvalResult(2.0 - 1.0j, 1e-3, 7, frozenset({NEAR_POLE}))
+    c = -3.0 + 4.0j
+    got = r.scaled_rounded(c, 1e-14)
+    assert got.value == r.scaled(c).value
+    assert got.abs_err_est == abs(c) * 1e-3 + 1e-14 * abs(got.value)
+    assert got[2:] == (7, frozenset({NEAR_POLE}))
+    assert type(got) is EvalResult
+    assert r.scaled_rounded(c, 0.0) == r.scaled(c)
+
+
 class TestContract:
     """EvalResult is an immutable record: fields, defaults, the check on
     the estimate, repr, equality and hashing."""

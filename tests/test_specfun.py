@@ -556,6 +556,20 @@ class TestLogSumBitIdentity:
     def test_overflow_matches_reference(self, args):
         self.check(*args[:3], [args[3]])
 
+    @pytest.mark.parametrize("args", [(1000.0, -999.5, 0.5, 0.8),
+                                      (20000.0, -19999.5, 0.5, 0.8)])
+    def test_nan_sum_refuses_at_once(self, args):
+        """The coefficients overflow (k = 192 for the first) and the sum
+        turns nan: both bodies stop at their next gap refill instead of
+        spending their 6000-term budgets (1500 refills in all)."""
+        with mock.patch.object(specfun, "_psi_gaps",
+                               wraps=specfun._psi_gaps) as spy:
+            with pytest.raises(NoConvergenceError,
+                               match="^2F1 logarithmic series did not "
+                                     "converge$"):
+                gauss_2f1(*args)
+        assert spy.call_count < 100
+
     @pytest.mark.parametrize("abc", [(0.3, 1.45, 1.75), (0.3, 1.45, 3.75),
                                      (0.3, 1.45, -0.25),
                                      (-0.45, 2.3, 1.85 + 1e-9),

@@ -38,15 +38,15 @@ import importlib.util
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tools")]
 
 import workloads  # noqa: E402
+from pairs import export_src  # noqa: E402
 
 PACKAGE = "curvgreen"
 
@@ -131,12 +131,8 @@ def main() -> int:
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
-                                  "src"], capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
-                       check=True)
         run_rev = make_runner(load(PACKAGE + "_rev",
-                                   os.path.join(tmp, "src")))
+                                   export_src(args.rev, tmp)))
         run_src = make_runner(load(PACKAGE + "_src",
                                    os.path.join(ROOT, "src")))
         for name in args.workload:

@@ -58,10 +58,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
-sys.path.insert(0, BENCH)
+sys.path[:0] = [BENCH, os.path.join(ROOT, "tools")]
 
 import oracle  # noqa: E402
 import workloads  # noqa: E402
+from pairs import export_src  # noqa: E402
 
 SECONDS = 10
 EXAMPLES = 5
@@ -217,17 +218,14 @@ def main() -> int:
     if args.rev is None:
         ap.error("REV is required")
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
-                                  "src"], capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
-                       check=True)
+        old_src = export_src(args.rev, tmp)
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(ORACLE_WORKERS) as pool:
             for workload in args.workload:
                 for seed in args.seeds:
                     ops = [op for chunk in workloads.generate(
                         workload, seed, SECONDS) for op in chunk]
-                    old = _run_at(os.path.join(tmp, "src"), ops)
+                    old = _run_at(old_src, ops)
                     new = _run_at(os.path.join(ROOT, "src"), ops)
                     refs = pool.map(oracle.reference, ops, chunksize=32)
                     res = compare(ops, old, new, refs)

@@ -81,13 +81,20 @@ def verdict(parent: list, change: list, better: str, bound: float) -> dict:
             "won": won, "verdict": word}
 
 
+def export_src(rev: str, dest: str) -> str:
+    """Extract ``src/`` at rev (``git archive``) into dest; return the
+    path of the extracted ``src/``."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout,
+                   check=True)
+    return os.path.join(dest, "src")
+
+
 def parent_tree(rev: str, tmp: str) -> str:
     """tmp holding src/ at rev and this checkout's perfbench/ and
     BENCHMARK.json."""
-    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
-                             capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
-                   check=True)
+    export_src(rev, tmp)
     shutil.copytree(os.path.join(ROOT, "perfbench"),
                     os.path.join(tmp, "perfbench"),
                     ignore=shutil.ignore_patterns("__pycache__"))
