@@ -19,8 +19,7 @@ from .errors import (CurvGreenError, DomainError, DomainViolationError,
                      WrongVariantError)
 from .result import EvalResult
 from .specfun import (Hyp2F1, chebyshev_t, cyl, env_h, env_j, gamma,
-                      gamma_ratio_asymptotic, gauss_2f1, gegenbauer_c,
-                      pochhammer, regularized_2f1)
+                      gauss_2f1, gegenbauer_c, pochhammer, regularized_2f1)
 from .legendre import (FerrersP, LegendreQ, ferrers_p, ferrers_p_reflected,
                        ferrers_q, gegenbauer_function, half_odd_eval,
                        legendre_p, legendre_q, odd_ferrers_f)

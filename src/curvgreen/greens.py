@@ -19,12 +19,13 @@ Degrees attached to each operator/manifold combination:
                            continued to -1/2 + i sqrt(...)/2
     hypersphere  -beta^2 : nu = -1/2 + sqrt((d-1)^2 + 4 b^2 R^2)/2
 
-with mu = d/2 - 1 throughout.
+with mu = d/2 - 1 throughout, and nu = mu for the Laplace references.
 
 Each closed form is written once, in ``GreenKernel`` (one variant at a
 fixed manifold and wavenumber, called with rho), which dispatches through
 ``VARIANT_SPACES``, a map from variant tag to manifold kind and operator
-sign.  ``green_value`` and the per-case functions build one per call.
+sign.  ``green_value``, the per-case functions and ``laplace_green``
+build one per call.  A rho out of range is RangeError on both manifolds.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import _LOG_2, FerrersP, LegendreQ, ferrers_q
+from .legendre import _LOG_2, FerrersP, FerrersQ, LegendreQ
 from .result import CANDIDATE, EvalResult, merge_flags
 from .specfun import _EPS, _lgamma, cyl
 
@@ -90,7 +91,6 @@ class WaveParams:
     sign: str
     mu: float = field(init=False)
     nu: complex = field(init=False)
-    disc: float = field(init=False)
 
     def __post_init__(self):
         if self.manifold.kind == EUCLIDEAN:
@@ -124,12 +124,7 @@ class WaveParams:
                 nu = complex(-0.5, -0.5 * math.sqrt(-disc))
             else:
                 nu = complex(-0.5, 0.5 * math.sqrt(-disc))
-        object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "nu", complex(nu))
-
-    @property
-    def oscillatory(self) -> bool:
-        return self.disc < 0.0
 
 
 def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
@@ -159,12 +154,15 @@ def euclidean_green(sign: str, d: int, beta: float, r: float) -> EvalResult:
 
 
 def _cosh(rho: float) -> float:
-    """cosh rho; RangeError where it overflows."""
+    """cosh rho; RangeError where it overflows, rho = inf included."""
     try:
-        return math.cosh(rho)
+        z = math.cosh(rho)
     except OverflowError:
+        z = math.inf
+    if z == math.inf:
         raise RangeError(f"cosh(rho) overflows the double range at "
-                         f"rho = {rho}") from None
+                         f"rho = {rho}")
+    return z
 
 
 def _hyperboloid_constant(m: ManifoldSpec, mu: float) -> complex:
@@ -191,23 +189,21 @@ def _sphere_constant(wp: WaveParams) -> tuple:
     return cmath.exp(a + b - c), _EPS * (abs(a) + abs(b) + abs(c))
 
 
-def _check_sphere(wp: WaveParams, sign: str, rho: float) -> None:
+def _check_sphere(wp: WaveParams, sign: str) -> None:
     if wp.manifold.kind != HYPERSPHERE or wp.sign != sign:
         raise WrongVariantError(f"WaveParams is not the sphere {sign} case")
-    if not 0.0 < rho < math.pi:
-        raise RangeError("rho must lie in (0, pi)")
 
 
 def sphere_green_plus(wp: WaveParams, rho: float) -> EvalResult:
     """Single-source Green's function of (-Delta + beta^2) on the sphere."""
-    _check_sphere(wp, PLUS, rho)
+    _check_sphere(wp, PLUS)
     return GreenKernel(S_PLUS, wp.manifold, wp.beta)(rho)
 
 
 def sphere_green_antipodal_plus(wp: WaveParams, rho: float) -> EvalResult:
     """Antipodal (+delta at the origin, -delta at the opposite pole)
     solution of (-Delta + beta^2) on the sphere; odd about rho = pi/2."""
-    _check_sphere(wp, PLUS, rho)
+    _check_sphere(wp, PLUS)
     return GreenKernel(A_PLUS, wp.manifold, wp.beta)(rho)
 
 
@@ -248,7 +244,7 @@ def sphere_candidate_minus(variant: str, wp: WaveParams,
     1e-6 of an eigenvalue pole evaluation refuses instead of returning
     huge values.
     """
-    _check_sphere(wp, MINUS, rho)
+    _check_sphere(wp, MINUS)
     variant = variant.upper().replace("_MINUS", "")
     if variant not in ("SF", "FRAK", "AF", "FRAKA"):
         raise WrongVariantError(f"unknown candidate variant {variant!r}")
@@ -256,29 +252,19 @@ def sphere_candidate_minus(variant: str, wp: WaveParams,
 
 
 def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
-    """Laplace (beta = 0) reference solutions.
+    """Laplace (beta = 0) reference solutions, through ``GreenKernel``.
 
     Hyperboloid: the decaying solution; hypersphere: the antipodal
     two-source solution (the single-source Laplace limit does not
     exist on a compact manifold).
     """
-    d, R = m.d, m.R
-    if d < 2:
-        raise DomainError("requires d >= 2")
-    mu = 0.5 * d - 1.0
-    if m.kind == HYPERBOLOID:
-        if not rho > 0:
-            raise RangeError("rho must be positive")
-        q = LegendreQ(mu, mu)(_cosh(rho))
-        return q.scaled(_hyperboloid_constant(m, mu)
-                        * math.sinh(rho) ** (-mu))
-    if m.kind == HYPERSPHERE:
-        if not 0.0 < rho < math.pi:
-            raise RangeError("rho must lie in (0, pi)")
-        fq = ferrers_q(mu, -mu, math.cos(rho))
-        return fq.scaled(math.gamma(d - 1.0) * (2.0 * math.pi) ** (-0.5 * d)
-                         * R ** (2 - d) * math.sin(rho) ** (-mu))
-    raise WrongVariantError("Laplace reference covers the curved manifolds")
+    # the kernel refuses d < 2, before the manifold kind is checked
+    kernel = GreenKernel(LAPLACE_S if m.kind == HYPERSPHERE else LAPLACE_H,
+                         m, 0.0)
+    if m.kind == EUCLIDEAN:
+        raise WrongVariantError(
+            "Laplace reference covers the curved manifolds")
+    return kernel(rho)
 
 
 def green_value(variant: str, m: ManifoldSpec, beta: float,
@@ -291,8 +277,10 @@ class GreenKernel:
     """A variant's Green's function at a fixed manifold and wavenumber,
     called with rho.  The constructor does the VARIANT_SPACES lookup and
     builds WaveParams and the ``LegendreQ`` or ``FerrersP``; the first call
-    past the rho check computes the eigenvalue-pole test and the constant
-    factor.  Each call returns, or raises, what ``green_value`` does.
+    past the rho check computes the eigenvalue-pole test, and the first
+    past the evaluator the constant factor.  Each call returns, or raises,
+    what ``green_value`` does.  The Laplace references (no WaveParams)
+    read ``LegendreQ(mu, mu)`` and ``FerrersQ(mu, -mu)`` at cos rho.
 
     ``fn``, where given, is the variant's evaluator to read instead of a
     new one: ``FerrersP(nu, -mu)`` on the sphere, ``LegendreQ(nu, mu)`` on
@@ -300,7 +288,7 @@ class GreenKernel:
     of one manifold, wavenumber and sign reads the same one, so
     ``verify`` hands one to each variant of such a family."""
 
-    fn = near_pole = constant = None  # kept by the first call
+    fn = wp = near_pole = constant = None  # no wp: LAPLACE_H, LAPLACE_S
 
     def __init__(self, variant: str, m: ManifoldSpec, beta: float, *,
                  fn=None):
@@ -308,8 +296,13 @@ class GreenKernel:
         self.variant, self.m, self.beta = variant, m, beta
         if self.kind == EUCLIDEAN:
             return
+        mu = self.mu = m.mu
         if variant in (LAPLACE_H, LAPLACE_S):
+            if m.d < 2:
+                raise DomainError("requires d >= 2")
             self.m = ManifoldSpec(self.kind, m.d, m.R)
+            self.fn = fn or (LegendreQ(mu, mu) if variant == LAPLACE_H
+                             else FerrersQ(mu, -mu))
             return
         wp = self.wp = WaveParams(m, beta, self.sign)
         if m.kind != self.kind:
@@ -326,12 +319,10 @@ class GreenKernel:
     def __call__(self, rho: float) -> EvalResult:
         if self.kind == EUCLIDEAN:
             return euclidean_green(self.sign, self.m.d, self.beta, rho)
-        if self.fn is None:
-            return laplace_green(self.m, rho)
-        mu = self.wp.mu
+        mu = self.mu
         if self.kind == HYPERBOLOID:
             if not rho > 0:
-                raise DomainError("rho must be positive")
+                raise RangeError("rho must be positive")
             q = self.fn(_cosh(rho))
             if self.constant is None:
                 self.constant = _hyperboloid_constant(self.m, mu)
@@ -344,13 +335,11 @@ class GreenKernel:
             if self.near_pole:
                 raise EigenvaluePoleError("beta within refusal window of a "
                                           "Laplace-Beltrami eigenvalue")
-        if self.constant is None:
-            # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
-            self.constant, self.share = _sphere_constant(self.wp)
-        # pre FP(-cos rho), pre (FP(-cos) - e^{i pi (nu - mu)} FP(cos)),
-        # or pre (1 + e^{i pi (nu - mu)} for FRAKA) times the odd f(cos)
-        pre = self.constant * math.sin(rho) ** (-mu)
-        if self.variant in (S_PLUS, SF_MINUS):
+        # FQ(cos rho), FP(-cos), FP(-cos) - e^{i pi (nu - mu)} FP(cos) or the
+        # odd f(cos), times the constant over sin(rho)^mu (and FRAKA's phase)
+        if self.variant == LAPLACE_S:
+            out = self.fn(math.cos(rho))
+        elif self.variant in (S_PLUS, SF_MINUS):
             out = self.fn(-math.cos(rho))
         elif self.variant == FRAK_MINUS:
             pm = self.fn(-math.cos(rho))
@@ -360,8 +349,16 @@ class GreenKernel:
                              pm.terms_used + pp.terms_used,
                              merge_flags(pm, pp))
         else:
-            if self.variant == FRAKA_MINUS:
-                pre = pre * self.phase
             out = self.fn.odd(math.cos(rho))
+        if self.constant is None and self.wp is None:  # LAPLACE_S
+            d, R = self.m.d, self.m.R
+            self.constant, self.share = math.gamma(d - 1.0) * (
+                2.0 * math.pi) ** (-0.5 * d) * R ** (2 - d), 0.0
+        elif self.constant is None:
+            # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
+            self.constant, self.share = _sphere_constant(self.wp)
+        pre = self.constant * math.sin(rho) ** (-mu)
+        if self.variant == FRAKA_MINUS:
+            pre = pre * self.phase
         out = out.scaled_rounded(pre, self.share)
         return out if self.sign == PLUS else out.with_flags(CANDIDATE)

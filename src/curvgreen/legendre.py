@@ -30,12 +30,12 @@ form, an order below 0.35 by the row's backend at -mu, any other order
 by the order connection ``_connect`` (DLMF 14.9) from -mu.  Backends: P
 the Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
 sinh/cosh in place of sin/cos), with Q by Q's own ladder as partner; Q
-a contour-rotated Laplace-type integral; FP and FQ the degree
-recurrence (DLMF 14.10.3) from series seeds at a real degree
-0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the Mehler integral (FQ
-from two).  A value beyond the double range is refused with RangeError
-by every public function, never returned as inf/nan.  The module keeps
-no state.
+a contour-rotated Laplace-type integral; FP and FQ (``_ferrers_at_neg``)
+the degree recurrence (DLMF 14.10.3) from series seeds at a real degree
+0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the Mehler integral (FQ from
+two).  Every public function refuses a nan or infinite number with
+DomainError and a value beyond the double range with RangeError, never
+returning inf/nan.  The module keeps no state.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
-from .specfun import (_EPS, Hyp2F1, _cgamma, _lgamma, _near_nonpos_int,
-                      gamma_ratio)
+from .specfun import (_EPS, Hyp2F1, _cgamma, _finite, _lgamma,
+                      _near_nonpos_int, gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
 _LOG_2 = math.log(2.0)
@@ -66,14 +66,14 @@ _DEGREE_MAX = 100000.0
 
 
 def _check_hyperbolic(z: float) -> float:
-    z = float(z)
+    z = _finite("z", float(z))
     if not z > 1.0:
         raise DomainError("argument must satisfy z > 1 (z = cosh r, r > 0)")
     return z
 
 
 def _check_ferrers(x: float) -> float:
-    x = float(x)
+    x = _finite("x", float(x))
     if not -1.0 < x < 1.0:
         raise DomainError("argument must lie in the open interval (-1, 1)")
     return x
@@ -308,16 +308,16 @@ def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
     """kind (P, Q, FP or FQ) past the series' loss threshold, the last
     rung of the route ladder: a complex order is refused (DomainError), a
     half-odd order takes its closed form (``half_odd_eval``), an order
-    below 0.35 is at_neg[kind] at -mu, any other order is connected from
-    -mu (``_connect``).  at_neg[k](nu, m, arg) is the row's backend for
-    k, kind or its connection partner, at order -m."""
+    below 0.35 is at_neg at -mu, any other order is connected from -mu
+    (``_connect``).  at_neg(k, nu, m, arg) is the row's backend for k,
+    kind or its connection partner, at order -m."""
     if abs(mu.imag) > 1e-12:
         raise DomainError("large-degree route requires real order")
     if _halfodd_part(mu) is not None:
         return half_odd_eval(kind, nu, mu.real, arg)
     if mu.real < 0.35:
-        return at_neg[kind](nu, -mu.real, arg)
-    return _connect(kind, nu, mu, lambda k: at_neg[k](nu, mu.real, arg))
+        return at_neg(kind, nu, -mu.real, arg)
+    return _connect(kind, nu, mu, lambda k: at_neg(k, nu, mu.real, arg))
 
 
 def _fq_undefined(nu, order) -> bool:
@@ -337,9 +337,8 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
 
         F^{k+2} = -2 (k + 1) c F^{k+1} + s (nu - k)(nu + k + 1) F^k,
 
-    with c = x/sqrt(1 - x^2), s = -1 on (-1, 1) and c = z/sqrt(z^2 - 1),
-    s = 1 on z > 1.  Two values come from the kind's evaluator, the rest
-    from the recurrence, which never divides:
+    with (c, s) from ``_order_factor``.  Two values come from the kind's
+    evaluator, the rest from the recurrence, which never divides:
 
     * raised: forward from l = 0, 1;
     * lowered: forward on the weighted values (nu + mu + 1)_l (mu - nu)_l
@@ -362,9 +361,7 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     undefined at some l only where it is at l = 0, which ferrers_q
     refuses.
     """
-    hyperbolic = kind in ("P", "Q")
-    c = arg / math.sqrt(arg * arg - 1.0 if hyperbolic else 1.0 - arg * arg)
-    s = 1.0 if hyperbolic else -1.0
+    c, s = _order_factor(kind, arg)
     nu, mu = complex(nu), complex(mu)
     prepared = _PREPARED[kind]
 
@@ -375,7 +372,7 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
         if not (lowered and kind in ("P", "FP")):
             raise DomainError("Miller's algorithm serves lowered P and FP")
         yield from _miller(direct, nu, mu, c, s, miller,
-                           (arg - 1.0) / (arg + 1.0) if hyperbolic
+                           (arg - 1.0) / (arg + 1.0) if s > 0.0
                            else (1.0 - arg) / (1.0 + arg))
         return
     # with k = mu + l - 2 both forward rules read
@@ -395,6 +392,16 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
                  - s * (nu + k + 1.0) * (k - nu) * a)
         yield h
         a, b = b, h
+
+
+def _order_factor(kind: str, arg: float) -> tuple:
+    """(c, s) of kind's order recurrence at arg: z/sqrt(z^2 - 1), taken as
+    1 from z = 2^27 on (z^2 - 1 rounds to z^2, which overflows past
+    1.3e154), and 1 on z > 1; x/sqrt(1 - x^2) and -1 on (-1, 1)."""
+    if kind in ("P", "Q"):
+        return (1.0 if arg >= 2.0 ** 27
+                else arg / math.sqrt(arg * arg - 1.0)), 1.0
+    return arg / math.sqrt(1.0 - arg * arg), -1.0
 
 
 def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
@@ -561,18 +568,14 @@ def _fq_series(fq, x: float) -> EvalResult:
     return out.scaled(pre)
 
 
-def _fp_at_neg(nu, m, x: float) -> EvalResult:
-    """FP_nu^{-m}(x): the degree recurrence at a real degree
-    0 <= nu <= _DEGREE_MAX and |m| <= 1, else the Mehler integral."""
+def _ferrers_at_neg(kind: str, nu, m, x: float) -> EvalResult:
+    """FP or FQ (kind) at order -m: the degree recurrence at a real degree
+    0 <= nu <= _DEGREE_MAX and |m| <= 1, else the Mehler integral (FQ
+    from two, by reflection)."""
     if nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX and abs(m) <= 1.0:
-        return _degree_recurrence("FP", nu.real, m, x)
-    return _mehler_p(nu, m, math.acos(x), False)
-
-
-def _fq_at_neg(nu, m, x: float) -> EvalResult:
-    """FQ_nu^{-m}(x): as ``_fp_at_neg``, with two Mehler integrals."""
-    if nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX and abs(m) <= 1.0:
-        return _degree_recurrence("FQ", nu.real, m, x)
+        return _degree_recurrence(kind, nu.real, m, x)
+    if kind == "FP":
+        return _mehler_p(nu, m, math.acos(x), False)
     return _ferrers_q_reflection(nu, m, math.acos(x))
 
 
@@ -600,7 +603,7 @@ class _Route(NamedTuple):
     loss: Callable    # (f, arg) -> the series' estimated digit loss
     engine: Callable  # (nu, mu) -> the series' 2F1 engine(s), kept as f.h
     series: Callable  # (f, arg) -> the series value
-    at_neg: dict      # kind -> (nu, m, arg) -> kind at order -m
+    at_neg: Callable  # (kind, nu, m, arg) -> kind at order -m
     # None, or (nu, mu) -> (pole route or None, series at any loss)
     setup: Callable = None
 
@@ -613,23 +616,23 @@ ROUTES = {
         lambda f, z: 2.0 * abs(f.nu.imag) * math.sqrt((z - 1.0) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, z: _p_series(f.h, f.half_mu, z, (z + 1.0) / (z - 1.0)),
-        {"P": lambda nu, m, z: _mehler_p(nu, m, math.acosh(z), True),
-         "Q": lambda nu, m, z: legendre_q(nu, -m, z)}),
+        lambda k, nu, m, z: (_mehler_p(nu, m, math.acosh(z), True)
+                             if k == "P" else legendre_q(nu, -m, z))),
     "Q": _Route(
         _check_hyperbolic,
         lambda f, z: abs((f.nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z),
         lambda nu, mu: Hyp2F1((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0,
                               nu + 1.5),
         lambda f, z: _legendre_q_series(f.h, f.nu, f.mu, z),
-        {"Q": lambda nu, m, z: _conical_legendre_q_integral(
-            nu, -m, math.acosh(z))},
+        lambda k, nu, m, z: _conical_legendre_q_integral(
+            nu, -m, math.acosh(z)),
         _q_setup),
     "FP": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, x: _p_series(f.h, f.half_mu, x, (1.0 + x) / (1.0 - x)),
-        {"FP": _fp_at_neg, "FQ": _fq_at_neg}),
+        _ferrers_at_neg),
     "FQ": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * max(
@@ -637,7 +640,7 @@ ROUTES = {
         lambda nu, mu: (
             Hyp2F1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
             Hyp2F1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)),
-        _fq_series, {"FP": _fp_at_neg, "FQ": _fq_at_neg}),
+        _fq_series, _ferrers_at_neg),
 }
 
 
@@ -650,7 +653,8 @@ class _Prepared:
     half = series_only = False
 
     def __init__(self, nu, mu):
-        self.nu, self.mu = nu, mu = complex(nu), complex(mu)
+        self.nu, self.mu = nu, mu = (_finite("nu", complex(nu)),
+                                     _finite("mu", complex(mu)))
         # the FP and FQ loss factor 2 |nu + 1/2| and the P and FP
         # series' power mu/2
         self.loss_scale, self.half_mu = 2.0 * abs(nu + 0.5), mu / 2.0
@@ -841,18 +845,12 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
     kind = kind.upper().replace("FERRERS_", "F")
     if kind not in ROUTES:
         raise DomainError("kind must be P, Q, FERRERS_P or FERRERS_Q")
-    m = _halfodd_part(mu)
+    nu = _finite("nu", complex(nu))
+    m = _halfodd_part(_finite("mu", complex(mu)))
     if m is None:
         raise DomainError("half_odd_eval requires mu = m + 1/2, m integer")
     arg = ROUTES[kind].check(arg)
-    if kind in ("P", "Q"):
-        # 1 from 2^27 on, where arg^2 - 1 rounds to arg^2 (it overflows)
-        xfac = 1.0 if arg >= 2.0 ** 27 else arg / math.sqrt(arg * arg - 1.0)
-        q_sign = +1.0  # Legendre recurrence: P^{mu+2} = -2(mu+1)x' P^{mu+1} + (nu-mu)(nu+mu+1) P^mu
-    else:
-        xfac = arg / math.sqrt(1.0 - arg * arg)
-        q_sign = -1.0  # Ferrers recurrence has the opposite last sign
-    nu, mu = complex(nu), complex(mu).real
+    mu = complex(mu).real
 
     if (half := _half_order(kind, nu, m + 0.5, arg)) is not None:
         return half
@@ -861,6 +859,7 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
                         lambda k: half_odd_eval(k, nu, -mu, arg))
 
     plus, minus, rel, env, _ = _seed_halfodd(kind, nu, arg)
+    xfac, q_sign = _order_factor(kind, arg)
     # upward in order: v_{k+1/2} for k = -1/2, 1/2, ..., m + 1/2; the
     # first step's (nu - order)(nu + order + 1) v_{-1/2} is
     # (nu + 1/2) minus
@@ -887,9 +886,9 @@ def half_odd_eval(kind: str, nu, mu: float, arg: float) -> EvalResult:
 def gegenbauer_function(lam, mu, gamma_angle: float) -> EvalResult:
     """Gegenbauer function of the first kind C_lam^mu(cos gamma) for
     general complex degree, through its Ferrers representation."""
-    if not 0.0 < gamma_angle < math.pi:
+    lam, mu = _finite("lam", complex(lam)), _finite("mu", complex(mu))
+    if not 0.0 < _finite("gamma_angle", gamma_angle) < math.pi:
         raise DomainError("gegenbauer_function takes gamma in (0, pi)")
-    lam, mu = complex(lam), complex(mu)
     for g in (2.0 * mu + lam, lam + 1.0, mu):
         hit, _ = _near_nonpos_int(g)
         if hit:

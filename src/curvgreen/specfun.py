@@ -20,8 +20,11 @@ Provides the scalar kernels everything else is built on:
   pure Python by Temme's method: CF1 and Miller's recurrence for J and
   I, Temme's series (x < 2) or Steed's CF2 (x >= 2) for Y and K, the
   Wronskian between them, and reflection at negative orders,
-* Chebyshev and Gegenbauer polynomials by three-term recurrence,
-* the leading large-|imaginary-shift| gamma-ratio asymptotic.
+* Chebyshev and Gegenbauer polynomials by three-term recurrence.
+
+``gamma``, ``pochhammer``, the 2F1 engine (its parameters and its
+argument), ``cyl`` and ``gegenbauer_c`` refuse a nan or infinite number
+with DomainError ("<name> must be finite") at their entry.
 
 Prepared 2F1.  ``Hyp2F1(a, b, c)`` is the engine at fixed parameters;
 ``gauss_2f1`` and ``regularized_2f1`` build one per call.  Its state is
@@ -82,6 +85,14 @@ _EULER = 0.57721566490153286061
 _MAX_TERMS = 6000
 _LOG_RANGE = "2F1 logarithmic 1-z case leaves the double range"
 _GAP_STEP = 8  # psi gaps computed at a time, ahead of the log sum
+
+
+def _finite(name: str, z):
+    """z, or DomainError "<name> must be finite" where z (a part of a
+    complex z) is nan or infinite."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} must be finite")
+    return z
 
 
 def _near_nonpos_int(z, tol=1e-10):
@@ -197,8 +208,10 @@ def gamma(z) -> EvalResult:
         If z is a nonpositive integer.
     RangeError
         If |Gamma(z)| exceeds the double range.
+    DomainError
+        If z is not finite.
     """
-    hit, n = _near_nonpos_int(z, tol=1e-13)
+    hit, n = _near_nonpos_int(_finite("z", z), tol=1e-13)
     if hit:
         raise PoleError(f"gamma pole at z = -{n}")
     try:  # |v| itself may overflow where its parts do not
@@ -237,27 +250,13 @@ def gamma_ratio(p, q) -> complex:
 
 def pochhammer(z, n: int) -> complex:
     """Rising factorial (z)_n as an exact product; (z)_0 = 1."""
-    if n < 0:
+    if _finite("n", n) < 0:
         raise DomainError("pochhammer requires n >= 0")
     acc = 1.0 + 0.0j
-    z = complex(z)
+    z = _finite("z", complex(z))
     for k in range(n):
         acc *= z + k
     return acc
-
-
-def gamma_ratio_asymptotic(a, b, tau: float, sign: int = +1) -> complex:
-    """Leading term of Gamma(a +/- i tau)/Gamma(b +/- i tau) as tau -> inf.
-
-    Equals exp(+/- i pi (a-b)/2) * tau**(a-b) with the power on its
-    principal branch; the neglected correction is O(1/tau).
-    """
-    if tau <= 0:
-        raise DomainError("tau must be positive")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    d = complex(a) - complex(b)
-    return cmath.exp(sign * 1j * cmath.pi * d / 2.0) * tau ** d
 
 
 # ----------------------------------------------------------------------
@@ -569,18 +568,20 @@ class Hyp2F1:
     _snapped = _rgamma = _pfaff = _connection = _gaps = None
 
     def __init__(self, a, b, c, depth: int = 0):
-        self.a, self.b, self.c = complex(a), complex(b), complex(c)
+        self.a, self.b, self.c = (_finite("a", complex(a)),
+                                  _finite("b", complex(b)),
+                                  _finite("c", complex(c)))
         self.depth = depth
         self.c_pole = _near_nonpos_int(self.c)
 
     def __call__(self, z) -> EvalResult:
-        return EvalResult(*self._core(complex(z)))
+        return EvalResult(*self._core(_finite("z", complex(z))))
 
     def regularized(self, z) -> EvalResult:
         """2F1(a, b; c; z)/Gamma(c), entire in c; for c = -m the series
         starts at n = m + 1 (the first m + 1 terms are annihilated by
         1/Gamma)."""
-        z = complex(z)
+        z = _finite("z", complex(z))
         hit, m = self.c_pole
         if hit:
             if z == 0:
@@ -1011,7 +1012,8 @@ def cyl(kind: str, mu: float, x: float) -> EvalResult:
     kind = kind.upper()
     if kind not in _CYL_KINDS:
         raise DomainError(f"unknown cylinder kind {kind!r}")
-    if x < 0:
+    _finite("mu", mu)
+    if _finite("x", x) < 0:
         raise DomainError("cylinder functions take x >= 0")
     if x == 0:
         if kind not in ("J", "I") or (mu < 0 and mu != round(mu)):
@@ -1121,9 +1123,10 @@ def gegenbauer_c(n: int, mu, x):
     Exact (up to roundoff) for any n; identically zero for n >= 1 when
     mu = 0, matching the orthogonal-polynomial normalization.
     """
-    if n < 0:
+    if _finite("n", n) < 0:
         raise DomainError("gegenbauer_c requires n >= 0")
-    mu = complex(mu)
+    mu = _finite("mu", complex(mu))
+    _finite("x", x)
     if abs(mu.imag) == 0.0 and mu.real <= -0.5:
         raise DomainError("gegenbauer_c requires mu > -1/2")
     if mu == 0:

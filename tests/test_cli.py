@@ -41,10 +41,13 @@ class TestEval:
         assert "SF_MINUS.normalization_measured" in doc
         assert "pole_proximity" in doc
 
-    def test_usage_error_names_field(self):
+    def test_usage_error_names_field(self, capsys):
         code, out = capture(["eval", "--manifold", "hyperboloid",
                              "--d", "3", "--beta", "1", "--rho", "-0.5"])
         assert code == 1
+        # a rho out of range is RangeError on both manifolds
+        assert capsys.readouterr().err == \
+            "error[RANGE]: rho must be positive\n"
 
     def test_round_trip(self):
         code, out = capture([

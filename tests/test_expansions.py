@@ -50,6 +50,13 @@ class TestAdditionLegendre:
         with pytest.raises(DomainViolationError):
             addition_legendre("P", 0.5, 0.5, TwoPointConfig(0.7, 0.7, 0.4))
 
+    def test_far_radius(self):
+        # cosh 360 ~ 1e156: the order recurrence's z/sqrt(z^2 - 1) is 1
+        # there, where z^2 overflows
+        rep = addition_legendre("Q", 0.3, 0.5, TwoPointConfig(0.5, 360.0, 1.0),
+                                60)
+        assert rep.rel_err <= 1e-12
+
 
 class TestAdditionFerrers:
     KINDS = ("PmPp", "PmQp", "PmPm", "PmQm", "PmPmmx", "QmPmmx")

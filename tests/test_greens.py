@@ -460,7 +460,8 @@ class TestGreenKernel:
     @pytest.mark.parametrize("beta", (0.3, 2.2), ids=("damped", "oscillatory"))
     def test_every_route(self, variant, d, beta):
         kernel = self._check(variant, d, beta, self.ROUTE_RHOS)
-        if kernel.fn is None:  # not a prepared Legendre/Ferrers function
+        # no prepared Legendre/Ferrers function, or FerrersQ's two 2F1s
+        if kernel.fn is None or variant == "LAPLACE_S":
             return
         if d == 3:
             assert kernel.fn.h is None
@@ -468,9 +469,9 @@ class TestGreenKernel:
             assert kernel.fn.h._connection[0] is not None  # the log case
 
     @pytest.mark.parametrize("variant,kind,beta,rho,exc,msg", [
-        ("H_PLUS", HYPERBOLOID, 1.0, -1.0, DomainError,
+        ("H_PLUS", HYPERBOLOID, 1.0, -1.0, RangeError,
          "rho must be positive"),
-        ("H_MINUS", HYPERBOLOID, 1.0, 0.0, DomainError,
+        ("H_MINUS", HYPERBOLOID, 1.0, 0.0, RangeError,
          "rho must be positive"),
         ("S_PLUS", HYPERSPHERE, 1.0, 4.0, RangeError,
          "rho must lie in (0, pi)"),

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curvgreen import legendre
@@ -918,6 +918,17 @@ class TestOrderSequence:
                     weight *= (nu + mu + 1.0 + l) * (mu - nu + l)
         assert worst < _SEQ_TOL[nu]
 
+    @pytest.mark.parametrize("z", [1e155, 1e160, 1e200])
+    def test_past_squared_overflow(self, z):
+        # z^2 overflows: the recurrence's z/sqrt(z^2 - 1) is 1, as it is
+        # from z = 2^27 on in half_odd_eval
+        from itertools import islice
+
+        from curvgreen.legendre import order_sequence
+        seq = islice(order_sequence("Q", 0.3, 0.5, z), 6)
+        for l, got in enumerate(seq):
+            assert relerr(got, legendre_q(0.3, 0.5 + l, z).value) <= 1e-11
+
     def test_miller_normalizes_away_from_a_zero(self):
         # FP_nu^{-1/2}(cos theta) vanishes at theta = pi/(nu + 1/2): the
         # direct value there is pure rounding, so Miller's values are
@@ -1362,3 +1373,99 @@ class TestDegreeRecurrence:
         else:
             with pytest.raises(parent):
                 fn(nu, mu, x)
+
+
+def _mp_gamma_ratio(nu, mu):
+    """Gamma(nu + mu + 1)/Gamma(nu - mu + 1) by mpmath (0 at a pole of the
+    denominator)."""
+    mpmath = pytest.importorskip("mpmath")
+    return complex(mpmath.gamma(nu + mu + 1) * mpmath.rgamma(nu - mu + 1))
+
+
+def _wronskian(p, q, nu, mu, arg):
+    """(1 - arg^2) W{p, q} at (nu, mu), the derivatives from DLMF 14.10.5,
+    (1 - x^2) F_nu' = (mu - nu - 1) F_{nu+1} + (nu + 1) x F_nu, and its
+    tolerance: 1e-10 of the sizes of the products it forms plus the
+    first-order effect of the four values' own estimates."""
+    a, b = mu - nu - 1.0, (nu + 1.0) * arg
+    (p0, ep0), (p1, ep1), (q0, eq0), (q1, eq1) = [
+        (r.value, r.abs_err_est) for r in (
+            p(nu, mu, arg), p(nu + 1.0, mu, arg),
+            q(nu, mu, arg), q(nu + 1.0, mu, arg))]
+    w = p0 * (a * q1 + b * q0) - q0 * (a * p1 + b * p0)
+    size = (abs(p0) * (abs(a * q1) + abs(b * q0))
+            + abs(q0) * (abs(a * p1) + abs(b * p0)))
+    err = (ep0 * (abs(a * q1) + abs(b * q0))
+           + abs(p0) * (abs(a) * eq1 + abs(b) * eq0)
+           + eq0 * (abs(a * p1) + abs(b * p0))
+           + abs(q0) * (abs(a) * ep1 + abs(b) * ep0))
+    return w, 1e-10 * size + err
+
+
+def _conjugates(fn, nu, mu, arg):
+    """|fn(nu) - fn(conj nu)| and its tolerance: 1e-10 of the two values'
+    sizes plus their estimates."""
+    a, b = fn(nu, mu, arg), fn(nu.conjugate(), mu, arg)
+    return abs(a.value - b.value), (1e-10 * (abs(a.value) + abs(b.value))
+                                    + a.abs_err_est + b.abs_err_est)
+
+
+# the working domain: |mu| <= 1, real degree in [0, 40], conical degree
+# -1/2 + i tau with |tau| <= 30; the argument 1e-6 from the ends of its
+# range, nearer which its rounding (ROADMAP item 14) costs more than
+# the tolerance
+_ORDERS = st.floats(-1.0, 1.0)
+_CONICAL = st.floats(0.0, 30.0).map(lambda tau: complex(-0.5, tau))
+_XS = st.floats(-1.0 + 1e-6, 1.0 - 1e-6)
+_ZS = st.floats(1.0 + 1e-6, 1e3)
+_IDENTITY = settings(database=None, derandomize=True, deadline=None)
+
+
+class TestIdentities:
+    """Wronskians (DLMF 14.2.3-4) and conical conjugation symmetry, within
+    1e-10 of the sizes of the products they form plus the error the
+    values' estimates allow: next to an integer order the 2F1 engine's
+    1 - z form loses eps/delta, and says so.  nu + mu + 1 = 0 is a pole
+    of Q and FQ, and of the Wronskian.  Each xfail example is a draw
+    that fails, a known defect."""
+
+    @_IDENTITY
+    @given(st.floats(0.0, 40.0), _ORDERS, _XS)
+    @example(1.5, 0.0, -0.9999999999999999).xfail(
+        raises=NoConvergenceError, reason="(1 - x)/2 rounds to 1")
+    @example(38.0, -0.9999999998835847, 0.9356598151213721).xfail(
+        raises=ParamPoleError, reason="the degree recurrence's seed at "
+        "nu = 0 is 1.2e-10 from a pole of FQ")
+    def test_ferrers_wronskian(self, nu, mu, x):
+        assume(nu + mu + 1.0 > 1e-9)
+        w, tol = _wronskian(ferrers_p, ferrers_q, nu, mu, x)
+        assert abs(w - _mp_gamma_ratio(nu, mu)) <= tol
+
+    @_IDENTITY
+    @given(_CONICAL, _ORDERS, _ZS)
+    @example(-0.5, 1.0, 1.00000001).xfail(
+        raises=AssertionError, reason="z - 1 = 1e-8 (ROADMAP item 14)")
+    @example(35.17826049481216, -0.7381015528725752, 1.141124544242478).xfail(
+        raises=AssertionError, reason="Q at a real degree past about 12 "
+        "near z = 1 loses digits (ROADMAP item 1)")
+    def test_legendre_wronskian(self, nu, mu, z):
+        assume(abs(nu + mu + 1.0) > 1e-9)
+        w, tol = _wronskian(legendre_p, legendre_q, nu, mu, z)
+        want = cmath.exp(1j * math.pi * mu) * _mp_gamma_ratio(nu, mu)
+        assert abs(w - want) <= tol
+
+    @_IDENTITY
+    @given(_CONICAL, _ORDERS, _XS)
+    def test_ferrers_conjugation(self, nu, mu, x):
+        gap, tol = _conjugates(ferrers_p, nu, mu, x)
+        assert gap <= tol
+
+    @_IDENTITY
+    @given(_CONICAL, _ORDERS, _ZS)
+    @example(complex(-0.5, 26.60433821960522), 0.6142760340999707,
+             3.5566275608852735).xfail(
+        raises=AssertionError, reason="the order connection at a conical "
+        "degree leaves an imaginary part of 4e-8 relative")
+    def test_legendre_conjugation(self, nu, mu, z):
+        gap, tol = _conjugates(legendre_p, nu, mu, z)
+        assert gap <= tol

@@ -84,6 +84,7 @@ def test_one_pair_run():
     got = lines[0]
     assert (got["rev"], got["workload"], got["pairs"]) == ("HEAD", "verify",
                                                          1)
+    assert got["correct"] == {"parent": [True], "change": [True]}
     assert got["failed"] == {"parent": [0], "change": [0]}
     with open(os.path.join(_ROOT, "BENCHMARK.json")) as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]

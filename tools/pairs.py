@@ -13,7 +13,9 @@ from one pair to the next.  ``--seconds`` defaults to the benchmark's
 ``run_seconds``.  Prints one JSON line per workload:
 
 * ``rev``, ``workload``, ``seed``, ``seconds`` and ``pairs``;
-* ``failed``: each side's ``failed`` count, one per run;
+* ``correct`` and ``failed``: each side's ``correct`` flag (the run's
+  outputs passed the benchmark's checks) and ``failed`` count, one per
+  run;
 * ``metrics``: for each end-to-end metric of ``BENCHMARK.json``, each
   side's ``runs`` and their ``median``, ``q1`` and ``q3``; ``won``, the
   number of pairs whose change run reads better (a tie counts for
@@ -147,6 +149,8 @@ def main() -> int:
             print(json.dumps({
                 "rev": args.rev, "workload": name, "seed": args.seed,
                 "seconds": args.seconds, "pairs": args.pairs,
+                "correct": {side: [r["correct"] for r in runs[side]]
+                            for side in runs},
                 "failed": {side: [r["failed"] for r in runs[side]]
                            for side in runs},
                 "metrics": metrics}), flush=True)
