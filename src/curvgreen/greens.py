@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import _LOG_2, FerrersP, FerrersQ, LegendreQ
+from .legendre import _LOG_2, FerrersP, LegendreQ, ferrers_q
 from .result import CANDIDATE, EvalResult, merge_flags
 from .specfun import _EPS, _lgamma, cyl
 
@@ -258,13 +258,12 @@ def laplace_green(m: ManifoldSpec, rho: float) -> EvalResult:
     two-source solution (the single-source Laplace limit does not
     exist on a compact manifold).
     """
-    # the kernel refuses d < 2, before the manifold kind is checked
-    kernel = GreenKernel(LAPLACE_S if m.kind == HYPERSPHERE else LAPLACE_H,
-                         m, 0.0)
-    if m.kind == EUCLIDEAN:
+    # d < 2 is the kernel's DomainError, on every manifold
+    if m.kind == EUCLIDEAN and m.d >= 2:
         raise WrongVariantError(
             "Laplace reference covers the curved manifolds")
-    return kernel(rho)
+    return GreenKernel(LAPLACE_S if m.kind == HYPERSPHERE else LAPLACE_H,
+                       m, 0.0)(rho)
 
 
 def green_value(variant: str, m: ManifoldSpec, beta: float,
@@ -280,7 +279,9 @@ class GreenKernel:
     past the rho check computes the eigenvalue-pole test, and the first
     past the evaluator the constant factor.  Each call returns, or raises,
     what ``green_value`` does.  The Laplace references (no WaveParams)
-    read ``LegendreQ(mu, mu)`` and ``FerrersQ(mu, -mu)`` at cos rho.
+    read ``LegendreQ(mu, mu)`` at cosh rho and the public
+    ``ferrers_q(mu, -mu, .)`` at cos rho, a name perfbench's tracer
+    wraps: verify's Laplace rows show in its ``legendre`` layer.
 
     ``fn``, where given, is the variant's evaluator to read instead of a
     new one: ``FerrersP(nu, -mu)`` on the sphere, ``LegendreQ(nu, mu)`` on
@@ -302,7 +303,7 @@ class GreenKernel:
                 raise DomainError("requires d >= 2")
             self.m = ManifoldSpec(self.kind, m.d, m.R)
             self.fn = fn or (LegendreQ(mu, mu) if variant == LAPLACE_H
-                             else FerrersQ(mu, -mu))
+                             else lambda x: ferrers_q(mu, -mu, x))
             return
         wp = self.wp = WaveParams(m, beta, self.sign)
         if m.kind != self.kind:
@@ -350,7 +351,7 @@ class GreenKernel:
                              merge_flags(pm, pp))
         else:
             out = self.fn.odd(math.cos(rho))
-        if self.constant is None and self.wp is None:  # LAPLACE_S
+        if self.constant is None and self.variant == LAPLACE_S:
             d, R = self.m.d, self.m.R
             self.constant, self.share = math.gamma(d - 1.0) * (
                 2.0 * math.pi) ** (-0.5 * d) * R ** (2 - d), 0.0

@@ -460,7 +460,7 @@ class TestGreenKernel:
     @pytest.mark.parametrize("beta", (0.3, 2.2), ids=("damped", "oscillatory"))
     def test_every_route(self, variant, d, beta):
         kernel = self._check(variant, d, beta, self.ROUTE_RHOS)
-        # no prepared Legendre/Ferrers function, or FerrersQ's two 2F1s
+        # no prepared Legendre/Ferrers function, or ferrers_q's FerrersQ
         if kernel.fn is None or variant == "LAPLACE_S":
             return
         if d == 3:
