@@ -1415,7 +1415,7 @@ def _conjugates(fn, nu, mu, arg):
 # range, nearer which its rounding (ROADMAP item 14) costs more than
 # the tolerance.  P and Q at a real degree: past 16 the argument stays
 # from 1.5 up, below which Q's series loses digits (ROADMAP item 1;
-# scratch probes failed from degree 23 and up to z = 1.155)
+# random probes failed from degree 23 and up to z = 1.155)
 _ORDERS = st.floats(-1.0, 1.0)
 _CONICAL = st.floats(0.0, 30.0).map(lambda tau: complex(-0.5, tau))
 _XS = st.floats(-1.0 + 1e-6, 1.0 - 1e-6)
