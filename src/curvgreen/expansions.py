@@ -24,6 +24,18 @@ Every series here is one sum, evaluated by one engine:
   (tau = 25, th> > pi/2: about 6 digits left).  A lowered pair's weight
   rides in its larger-radius sequence.
 * The prefactor and the reference value come from the kind's row.
+* One expansion builds each Legendre/Ferrers evaluator once: a table
+  keyed by (kind, order) (``legendre.evaluator``), made per call and
+  passed to every order_sequence call, serves the Miller seeds, the
+  larger-radius seeds and the reference closed form (for the Green's
+  functions through ``GreenKernel(..., fn=...)``), each evaluator with
+  its 2F1 engine.  Nothing outlives the call.
+* At a real degree and order the recurrences, the basis C_l^mu and its
+  weights run in float, the conical degrees and Q's complex values in
+  complex.  Every value keeps the bits of complex arithmetic: on
+  operands whose imaginary parts are 0, CPython's complex operations
+  give exactly the float ones on the real parts while those stay
+  finite, and the expressions and their order are the same.
 
 The kinds are rows over that engine: the associated Legendre addition
 theorems (P, Q) on cosh rho, the six Ferrers addition theorems on
@@ -55,12 +67,12 @@ from .errors import (DomainError, DomainViolationError, NoConvergenceError,
                      RangeError, WrongCaseError)
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
-                     S_PLUS, SF_MINUS, WaveParams, euclidean_green,
-                     _sphere_constant, green_value)
-from .legendre import (ferrers_p, ferrers_q, legendre_p, legendre_q,
-                       order_sequence)
+                     S_PLUS, SF_MINUS, VARIANT_SPACES, GreenKernel,
+                     WaveParams, euclidean_green, _sphere_constant)
+from .legendre import evaluator, order_sequence
 from .result import NONCONVERGENT
-from .specfun import _cgamma, _cyl, _gegenbauer_terms, gamma_ratio
+from .specfun import (_cgamma, _cyl, _finite, _gegenbauer_terms, _real,
+                      gamma_ratio)
 
 _TRUNC_REL = 1e-15
 _TRUNC_RUN = 3
@@ -74,12 +86,17 @@ class TwoPointConfig:
 
     ``r1``/``r2`` are the radial coordinates (r, r' on the hyperboloid
     or in flat space, theta, theta' on the hypersphere) and ``gamma``
-    the separation angle on the common S^{d-1}.
+    the separation angle on the common S^{d-1}.  A nan or infinite
+    field is refused (DomainError) when the config is built.
     """
 
     r1: float
     r2: float
     gamma: float
+
+    def __post_init__(self):
+        for name in ("r1", "r2", "gamma"):
+            _finite(name, getattr(self, name))
 
     @property
     def lt(self) -> float:
@@ -154,14 +171,16 @@ def _basis(mu, x):
     """Yield w_l(x) = Gamma(mu) (l + mu) C_l^mu(x) for l = 0, 1, ...
 
     At mu = 0 this is the limit eps_l T_l(x).  C_l^mu and T_l come from
-    specfun's recurrence, the one behind gegenbauer_c and chebyshev_t.
+    specfun's recurrence, the one behind gegenbauer_c and chebyshev_t; at
+    a real mu it and the weight Gamma(mu) (l + mu) are floats, with the
+    bits of their complex forms (order_sequence).
     """
     terms = _gegenbauer_terms(mu, x)
     if mu == 0:
         yield next(terms)
         yield from (2.0 * t for t in terms)
         return
-    g, mu = _cgamma(mu), complex(mu)
+    g, mu = _real(_cgamma(mu)), _real(complex(mu))
     for l, c in enumerate(terms):
         yield g * (l + mu) * c
 
@@ -173,8 +192,14 @@ def _pairs(small, parts):
     ``parts`` = ((large, c, s), ...), where small and each large are
     sequences in l (order_sequence, or the Bessel values of the flat
     expansion).  A large sequence is drawn only as far as the sum goes.
+    One part takes no sum(): 0 + x is sum's first step, and its bits.
     """
     larges = [(iter(large), c, s) for large, c, s in parts]
+    if len(larges) == 1:
+        (large, c, s), = larges
+        for l, a in enumerate(small):
+            yield a * (0 + c * s ** l * next(large))
+        return
     for l, a in enumerate(small):
         yield a * sum(c * s ** l * next(large) for large, c, s in larges)
 
@@ -207,7 +232,8 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
                              "range")
         total += t
         mags.append(mag)
-        if mag <= _TRUNC_REL * max(abs(total), 1e-300):
+        scale = abs(total)
+        if mag <= _TRUNC_REL * (1e-300 if scale < 1e-300 else scale):
             small += 1
             if small >= _TRUNC_RUN:
                 break
@@ -233,34 +259,38 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
 
 
 def _hyperbolic(c, nu, mu, cfg: TwoPointConfig, large: str, reference,
-                n_max: int) -> SeriesReport:
+                n_max: int, table: dict) -> SeriesReport:
     """c (sinh r< sinh r>)^-mu times the pair series over
     P_nu^{-(mu+l)}(cosh r<) large_nu^{mu+l}(cosh r>) (-1)^l, large the
-    kind P or Q."""
+    kind P or Q; table holds the expansion's evaluators (``evaluator``)."""
     r_lt, r_gt = cfg.lt, cfg.gt
     pre = c / (math.sinh(r_lt) * math.sinh(r_gt)) ** mu
     radial = _pairs(
-        order_sequence("P", nu, mu, math.cosh(r_lt), True, miller=n_max),
-        [(order_sequence(large, nu, mu, math.cosh(r_gt)), 1.0, -1.0)])
+        order_sequence("P", nu, mu, math.cosh(r_lt), True, miller=n_max,
+                       table=table),
+        [(order_sequence(large, nu, mu, math.cosh(r_gt), table=table), 1.0,
+          -1.0)])
     ratio = math.tanh(0.5 * r_lt) / math.tanh(0.5 * r_gt)
     return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio)
 
 
 def _spherical(c, nu, mu, cfg: TwoPointConfig, parts, reference, ratio,
-               n_max: int, lowered: bool = False,
+               n_max: int, table: dict, lowered: bool = False,
                const=0.0) -> SeriesReport:
     """c (sin th< sin th>)^-mu times the pair series over
     FP_nu^{-(mu+l)}(cos th<) and, for each (kind, reflected, coef) of
     ``parts``, coef kind_nu^{+-(mu+l)}(+-cos th>) (kind FP or FQ) with
     (-1)^l when not reflected; ``lowered`` takes the order -(mu+l) and
-    the Pochhammer weight (nu + mu + 1)_l (mu - nu)_l."""
+    the Pochhammer weight (nu + mu + 1)_l (mu - nu)_l; table holds the
+    expansion's evaluators (``evaluator``)."""
     x_gt = math.cos(cfg.gt)
     pre = c / (math.sin(cfg.lt) * math.sin(cfg.gt)) ** mu
     large = [(order_sequence(kind, nu, mu, -x_gt if reflected else x_gt,
-                             lowered), coef, 1.0 if reflected else -1.0)
+                             lowered, table=table), coef,
+              1.0 if reflected else -1.0)
              for kind, reflected, coef in parts]
     radial = _pairs(order_sequence("FP", nu, mu, math.cos(cfg.lt), True,
-                                   miller=n_max), large)
+                                   miller=n_max, table=table), large)
     return _series(pre, mu, cfg.cos_gamma, radial, n_max, reference, ratio,
                    const)
 
@@ -285,10 +315,11 @@ def addition_legendre(kind: str, nu, mu, cfg: TwoPointConfig,
     if not cfg.distinct:
         raise DomainViolationError("addition theorem requires r != r'")
     nu, mu = complex(nu), complex(mu)
-    outer = legendre_p if kind == "P" else legendre_q
     rho = cfg.rho_hyperbolic()
-    ref = outer(nu, mu, math.cosh(rho)).value / math.sinh(rho) ** mu
-    return _hyperbolic(2.0 ** mu, nu, mu, cfg, kind, ref, n_max)
+    table = {}
+    ref = (evaluator(table, kind, nu, mu)(math.cosh(rho)).value
+           / math.sinh(rho) ** mu)
+    return _hyperbolic(2.0 ** mu, nu, mu, cfg, kind, ref, n_max, table)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +351,7 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
     negative integers included: a term whose FQ factor has a pole where
     its Pochhammer weight vanishes is their finite product (see
     order_sequence), and what stays undefined is refused by the
-    left-hand side's own ferrers_p or ferrers_q call.
+    left-hand side's own FerrersP or FerrersQ.
     """
     if kind not in _FERRERS_KINDS:
         raise DomainError(f"kind must be one of {tuple(_FERRERS_KINDS)}")
@@ -337,13 +368,14 @@ def addition_ferrers(kind: str, nu, mu, cfg: TwoPointConfig,
             if math.tan(0.5 * cfg.lt) * math.tan(0.5 * cfg.gt) >= 1.0
             else "theta = theta' not allowed for this kind")
     large, lowered, reflected = _FERRERS_KINDS[kind]
-    fn = ferrers_q if large == "FQ" else ferrers_p
     big_theta = cfg.theta_spherical()
     x_th = math.cos(big_theta)
-    ref = (fn(nu, -mu if lowered else mu, -x_th if reflected else x_th).value
+    table = {}
+    fn = evaluator(table, large, nu, -mu if lowered else mu)
+    ref = (fn(-x_th if reflected else x_th).value
            / math.sin(big_theta) ** mu)
     return _spherical(2.0 ** mu, nu, mu, cfg, [(large, reflected, 1.0)],
-                      ref, ratio, n_max, lowered)
+                      ref, ratio, n_max, table, lowered)
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +423,7 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
             c, large = -2j / math.sqrt(math.pi), "Q"
         else:
             raise WrongCaseError("form must be 'cosh' or 'exp'")
-        return _hyperbolic(c, nu, 0.5, cfg, large, ref, n_max)
+        return _hyperbolic(c, nu, 0.5, cfg, large, ref, n_max, {})
 
     # spherical cases below
     if not (0.0 < cfg.r1 < math.pi and 0.0 < cfg.r2 < math.pi):
@@ -449,10 +481,11 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
         large = "FP"
         c = math.pi ** 1.5 / (cmath.sin(math.pi * mu) * 2.0 ** (mu + 1.0))
     c /= _cgamma(mu + 1.0) * _cgamma(mu + 0.5)
-    ref = (ferrers_q(mu, -mu, math.cos(big_theta)).value
+    table = {}
+    ref = (evaluator(table, "FQ", mu, -mu)(math.cos(big_theta)).value
            / math.sin(big_theta) ** mu)
     return _spherical(c, mu, mu, cfg, [(large, False, 1.0)], ref, ratio,
-                      n_max, const=const)
+                      n_max, table, const=const)
 
 
 # ----------------------------------------------------------------------
@@ -466,24 +499,35 @@ _EXPANDABLE = (H_PLUS, H_MINUS, S_PLUS, A_PLUS, SF_MINUS, FRAK_MINUS)
 def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
                   l_max: int) -> SeriesReport:
     """The expansion of a Green's function in any d >= 2 (the Fourier
-    series is its mu = 0 row)."""
+    series is its mu = 0 row).  The reference is the closed form
+    (``GreenKernel``) reading the series' own seed evaluator, LegendreQ
+    at order mu or FerrersP at -mu, from the expansion's table; a wp of
+    another sign than the variant's leaves the kernel its own, at the
+    variant's WaveParams."""
     if not cfg.distinct:
         raise DomainViolationError("expansion requires distinct radii")
     m, mu, nu = wp.manifold, wp.mu, wp.nu
     norm = 1.0 / (2.0 * math.pi ** (0.5 * m.d) * m.R ** (m.d - 2))
-
-    if variant in (H_PLUS, H_MINUS):
+    hyperbolic = variant in (H_PLUS, H_MINUS)
+    if hyperbolic:
         if not (cfg.r1 > 0 and cfg.r2 > 0):
             raise DomainError("radial coordinates must be positive")
-        ref = green_value(variant, m, wp.beta, cfg.rho_hyperbolic()).value
+        rho = cfg.rho_hyperbolic()
+    else:
+        ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
+        if not ok:
+            raise DomainViolationError("outside the convergence domain")
+        rho = cfg.theta_spherical()
+    table, fn = {}, None
+    if wp.sign == VARIANT_SPACES[variant][1]:
+        fn = evaluator(table, "Q", nu, mu) if hyperbolic else \
+            evaluator(table, "FP", nu, -mu)
+    ref = GreenKernel(variant, m, wp.beta, fn=fn)(rho).value
+    if hyperbolic:
         return _hyperbolic(cmath.exp(-1j * math.pi * mu) * norm, nu, mu, cfg,
-                           "Q", ref, l_max)
+                           "Q", ref, l_max, table)
 
     # hypersphere variants
-    ok, ratio = convergence_domain(cfg.lt, cfg.gt, True)
-    if not ok:
-        raise DomainViolationError("outside the convergence domain")
-    ref = green_value(variant, m, wp.beta, cfg.theta_spherical()).value
     if variant == FRAK_MINUS:
         c = norm * gamma_ratio(nu + mu + 1.0, nu - mu + 1.0)
         parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
@@ -495,7 +539,7 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
             # antipodal bracket: the unreflected parent series carries
             # (-1)^l, so odd orders add instead of subtract
             parts.append(("FP", False, -1.0))
-    return _spherical(c, nu, mu, cfg, parts, ref, ratio, l_max,
+    return _spherical(c, nu, mu, cfg, parts, ref, ratio, l_max, table,
                       lowered=True)
 
 

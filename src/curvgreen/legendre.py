@@ -15,7 +15,9 @@ functions,
 * the Gegenbauer function of the first kind for non-integer degree,
 * a kind's values at the orders +-(mu + l), l = 0, 1, ..., carried by
   the order recurrence from two direct values (``order_sequence``, the
-  radial factors of the expansions).
+  radial factors of the expansions), in float at a real degree and
+  order with the bits of complex arithmetic, the direct values from a
+  caller's table of one degree's evaluators (``evaluator``).
 
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  ``LegendreP``, ``LegendreQ``, ``FerrersP`` and ``FerrersQ``
@@ -51,7 +53,7 @@ from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
 from .specfun import (_EPS, Hyp2F1, _cgamma, _finite, _lgamma,
-                      _near_nonpos_int, gamma_ratio)
+                      _near_nonpos_int, _real, gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
 _LOG_2 = math.log(2.0)
@@ -327,8 +329,23 @@ def _fq_undefined(nu, order) -> bool:
     return hit and not _near_nonpos_int(complex(nu) + 1.5)[0]
 
 
+def evaluator(table: dict, kind: str, nu, order):
+    """kind's evaluator (``LegendreP``, ``LegendreQ``, ``FerrersP`` or
+    ``FerrersQ``) at (nu, order) from table, built on first use.
+
+    A table holds the evaluators of one degree nu, keyed by
+    (kind, order); an expansion makes one and hands it to each of its
+    order_sequence calls and to its reference value, so each evaluator,
+    and the 2F1 engine it keeps, is built once per expansion.  A shared
+    evaluator returns the bits of a new one (``_Prepared``)."""
+    f = table.get((kind, order))
+    if f is None:
+        f = table[kind, order] = _PREPARED[kind](nu, order)
+    return f
+
+
 def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
-                   miller: int = 0):
+                   miller: int = 0, table: dict | None = None):
     """Yield kind (P, Q, FP or FQ) at the orders mu + l, or -(mu + l)
     if lowered, for l = 0, 1, ...
 
@@ -338,7 +355,8 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
         F^{k+2} = -2 (k + 1) c F^{k+1} + s (nu - k)(nu + k + 1) F^k,
 
     with (c, s) from ``_order_factor``.  Two values come from the kind's
-    evaluator, the rest from the recurrence, which never divides:
+    evaluator (``evaluator``, from table, a new one where table is
+    None), the rest from the recurrence, which never divides:
 
     * raised: forward from l = 0, 1;
     * lowered: forward on the weighted values (nu + mu + 1)_l (mu - nu)_l
@@ -355,6 +373,17 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
       start index is _miller's), normalized by whichever of the direct
       values at l = 0, 1 is larger, since either may sit near a zero.
 
+    At a real degree and order (imaginary parts 0) the recurrences run
+    in float on nu.real and mu.real, and a direct value whose imaginary
+    part is 0 enters as its real part; conical degrees, and Q's complex
+    values, stay complex.  The orders handed to the evaluators are the
+    complex ones.  On operands whose imaginary parts are 0 and whose
+    parts stay finite, CPython's complex +, -, * and / give exactly the
+    float operation on the real parts (a zero part's sign aside), and
+    every expression keeps its order, so each value has the bits of the
+    same recurrence in complex arithmetic until one is not finite; a
+    series refuses that term either way (RangeError).
+
     Forward recurrence is the caller's choice where an error growing
     like the dominant solution is harmless, as in a pair series whose
     other factor is minimal.  A raised FQ or a lowered weighted FQ is
@@ -362,12 +391,14 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     refuses.
     """
     c, s = _order_factor(kind, arg)
-    nu, mu = complex(nu), complex(mu)
-    prepared = _PREPARED[kind]
+    cnu, cmu = complex(nu), complex(mu)
+    table = {} if table is None else table
 
     def direct(l):
-        return prepared(nu, -(mu + l) if lowered else mu + l)(arg).value
+        order = -(cmu + l) if lowered else cmu + l
+        return evaluator(table, kind, cnu, order)(arg).value
 
+    nu, mu = (cnu, cmu) if cnu.imag or cmu.imag else (cnu.real, cmu.real)
     if miller:
         if not (lowered and kind in ("P", "FP")):
             raise DomainError("Miller's algorithm serves lowered P and FP")
@@ -375,23 +406,22 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
                            (arg - 1.0) / (arg + 1.0) if s > 0.0
                            else (1.0 - arg) / (1.0 + arg))
         return
+    a = _real(direct(0))
+    yield a
+    if lowered and (kind == "FQ" or mu == 0.5):
+        b = s * (2.0 * mu * c * a - _real(direct(-1)))
+    else:
+        b = _real(direct(1)) * ((nu + mu + 1.0) * (mu - nu) if lowered
+                                else 1.0)
+    yield b
     # with k = mu + l - 2 both forward rules read
     # h = sign 2 (k + 1) c h_{l-1} - s (nu + k + 1)(k - nu) h_{l-2}
     sign = s if lowered else -1.0
-    a = b = None
-    for l in count():
-        if l == 0:
-            h = direct(0)
-        elif l == 1 and lowered and (kind == "FQ" or mu == 0.5):
-            h = s * (2.0 * mu * c * b - direct(-1))
-        elif l == 1:
-            h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
-        else:
-            k = mu + l - 2.0
-            h = (sign * 2.0 * (k + 1.0) * c * b
-                 - s * (nu + k + 1.0) * (k - nu) * a)
-        yield h
-        a, b = b, h
+    for l in count(2):
+        k = mu + l - 2.0
+        a, b = b, (sign * 2.0 * (k + 1.0) * c * b
+                   - s * (nu + k + 1.0) * (k - nu) * a)
+        yield b
 
 
 def _order_factor(kind: str, arg: float) -> tuple:
@@ -420,12 +450,21 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
     on (-1, 1)) the roots have one modulus and nothing separates, which
     a start index from t^2 alone would miss.  More than _MILLER_MAX
     orders beyond n (t^2 within about 4e-4 of 1) is NoConvergenceError.
+
+    nu and mu are floats at a real degree and order (order_sequence's
+    float arithmetic, with the same bits), complex otherwise.  (nu +
+    1/2)^2 is taken in complex once, before the loop: at a real degree
+    its real part is the float square, and where it overflows it raises
+    OverflowError as the complex power does; w^2 keeps its complex
+    square root, whose real part is the float one, and whose imaginary
+    part below the turning point leaves |M c - w| = |M c + w|.
     """
     ln_t2 = math.log(t2)
     top, decay = n, 0.0
+    half2 = _real((complex(nu) + 0.5) ** 2)
     while decay > -40.0:
         big = mu + top + 1.0
-        w = cmath.sqrt(big * big * (c * c - s) + s * (nu + 0.5) ** 2)
+        w = cmath.sqrt(big * big * (c * c - s) + s * half2)
         near, far = abs(big * c - w), abs(big * c + w)
         decay += max(math.log(min(near, far) / max(near, far)), ln_t2) \
             if near and far else ln_t2
@@ -448,7 +487,9 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
         g1, g2 = g0, g1
     seeds = [direct(l) for l in range(min(n, 2))]
     l = max(range(len(seeds)), key=lambda j: abs(seeds[j]))
-    scale = seeds[l] / g[l]
+    # divided in complex, as the complex run's g is: the same quotient,
+    # and the same ZeroDivisionError
+    scale = _real(complex(seeds[l]) / g[l])
     return [v * scale for v in g[:n]]
 
 
@@ -890,6 +931,8 @@ def gegenbauer_function(lam, mu, gamma_angle: float) -> EvalResult:
     if not 0.0 < _finite("gamma_angle", gamma_angle) < math.pi:
         raise DomainError("gegenbauer_function takes gamma in (0, pi)")
     for g in (2.0 * mu + lam, lam + 1.0, mu):
+        if not cmath.isfinite(g):
+            raise OverflowError  # past the double range: RangeError
         hit, _ = _near_nonpos_int(g)
         if hit:
             raise ParamPoleError("gamma pole in Gegenbauer prefactor")

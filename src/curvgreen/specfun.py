@@ -20,10 +20,13 @@ Provides the scalar kernels everything else is built on:
   pure Python by Temme's method: CF1 and Miller's recurrence for J and
   I, Temme's series (x < 2) or Steed's CF2 (x >= 2) for Y and K, the
   Wronskian between them, and reflection at negative orders,
-* Chebyshev and Gegenbauer polynomials by three-term recurrence.
+* Chebyshev and Gegenbauer polynomials by three-term recurrence, in
+  float at a real order with the bits of the complex recurrence
+  (``_gegenbauer_terms``).
 
-``gamma``, ``pochhammer``, the 2F1 engine (its parameters and its
-argument), ``cyl`` and ``gegenbauer_c`` refuse a nan or infinite number
+``gamma``, ``gamma_ratio``, ``pochhammer``, the 2F1 engine (its
+parameters and its argument), ``cyl``, ``env_j``, ``env_h``,
+``chebyshev_t`` and ``gegenbauer_c`` refuse a nan or infinite number
 with DomainError ("<name> must be finite") at their entry.
 
 Prepared 2F1.  ``Hyp2F1(a, b, c)`` is the engine at fixed parameters;
@@ -93,6 +96,13 @@ def _finite(name: str, z):
     if not cmath.isfinite(z):
         raise DomainError(f"{name} must be finite")
     return z
+
+
+def _real(z):
+    """z's real part where its imaginary part is 0 (of either sign), else
+    z: how a computed value enters the float arithmetic of the order
+    recurrences and the Gegenbauer weights (legendre.order_sequence)."""
+    return z if z.imag else z.real
 
 
 def _near_nonpos_int(z, tol=1e-10):
@@ -232,10 +242,10 @@ def gamma_ratio(p, q) -> complex:
     When p -> -n and q -> -m along a common perturbation the ratio tends
     to (-1)^(n-m) m!/n!; that limit is returned when both arguments sit
     on nonpositive integers.  A pole in the numerator alone yields inf,
-    in the denominator alone 0.
+    in the denominator alone 0.  A nan or infinite p or q is DomainError.
     """
-    p_pole, n = _near_nonpos_int(p)
-    q_pole, m = _near_nonpos_int(q)
+    p_pole, n = _near_nonpos_int(_finite("p", p))
+    q_pole, m = _near_nonpos_int(_finite("q", q))
     if p_pole and q_pole:
         sign = -1.0 if (n - m) % 2 else 1.0
         return sign * math.gamma(m + 1) / math.gamma(n + 1)
@@ -1068,7 +1078,7 @@ def _hankel_env(j, y, j1, y1, x):
 def env_j(mu: float, x: float) -> float:
     """Zero-free envelope sqrt(J_mu^2 + J_mu+1^2) at mu >= 0; vanishes
     only at x = 0 when mu > 0."""
-    if x < 0 or mu < 0:
+    if _finite("x", x) < 0 or _finite("mu", mu) < 0:
         raise DomainError("env_j takes mu >= 0 and x >= 0")
     if x == 0:
         return 1.0 if mu == 0 else 0.0
@@ -1082,7 +1092,7 @@ def env_h(kind: str, mu: float, x: float) -> float:
     kind = kind.upper()
     if kind not in ("H1", "H2"):
         raise DomainError("env_h kind must be 'H1' or 'H2'")
-    if x <= 0 or mu < 0:
+    if _finite("x", x) <= 0 or _finite("mu", mu) < 0:
         raise DomainError("env_h takes mu >= 0 and x > 0")
     return _hankel_env(*_bessel_jy(mu, x), x)
 
@@ -1092,9 +1102,18 @@ def env_h(kind: str, mu: float, x: float) -> float:
 # ----------------------------------------------------------------------
 
 def _gegenbauer_terms(mu, x):
-    """Yield C_l^mu(x), l = 0, 1, ..., by the three-term recurrence, in
-    complex arithmetic; at mu = 0, where C_l^0 = 0 for l >= 1, the
-    Chebyshev T_l(x) = (l/2) lim C_l^mu(x)/mu instead."""
+    """Yield C_l^mu(x), l = 0, 1, ..., by the three-term recurrence; at
+    mu = 0, where C_l^0 = 0 for l >= 1, the Chebyshev
+    T_l(x) = (l/2) lim C_l^mu(x)/mu instead.
+
+    A real mu (imaginary part 0) runs in float on mu.real, a complex one
+    in complex.  Every value is the complex recurrence's, bit for bit:
+    on operands whose imaginary parts are 0 and whose parts stay finite,
+    CPython's complex +, -, * and / give exactly the float operation on
+    the real parts (a zero part's sign aside), and the expressions are
+    the same.  From the first float value that is not finite on, the
+    values are the complex recurrence's own, whose inf/nan parts
+    propagate differently."""
     if mu == 0:
         t_prev, t = 1.0, x
         yield 1.0
@@ -1102,7 +1121,19 @@ def _gegenbauer_terms(mu, x):
             yield t
             t_prev, t = t, 2.0 * x * t - t_prev
     mu = complex(mu)
-    c_prev, c = 1.0 + 0.0j, 2.0 * mu * x
+    if mu.imag:
+        yield from _gegenbauer_run(mu, x)
+        return
+    for l, c in enumerate(_gegenbauer_run(mu.real, x)):
+        if not cmath.isfinite(c):
+            yield from itertools.islice(_gegenbauer_run(mu, x), l, None)
+            return
+        yield c
+
+
+def _gegenbauer_run(mu, x):
+    """C_l^mu(x), l = 0, 1, ..., by the recurrence in mu's arithmetic."""
+    c_prev, c = 1.0, 2.0 * mu * x
     yield c_prev
     for k in itertools.count(2):
         yield c
@@ -1112,8 +1143,9 @@ def _gegenbauer_terms(mu, x):
 
 def chebyshev_t(n: int, x: float) -> float:
     """Chebyshev polynomial of the first kind, T_n(cos psi) = cos(n psi)."""
-    if n < 0:
+    if _finite("n", n) < 0:
         raise DomainError("chebyshev_t requires n >= 0")
+    _finite("x", x)
     return next(itertools.islice(_gegenbauer_terms(0, x), n, None))
 
 

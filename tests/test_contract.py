@@ -1,6 +1,6 @@
-"""Entry checks of the public numerical functions: a nan or infinite
-number in any position is refused with DomainError, "<name> must be
-finite", before any work."""
+"""Entry checks of the public numerical functions and of an expansion's
+two-point config: a nan or infinite number in any position is refused
+with DomainError, "<name> must be finite", before any work."""
 
 import functools
 import math
@@ -8,9 +8,11 @@ import math
 import pytest
 
 from curvgreen.errors import DomainError
+from curvgreen.expansions import TwoPointConfig
 from curvgreen.legendre import (ferrers_p, ferrers_q, gegenbauer_function,
                                 half_odd_eval, legendre_p, legendre_q)
-from curvgreen.specfun import (cyl, gamma, gauss_2f1, gegenbauer_c,
+from curvgreen.specfun import (chebyshev_t, cyl, env_h, env_j, gamma,
+                               gamma_ratio, gauss_2f1, gegenbauer_c,
                                pochhammer, regularized_2f1)
 
 # name -> (function, its parameters' names, finite arguments it accepts)
@@ -32,6 +34,13 @@ _ENTRIES = {
     "pochhammer": (pochhammer, ("z", "n"), (0.3, 3)),
     "gamma": (gamma, ("z",), (0.3,)),
     "cyl J": (functools.partial(cyl, "J"), ("mu", "x"), (0.3, 1.0)),
+    "chebyshev_t": (chebyshev_t, ("n", "x"), (3, 0.2)),
+    "gamma_ratio": (gamma_ratio, ("p", "q"), (1.3, 0.7)),
+    "env_j": (env_j, ("mu", "x"), (0.5, 1.0)),
+    "env_h H1": (functools.partial(env_h, "H1"), ("mu", "x"), (0.5, 1.0)),
+    # an expansion's two-point config, refused when it is built
+    "TwoPointConfig": (TwoPointConfig, ("r1", "r2", "gamma"),
+                       (0.5, 1.2, 0.8)),
 }
 
 

@@ -1,8 +1,8 @@
 """Addition theorems and Green's-function expansions vs closed forms."""
 
+import cmath
 import math
-import sys
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from curvgreen.geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from curvgreen.greens import (MINUS, PLUS, WaveParams, green_value)
 from curvgreen.legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
 from curvgreen.result import NONCONVERGENT
-from curvgreen.specfun import gegenbauer_c
+from curvgreen.specfun import _gegenbauer_terms, gegenbauer_c
 
 CFG_H = TwoPointConfig(0.5, 1.2, 0.8)
 CFG_S = TwoPointConfig(0.5, 0.9, 1.0)
@@ -449,9 +449,10 @@ class TestCandidatesCommonDomain:
                 assert abs(slope - (mu - 1.0)) < 0.3, (gamma_angle, mu)
 
 
-def _per_order(kind, nu, mu, arg, lowered=False, miller=0):
+def _per_order(kind, nu, mu, arg, lowered=False, miller=0, table=None):
     """Reference for order_sequence: every order by its public function,
-    a lowered forward sequence times (nu + mu + 1)_l (mu - nu)_l."""
+    a lowered forward sequence times (nu + mu + 1)_l (mu - nu)_l; the
+    expansion's evaluator table goes unused."""
     fn = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
           "FQ": ferrers_q}[kind]
     nu, mu = complex(nu), complex(mu)
@@ -503,21 +504,162 @@ class TestOrderRecurrences:
     @pytest.mark.parametrize("variant", _VARIANTS)
     def test_few_legendre_calls(self, variant, monkeypatch):
         # two direct values per radial sequence plus the reference value,
-        # where a per-order series made two or three per term
+        # where a per-order series made two or three per term; counted
+        # at the evaluators, which the expansions call directly
         calls = []
-        for name in ("legendre_p", "legendre_q", "ferrers_p", "ferrers_q"):
-            fn = getattr(legendre, name)
+        call = legendre._Prepared.__call__
 
-            def counted(*args, _fn=fn):
-                calls.append(_fn)
-                return _fn(*args)
+        def counted(self, arg):
+            calls.append(self.kind)
+            return call(self, arg)
 
-            for mod in list(sys.modules.values()):
-                if (getattr(mod, "__name__", "").startswith("curvgreen")
-                        and getattr(mod, name, None) is fn):
-                    monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(legendre._Prepared, "__call__", counted)
         cfg = (TwoPointConfig(0.6, 1.9, 1.1) if variant.startswith("H")
                else TwoPointConfig(0.5, 1.2, 0.8))
         rep = _expand(variant, 3, 1.3, cfg)
         assert rep.terms > 20
-        assert len(calls) <= 8
+        assert 0 < len(calls) <= 8
+
+
+def _complex_sequence(kind, nu, mu, arg, lowered=False, miller=0,
+                      table=None):
+    """order_sequence with every recurrence in complex arithmetic, the
+    direct values by the public functions: the reference its float
+    arithmetic must match bit for bit."""
+    fn = {"P": legendre_p, "Q": legendre_q, "FP": ferrers_p,
+          "FQ": ferrers_q}[kind]
+    c, s = legendre._order_factor(kind, arg)
+    nu, mu = complex(nu), complex(mu)
+
+    def direct(l):
+        return fn(nu, -(mu + l) if lowered else mu + l, arg).value
+
+    if miller:
+        t2 = (arg - 1.0) / (arg + 1.0) if s > 0.0 else (1.0 - arg) / (1.0
+                                                                   + arg)
+        ln_t2, top, decay = math.log(t2), miller, 0.0
+        while decay > -40.0:
+            big = mu + top + 1.0
+            w = cmath.sqrt(big * big * (c * c - s) + s * (nu + 0.5) ** 2)
+            near, far = abs(big * c - w), abs(big * c + w)
+            decay += max(math.log(min(near, far) / max(near, far)), ln_t2) \
+                if near and far else ln_t2
+            top += 1
+        g, g1, g2 = [0.0] * miller, 1.0, 0.0
+        for l in range(top - 1, -1, -1):
+            m = mu + l
+            g0 = (2.0 * (m + 1.0) * c * g1
+                  + s * (nu + m + 2.0) * (nu - m - 1.0) * g2)
+            if abs(g0) > 1e200:
+                g0, g1 = g0 * 1e-200, g1 * 1e-200
+                g[l + 1:] = [v * 1e-200 for v in g[l + 1:]]
+            if l < miller:
+                g[l] = g0
+            g1, g2 = g0, g1
+        seeds = [direct(l) for l in range(min(miller, 2))]
+        l = max(range(len(seeds)), key=lambda j: abs(seeds[j]))
+        scale = seeds[l] / g[l]
+        yield from (v * scale for v in g)
+        return
+    sign = s if lowered else -1.0
+    a = b = None
+    for l in count():
+        if l == 0:
+            h = direct(0)
+        elif l == 1 and lowered and (kind == "FQ" or mu == 0.5):
+            h = s * (2.0 * mu * c * b - direct(-1))
+        elif l == 1:
+            h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
+        else:
+            k = mu + l - 2.0
+            h = (sign * 2.0 * (k + 1.0) * c * b
+                 - s * (nu + k + 1.0) * (k - nu) * a)
+        yield h
+        a, b = b, h
+
+
+def _complex_gegenbauer(mu, x):
+    """C_l^mu(x) by the three-term recurrence in complex arithmetic: the
+    reference of _gegenbauer_terms at real mu."""
+    mu = complex(mu)
+    c_prev, c = 1.0 + 0.0j, 2.0 * mu * x
+    yield c_prev
+    for k in count(2):
+        yield c
+        c_prev, c = c, (2.0 * x * (k + mu - 1.0) * c
+                        - (k + 2.0 * mu - 2.0) * c_prev) / k
+
+
+def _bits(v):
+    """v's parts by repr, an imaginary part of 0 (either sign) as 0: a
+    float value stands for the complex value with that real part."""
+    v = complex(v)
+    return repr(v.real), repr(v.imag) if v.imag else "0"
+
+
+class TestFloatArithmetic:
+    """At a real degree and order the order recurrences and the
+    Gegenbauer basis run in float, with the bits of complex arithmetic,
+    and one expansion builds each of its evaluators once."""
+
+    @pytest.mark.parametrize("kind,lowered,miller,arg", [
+        ("P", True, True, 1.7), ("P", False, False, 1.7),
+        ("P", True, False, 1.7), ("Q", False, False, 1.7),
+        ("FP", True, True, 0.4), ("FP", True, False, -0.3),
+        ("FP", False, False, -0.3), ("FQ", True, False, -0.3),
+        ("FQ", False, False, 0.6)])
+    @pytest.mark.parametrize("nu,mu", [(2.3, 0.5), (2.3, 1.0), (0.7, 2.0),
+                                       (complex(-0.5, 3.1), 0.5)])
+    def test_order_sequence_matches_complex(self, kind, lowered, miller, arg,
+                                            nu, mu):
+        n = 60
+        got = list(islice(legendre.order_sequence(
+            kind, nu, mu, arg, lowered, miller=n if miller else 0), n))
+        want = list(islice(_complex_sequence(
+            kind, nu, mu, arg, lowered, miller=n if miller else 0), n))
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        real = not complex(nu).imag
+        assert all(isinstance(v, float) for v in got) == (real
+                                                          and kind != "Q")
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 0.37, 1e200])
+    def test_gegenbauer_terms_match_complex(self, mu):
+        # mu = 1e200 overflows at l = 2: from there on the values are the
+        # complex recurrence's inf/nan parts
+        for x in (-0.83, 0.1, 0.6):
+            got = [v if cmath.isfinite(v) else repr(v)
+                   for v in islice(_gegenbauer_terms(mu, x), 300)]
+            want = [v if cmath.isfinite(v) else repr(v)
+                    for v in islice(_complex_gegenbauer(mu, x), 300)]
+            assert [v if isinstance(v, str) else _bits(v) for v in got] \
+                == [v if isinstance(v, str) else _bits(v) for v in want]
+
+    def test_overflow_refuses_as_complex(self, monkeypatch):
+        # P^{mu+l}(cosh 2.1) leaves the double range near l = 150 before
+        # the slow tail (ratio 0.98) converges
+        cfg = TwoPointConfig(2.0, 2.1, 0.3)
+        with pytest.raises(RangeError) as got:
+            addition_legendre("P", 0.5, 0.5, cfg, 400)
+        monkeypatch.setattr(expansions, "order_sequence", _complex_sequence)
+        with pytest.raises(RangeError) as want:
+            addition_legendre("P", 0.5, 0.5, cfg, 400)
+        assert str(got.value) == str(want.value)
+        assert "overflows" in str(got.value)
+
+    @pytest.mark.parametrize("variant", ["S_PLUS", "A_PLUS", "FRAK_MINUS",
+                                         "H_PLUS"])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_each_evaluator_is_built_once(self, variant, d, monkeypatch):
+        built = []
+        init = legendre._Prepared.__init__
+
+        def spy(self, nu, mu):
+            built.append((self.kind, complex(nu), complex(mu)))
+            init(self, nu, mu)
+
+        monkeypatch.setattr(legendre._Prepared, "__init__", spy)
+        cfg = (TwoPointConfig(0.6, 1.9, 1.1) if variant.startswith("H")
+               else TwoPointConfig(0.5, 1.2, 0.8))
+        rep = _expand(variant, d, 1.3, cfg)
+        assert rep.terms > 20
+        assert len(built) == len(set(built)) >= 2

@@ -214,6 +214,8 @@ class TestOverflowRefusal:
         (ferrers_q, "FQ", 300.0, 0.3),
         (legendre_q, "Q", 300.0, math.cosh(1.8056)),
         (gegenbauer_function, "C", 170.5, 1.9),
+        # 2 mu + lam overflows before gamma_ratio, which refuses inf
+        (gegenbauer_function, "C", 1e308, 1.0),
     ])
     def test_refuses(self, fn, name, mu, arg):
         with pytest.raises(RangeError, match=rf"^{name}_nu\^mu overflows"):

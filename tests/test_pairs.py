@@ -69,17 +69,21 @@ def test_one_run_is_its_own_quartiles(pairs):
     assert got["won"] == 1
 
 
-def test_one_pair_run():
-    """HEAD against this checkout on verify, one 0.5 s pair."""
+def test_one_pair_run(tmp_path):
+    """HEAD against this checkout on verify, one 0.5 s pair; --out writes
+    the printed records as one JSON list."""
     head = subprocess.run(["git", "-C", _ROOT, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     if head.returncode:
         pytest.skip("not a git checkout")
+    doc = tmp_path / "pairs.json"
     out = subprocess.run([sys.executable, _PATH, "HEAD", "--workload",
-                          "verify", "--pairs", "1", "--seconds", "0.5"],
+                          "verify", "--pairs", "1", "--seconds", "0.5",
+                          "--out", str(doc)],
                          capture_output=True, text=True, check=True,
                          cwd=_ROOT)
     lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert json.loads(doc.read_text()) == lines
     assert len(lines) == 1
     got = lines[0]
     assert (got["rev"], got["workload"], got["pairs"]) == ("HEAD", "verify",

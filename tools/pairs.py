@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py REV [--workload verify [points ...]]
                            [--pairs 10] [--seed 1] [--seconds 10]
+                           [--out PATH]
 
 Builds a temporary tree that holds ``src/`` at REV (from ``git archive``)
 next to this checkout's ``perfbench/`` and ``BENCHMARK.json``, so both
@@ -30,8 +31,11 @@ from one pair to the next.  ``--seconds`` defaults to the benchmark's
     better than every parent run;
   - ``unchanged``: none of these.
 
+With ``--out PATH`` it also writes the lines' records, in workload
+order, as one JSON list to PATH once every workload has run.
+
 Run it from the root of the checkout.  It writes nothing into the
-repository; the temporary tree is removed when it ends.
+repository but PATH; the temporary tree is removed when it ends.
 """
 
 from __future__ import annotations
@@ -125,9 +129,11 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    ap.add_argument("--out", help="also write the records to this JSON file")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    records = []
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": parent_tree(args.rev, tmp), "change": ROOT}
         for name in args.workload:
@@ -146,14 +152,19 @@ def main() -> int:
                                     for r in runs["change"]],
                                    m["better"], m["bound"])
                 for m in spec["end_to_end"]}
-            print(json.dumps({
+            records.append({
                 "rev": args.rev, "workload": name, "seed": args.seed,
                 "seconds": args.seconds, "pairs": args.pairs,
                 "correct": {side: [r["correct"] for r in runs[side]]
                             for side in runs},
                 "failed": {side: [r["failed"] for r in runs[side]]
                            for side in runs},
-                "metrics": metrics}), flush=True)
+                "metrics": metrics})
+            print(json.dumps(records[-1]), flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(records, fh, indent=1)
+            fh.write("\n")
     return 0
 
 
