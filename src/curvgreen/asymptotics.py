@@ -34,6 +34,9 @@ FERRERS_LARGE_NU = "FERRERS_LARGE_NU"
 FERRERS_CONICAL = "FERRERS_CONICAL"
 ODD_FERRERS = "ODD_FERRERS"
 
+# the Ferrers approximants hold uniformly on theta in (0, pi - _DELTA]
+_DELTA = 0.1
+
 
 @dataclass(frozen=True)
 class AsymptoticApprox:
@@ -132,8 +135,8 @@ _FERRERS_KINDS = ("P_neg", "P_pos", "Q_neg", "Q_pos", "P_neg_refl",
                   "Q_neg_refl")
 
 
-def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
-                     delta: float = 0.1) -> AsymptoticApprox:
+def ferrers_large_nu(kind: str, nu: float, mu: float,
+                     theta: float) -> AsymptoticApprox:
     """Large-degree approximants for the six Ferrers kinds at cos theta.
 
     kinds (argument x = (nu + 1/2) theta, root = sqrt(theta/sin theta)):
@@ -144,14 +147,14 @@ def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
       'P_neg_refl' FP_nu^{-mu}(-cos th) ~ nu^{-mu} root [cos(pi(nu-mu)) J + sin(pi(nu-mu)) Y]
       'Q_neg_refl' FQ_nu^{-mu}(-cos th) ~ -(pi/(2 nu^mu)) root [sin(pi(nu-mu)) J - cos(pi(nu-mu)) Y]
 
-    Valid uniformly for theta in (0, pi - delta].
+    Valid uniformly for theta in (0, pi - _DELTA].
     """
     if kind not in _FERRERS_KINDS:
         raise DomainError(f"kind must be one of {_FERRERS_KINDS}")
     if not (nu > 0 and mu >= 0):
         raise DomainError("requires nu > 0, mu >= 0")
-    if not 0.0 < theta <= math.pi - delta:
-        raise DomainError("theta must lie in (0, pi - delta]")
+    if not 0.0 < theta <= math.pi - _DELTA:
+        raise DomainError(f"theta must lie in (0, pi - {_DELTA}]")
     x = (nu + 0.5) * theta
     root = math.sqrt(theta / math.sin(theta))
     j = (_bessel("J", mu, x), env_j(mu, x))
@@ -176,8 +179,7 @@ def ferrers_large_nu(kind: str, nu: float, mu: float, theta: float,
 
 
 def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
-                              branch: int = +1,
-                              delta: float = 0.1) -> AsymptoticApprox:
+                              branch: int = +1) -> AsymptoticApprox:
     """Large-tau approximants for Ferrers conical functions at cos theta.
 
     kinds (x = tau theta, root = sqrt(theta/sin theta), branch the sign
@@ -199,8 +201,8 @@ def ferrers_conical_large_tau(kind: str, tau: float, mu: float, theta: float,
         raise DomainError("branch must be +1 or -1")
     if not (tau > 0 and mu >= 0):
         raise DomainError("requires tau > 0, mu >= 0")
-    if not 0.0 < theta <= math.pi - delta:
-        raise DomainError("theta must lie in (0, pi - delta]")
+    if not 0.0 < theta <= math.pi - _DELTA:
+        raise DomainError(f"theta must lie in (0, pi - {_DELTA}]")
     x = tau * theta
     root = math.sqrt(theta / math.sin(theta))
     ix, kx = _bessel("I", mu, x), _bessel("K", mu, x)

@@ -32,10 +32,11 @@ Every series here is one sum, evaluated by one engine:
   its 2F1 engine.  Nothing outlives the call.
 * At a real degree and order the recurrences, the basis C_l^mu and its
   weights run in float, the conical degrees and Q's complex values in
-  complex.  Every value keeps the bits of complex arithmetic: on
+  complex.  Every finite value keeps the bits of complex arithmetic: on
   operands whose imaginary parts are 0, CPython's complex operations
   give exactly the float ones on the real parts while those stay
-  finite, and the expressions and their order are the same.
+  finite, and the expressions and their order are the same.  The first
+  value that is not finite is RangeError either way.
 
 The kinds are rows over that engine: the associated Legendre addition
 theorems (P, Q) on cosh rho, the six Ferrers addition theorems on
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import (DomainError, DomainViolationError, NoConvergenceError,
-                     RangeError, WrongCaseError)
+                     RangeError, WrongCaseError, WrongVariantError)
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      S_PLUS, SF_MINUS, VARIANT_SPACES, GreenKernel,
@@ -501,9 +502,11 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
     """The expansion of a Green's function in any d >= 2 (the Fourier
     series is its mu = 0 row).  The reference is the closed form
     (``GreenKernel``) reading the series' own seed evaluator, LegendreQ
-    at order mu or FerrersP at -mu, from the expansion's table; a wp of
-    another sign than the variant's leaves the kernel its own, at the
-    variant's WaveParams."""
+    at order mu or FerrersP at -mu, from the expansion's table.  A wp of
+    another sign than the variant's is WrongVariantError."""
+    if wp.sign != VARIANT_SPACES[variant][1]:
+        raise WrongVariantError(f"WaveParams sign {wp.sign!r} is not "
+                                f"{variant}'s")
     if not cfg.distinct:
         raise DomainViolationError("expansion requires distinct radii")
     m, mu, nu = wp.manifold, wp.mu, wp.nu
@@ -518,10 +521,9 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         if not ok:
             raise DomainViolationError("outside the convergence domain")
         rho = cfg.theta_spherical()
-    table, fn = {}, None
-    if wp.sign == VARIANT_SPACES[variant][1]:
-        fn = evaluator(table, "Q", nu, mu) if hyperbolic else \
-            evaluator(table, "FP", nu, -mu)
+    table = {}
+    fn = evaluator(table, "Q", nu, mu) if hyperbolic else \
+        evaluator(table, "FP", nu, -mu)
     ref = GreenKernel(variant, m, wp.beta, fn=fn)(rho).value
     if hyperbolic:
         return _hyperbolic(cmath.exp(-1j * math.pi * mu) * norm, nu, mu, cfg,

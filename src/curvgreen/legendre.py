@@ -238,9 +238,9 @@ def _overflow(name, nu, mu) -> RangeError:
 def _refuse_overflow(name):
     """The overflow check of the public functions that take
     ``([kind,] nu, mu, arg)`` (``_Prepared.__call__`` makes its own): an
-    OverflowError, or a non-finite value or estimate, becomes a
-    RangeError that names the function (the kind argument where name is
-    None)."""
+    OverflowError, a RangeError from inside, or a non-finite value or
+    estimate, becomes a RangeError that names the function (the kind
+    argument where name is None)."""
     def wrap(fn):
         @functools.wraps(fn)
         def checked(*args):
@@ -249,7 +249,7 @@ def _refuse_overflow(name):
                 if (cmath.isfinite(out.value)
                         and math.isfinite(out.abs_err_est)):
                     return out
-            except OverflowError:
+            except (OverflowError, RangeError):
                 pass
             *kind, nu, mu, _ = args
             raise _overflow(name or kind[0], nu, mu)
@@ -380,9 +380,9 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     complex ones.  On operands whose imaginary parts are 0 and whose
     parts stay finite, CPython's complex +, -, * and / give exactly the
     float operation on the real parts (a zero part's sign aside), and
-    every expression keeps its order, so each value has the bits of the
-    same recurrence in complex arithmetic until one is not finite; a
-    series refuses that term either way (RangeError).
+    every expression keeps its order, so each finite value has the bits
+    of the same recurrence in complex arithmetic; a series refuses the
+    first value that is not (RangeError).
 
     Forward recurrence is the caller's choice where an error growing
     like the dominant solution is harmless, as in a pair series whose
@@ -452,16 +452,17 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
     orders beyond n (t^2 within about 4e-4 of 1) is NoConvergenceError.
 
     nu and mu are floats at a real degree and order (order_sequence's
-    float arithmetic, with the same bits), complex otherwise.  (nu +
-    1/2)^2 is taken in complex once, before the loop: at a real degree
-    its real part is the float square, and where it overflows it raises
-    OverflowError as the complex power does; w^2 keeps its complex
-    square root, whose real part is the float one, and whose imaginary
-    part below the turning point leaves |M c - w| = |M c + w|.
+    float arithmetic, with the same bits while they stay finite), complex
+    otherwise.  (nu + 1/2)^2 is the product h * h, h = nu + 1/2, with the
+    bits of the complex square (CPython's complex h ** 2 is 1 * (h * h);
+    a float h ** 2 can differ);
+    w^2 keeps its complex square root, whose real part is the float one,
+    and whose imaginary part below the turning point leaves
+    |M c - w| = |M c + w|.
     """
     ln_t2 = math.log(t2)
     top, decay = n, 0.0
-    half2 = _real((complex(nu) + 0.5) ** 2)
+    half2 = (nu + 0.5) * (nu + 0.5)
     while decay > -40.0:
         big = mu + top + 1.0
         w = cmath.sqrt(big * big * (c * c - s) + s * half2)
@@ -487,9 +488,7 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
         g1, g2 = g0, g1
     seeds = [direct(l) for l in range(min(n, 2))]
     l = max(range(len(seeds)), key=lambda j: abs(seeds[j]))
-    # divided in complex, as the complex run's g is: the same quotient,
-    # and the same ZeroDivisionError
-    scale = _real(complex(seeds[l]) / g[l])
+    scale = _real(seeds[l] / g[l])
     return [v * scale for v in g[:n]]
 
 
@@ -705,8 +704,9 @@ class _Prepared:
             self.pole, self.series_only = self.row.setup(nu, mu)
 
     def __call__(self, arg: float) -> EvalResult:
-        """The kind at arg; an OverflowError, or a non-finite value or
-        estimate, is a RangeError that names the kind."""
+        """The kind at arg; an OverflowError, a RangeError from inside, or
+        a non-finite value or estimate, is a RangeError that names the
+        kind."""
         row = self.row
         try:
             arg = row.check(arg)
@@ -723,7 +723,7 @@ class _Prepared:
                                     row.at_neg)
             if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
                 return out
-        except OverflowError:
+        except (OverflowError, RangeError):
             pass
         raise _overflow(self.kind, self.nu, self.mu)
 

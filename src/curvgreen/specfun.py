@@ -37,18 +37,19 @@ the same operations, and kept only if it did not raise.  So every call
 returns the bits of the one-shot call and raises what it raises.  One
 engine is not for concurrent calls from several threads.
 
-Fast path of the 2F1 engine.  Its results are bit-identical to the
-term-by-term complex evaluation (value, error estimate, term count,
-flags and every exception), and it changes no tolerance:
+Fast path of the 2F1 engine.  Where its values stay finite, its results
+are bit-identical to the term-by-term complex evaluation (value, error
+estimate, term count, flags and every exception), and it changes no
+tolerance:
 
-* Real finite a, b, c and z run the defining series in float, and real
-  finite log-sum parameters and w = 1 - z the logarithmic case's log
-  sum; complex ones (conical degrees) take complex bodies.  CPython's
-  complex +, *, / and abs give, on operands whose imaginary parts are
-  zero and whose parts stay finite, exactly the real part of the float
-  operation (abs: x if x >= 0 else -x, as the float bodies write it).
-  A non-finite float sum or estimate reruns in complex, whose inf/nan
-  parts propagate differently.
+* Real a, b, c and z run the defining series in float, and real log-sum
+  parameters and w = 1 - z the logarithmic case's log sum; only complex
+  ones (conical degrees) take complex bodies.  CPython's complex +, *,
+  / and abs give, on operands whose imaginary parts are zero and whose
+  parts stay finite, exactly the real part of the float operation (abs:
+  x if x >= 0 else -x, as the float bodies write it).  A sum or
+  estimate that leaves the double range, float or complex, is
+  RangeError.
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
 * Each parameter is checked against the poles once per engine, and the
@@ -87,6 +88,7 @@ _EULER = 0.57721566490153286061
 
 _MAX_TERMS = 6000
 _LOG_RANGE = "2F1 logarithmic 1-z case leaves the double range"
+_LOG_STALL = "2F1 logarithmic series did not converge"
 _GAP_STEP = 8  # psi gaps computed at a time, ahead of the log sum
 
 
@@ -278,20 +280,19 @@ def _series_2f1(a, b, c, z):
 
     Takes complex arguments.  The caller has snapped a and b onto the
     nonpositive integers within 1e-12 of them and ensures c is
-    pole-free.  Real finite arguments run the loop in float (see the
-    module docstring); if that loop overflows, the complex loop runs.
+    pole-free.  Real arguments run the loop in float (see the module
+    docstring), complex ones in complex; a sum of |terms| past the double
+    range is RangeError either way.
     """
     # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
     # can set NEAR_POLE, and only if the loop reaches it
     n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
-    out = None
-    if (not (a.imag or b.imag or c.imag or z.imag)
-            and math.isfinite(a.real + b.real + c.real + z.real)):
-        out = _series_real(a.real, b.real, c.real, z.real, n0)
-        if not math.isfinite(out[1]):
-            out = None  # complex inf/nan parts propagate differently
-    if out is None:
+    if a.imag or b.imag or c.imag or z.imag:
         out = _series_complex(a, b, c, z, n0)
+    else:
+        out = _series_real(a.real, b.real, c.real, z.real, n0)
+    if not math.isfinite(out[1]):
+        raise RangeError("2F1 series leaves the double range")
     total, total_abs, term, terms_used, near = out
     if not terms_used:
         raise NoConvergenceError("2F1 series did not settle within budget")
@@ -426,12 +427,12 @@ def _log_sum(a_s, b_s, m, w, gaps):
     engine's float or complex pair of lists gaps[0] or gaps[1]: (sum,
     estimate, terms, the pair read).  The estimate charges 2 eps per term
     on the bracket's parts, |log w| + |gap_a| + |gap_b|, whose rounding
-    outlives their cancellation in the bracket.  This is the float body;
-    complex or non-finite inputs, a non-finite sum or estimate, a nan sum
-    and a spent budget go to :func:`_log_sum_complex`.
+    outlives their cancellation in the bracket.  This is the float body,
+    complex inputs go to :func:`_log_sum_complex`.  A nan sum and a spent
+    budget are NoConvergenceError in either body; the caller refuses a
+    sum or estimate past the double range.
     """
-    if (a_s.imag or b_s.imag or w.imag
-            or not math.isfinite(a_s.real + b_s.real + w.real)):
+    if a_s.imag or b_s.imag or w.imag:
         return _log_sum_complex(a_s, b_s, m, w, gaps[1])
     p, q, x = a_s.real, b_s.real, w.real
     coef = 1.0 / math.gamma(m + 1)
@@ -456,14 +457,12 @@ def _log_sum(a_s, b_s, m, w, gaps):
         if mag <= 1e-16 * (1e-300 if size < 1e-300 else size):
             small += 1
             if small >= 3:
-                err = 2.0 * _EPS * total_abs + mag
-                if math.isfinite(total) and math.isfinite(err):
-                    return complex(total), err, k + 1, gaps[0]
-                break
+                return (complex(total), 2.0 * _EPS * total_abs + mag,
+                        k + 1, gaps[0])
         else:
             small = 0
         coef = coef * (p + k) * (q + k) / ((k + 1.0) * (k + m + 1.0)) * x
-    return _log_sum_complex(a_s, b_s, m, w, gaps[1])
+    raise NoConvergenceError(_LOG_STALL)
 
 
 def _log_sum_complex(a_s, b_s, m, w, gaps):
@@ -493,7 +492,7 @@ def _log_sum_complex(a_s, b_s, m, w, gaps):
         else:
             small = 0
         coef = coef * (a_s + k) * (b_s + k) / ((k + 1.0) * (k + m + 1.0)) * w
-    raise NoConvergenceError("2F1 logarithmic series did not converge")
+    raise NoConvergenceError(_LOG_STALL)
 
 
 def _log_drop(m, lo, hi, w, n_fin, n_log, gaps):
@@ -590,14 +589,17 @@ class Hyp2F1:
     def regularized(self, z) -> EvalResult:
         """2F1(a, b; c; z)/Gamma(c), entire in c; for c = -m the series
         starts at n = m + 1 (the first m + 1 terms are annihilated by
-        1/Gamma)."""
+        1/Gamma): (a)_{m+1} (b)_{m+1}/(m+1)! z^(m+1) times 2F1 at
+        (a + m + 1, b + m + 1; m + 2).  Past m = 169, where (m+1)! leaves
+        the double range, that is OverflowError before the products."""
         z = _finite("z", complex(z))
         hit, m = self.c_pole
         if hit:
             if z == 0:
                 return EvalResult(0.0, 0.0, 1, frozenset())
+            fact = math.gamma(m + 2)  # first: it bounds the products
             pref = (pochhammer(self.a, m + 1) * pochhammer(self.b, m + 1)
-                    / math.gamma(m + 2)) * z ** (m + 1)
+                    / fact) * z ** (m + 1)
             if pref == 0.0:
                 return EvalResult(0.0, 0.0, 1, frozenset())
             v, e, t, f = Hyp2F1(self.a + m + 1.0, self.b + m + 1.0,
@@ -736,6 +738,8 @@ class Hyp2F1:
         if B != 0.0:
             self._gaps = self._gaps or (([], []), ([], []))
             logsum, lerr, lt, gaps = _log_sum(*hi, n, w, self._gaps)
+            if not (cmath.isfinite(logsum) and math.isfinite(lerr)):
+                raise RangeError(_LOG_RANGE)
         lcoef, lscale = (-1.0 if n % 2 else 1.0) * B, abs(B)
         if m >= 0:
             lcoef, lscale = lcoef * (w ** m), lscale * abs(w) ** m
@@ -758,6 +762,8 @@ def gauss_2f1(a, b, c, z) -> EvalResult:
         c is a nonpositive integer (use :func:`regularized_2f1`).
     NoConvergenceError
         z lies on the branch cut [1, inf) or no route converged.
+    RangeError
+        A float sum, a coefficient or a power leaves the double range.
     """
     return Hyp2F1(a, b, c)(z)
 
@@ -1104,41 +1110,26 @@ def env_h(kind: str, mu: float, x: float) -> float:
 def _gegenbauer_terms(mu, x):
     """Yield C_l^mu(x), l = 0, 1, ..., by the three-term recurrence; at
     mu = 0, where C_l^0 = 0 for l >= 1, the Chebyshev
-    T_l(x) = (l/2) lim C_l^mu(x)/mu instead.
+    T_l(x) = (l/2) lim C_l^mu(x)/mu instead.  The first value that is
+    not finite is RangeError.
 
     A real mu (imaginary part 0) runs in float on mu.real, a complex one
     in complex.  Every value is the complex recurrence's, bit for bit:
     on operands whose imaginary parts are 0 and whose parts stay finite,
     CPython's complex +, -, * and / give exactly the float operation on
     the real parts (a zero part's sign aside), and the expressions are
-    the same.  From the first float value that is not finite on, the
-    values are the complex recurrence's own, whose inf/nan parts
-    propagate differently."""
-    if mu == 0:
-        t_prev, t = 1.0, x
-        yield 1.0
-        while True:
-            yield t
-            t_prev, t = t, 2.0 * x * t - t_prev
-    mu = complex(mu)
-    if mu.imag:
-        yield from _gegenbauer_run(mu, x)
-        return
-    for l, c in enumerate(_gegenbauer_run(mu.real, x)):
-        if not cmath.isfinite(c):
-            yield from itertools.islice(_gegenbauer_run(mu, x), l, None)
-            return
-        yield c
-
-
-def _gegenbauer_run(mu, x):
-    """C_l^mu(x), l = 0, 1, ..., by the recurrence in mu's arithmetic."""
-    c_prev, c = 1.0, 2.0 * mu * x
+    the same."""
+    mu = _real(complex(mu))
+    c_prev, c = 1.0, x if mu == 0 else 2.0 * mu * x
     yield c_prev
     for k in itertools.count(2):
+        if not cmath.isfinite(c):
+            raise RangeError("Gegenbauer recurrence leaves the double "
+                             f"range at l = {k - 1}")
         yield c
-        c_prev, c = c, (2.0 * x * (k + mu - 1.0) * c
-                        - (k + 2.0 * mu - 2.0) * c_prev) / k
+        c_prev, c = c, (2.0 * x * c - c_prev if mu == 0 else
+                        (2.0 * x * (k + mu - 1.0) * c
+                         - (k + 2.0 * mu - 2.0) * c_prev) / k)
 
 
 def chebyshev_t(n: int, x: float) -> float:

@@ -51,6 +51,7 @@ from .legendre import FerrersP
 from .specfun import _cgamma
 
 quad = quadrature.quad
+_H = 1e-3  # radial_residual's stencil step
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,14 @@ def _variant_function(variant, wp, fp=None):
     return lambda rho: kernel(rho).value
 
 
-def radial_residual(fn, wp: WaveParams, l: int, grid, h: float = 1e-3,
+def radial_residual(fn, wp: WaveParams, l: int, grid,
                     variant: str | None = None) -> float:
     """Max scaled residual of the radial Helmholtz ODE over the grid.
 
     ``fn`` is a callable of the radial coordinate (or None, with
     ``variant`` naming a Green's function; then l must be 0).  The
     second derivative couple is formed with 5-point central stencils of
-    step h, so the discretization error sits near 1e-9 of scale, far
+    step _H, so the discretization error sits near 1e-9 of scale, far
     below the 1e-6 acceptance gate.
     """
     if fn is None:
@@ -132,8 +133,6 @@ def radial_residual(fn, wp: WaveParams, l: int, grid, h: float = 1e-3,
         if l != 0:
             raise DomainError("Green's functions are the l = 0 solutions")
         fn = _variant_function(variant, wp)
-    if h > 1e-3:
-        raise GridError("stencil step must satisfy h <= 1e-3")
     kind = wp.manifold.kind
     upper = math.inf if kind == HYPERBOLOID else math.pi
     for x in grid:
@@ -145,10 +144,10 @@ def radial_residual(fn, wp: WaveParams, l: int, grid, h: float = 1e-3,
     ll = l * (l + d - 2.0)
     worst = 0.0
     for x in grid:
-        f = [fn(x + k * h) for k in (-2, -1, 0, 1, 2)]
-        d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
+        f = [fn(x + k * _H) for k in (-2, -1, 0, 1, 2)]
+        d1 = (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * _H)
         d2 = (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) \
-            / (12.0 * h * h)
+            / (12.0 * _H * _H)
         if kind == HYPERBOLOID:
             cot = math.cosh(x) / math.sinh(x)
             cen = ll / math.sinh(x) ** 2 + sgn * b2

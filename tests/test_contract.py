@@ -1,13 +1,14 @@
 """Entry checks of the public numerical functions and of an expansion's
 two-point config: a nan or infinite number in any position is refused
-with DomainError, "<name> must be finite", before any work."""
+with DomainError, "<name> must be finite", before any work; a value
+past the double range is RangeError, never inf or nan."""
 
 import functools
 import math
 
 import pytest
 
-from curvgreen.errors import DomainError
+from curvgreen.errors import DomainError, RangeError
 from curvgreen.expansions import TwoPointConfig
 from curvgreen.legendre import (ferrers_p, ferrers_q, gegenbauer_function,
                                 half_odd_eval, legendre_p, legendre_q)
@@ -61,3 +62,13 @@ def test_non_finite_is_refused(name, position, bad):
     with pytest.raises(DomainError,
                        match=f"^{params[position]} must be finite$"):
         fn(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chebyshev_t(2, 1e200),        # 2e400 - 1
+    lambda: chebyshev_t(3000, 1.5),       # past l = 739, then inf - inf
+    lambda: gegenbauer_c(3, 1e200, 0.9),  # C_2 ~ 1e400
+], ids=["T_2(1e200)", "T_3000(1.5)", "C_3^1e200(0.9)"])
+def test_overflow_is_refused(call):
+    with pytest.raises(RangeError, match="leaves the double range"):
+        call()

@@ -10,7 +10,7 @@ import pytest
 from curvgreen import expansions, legendre
 from curvgreen.errors import (CurvGreenError, DomainError,
                               DomainViolationError, RangeError,
-                              WrongCaseError)
+                              WrongCaseError, WrongVariantError)
 from curvgreen.expansions import (TwoPointConfig,
                                   addition_ferrers, addition_legendre,
                                   addition_special, convergence_domain,
@@ -299,6 +299,20 @@ class TestGreenExpansions:
         wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 1.3, PLUS)
         with pytest.raises(DomainViolationError):
             green_expansion("S_PLUS", wp, TwoPointConfig(0.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("variant,kind,sign,cfg", [
+        ("H_PLUS", HYPERBOLOID, MINUS, TwoPointConfig(0.6, 1.9, 1.1)),
+        ("H_MINUS", HYPERBOLOID, PLUS, TwoPointConfig(0.6, 1.9, 1.1)),
+        ("S_PLUS", HYPERSPHERE, MINUS, TwoPointConfig(0.4, 0.8, 1.2)),
+        ("FRAK_MINUS", HYPERSPHERE, PLUS, TwoPointConfig(0.4, 0.8, 1.2))])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_the_other_sign(self, variant, kind, sign, cfg, d):
+        # the other sign's degree does not expand the variant's closed
+        # form (H_PLUS at d = 3: rel_err 19.1)
+        wp = WaveParams(ManifoldSpec(kind, d, 1.0), 1.3, sign)
+        series = fourier_2d if d == 2 else green_expansion
+        with pytest.raises(WrongVariantError, match=f"is not {variant}'s$"):
+            series(variant, wp, cfg, 60)
 
 
 class TestFourier2d:
@@ -624,15 +638,18 @@ class TestFloatArithmetic:
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 0.37, 1e200])
     def test_gegenbauer_terms_match_complex(self, mu):
-        # mu = 1e200 overflows at l = 2: from there on the values are the
-        # complex recurrence's inf/nan parts
+        # mu = 1e200 overflows at l = 2: the float run refuses there, where
+        # the complex recurrence goes on with inf/nan parts
         for x in (-0.83, 0.1, 0.6):
-            got = [v if cmath.isfinite(v) else repr(v)
-                   for v in islice(_gegenbauer_terms(mu, x), 300)]
-            want = [v if cmath.isfinite(v) else repr(v)
-                    for v in islice(_complex_gegenbauer(mu, x), 300)]
-            assert [v if isinstance(v, str) else _bits(v) for v in got] \
-                == [v if isinstance(v, str) else _bits(v) for v in want]
+            want = list(islice(_complex_gegenbauer(mu, x), 300))
+            n = next((l for l, v in enumerate(want)
+                      if not cmath.isfinite(v)), len(want))
+            terms = _gegenbauer_terms(mu, x)
+            got = list(islice(terms, n))
+            assert [_bits(v) for v in got] == [_bits(v) for v in want[:n]]
+            if n < len(want):
+                with pytest.raises(RangeError):
+                    next(terms)
 
     def test_overflow_refuses_as_complex(self, monkeypatch):
         # P^{mu+l}(cosh 2.1) leaves the double range near l = 150 before

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +221,26 @@ class TestOverflowRefusal:
     def test_refuses(self, fn, name, mu, arg):
         with pytest.raises(RangeError, match=rf"^{name}_nu\^mu overflows"):
             fn(8.3378, mu, arg)
+
+    def test_series_refusal_names_the_function(self):
+        # the float 2F1 series refuses its own overflow with RangeError;
+        # the public function and the prepared kind report it as theirs
+        for fn in (legendre_p, lambda nu, mu, z: legendre.LegendreP(nu, mu)(z)):
+            with pytest.raises(RangeError, match=r"^P_nu\^mu overflows"):
+                fn(700.0, 0.3, 2.4)
+
+    @pytest.mark.parametrize("nu,mu", [(0.3, 1e6), (1e308, 1e308)])
+    def test_c_pole_refuses_at_once(self, nu, mu):
+        # the series' c = 1 - mu is the pole -m, m = mu - 1, and (m+1)!
+        # leaves the double range: the regularized 2F1 stops before its
+        # two Pochhammer products of m + 1 steps (0.26 s at mu = 1e6)
+        spent = []
+        for _ in range(3):
+            t0 = time.process_time()
+            with pytest.raises(RangeError, match=r"^P_nu\^mu overflows"):
+                legendre_p(nu, mu, 2.0)
+            spent.append(time.process_time() - t0)
+        assert min(spent) < 0.01
 
 
 class TestMehlerKernel:

@@ -420,16 +420,48 @@ class TestSeriesBitIdentity:
         got = _series_2f1(0.5 + 0j, 1.5 + 0j, complex(-3 + 2e-9), 0.5 + 0j)
         assert NEAR_POLE in got[3]
 
+    # past the double range the float loop refuses, where the complex
+    # reference runs on with inf/nan parts to its budget
+    REFUSED = {
+        (700, 700, 1.5, 0.74),       # the terms overflow
+        (-1270, 2, 2, -0.75),        # finite terms, the sum 1.75^1270
+        (-2, 1e200, 1e-200, 0.5),    # the first term overflows
+    }
+
     @pytest.mark.parametrize("args", [
-        (700, 700, 1.5, 0.74),       # terms overflow: no convergence
-        (-1270, 2, 2, -0.75),        # finite terms, the sum overflows
+        (700, 700, 1.5, 0.74),
+        (-1270, 2, 2, -0.75),
         (-1250, 2, 2, -0.75),        # huge but finite polynomial
         (-400, 500, 1.5, 0.74),
         (-2, 1e200, 1e-200, 0.5),
     ])
     def test_overflow_matches_reference(self, args):
-        assert (_outcome(_engine_series, *args)
-                == _outcome(_reference_series, *args))
+        want = _outcome(_reference_series, *args)
+        if args in self.REFUSED:
+            assert want[0] == "NoConvergenceError"
+            with pytest.raises(RangeError,
+                               match="^2F1 series leaves the double range$"):
+                _engine_series(*args)
+        else:
+            assert _outcome(_engine_series, *args) == want
+
+    def test_complex_overflow_is_refused(self):
+        # the complex body keeps the float body's rule
+        with pytest.raises(RangeError,
+                           match="^2F1 series leaves the double range$"):
+            gauss_2f1(700 + 1e-3j, 700, 1.5, 0.74)
+
+    @pytest.mark.parametrize("args", [(700, 700, 1.5, 0.74),
+                                      (-1270, 2, 2, -0.75)])
+    def test_overflow_refuses_at_once(self, args):
+        # a complex run to the 6000-term budget takes about 5 ms
+        spent = []
+        for _ in range(5):
+            t0 = time.process_time()
+            with pytest.raises(RangeError):
+                gauss_2f1(*args)
+            spent.append(time.process_time() - t0)
+        assert min(spent) < 1e-3
 
 
 def _reference_psi_gaps(x, j):
@@ -564,6 +596,56 @@ class TestLogSumBitIdentity:
                    for call in (engine, engine.regularized)]
             assert got == [row[::step] for row in ref]
             assert engine._gaps[0][0] and engine._gaps[1][0]
+
+
+class TestRealInputsStayReal:
+    """Real parameters and arguments never reach a complex body, not even
+    where a float body overflows: it refuses there itself."""
+
+    CASES = ([(a, b, c, 1.5 * z.real) for a, b, c, z in _disk_grid()[:80]]
+             + [(0.3, 1.45, 0.3 + 1.45 + m, z) for m in (-2, 0, 2)
+                for z in (0.8, 0.99)]
+             + [(-2.0, 3.0, -1.0, 0.4), (0.5, 0.5, -2.0, 0.9),
+                (0.3, 0.2, -5.0, -3.0)]
+             # the overflow cases of both bit-identity classes
+             + sorted(TestSeriesBitIdentity.REFUSED - {(-2, 1e200, 1e-200,
+                                                       0.5)})
+             + [(1000.0, -999.5, 0.5, 0.8), (20000.0, -19999.5, 0.5, 0.8),
+                (1500.0, -1499.5, 0.5, 0.95), (290.0, 290.5, 580.5, 0.8),
+                (500.0, 500.5, 1003.5, 0.8), (171.5, 0.25, 0.75, 0.9)])
+
+    def test_2f1_bodies(self):
+        with mock.patch.object(specfun, "_series_complex",
+                               wraps=specfun._series_complex) as series, \
+                mock.patch.object(specfun, "_log_sum_complex",
+                                  wraps=specfun._log_sum_complex) as log:
+            refused = 0
+            for args in self.CASES:
+                for fn in (gauss_2f1, regularized_2f1):
+                    try:
+                        fn(*args)
+                    except CurvGreenError:
+                        refused += 1
+            assert refused >= 10
+            assert (series.call_count, log.call_count) == (0, 0)
+            # the spies see the complex bodies at complex parameters
+            gauss_2f1(0.3 + 0.1j, 1.45, 1.75, 0.5)
+            gauss_2f1(0.3 + 0.1j, 1.45, 1.75 + 0.1j, 0.9)
+            assert (series.call_count, log.call_count) == (1, 1)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.37, 2.0, 1e200, 0.5 + 0.1j])
+    def test_gegenbauer_run(self, mu):
+        # |x| > 1 overflows within 3000 values, and mu = 1e200 at l = 2
+        kind = complex if complex(mu).imag else float
+        for x in (-0.83, 0.6, 1.5, -1e200):
+            values = []
+            try:
+                for v in itertools.islice(specfun._gegenbauer_terms(mu, x),
+                                          3000):
+                    values.append(v)
+            except RangeError:
+                assert len(values) < 3000 and (abs(x) > 1.0 or mu == 1e200)
+            assert {type(v) for v in values[1:]} <= {kind}  # C_0 is 1.0
 
 
 def _region(z):
