@@ -13,6 +13,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -244,6 +245,7 @@ def _add(p, *names, required=(), **choices) -> None:
                        required=name in required)
 
 
+@functools.cache  # built on the first run, not at import; parsing is static
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="curvgreen",

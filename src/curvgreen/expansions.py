@@ -26,7 +26,7 @@ Every series here is one sum, evaluated by one engine:
 * The prefactor and the reference value come from the kind's row.
 * One expansion builds each Legendre/Ferrers evaluator once: a table
   keyed by (kind, order) (``legendre.evaluator``), made per call and
-  passed to every order_sequence call, serves the Miller seeds, the
+  passed to every order_sequence call, serves the Miller seed, the
   larger-radius seeds and the reference closed form (for the Green's
   functions through ``GreenKernel(..., fn=...)``), each evaluator with
   its 2F1 engine.  Nothing outlives the call.
@@ -69,7 +69,7 @@ from .errors import (DomainError, DomainViolationError, NoConvergenceError,
 from .geometry import composite_hyperbolic, composite_spherical
 from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
                      S_PLUS, SF_MINUS, VARIANT_SPACES, GreenKernel,
-                     WaveParams, euclidean_green, _sphere_constant)
+                     WaveParams, euclidean_green)
 from .legendre import evaluator, order_sequence
 from .result import NONCONVERGENT
 from .specfun import (_cgamma, _cyl, _finite, _gegenbauer_terms, _real,
@@ -193,16 +193,25 @@ def _pairs(small, parts):
     ``parts`` = ((large, c, s), ...), where small and each large are
     sequences in l (order_sequence, or the Bessel values of the flat
     expansion).  A large sequence is drawn only as far as the sum goes.
-    One part takes no sum(): 0 + x is sum's first step, and its bits.
+    The sum is 0 + t_1 + t_2 + ..., sum()'s own order and bits.  One part
+    with c = 1 and s = +-1, every one-part row's, takes c * s**l * large
+    as large with its sign flipped at odd l where s = -1: the same bits,
+    since the leading 0 + turns the signed zeros of a complex
+    -1.0 * large into those of -large.
     """
     larges = [(iter(large), c, s) for large, c, s in parts]
-    if len(larges) == 1:
-        (large, c, s), = larges
+    if len(larges) == 1 and larges[0][1:] in ((1.0, 1.0), (1.0, -1.0)):
+        (large, _, s), = larges
+        flip = s < 0.0
         for l, a in enumerate(small):
-            yield a * (0 + c * s ** l * next(large))
+            b = next(large)
+            yield a * (0 + (-b if flip and l & 1 else b))
         return
     for l, a in enumerate(small):
-        yield a * sum(c * s ** l * next(large) for large, c, s in larges)
+        t = 0
+        for large, c, s in larges:
+            t = t + c * s ** l * next(large)
+        yield a * t
 
 
 def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
@@ -219,11 +228,11 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
     """
     if n_max < 1:
         raise DomainError(f"a series needs at least one term, got {n_max}")
-    total = 0.0 + 0.0j
+    total = 0.0  # complex from the first complex term: 0.0 + 0.0j's bits
     mags = []
     small = 0
     for l, r, w in zip(range(n_max), radial, _basis(mu, x)):
-        t = complex(r * w)
+        t = r * w
         try:
             mag = abs(t)
         except OverflowError:
@@ -240,6 +249,7 @@ def _series(pre, mu, x, radial, n_max: int, reference, est_ratio,
                 break
         else:
             small = 0
+    total = complex(total)
     size = math.fsum(mags)
     if size * 2.0 ** -52 > _CUT_REL * abs(total):
         raise NoConvergenceError(f"series cancels: sum |term| is "
@@ -524,7 +534,8 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
     table = {}
     fn = evaluator(table, "Q", nu, mu) if hyperbolic else \
         evaluator(table, "FP", nu, -mu)
-    ref = GreenKernel(variant, m, wp.beta, fn=fn)(rho).value
+    kernel = GreenKernel(variant, m, wp.beta, fn=fn)
+    ref = kernel(rho).value
     if hyperbolic:
         return _hyperbolic(cmath.exp(-1j * math.pi * mu) * norm, nu, mu, cfg,
                            "Q", ref, l_max, table)
@@ -535,7 +546,7 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
     else:
         # the addition theorem's 2^mu times the closed form's constant
-        c = 2.0 ** mu * _sphere_constant(wp)[0]
+        c = 2.0 ** mu * kernel.constant
         parts = [("FP", True, 1.0)]
         if variant == A_PLUS:
             # antipodal bracket: the unreflected parent series carries

@@ -370,8 +370,9 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     * miller = n > 0 (lowered P or FP at z > 1 or x > 0, unweighted):
       the first n values of the solution minimal in the order, by
       Miller's backward algorithm (Gil, Segura & Temme 2007, ch. 4; the
-      start index is _miller's), normalized by whichever of the direct
-      values at l = 0, 1 is larger, since either may sit near a zero.
+      start index is _miller's), normalized by one direct value, at
+      whichever of l = 0, 1 the run makes larger, since either may sit
+      near a zero.
 
     At a real degree and order (imaginary parts 0) the recurrences run
     in float on nu.real and mu.real, and a direct value whose imaginary
@@ -438,7 +439,11 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
     """The first n values g_l of order_sequence's minimal lowered
     solution: g_l = 2 (m + 1) c g_{l+1} + s (nu + m + 2)(nu - m - 1)
     g_{l+2}, m = mu + l, down from g_N = 1, g_{N+1} = 0, rescaled above
-    1e200, then normalized by a direct value.
+    1e200, then normalized by one direct value, at whichever of l = 0, 1
+    has the larger |g_l|.  The run is the minimal solution up to one
+    scale, so that is the larger direct value as well (up to rounding at
+    a near-tie, where neither sits near a zero), and the other is never
+    evaluated.
 
     N is where the product from l = n of the per-order separations of
     the minimal from the dominant solution falls below e^-40.  A step
@@ -455,18 +460,21 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
     float arithmetic, with the same bits while they stay finite), complex
     otherwise.  (nu + 1/2)^2 is the product h * h, h = nu + 1/2, with the
     bits of the complex square (CPython's complex h ** 2 is 1 * (h * h);
-    a float h ** 2 can differ);
-    w^2 keeps its complex square root, whose real part is the float one,
-    and whose imaginary part below the turning point leaves
-    |M c - w| = |M c + w|.
+    a float h ** 2 can differ).  A float w^2 >= 0 takes math.sqrt, which
+    is CPython's complex square root of a nonnegative real bit for bit;
+    below the turning point, and at complex degrees, w keeps the complex
+    root, whose imaginary part there leaves |M c - w| = |M c + w|.
     """
     ln_t2 = math.log(t2)
     top, decay = n, 0.0
-    half2 = (nu + 0.5) * (nu + 0.5)
+    cs, sh = c * c - s, s * ((nu + 0.5) * (nu + 0.5))  # w^2's fixed parts
     while decay > -40.0:
         big = mu + top + 1.0
-        w = cmath.sqrt(big * big * (c * c - s) + s * half2)
-        near, far = abs(big * c - w), abs(big * c + w)
+        w2 = big * big * cs + sh
+        w = (math.sqrt(w2) if type(w2) is float and w2 >= 0.0
+             else cmath.sqrt(w2))
+        bc = big * c
+        near, far = abs(bc - w), abs(bc + w)
         decay += max(math.log(min(near, far) / max(near, far)), ln_t2) \
             if near and far else ln_t2
         top += 1
@@ -486,10 +494,9 @@ def _miller(direct, nu, mu, c, s, n: int, t2: float) -> list:
         if l < n:
             g[l] = g0
         g1, g2 = g0, g1
-    seeds = [direct(l) for l in range(min(n, 2))]
-    l = max(range(len(seeds)), key=lambda j: abs(seeds[j]))
-    scale = _real(seeds[l] / g[l])
-    return [v * scale for v in g[:n]]
+    l = 1 if n > 1 and abs(g[1]) > abs(g[0]) else 0
+    scale = _real(direct(l) / g[l])
+    return [v * scale for v in g]
 
 
 def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:

@@ -53,7 +53,8 @@ tolerance:
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
 * Each parameter is checked against the poles once per engine, and the
-  snapped a and b are passed down to the series.
+  snapped a and b are passed down to the series with their polynomial's
+  degree N, which caps it at N + 2 steps.
 """
 
 from __future__ import annotations
@@ -168,15 +169,20 @@ def _lgamma(z) -> complex:
     return out if shift == 1.0 else out - cmath.log(shift)
 
 
-def _digamma(z) -> complex:
-    """psi(z) for complex z off the poles.
+def _digamma(z):
+    """psi(z) off the poles: a float at a float z, else complex.
 
     Shifts up to Re z >= 7 by psi(z) = psi(z + n) - sum 1/(z + k),
     then sums the asymptotic series (DLMF 5.11.2).  No reflection: in
     psi(1 - z) - pi cot(pi z) the rounding of pi z costs absolute
-    accuracy near the poles, where the shift's 1/(z + k) is exact.
+    accuracy near the poles, where the shift's 1/(z + k) is exact.  A
+    float z gives the real part of the complex body's value bit for bit:
+    cmath.log of a real >= 7 is math.log, and the other operations are
+    the module docstring's.
     """
-    z = complex(z)
+    log = math.log
+    if type(z) is not float:
+        z, log = complex(z), cmath.log
     acc = 0.0
     if z.real < _ASYM_MIN:
         n = math.ceil(_ASYM_MIN - z.real)
@@ -185,7 +191,7 @@ def _digamma(z) -> complex:
         z += n
     w = 1.0 / z
     w2 = w * w
-    return cmath.log(z) - 0.5 * w - w2 * _asym_sum(_PSI_ASYM, w2) - acc
+    return log(z) - 0.5 * w - w2 * _asym_sum(_PSI_ASYM, w2) - acc
 
 
 def _trigamma(z) -> complex:
@@ -275,22 +281,26 @@ def pochhammer(z, n: int) -> complex:
 # Gauss hypergeometric engine
 # ----------------------------------------------------------------------
 
-def _series_2f1(a, b, c, z):
+def _series_2f1(a, b, c, z, steps=None):
     """Defining series, unregularized.
 
     Takes complex arguments.  The caller has snapped a and b onto the
     nonpositive integers within 1e-12 of them and ensures c is
     pole-free.  Real arguments run the loop in float (see the module
     docstring), complex ones in complex; a sum of |terms| past the double
-    range is RangeError either way.
+    range is RangeError either way.  steps, where given, caps the loop
+    below _MAX_TERMS: N + 2 for a polynomial of degree N, whose term at
+    n = N is exactly 0 while the sum is finite, so only a sum that has
+    turned nan, and never exits on a zero term, reaches the cap.
     """
     # |(c+n)(n+1)| < 1e-8 needs |c+n| < 1e-8, so only the n nearest -Re c
     # can set NEAR_POLE, and only if the loop reaches it
     n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
+    n_max = float(_MAX_TERMS if steps is None else min(steps, _MAX_TERMS))
     if a.imag or b.imag or c.imag or z.imag:
-        out = _series_complex(a, b, c, z, n0)
+        out = _series_complex(a, b, c, z, n0, n_max)
     else:
-        out = _series_real(a.real, b.real, c.real, z.real, n0)
+        out = _series_real(a.real, b.real, c.real, z.real, n0, n_max)
     if not math.isfinite(out[1]):
         raise RangeError("2F1 series leaves the double range")
     total, total_abs, term, terms_used, near = out
@@ -303,11 +313,11 @@ def _series_2f1(a, b, c, z):
     return complex(total), err, terms_used, frozenset(flags)
 
 
-def _series_real(a, b, c, z, n0):
-    """The loop of _series_2f1 in float: (total, sum of |terms|, last
+def _series_real(a, b, c, z, n0, n_max):
+    """The loop of _series_2f1 in float, at most n_max (a float: float-float
+    comparisons are the fast ones) steps: (total, sum of |terms|, last
     term, terms used or 0 if the budget ran out, whether the denominator
     at n0 fell below 1e-8)."""
-    n_max = float(_MAX_TERMS)  # float-float comparisons are the fast ones
     near = False
     term = total = total_abs = 1.0
     small = 0
@@ -334,9 +344,8 @@ def _series_real(a, b, c, z, n0):
     return total, total_abs, term, int(n) + 1, near
 
 
-def _series_complex(a, b, c, z, n0):
+def _series_complex(a, b, c, z, n0, n_max):
     """_series_real in complex arithmetic."""
-    n_max = float(_MAX_TERMS)
     near = False
     term = total = 1.0 + 0.0j
     total_abs = 1.0
@@ -407,8 +416,6 @@ def _psi_gaps(gaps, a_s, b_s, m: int, n: int) -> int:
             i = k - 1
             if not k or x.real + i < 0.5 <= x.real + k:
                 gap = _digamma(x + k if k else x) - _psi_int(k + j + 1)
-                if type(x) is float:
-                    gap = gap.real
             else:
                 gap = run[i] + (j + 1.0 - x) / ((x + i) * (i + j + 1.0))
             run.append(gap)
@@ -570,10 +577,11 @@ class Hyp2F1:
     1/|m|! or power of 1-z outside the double range with RangeError.
     """
 
-    # kept by the first call that needs it: the snapped a and b,
-    # 1/Gamma(c), the engines of the transformed functions (one level
-    # down), the 1-z connection's case and coefficients, and the psi
-    # gaps of the logarithmic case's log sum, a float and a complex pair
+    # kept by the first call that needs it: the snapped a and b with the
+    # polynomial's step cap, 1/Gamma(c), the engines of the transformed
+    # functions (one level down), the 1-z connection's case and
+    # coefficients, and the psi gaps of the logarithmic case's log sum,
+    # a float and a complex pair
     _snapped = _rgamma = _pfaff = _connection = _gaps = None
 
     def __init__(self, a, b, c, depth: int = 0):
@@ -591,13 +599,18 @@ class Hyp2F1:
         starts at n = m + 1 (the first m + 1 terms are annihilated by
         1/Gamma): (a)_{m+1} (b)_{m+1}/(m+1)! z^(m+1) times 2F1 at
         (a + m + 1, b + m + 1; m + 2).  Past m = 169, where (m+1)! leaves
-        the double range, that is OverflowError before the products."""
+        the double range, that is RangeError before the products."""
         z = _finite("z", complex(z))
         hit, m = self.c_pole
         if hit:
             if z == 0:
                 return EvalResult(0.0, 0.0, 1, frozenset())
-            fact = math.gamma(m + 2)  # first: it bounds the products
+            try:
+                fact = math.gamma(m + 2)  # first: it bounds the products
+            except OverflowError:
+                raise RangeError("regularized 2F1 at the pole c = "
+                                 f"{-m}: (m+1)! leaves the double range"
+                                 ) from None
             pref = (pochhammer(self.a, m + 1) * pochhammer(self.b, m + 1)
                     / fact) * z ** (m + 1)
             if pref == 0.0:
@@ -630,16 +643,20 @@ class Hyp2F1:
         if z == 0:
             return 1.0 + 0.0j, 0.0, 1, frozenset()
         # terminating polynomial works for any argument: a or b snapped
-        # onto the nonpositive integer within 1e-12 of it
+        # onto the nonpositive integer within 1e-12 of it, and the degree
+        # N bounds the series at N + 2 steps
         snapped = self._snapped
         if snapped is None:
             ta, na = _near_nonpos_int(self.a, tol=1e-12)
             tb, nb = _near_nonpos_int(self.b, tol=1e-12)
             snapped = self._snapped = (
                 (complex(-na) if ta else self.a,
-                 complex(-nb) if tb else self.b) if ta or tb else ())
+                 complex(-nb) if tb else self.b,
+                 min(n for t, n in ((ta, na), (tb, nb)) if t) + 2)
+                if ta or tb else ())
         if snapped:
-            return _series_2f1(*snapped, self.c, z)
+            a, b, steps = snapped
+            return _series_2f1(a, b, self.c, z, steps)
         if abs(z) <= 0.75:
             return _series_2f1(self.a, self.b, self.c, z)
         if z.real >= 1.0 and abs(z.imag) < 1e-14:

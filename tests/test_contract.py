@@ -68,7 +68,9 @@ def test_non_finite_is_refused(name, position, bad):
     lambda: chebyshev_t(2, 1e200),        # 2e400 - 1
     lambda: chebyshev_t(3000, 1.5),       # past l = 739, then inf - inf
     lambda: gegenbauer_c(3, 1e200, 0.9),  # C_2 ~ 1e400
-], ids=["T_2(1e200)", "T_3000(1.5)", "C_3^1e200(0.9)"])
+    lambda: regularized_2f1(1, 1, -200, 0.5),  # the pole's (m+1)! = 201!
+], ids=["T_2(1e200)", "T_3000(1.5)", "C_3^1e200(0.9)",
+        "2F1~(1, 1; -200; 0.5)"])
 def test_overflow_is_refused(call):
     with pytest.raises(RangeError, match="leaves the double range"):
         call()

@@ -517,9 +517,11 @@ class TestOrderRecurrences:
 
     @pytest.mark.parametrize("variant", _VARIANTS)
     def test_few_legendre_calls(self, variant, monkeypatch):
-        # two direct values per radial sequence plus the reference value,
-        # where a per-order series made two or three per term; counted
-        # at the evaluators, which the expansions call directly
+        # two direct values per larger-radius sequence, one for Miller's
+        # run and one for the reference: 4; A_PLUS and FRAK_MINUS have two
+        # larger-radius parts and a two-value reference: 7.  A per-order
+        # series made two or three per term.  Counted at the evaluators,
+        # which the expansions call directly
         calls = []
         call = legendre._Prepared.__call__
 
@@ -532,7 +534,8 @@ class TestOrderRecurrences:
                else TwoPointConfig(0.5, 1.2, 0.8))
         rep = _expand(variant, 3, 1.3, cfg)
         assert rep.terms > 20
-        assert 0 < len(calls) <= 8
+        assert len(calls) == (7 if variant in ("A_PLUS", "FRAK_MINUS")
+                              else 4)
 
 
 def _complex_sequence(kind, nu, mu, arg, lowered=False, miller=0,
@@ -635,6 +638,44 @@ class TestFloatArithmetic:
         real = not complex(nu).imag
         assert all(isinstance(v, float) for v in got) == (real
                                                           and kind != "Q")
+
+    @pytest.mark.parametrize("kind,args", [("P", (1.2, 1.7, 3.0, 10.0)),
+                                           ("FP", (0.1, 0.4, 0.7, 0.95))])
+    @pytest.mark.parametrize("nu", [0.3, 2.3, 7.9, complex(-0.5, 0.4),
+                                    complex(-0.5, 3.1)])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [5, 60])
+    def test_miller_matches_two_seed_rule(self, kind, args, nu, mu, n):
+        # _complex_sequence keeps the two-seed rule: both direct values,
+        # normalized by the larger; n = 5 starts FP at nu = 7.9 below its
+        # turning point, where the start search takes the complex root
+        for arg in args:
+            got = list(legendre.order_sequence(kind, nu, mu, arg, True,
+                                               miller=n))
+            want = list(islice(_complex_sequence(kind, nu, mu, arg, True,
+                                                 miller=n), n))
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @pytest.mark.parametrize("kind,nu,mu,arg", [
+        ("P", 2.3, 0.5, 1.7), ("P", complex(-0.5, 3.1), 0.0, 2.5),
+        ("FP", 25.3, 0.5, math.cos(math.pi / 25.8)), ("FP", 0.7, 1.0, 0.3)])
+    def test_miller_evaluates_one_seed(self, kind, nu, mu, arg):
+        # Miller's run draws one direct value, at l = 0 or 1; FP^{-1/2}
+        # vanishes at (25.3, cos(pi/25.8)), where the run picks l = 1
+        fns = [legendre._PREPARED[kind](complex(nu), -(mu + l))
+               for l in (0, 1)]
+        seen = []
+
+        def spy(l):
+            seen.append(l)
+            return fns[l](arg).value
+
+        c, s = legendre._order_factor(kind, arg)
+        t2 = ((arg - 1.0) / (arg + 1.0) if s > 0.0
+              else (1.0 - arg) / (1.0 + arg))
+        nu = complex(nu) if complex(nu).imag else nu
+        legendre._miller(spy, nu, mu, c, s, 40, t2)
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 0.37, 1e200])
     def test_gegenbauer_terms_match_complex(self, mu):

@@ -463,6 +463,20 @@ class TestSeriesBitIdentity:
             spent.append(time.process_time() - t0)
         assert min(spent) < 1e-3
 
+    def test_nan_polynomial_refuses_at_once(self, monkeypatch):
+        # a cubic whose second term overflows: its sum turns inf - inf and
+        # its term at n = 3 is nan, not 0, so no exit fires before the
+        # degree's cap of N + 2 steps (at the budget: about 2 ms per 6000)
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 10 ** 7)
+        spent = []
+        for _ in range(3):
+            t0 = time.process_time()
+            with pytest.raises(RangeError,
+                               match="^2F1 series leaves the double range$"):
+                gauss_2f1(-3, 1e200, 0.5, 0.5)
+            spent.append(time.process_time() - t0)
+        assert min(spent) < 0.01
+
 
 def _reference_psi_gaps(x, j):
     """The psi gaps of the logarithmic case as one complex run, yielded
@@ -724,6 +738,21 @@ class TestLogGammaDigamma:
                 ref = complex(mpmath.digamma(z))
                 err = abs(_digamma(z) - ref)
                 assert err <= 2e-15 * max(abs(ref), 1.0), (z, err, ref)
+
+    def test_digamma_float_matches_complex(self):
+        # a float argument takes the float body: the real part of the
+        # complex body's value bit for bit, through the shift's poles
+        rng = random.Random(79)
+        xs = [rng.uniform(-30.0, 60.0) for _ in range(2000)]
+        xs += [-n + rng.uniform(-1e-3, 1e-3) for n in (1, 2, 3)
+               for _ in range(300)]
+        xs += [-n + s for n in (1, 2, 3)
+               for s in (1e-3, -1e-3, 1e-9, -1e-9, 1e-14, -1e-14)]
+        xs += [7.0, 6.999999999999999, 0.5, 1e-300, 1e15]
+        for x in xs:
+            got, want = _digamma(x), _digamma(complex(x))
+            assert type(got) is float
+            assert (repr(got), want.imag) == (repr(want.real), 0.0), x
 
     def test_trigamma(self):
         rng = np.random.default_rng(78)
