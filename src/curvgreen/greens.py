@@ -324,10 +324,13 @@ class GreenKernel:
         if self.kind == HYPERBOLOID:
             if not rho > 0:
                 raise RangeError("rho must be positive")
-            q = self.fn(_cosh(rho))
+            q = self.fn(_cosh(rho), rho)
             if self.constant is None:
                 self.constant = _hyperboloid_constant(self.m, mu)
-            return q.scaled(self.constant * math.sinh(rho) ** (-mu))
+            out = q.scaled(self.constant * math.sinh(rho) ** (-mu))
+            if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
+                return out
+            raise self._overflow(rho)
         if not 0.0 < rho < math.pi:
             raise RangeError("rho must lie in (0, pi)")
         if self.sign == MINUS:
@@ -362,4 +365,13 @@ class GreenKernel:
         if self.variant == FRAKA_MINUS:
             pre = pre * self.phase
         out = out.scaled_rounded(pre, self.share)
+        if not (cmath.isfinite(out.value) and math.isfinite(out.abs_err_est)):
+            raise self._overflow(rho)
         return out if self.sign == PLUS else out.with_flags(CANDIDATE)
+
+    def _overflow(self, rho: float) -> RangeError:
+        """The refusal of a value or estimate that is not finite (a
+        constant or a product past the double range): the kernel never
+        returns nan or inf."""
+        return RangeError(f"{self.variant} leaves the double range at "
+                          f"beta = {self.beta}, rho = {rho}")

@@ -22,22 +22,28 @@ functions,
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  ``LegendreP``, ``LegendreQ``, ``FerrersP`` and ``FerrersQ``
 are the kinds at a fixed (nu, mu), called with the argument (the public
-functions build one per call).  All four run one route ladder over
-their kind's row of ``ROUTES``: the argument check; orders +-1/2 by
-their closed forms; Q's paired poles; the hypergeometric series while
-the row's loss estimate (about 2|nu + 1/2| sqrt(|w|) digits at series
-argument w) is at most _LOSS_MAX, and for Q at any loss while
-|Im nu| < 12; else ``_large_degree``: a half-odd order by its closed
-form, an order below 0.35 by the row's backend at -mu, any other order
-by the order connection ``_connect`` (DLMF 14.9) from -mu.  Backends: P
-the Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
+functions build one per call; ``LegendreQ`` also takes the distance rho,
+z = cosh rho, where the caller has it).  All four run one route ladder
+over their kind's row of ``ROUTES``: the argument check; orders +-1/2
+by their closed forms; Q's paired poles; a series of positive terms
+where the row has one that serves: Q from rho = _RHO_MIN on by its
+series in w = e^{-2 rho} (``_legendre_q_w``, any degree and order), FP
+at a conical degree and a real order below 1 by its defining series
+while its predicted term count is within _FP_TERMS (``_fp_conical``);
+the hypergeometric series while the row's loss estimate (about
+2|nu + 1/2| sqrt(|w|) digits at series argument w) is at most
+_LOSS_MAX, and for Q at any loss while |Im nu| < 12; else
+``_large_degree``: a half-odd order by its closed form, an order below
+0.35 by the row's backend at -mu, any other order by the order
+connection ``_connect`` (DLMF 14.9) from -mu.  Backends: P the
+Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
 sinh/cosh in place of sin/cos), with Q by Q's own ladder as partner; Q
-a contour-rotated Laplace-type integral; FP and FQ (``_ferrers_at_neg``)
-the degree recurrence (DLMF 14.10.3) from series seeds at a real degree
-0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the Mehler integral (FQ from
-two).  Every public function refuses a nan or infinite number with
-DomainError and a value beyond the double range with RangeError, never
-returning inf/nan.  The module keeps no state.
+(below _RHO_MIN only) a contour-rotated Laplace-type integral; FP and FQ
+(``_ferrers_at_neg``) the degree recurrence (DLMF 14.10.3) from series
+seeds at a real degree 0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the
+Mehler integral (FQ from two).  Every public function refuses a nan or
+infinite number with DomainError and a value beyond the double range
+with RangeError, never returning inf/nan.  The module keeps no state.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
-from .specfun import (_EPS, Hyp2F1, _cgamma, _finite, _lgamma,
+from .specfun import (_EPS, Hyp2F1, _cgamma, _finite, _lgamma, _lgamma_gap,
                       _near_nonpos_int, _real, gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
@@ -65,6 +71,13 @@ _QUAD_RTOL = 5e-13
 _MILLER_MAX = 100000
 # the highest degree the degree recurrence climbs to (about 0.1 s)
 _DEGREE_MAX = 100000.0
+# Q takes its series in w = e^{-2 rho} from this rho on (rho_0); below,
+# the series needs up to 6000 terms (about 36/rho)
+_RHO_MIN = 0.1
+_Z_MIN = math.cosh(_RHO_MIN)
+# the most terms (predicted) of the conical FP series, where it meets
+# the cost of the Mehler integral
+_FP_TERMS = 500.0
 
 
 def _check_hyperbolic(z: float) -> float:
@@ -201,6 +214,90 @@ def _p_series(h: Hyp2F1, half_mu: complex, t: float,
     engine), half_mu the complex mu/2; ratio is (t + 1)/(t - 1) for
     Legendre, (1 + t)/(1 - t) for Ferrers."""
     return h.regularized((1.0 - t) / 2.0).scaled(ratio ** half_mu)
+
+
+def _fp_conical(f, x: float, _rho=None) -> EvalResult | None:
+    """FP_nu^mu(x) at a conical degree nu = -1/2 + i tau and a real order
+    mu < 1 (f's) by the defining series of ``_p_series`` at any loss and
+    any s = (1 - x)/2 < 1, or None past the term gate.  Its terms are all
+    positive, as (-nu + n)(nu + 1 + n) = (n + 1/2)^2 + tau^2 and
+    c + n = 1 - mu + n are, so it cannot cancel, and the engine runs it
+    in float.  It takes about g = tau sqrt(s/(1 - s)) terms to pass its
+    peak and 37/|log s| more to settle (e^-37 is 1e-16); past _FP_TERMS
+    of them the Mehler integral (``_large_degree``) is cheaper.
+    Estimate: the engine's, plus eps (4 + g) of the value for the
+    rounding of s, which moves log FP by about g eps."""
+    s = (1.0 - x) / 2.0
+    g = abs(f.nu.imag) * math.sqrt(s / (1.0 - s))
+    if g - 37.0 / math.log(s) > _FP_TERMS:
+        return None
+    if f.h is None:
+        f.h = f.row.engine(f.nu, f.mu)
+    return f.h.regularized(s, True).scaled_rounded(
+        ((1.0 + x) / (1.0 - x)) ** f.half_mu, _EPS * (4.0 + g))
+
+
+def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult | None:
+    """Q_nu^mu(cosh rho) by its series in w = e^{-2 rho} (DLMF 14.3.7
+    under a quadratic transformation of DLMF 15.8),
+
+        sqrt(pi) e^{i pi mu} Gamma(nu + mu + 1)/Gamma(nu + 3/2)
+        (1 - w)^mu e^{-(nu + 1) rho} F(nu + mu + 1, mu + 1/2; nu + 3/2; w),
+
+    at rho >= _RHO_MIN (rho = acosh z where the caller has only z), else
+    None.  At a real degree nu >= 0 and mu > -1/2 every term is
+    positive, and at a conical degree no term outgrows the sum, so the
+    defining series runs at any w below e^{-2 rho_0}.  Its c is that of
+    ``_legendre_q_series``, so are the anomalous degrees, where the
+    regularized engine absorbs Gamma(c) and Gamma(nu + 3/2) leaves the
+    prefactor.  The parts that depend only on (nu, mu) are kept on f:
+    the engine, log Gamma(nu + mu + 1) - log Gamma(nu + 3/2) as one
+    Stirling difference (``_lgamma_gap``) and the phase.  nu rho, the
+    exponent's large part, enters exactly (``_two_product``), so no
+    rounding of it reaches the value.  Estimate: the engine's times
+    |prefactor|, plus eps times the sizes of the rest of the exponent,
+    plus 4, plus eps |nu| rho, what a rounding of nu itself (a degree
+    formed from beta) moves."""
+    if rho is None:
+        if z < _Z_MIN:
+            return None
+        rho = math.acosh(z)
+    elif rho < _RHO_MIN:
+        return None
+    nu, mu = f.nu, f.mu
+    if f.w is None:
+        h = Hyp2F1(nu + mu + 1.0, mu + 0.5, nu + 1.5)
+        if h.c_pole[0]:
+            lg = _lgamma(nu + mu + 1.0)
+            size = abs(lg)
+        else:
+            lg, size = _lgamma_gap(nu + 1.5, mu - 0.5)
+        f.w = (h, lg, size + 4.0, _SQRT_PI * cmath.exp(1j * math.pi * mu))
+    h, lg, size, phase = f.w
+    w = math.exp(-2.0 * rho)
+    s = h.regularized(w, True) if h.c_pole[0] else h(w, True)
+    # e^{-(nu + 1) rho} as e^{-p} e^{-rho} (1 - d), p + d = nu rho exactly
+    p_re, d_re = _two_product(nu.real, rho)
+    p_im, d_im = _two_product(nu.imag, rho)
+    x = lg + mu * math.log(-math.expm1(-2.0 * rho)) - rho
+    pre = (phase * cmath.exp(complex(-p_re, -p_im)) * cmath.exp(x)
+           * complex(1.0 - d_re, -d_im))
+    return s.scaled_rounded(pre, _EPS * (size + abs(x) + abs(nu) * rho))
+
+
+def _two_product(a: float, b: float) -> tuple:
+    """(a b rounded, the rest of the exact product) by Dekker's splitting
+    (Veltkamp's split at 2^27 + 1); the rest is 0 where a split would
+    leave the double range."""
+    p = a * b
+    if abs(a) >= 1e290 or abs(b) >= 1e290:
+        return p, 0.0
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
@@ -358,7 +455,10 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     evaluator (``evaluator``, from table, a new one where table is
     None), the rest from the recurrence, which never divides:
 
-    * raised: forward from l = 0, 1;
+    * raised: forward from l = 0, 1; at mu = 1/2 the value at 3/2 is
+      -c F^{1/2} + s (nu + 1/2)^2 F^{-1/2} from the two closed forms
+      (``half_odd_eval``), as a series value there would start the
+      recurrence with its own error;
     * lowered: forward on the weighted values (nu + mu + 1)_l (mu - nu)_l
       F^{-(mu+l)}, m = mu + l, by
       h_{l+2} = s (2 (m + 1) c h_{l+1} - (nu + m + 1)(m - nu) h_l);
@@ -411,6 +511,8 @@ def order_sequence(kind: str, nu, mu, arg: float, lowered: bool = False,
     yield a
     if lowered and (kind == "FQ" or mu == 0.5):
         b = s * (2.0 * mu * c * a - _real(direct(-1)))
+    elif mu == 0.5:  # raised: order 3/2 from the two closed forms
+        b = _real(half_odd_eval(kind, cnu, 1.5, arg).value)
     else:
         b = _real(direct(1)) * ((nu + mu + 1.0) * (mu - nu) if lowered
                                 else 1.0)
@@ -653,6 +755,10 @@ class _Route(NamedTuple):
     at_neg: Callable  # (kind, nu, m, arg) -> kind at order -m
     # None, or (nu, mu) -> (pole route or None, series at any loss)
     setup: Callable = None
+    # None, or (nu, mu) -> None or the kind's series of positive terms
+    # at (nu, mu): (f, arg, rho) -> its value, or None where it does not
+    # serve arg (rho: Q's distance, where the caller has it)
+    positive: Callable = None
 
 
 ROUTES = {
@@ -673,13 +779,15 @@ ROUTES = {
         lambda f, z: _legendre_q_series(f.h, f.nu, f.mu, z),
         lambda k, nu, m, z: _conical_legendre_q_integral(
             nu, -m, math.acosh(z)),
-        _q_setup),
+        _q_setup, lambda nu, mu: _legendre_q_w),
     "FP": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, x: _p_series(f.h, f.half_mu, x, (1.0 + x) / (1.0 - x)),
-        _ferrers_at_neg),
+        _ferrers_at_neg, None,
+        lambda nu, mu: (_fp_conical if nu.real == -0.5 and not mu.imag
+                        and mu.real < 1.0 else None)),
     "FQ": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * max(
@@ -696,7 +804,7 @@ class _Prepared:
     (nu, mu): the constructor does the work that depends only on (nu, mu),
     a call runs the route ladder (module docstring) on the argument."""
 
-    kind = row = h = pole = None
+    kind = row = h = pole = positive = w = None
     half = series_only = False
 
     def __init__(self, nu, mu):
@@ -709,11 +817,14 @@ class _Prepared:
             self.half = True
         elif self.row.setup:
             self.pole, self.series_only = self.row.setup(nu, mu)
+        if self.row.positive:
+            self.positive = self.row.positive(nu, mu)
 
-    def __call__(self, arg: float) -> EvalResult:
+    def __call__(self, arg: float, rho: float | None = None) -> EvalResult:
         """The kind at arg; an OverflowError, a RangeError from inside, or
         a non-finite value or estimate, is a RangeError that names the
-        kind."""
+        kind.  rho, where the caller has it, is Q's distance, arg =
+        cosh rho, which Q's positive series reads in place of arg."""
         row = self.row
         try:
             arg = row.check(arg)
@@ -721,13 +832,16 @@ class _Prepared:
                 out = _half_order(self.kind, self.nu, self.mu, arg)
             elif self.pole is not None:
                 out = self.pole(arg)
-            elif self.series_only or row.loss(self, arg) <= _LOSS_MAX:
-                if self.h is None:
-                    self.h = row.engine(self.nu, self.mu)
-                out = row.series(self, arg)
-            else:
-                out = _large_degree(self.kind, self.nu, self.mu, arg,
-                                    row.at_neg)
+            # the positive series where it serves, else the rest
+            elif not (self.positive and (out := self.positive(self, arg,
+                                                              rho))):
+                if self.series_only or row.loss(self, arg) <= _LOSS_MAX:
+                    if self.h is None:
+                        self.h = row.engine(self.nu, self.mu)
+                    out = row.series(self, arg)
+                else:
+                    out = _large_degree(self.kind, self.nu, self.mu, arg,
+                                        row.at_neg)
             if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
                 return out
         except (OverflowError, RangeError):

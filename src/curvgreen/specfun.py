@@ -5,7 +5,9 @@ Provides the scalar kernels everything else is built on:
 * log-gamma and digamma in pure Python: Stirling's series and its
   derivative (DLMF 5.11.1, 5.11.2) from one Bernoulli table, after an
   upward shift; log-gamma reflects left of Re z = 1/2 near the real
-  axis, real log-gamma is ``math.lgamma``,
+  axis, real log-gamma is ``math.lgamma``; the difference
+  log Gamma(z + d) - log Gamma(z) at large |z| as one Stirling
+  difference (``_lgamma_gap``),
 * one complex gamma function, ``math.gamma`` on the real axis and the
   exponential of that log-gamma off it, and pole-safe gamma ratios,
 * Pochhammer symbols evaluated as exact products,
@@ -14,7 +16,9 @@ Provides the scalar kernels everything else is built on:
   the 1-z linear transformation, including the logarithmic case when
   the parameter combination c-a-b is an integer m: one body for both
   signs of m, the sums for m < 0 being those for m >= 0 at parameters
-  shifted by Euler's transformation,
+  shifted by Euler's transformation; on request (``defining=True``)
+  the defining series at any |z| < 1, for a caller whose series cannot
+  cancel,
 * cylinder functions J, Y, I, K, H1, H2 at real order and the
   zero-free envelope functions used to normalize asymptotic errors, in
   pure Python by Temme's method: CF1 and Miller's recurrence for J and
@@ -43,13 +47,15 @@ estimate, term count, flags and every exception), and it changes no
 tolerance:
 
 * Real a, b, c and z run the defining series in float, and real log-sum
-  parameters and w = 1 - z the logarithmic case's log sum; only complex
-  ones (conical degrees) take complex bodies.  CPython's complex +, *,
-  / and abs give, on operands whose imaginary parts are zero and whose
-  parts stay finite, exactly the real part of the float operation (abs:
-  x if x >= 0 else -x, as the float bodies write it).  A sum or
-  estimate that leaves the double range, float or complex, is
-  RangeError.
+  parameters and w = 1 - z the logarithmic case's log sum; other
+  complex ones take complex bodies.  CPython's complex +, *, / and abs
+  give, on operands whose imaginary parts are zero and whose parts stay
+  finite, exactly the real part of the float operation (abs: x if
+  x >= 0 else -x, as the float bodies write it).  A sum or estimate
+  that leaves the double range, float or complex, is RangeError.
+* Conjugate a, b at real c and z (conical degrees) run the defining
+  series in float too, as their product (a + n)(b + n) is real; those
+  values are the float loop's own, not the complex loop's bits.
 * The NEAR_POLE test |(c+n)(n+1)| < 1e-8 can hold only at the n nearest
   -Re c, so the series evaluates it there alone.
 * Each parameter is checked against the poles once per engine, and the
@@ -167,6 +173,45 @@ def _lgamma(z) -> complex:
     out = ((z - 0.5) * cmath.log(z) - z + _LOG_SQRT_2PI
            + w * _asym_sum(_STIRLING, w * w))
     return out if shift == 1.0 else out - cmath.log(shift)
+
+
+def _lgamma_gap(z, d) -> tuple:
+    """(log Gamma(z + d) - log Gamma(z), the size of the parts it is
+    summed from): its rounding is about eps times that size.
+
+    Where z and z + d each lie right of the imaginary axis or at
+    |Im| >= 7, |z|, |z + d| >= 7 (``_ASYM_MIN``) and |d| <= |z|/4, so
+    that no branch of the logarithm is crossed between them, Stirling's
+    series (DLMF 5.11.1) is taken as a difference,
+
+        (z - 1/2) log(1 + d/z) + d log(z + d) - d
+        + sum_k S_k ((z + d)^(1 - 2k) - z^(1 - 2k)),
+
+    log(1 + u) = 2 atanh(u/(2 + u)) by its series, so the parts are of
+    the size of d log z where the two log-gammas are of that of z log z.
+    Elsewhere it is the difference of _lgamma (imaginary part modulo
+    2 pi, as there).
+    """
+    z, d = complex(z), complex(d)
+    zd = z + d
+    if (min(abs(z), abs(zd)) >= _ASYM_MIN and abs(d) <= 0.25 * abs(z)
+            and (z.real > 0.0 or abs(z.imag) >= _ASYM_MIN)
+            and (zd.real > 0.0 or abs(zd.imag) >= _ASYM_MIN)):
+        t = d / (2.0 * z + d)  # u/(2 + u), u = d/z
+        t2, term, log1p = t * t, t, 0.0
+        for k in range(1, 60, 2):
+            log1p += term / k
+            term *= t2
+            if abs(term) < 1e-17 * abs(log1p):
+                break
+        a = (z - 0.5) * (2.0 * log1p)
+        b = d * cmath.log(zd)
+        w, v = 1.0 / zd, 1.0 / z
+        corr = (w * _asym_sum(_STIRLING, w * w)
+                - v * _asym_sum(_STIRLING, v * v))
+        return a + b - d + corr, abs(a) + abs(b) + abs(d) + abs(corr)
+    a, b = _lgamma(zd), _lgamma(z)
+    return a - b, abs(a) + abs(b)
 
 
 def _digamma(z):
@@ -287,8 +332,10 @@ def _series_2f1(a, b, c, z, steps=None):
     Takes complex arguments.  The caller has snapped a and b onto the
     nonpositive integers within 1e-12 of them and ensures c is
     pole-free.  Real arguments run the loop in float (see the module
-    docstring), complex ones in complex; a sum of |terms| past the double
-    range is RangeError either way.  steps, where given, caps the loop
+    docstring), and so do conjugate a, b at real c and z, whose product
+    (a + n)(b + n) is real (``_series_conj``); other complex ones run in
+    complex.  A sum of |terms| past the double range is RangeError
+    either way.  steps, where given, caps the loop
     below _MAX_TERMS: N + 2 for a polynomial of degree N, whose term at
     n = N is exactly 0 while the sum is finite, so only a sum that has
     turned nan, and never exits on a zero term, reaches the cap.
@@ -297,7 +344,10 @@ def _series_2f1(a, b, c, z, steps=None):
     # can set NEAR_POLE, and only if the loop reaches it
     n0 = float(round(-c.real)) if -0.5 < -c.real < _MAX_TERMS else -1.0
     n_max = float(_MAX_TERMS if steps is None else min(steps, _MAX_TERMS))
-    if a.imag or b.imag or c.imag or z.imag:
+    if a.imag and a == b.conjugate() and not (c.imag or z.imag):
+        out = _series_conj(a.real, a.imag * a.imag, c.real, z.real, n0,
+                           n_max)
+    elif a.imag or b.imag or c.imag or z.imag:
         out = _series_complex(a, b, c, z, n0, n_max)
     else:
         out = _series_real(a.real, b.real, c.real, z.real, n0, n_max)
@@ -329,6 +379,36 @@ def _series_real(a, b, c, z, n0, n_max):
         term = term * (a + n) * (b + n) / denom * z
         if term == 0.0:
             break  # terminating polynomial: count nonzero terms only
+        mag = term if term >= 0.0 else -term
+        total += term
+        total_abs += mag
+        n += 1.0
+        if mag <= 1e-15 * (total if total >= 0.0 else -total):
+            small += 1
+            if small >= 3:
+                break
+        else:
+            small = 0
+    else:
+        return total, total_abs, term, 0, near
+    return total, total_abs, term, int(n) + 1, near
+
+
+def _series_conj(p, q2, c, z, n0, n_max):
+    """_series_real at the conjugate parameters a, b = p -+ i q (conical
+    degrees), q2 = q^2 > 0, with c and z real: (a + n)(b + n) is the
+    real (p + n)^2 + q2, so the loop runs in float."""
+    near = False
+    term = total = total_abs = 1.0
+    small = 0
+    n = 0.0
+    while n < n_max:
+        denom = (c + n) * (n + 1.0)
+        if n == n0:
+            near = (denom if denom >= 0.0 else -denom) < 1e-8
+        term = term * ((p + n) * (p + n) + q2) / denom * z
+        if term == 0.0:
+            break
         mag = term if term >= 0.0 else -term
         total += term
         total_abs += mag
@@ -591,15 +671,22 @@ class Hyp2F1:
         self.depth = depth
         self.c_pole = _near_nonpos_int(self.c)
 
-    def __call__(self, z) -> EvalResult:
-        return EvalResult(*self._core(_finite("z", complex(z))))
+    def __call__(self, z, defining: bool = False) -> EvalResult:
+        """2F1 at z; defining=True sums the defining series at any
+        |z| < 1, past the rule that takes |z| > 0.75 to a transformation
+        (for a caller that knows the series converges within the term
+        budget without cancelling), its estimate widened by sqrt(n) for
+        the step rounding of its n terms."""
+        return EvalResult(*self._core(_finite("z", complex(z)), defining))
 
-    def regularized(self, z) -> EvalResult:
+    def regularized(self, z, defining: bool = False) -> EvalResult:
         """2F1(a, b; c; z)/Gamma(c), entire in c; for c = -m the series
         starts at n = m + 1 (the first m + 1 terms are annihilated by
         1/Gamma): (a)_{m+1} (b)_{m+1}/(m+1)! z^(m+1) times 2F1 at
         (a + m + 1, b + m + 1; m + 2).  Past m = 169, where (m+1)! leaves
-        the double range, that is RangeError before the products."""
+        the double range, that is RangeError before the products.  That
+        prefactor is an exact 0 where a Pochhammer product is 0, and
+        RangeError where it is not finite.  defining as for a call."""
         z = _finite("z", complex(z))
         hit, m = self.c_pole
         if hit:
@@ -611,15 +698,20 @@ class Hyp2F1:
                 raise RangeError("regularized 2F1 at the pole c = "
                                  f"{-m}: (m+1)! leaves the double range"
                                  ) from None
-            pref = (pochhammer(self.a, m + 1) * pochhammer(self.b, m + 1)
-                    / fact) * z ** (m + 1)
+            pa, pb = pochhammer(self.a, m + 1), pochhammer(self.b, m + 1)
+            if pa == 0.0 or pb == 0.0:
+                return EvalResult(0.0, 0.0, 1, frozenset())
+            pref = (pa * pb / fact) * z ** (m + 1)
             if pref == 0.0:
                 return EvalResult(0.0, 0.0, 1, frozenset())
+            if not cmath.isfinite(pref):
+                raise RangeError(f"regularized 2F1 at the pole c = {-m}: "
+                                 "its prefactor leaves the double range")
             v, e, t, f = Hyp2F1(self.a + m + 1.0, self.b + m + 1.0,
-                                m + 2.0)._route(z)
+                                m + 2.0)._route(z, defining)
             return EvalResult(pref * v, abs(pref) * e, t, f)
         # c is more than 1e-10 (so more than 1/Gamma's 1e-13) from a pole
-        v, e, t, f = self._route(z)
+        v, e, t, f = self._route(z, defining)
         rg = self._rgamma
         if rg is None:
             if max(abs(self.c), abs(self.a), abs(self.b)) > 100.0:
@@ -629,16 +721,16 @@ class Hyp2F1:
             self._rgamma = rg
         return EvalResult(v * rg, e * abs(rg), t, f)
 
-    def _core(self, z):
+    def _core(self, z, defining=False):
         """2F1 at complex z: (value, err, terms, flags)."""
         if self.depth > 6:
             raise NoConvergenceError("2F1 transformation recursion too deep")
         if self.c_pole[0]:
             raise ParamPoleError("2F1 parameter c is a nonpositive integer; "
                                  "use regularized_2f1")
-        return self._route(z)
+        return self._route(z, defining)
 
-    def _route(self, z):
+    def _route(self, z, defining=False):
         """_core past its checks: c pole-free."""
         if z == 0:
             return 1.0 + 0.0j, 0.0, 1, frozenset()
@@ -657,6 +749,12 @@ class Hyp2F1:
         if snapped:
             a, b, steps = snapped
             return _series_2f1(a, b, self.c, z, steps)
+        if defining:
+            # a long run: its terms carry the rounding of every step's
+            # ratio, which adds up like a random walk to about sqrt(n)
+            # times the engine's 2 eps per term (18 eps at 166 terms)
+            v, e, t, f = _series_2f1(self.a, self.b, self.c, z)
+            return v, e * (1.0 + math.sqrt(t)), t, f
         if abs(z) <= 0.75:
             return _series_2f1(self.a, self.b, self.c, z)
         if z.real >= 1.0 and abs(z.imag) < 1e-14:

@@ -77,3 +77,39 @@ def test_tiny_run():
         ratio = got["ratio"]
         assert 0.0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
     assert lines[0]["ops"] == 24
+
+
+def test_cells_and_cell_summary(abtime):
+    ops = [("green", "H_PLUS", 2, 20.0, 0.5), ("verify",),
+           ("expand", "S_PLUS", 3, 1.0, 0.5, 1.2, 0.8),
+           ("green", "H_PLUS", 2, 30.0, 0.7)]
+    assert abtime.cells(ops) == {
+        ("H_PLUS", 2): [ops[0], ops[3]], ("S_PLUS", 3): [ops[2]]}
+    got = abtime.cell_summary(ops[:2], [0.004, 0.002, 0.006],
+                              [0.002, 0.002, 0.003])
+    assert got["ops"] == 2
+    assert got["rev_ms_per_op"] == pytest.approx(2.0)
+    assert got["src_ms_per_op"] == pytest.approx(1.0)
+    assert got["ratio"] == pytest.approx(0.5)
+
+
+def test_by_cell_run():
+    """--by-cell: each workload's line, then one line per (variant, d)
+    cell, sorted, whose ops add up to the workload's."""
+    head = subprocess.run(["git", "-C", _ROOT, "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode:
+        pytest.skip("not a git checkout")
+    out = subprocess.run([sys.executable, _PATH, "HEAD", "--workload",
+                          "large_degree", "--rounds", "2", "--seconds",
+                          "0.05", "--by-cell"],
+                         capture_output=True, text=True, check=True,
+                         cwd=_ROOT)
+    first, *cells = [json.loads(line) for line in out.stdout.splitlines()]
+    assert first["workload"] == "large_degree" and first["rounds"] == 2
+    assert [c["cell"] for c in cells] == sorted(c["cell"] for c in cells)
+    assert len(cells) == 24  # 8 variants x d = 2, 3, 4
+    assert sum(c["ops"] for c in cells) == first["ops"]
+    for c in cells:
+        assert (c["workload"], c["seed"]) == ("large_degree", 1)
+        assert c["rev_ms_per_op"] >= 0.0 and c["src_ms_per_op"] >= 0.0

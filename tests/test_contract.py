@@ -64,13 +64,26 @@ def test_non_finite_is_refused(name, position, bad):
         fn(*args)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: chebyshev_t(2, 1e200),        # 2e400 - 1
-    lambda: chebyshev_t(3000, 1.5),       # past l = 739, then inf - inf
-    lambda: gegenbauer_c(3, 1e200, 0.9),  # C_2 ~ 1e400
-    lambda: regularized_2f1(1, 1, -200, 0.5),  # the pole's (m+1)! = 201!
+# each call and its outcome: None for a RangeError
+@pytest.mark.parametrize("call,want", [
+    (lambda: chebyshev_t(2, 1e200), None),        # 2e400 - 1
+    (lambda: chebyshev_t(3000, 1.5), None),       # past l = 739, inf - inf
+    (lambda: gegenbauer_c(3, 1e200, 0.9), None),  # C_2 ~ 1e400
+    # the pole's (m+1)! = 201!
+    (lambda: regularized_2f1(1, 1, -200, 0.5), None),
+    # the pole's prefactor (1e80)_4^2 z^4 / 4! is inf * 0
+    (lambda: regularized_2f1(1e80, 1e80, -3, 1e-200), None),
+    # (1e100)_4 overflows, but (0)_4 = 0 makes the value an exact 0
+    (lambda: regularized_2f1(1e100, 0, -3, 1e-250),
+     (0.0, 0.0, 1, frozenset())),
 ], ids=["T_2(1e200)", "T_3000(1.5)", "C_3^1e200(0.9)",
-        "2F1~(1, 1; -200; 0.5)"])
-def test_overflow_is_refused(call):
-    with pytest.raises(RangeError, match="leaves the double range"):
-        call()
+        "2F1~(1, 1; -200; 0.5)", "2F1~(1e80, 1e80; -3; 1e-200)",
+        "2F1~(1e100, 0; -3; 1e-250)"])
+def test_overflow_is_refused(call, want):
+    """A value past the double range refuses, never inf or nan; at a pole
+    of c a Pochhammer factor of 0 is an exact 0, never inf * 0."""
+    if want is None:
+        with pytest.raises(RangeError, match="leaves the double range"):
+            call()
+    else:
+        assert call() == want

@@ -18,7 +18,8 @@ from curvgreen.expansions import (TwoPointConfig,
                                   green_expansion)
 from curvgreen.geometry import HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from curvgreen.greens import (MINUS, PLUS, WaveParams, green_value)
-from curvgreen.legendre import ferrers_p, ferrers_q, legendre_p, legendre_q
+from curvgreen.legendre import (ferrers_p, ferrers_q, half_odd_eval,
+                                legendre_p, legendre_q)
 from curvgreen.result import NONCONVERGENT
 from curvgreen.specfun import _gegenbauer_terms, gegenbauer_c
 
@@ -519,15 +520,17 @@ class TestOrderRecurrences:
     def test_few_legendre_calls(self, variant, monkeypatch):
         # two direct values per larger-radius sequence, one for Miller's
         # run and one for the reference: 4; A_PLUS and FRAK_MINUS have two
-        # larger-radius parts and a two-value reference: 7.  A per-order
-        # series made two or three per term.  Counted at the evaluators,
-        # which the expansions call directly
+        # larger-radius parts and a two-value reference: 7; the raised Q
+        # sequence at mu = 1/2 (d = 3) takes its second value from the
+        # closed forms: 3.  A per-order series made two or three per
+        # term.  Counted at the evaluators, which the expansions call
+        # directly
         calls = []
         call = legendre._Prepared.__call__
 
-        def counted(self, arg):
+        def counted(self, *args):
             calls.append(self.kind)
-            return call(self, arg)
+            return call(self, *args)
 
         monkeypatch.setattr(legendre._Prepared, "__call__", counted)
         cfg = (TwoPointConfig(0.6, 1.9, 1.1) if variant.startswith("H")
@@ -535,7 +538,7 @@ class TestOrderRecurrences:
         rep = _expand(variant, 3, 1.3, cfg)
         assert rep.terms > 20
         assert len(calls) == (7 if variant in ("A_PLUS", "FRAK_MINUS")
-                              else 4)
+                              else 3 if variant.startswith("H") else 4)
 
 
 def _complex_sequence(kind, nu, mu, arg, lowered=False, miller=0,
@@ -585,6 +588,8 @@ def _complex_sequence(kind, nu, mu, arg, lowered=False, miller=0,
             h = direct(0)
         elif l == 1 and lowered and (kind == "FQ" or mu == 0.5):
             h = s * (2.0 * mu * c * b - direct(-1))
+        elif l == 1 and mu == 0.5:
+            h = half_odd_eval(kind, nu, 1.5, arg).value
         elif l == 1:
             h = direct(1) * ((nu + mu + 1.0) * (mu - nu) if lowered else 1.0)
         else:

@@ -426,14 +426,15 @@ class TestGreenKernel:
     changes a value, an estimate, a term count, a flag or a refusal."""
 
     # rho < pi/3 puts FP(-cos rho) on the 2F1's 1-z connection and
-    # rho > 2 pi/3 the odd part's FP(cos rho); rho < 0.549 puts
-    # Q(cosh rho) there (1/cosh^2 > 0.75); the rest take the series.
+    # rho > 2 pi/3 the odd part's FP(cos rho); from rho = 0.1 on
+    # Q(cosh rho) takes its series in e^{-2 rho}, below it the 1/cosh^2
+    # series on the 1-z connection (1/cosh^2 > 0.75).
     # c - a - b = +-mu is an integer (the logarithmic case) at d = 2, 4;
     # at d = 3 the order +-1/2 takes its closed form and builds no 2F1.
     # No Green's function reaches the Pfaff map (its
     # 2F1 arguments lie in (0, 1)); TestPrepared2F1 covers it.  The
     # last three refuse.
-    ROUTE_RHOS = [0.3, 0.9, 1.2, 2.0, 2.5, 3.0, -1.0, 0.0, 3.5]
+    ROUTE_RHOS = [0.05, 0.3, 0.9, 1.2, 2.0, 2.5, 3.0, -1.0, 0.0, 3.5]
 
     @staticmethod
     def _check(variant, d, beta, rhos):
@@ -467,6 +468,8 @@ class TestGreenKernel:
             assert kernel.fn.h is None
         else:
             assert kernel.fn.h._connection[0] is not None  # the log case
+            if kernel.kind == HYPERBOLOID:
+                assert kernel.fn.w is not None  # the e^{-2 rho} series
 
     @pytest.mark.parametrize("variant,kind,beta,rho,exc,msg", [
         ("H_PLUS", HYPERBOLOID, 1.0, -1.0, RangeError,
@@ -522,6 +525,26 @@ class TestGreenKernel:
         m = ManifoldSpec(VARIANT_SPACES[variant][0], 3, 1.0)
         with pytest.raises(DomainError, match="^beta must be finite$"):
             green_value(variant, m, beta, 1.0)
+
+    @pytest.mark.parametrize("variant", TestVariantTable.TAGS[:8])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("beta", [1e-9, 1e-300])
+    def test_never_returns_nan(self, variant, d, beta):
+        """At beta -> 0 the sphere constant's Gamma(mu - nu) meets its pole
+        once nu rounds to mu (S_PLUS at d = 3, beta = 1e-9 returned nan
+        with a nan estimate): a non-finite constant or product is
+        RangeError naming the variant, never a nan or inf value."""
+        m = ManifoldSpec(VARIANT_SPACES[variant][0], d, 1.0)
+        try:
+            got = green_value(variant, m, beta, 0.7)
+        except RangeError as exc:
+            assert str(exc).startswith(f"{variant} leaves the double range")
+        else:
+            assert cmath.isfinite(got.value)
+            assert math.isfinite(got.abs_err_est)
+        if (variant, d) == ("S_PLUS", 3):
+            with pytest.raises(RangeError):
+                green_value(variant, m, beta, 0.7)
 
     def test_refusal_leaves_the_kernel_usable(self):
         ms = ManifoldSpec(HYPERSPHERE, 3, 1.0)

@@ -667,6 +667,73 @@ def _region(z):
             "negative" if z.real < 0 else "positive")
 
 
+class TestPositiveSeriesEngine:
+    """The engine's parts of the positive series of the Legendre routes:
+    conjugate parameters in float, the defining series past |z| = 0.75,
+    and the log-gamma difference."""
+
+    @pytest.mark.parametrize("tau", [0.3, 12.0, 60.0])
+    @pytest.mark.parametrize("c,z", [(1.0, 0.4), (2.0, 0.9), (0.3, -0.6)])
+    def test_conjugate_parameters_run_in_float(self, tau, c, z):
+        a, b = complex(0.5, -tau), complex(0.5, tau)
+        with mock.patch.object(specfun, "_series_complex",
+                               wraps=specfun._series_complex) as series:
+            got = _series_2f1(a, b, complex(c), complex(z))
+        assert series.call_count == 0
+        assert type(got[0]) is complex and got[0].imag == 0.0
+        want = specfun._series_complex(a, b, complex(c), complex(z), -1.0,
+                                       6000.0)
+        assert abs(got[0] - want[0]) <= 1e-14 * want[1]
+
+    def test_defining_series_past_the_disk(self):
+        """defining=True sums the series at z = 0.9 where a call takes the
+        1 - z connection; both agree with mpmath."""
+        h = Hyp2F1(1.3, 0.5, 2.05)
+        calls = []
+        connect = Hyp2F1._lin_1mz_generic
+
+        def spy(self, *args):
+            calls.append(args)
+            return connect(self, *args)
+
+        with mock.patch.object(Hyp2F1, "_lin_1mz_generic", spy):
+            got = h(0.9, defining=True)
+            assert not calls
+            other = h(0.9)
+            assert len(calls) == 1
+        ref = complex(mpmath.hyp2f1(1.3, 0.5, 2.05, 0.9))
+        assert got.terms_used > 200
+        for res in (got, other):
+            assert abs(res.value - ref) <= 1e-14 * abs(ref)
+            assert abs(res.value - ref) <= res.abs_err_est
+        # at a pole of c the regularized engine shifts and keeps the rule
+        pole = Hyp2F1(0.5, 0.7, -1.0).regularized(0.9, defining=True)
+        with mpmath.workdps(50):  # F/Gamma(c) as c -> -1
+            c = mpmath.mpf(-1) + mpmath.mpf(10) ** -30
+            ref = complex(mpmath.hyp2f1(0.5, 0.7, c, 0.9) / mpmath.gamma(c))
+        assert abs(pole.value - ref) <= 1e-13 * abs(ref)
+        assert abs(pole.value - ref) <= pole.abs_err_est
+
+    def test_lgamma_gap(self):
+        """log Gamma(z + d) - log Gamma(z) against mpmath at 30 digits, on
+        both sides of the Stirling-difference condition: within eps
+        times its size (plus 3 eps for the exponential), and far below
+        the difference of two log-gammas at large |z|."""
+        rng = random.Random(7)
+        for _ in range(400):
+            z = complex(rng.uniform(0.5, 100.0),
+                        rng.choice((0.0, rng.uniform(-100.0, 100.0))))
+            d = rng.uniform(-3.5, 2.5)
+            gap, size = specfun._lgamma_gap(z, d)
+            with mpmath.workdps(30):  # z + d exact, as the gap takes it
+                z_mp = mpmath.mpmathify(z)
+                ref = complex(mpmath.exp(mpmath.loggamma(z_mp + d)
+                                         - mpmath.loggamma(z_mp)))
+            err = abs(cmath.exp(gap) - ref) / abs(ref)
+            assert err <= specfun._EPS * (size + 3.0), (z, d)
+            assert err <= 1e-14, (z, d)
+
+
 class TestLogGammaDigamma:
     """The pure-Python log-gamma and digamma against mpmath at 30 digits."""
 

@@ -221,9 +221,9 @@ def test_suite_evaluator_calls(monkeypatch):
     calls = []
     call = legendre._Prepared.__call__
 
-    def counted(self, arg):
+    def counted(self, arg, *rho):
         calls.append(arg)
-        return call(self, arg)
+        return call(self, arg, *rho)
 
     monkeypatch.setattr(legendre._Prepared, "__call__", counted)
     counts = []

@@ -2,6 +2,7 @@
 
     python3 tools/abtime.py REV [--workload verify [points ...]]
                             [--rounds 30] [--seed 1] [--seconds 1]
+                            [--by-cell]
 
 Exports ``src/`` at REV with ``git archive`` into a temporary directory
 and imports it and ``src/`` of this checkout as two packages under
@@ -22,6 +23,14 @@ timed.  Prints one JSON line per workload:
 * ``ratio``: the ``median`` and the quartiles ``q1`` and ``q3`` of the
   per-round ratios src/rev (below 1: this checkout is faster);
 * ``won``: the number of rounds in which src took less time than rev.
+
+With ``--by-cell`` each pass also times the ops of each (variant, d)
+cell apart, and each workload's line is followed by one line per cell,
+sorted by cell: ``workload``, ``seed``, ``cell``, ``ops``, each side's
+median CPU milliseconds per op of the cell (``rev_ms_per_op``,
+``src_ms_per_op``) and the median of the per-round ratios src/rev
+(``ratio``, None where no rev round took measurable time).
+``verify`` has no cells.
 
 Run it from the root of the checkout.  It writes nothing into the
 repository; the temporary export is removed when it ends.  Both sides
@@ -79,29 +88,53 @@ def make_runner(pkg):
             sys.modules[PACKAGE] = saved
 
 
-def run_pass(run_op, ops) -> float:
-    """CPU seconds of one pass over ops."""
+def run_pass(run_op, groups) -> list:
+    """CPU seconds of one pass over the op lists of groups, one figure
+    per group."""
     gc.collect()
-    start = time.process_time()
-    for op in ops:
-        try:
-            run_op(op)
-        except Exception:  # a refusal is an outcome, timed as such
-            pass
-    return time.process_time() - start
+    out = []
+    for ops in groups:
+        start = time.process_time()
+        for op in ops:
+            try:
+                run_op(op)
+            except Exception:  # a refusal is an outcome, timed as such
+                pass
+        out.append(time.process_time() - start)
+    return out
 
 
-def time_rounds(run_rev, run_src, ops, rounds: int) -> tuple:
-    """(rev seconds, src seconds) per round, the first side alternating,
-    after one untimed pass of each."""
-    run_pass(run_rev, ops)
-    run_pass(run_src, ops)
+def time_rounds(run_rev, run_src, groups, rounds: int) -> tuple:
+    """(rev, src): per round, each side's run_pass over groups, the first
+    side alternating, after one untimed pass of each."""
+    run_pass(run_rev, groups)
+    run_pass(run_src, groups)
     rev, src = [], []
     for r in range(rounds):
         sides = [(run_rev, rev), (run_src, src)]
         for run_op, out in sides if r % 2 == 0 else sides[::-1]:
-            out.append(run_pass(run_op, ops))
+            out.append(run_pass(run_op, groups))
     return rev, src
+
+
+def cells(ops) -> dict:
+    """The ops of each (variant, d) cell, keyed by cell, in op order."""
+    out = {}
+    for op in ops:
+        if op[0] != "verify":
+            out.setdefault((op[1], op[2]), []).append(op)
+    return out
+
+
+def cell_summary(ops: list, rev: list, src: list) -> dict:
+    """One cell's fields of the module docstring from its per-round
+    seconds; its ratio is None where no rev round took measurable
+    time."""
+    ratios = [s / r for r, s in zip(rev, src) if r]
+    return {"ops": len(ops),
+            "rev_ms_per_op": 1e3 * statistics.median(rev) / len(ops),
+            "src_ms_per_op": 1e3 * statistics.median(src) / len(ops),
+            "ratio": statistics.median(ratios) if ratios else None}
 
 
 def summary(rev: list, src: list) -> dict:
@@ -127,6 +160,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=1.0,
                     help="run length the op list is generated for")
+    ap.add_argument("--by-cell", action="store_true",
+                    help="also time each (variant, d) cell apart")
     args = ap.parse_args()
     if args.rounds < 2:
         ap.error("--rounds must be at least 2")
@@ -139,11 +174,20 @@ def main() -> int:
             ops = [op for chunk in workloads.generate(name, args.seed,
                                                       args.seconds)
                    for op in chunk]
-            rev, src = time_rounds(run_rev, run_src, ops, args.rounds)
+            by_cell = cells(ops) if args.by_cell else {}
+            groups = list(by_cell.values()) or [ops]
+            rev, src = time_rounds(run_rev, run_src, groups, args.rounds)
             print(json.dumps({"rev": args.rev, "workload": name,
                               "seed": args.seed, "ops": len(ops),
-                              "rounds": args.rounds, **summary(rev, src)}),
+                              "rounds": args.rounds,
+                              **summary([sum(t) for t in rev],
+                                        [sum(t) for t in src])}),
                   flush=True)
+            for i, cell in sorted(enumerate(by_cell), key=lambda c: c[1]):
+                print(json.dumps({
+                    "workload": name, "seed": args.seed, "cell": cell,
+                    **cell_summary(by_cell[cell], [t[i] for t in rev],
+                                   [t[i] for t in src])}), flush=True)
     return 0
 
 
