@@ -328,50 +328,47 @@ class GreenKernel:
             if self.constant is None:
                 self.constant = _hyperboloid_constant(self.m, mu)
             out = q.scaled(self.constant * math.sinh(rho) ** (-mu))
-            if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
-                return out
-            raise self._overflow(rho)
-        if not 0.0 < rho < math.pi:
-            raise RangeError("rho must lie in (0, pi)")
-        if self.sign == MINUS:
-            if self.near_pole is None:
-                self.near_pole = pole_proximity(self.wp) < 1e-6
-            if self.near_pole:
-                raise EigenvaluePoleError("beta within refusal window of a "
-                                          "Laplace-Beltrami eigenvalue")
-        # FQ(cos rho), FP(-cos), FP(-cos) - e^{i pi (nu - mu)} FP(cos) or the
-        # odd f(cos), times the constant over sin(rho)^mu (and FRAKA's phase)
-        if self.variant == LAPLACE_S:
-            out = self.fn(math.cos(rho))
-        elif self.variant in (S_PLUS, SF_MINUS):
-            out = self.fn(-math.cos(rho))
-        elif self.variant == FRAK_MINUS:
-            pm = self.fn(-math.cos(rho))
-            pp = self.fn(math.cos(rho))
-            out = EvalResult(pm.value - self.phase * pp.value,
-                             pm.abs_err_est + pp.abs_err_est,
-                             pm.terms_used + pp.terms_used,
-                             merge_flags(pm, pp))
         else:
-            out = self.fn.odd(math.cos(rho))
-        if self.constant is None and self.variant == LAPLACE_S:
-            d, R = self.m.d, self.m.R
-            self.constant, self.share = math.gamma(d - 1.0) * (
-                2.0 * math.pi) ** (-0.5 * d) * R ** (2 - d), 0.0
-        elif self.constant is None:
-            # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
-            self.constant, self.share = _sphere_constant(self.wp)
-        pre = self.constant * math.sin(rho) ** (-mu)
-        if self.variant == FRAKA_MINUS:
-            pre = pre * self.phase
-        out = out.scaled_rounded(pre, self.share)
+            if not 0.0 < rho < math.pi:
+                raise RangeError("rho must lie in (0, pi)")
+            if self.sign == MINUS:
+                if self.near_pole is None:
+                    self.near_pole = pole_proximity(self.wp) < 1e-6
+                if self.near_pole:
+                    raise EigenvaluePoleError(
+                        "beta within refusal window of a "
+                        "Laplace-Beltrami eigenvalue")
+            # FQ(cos rho), FP(-cos), FP(-cos) - e^{i pi (nu - mu)} FP(cos)
+            # or the odd f(cos), times the constant over sin(rho)^mu (and
+            # FRAKA's phase)
+            if self.variant == LAPLACE_S:
+                out = self.fn(math.cos(rho))
+            elif self.variant in (S_PLUS, SF_MINUS):
+                out = self.fn(-math.cos(rho))
+            elif self.variant == FRAK_MINUS:
+                pm = self.fn(-math.cos(rho))
+                pp = self.fn(math.cos(rho))
+                out = EvalResult(pm.value - self.phase * pp.value,
+                                 pm.abs_err_est + pp.abs_err_est,
+                                 pm.terms_used + pp.terms_used,
+                                 merge_flags(pm, pp))
+            else:
+                out = self.fn.odd(math.cos(rho))
+            if self.constant is None and self.variant == LAPLACE_S:
+                d, R = self.m.d, self.m.R
+                self.constant, self.share = math.gamma(d - 1.0) * (
+                    2.0 * math.pi) ** (-0.5 * d) * R ** (2 - d), 0.0
+            elif self.constant is None:
+                # Gamma(mu - nu) cannot pole for + : nu < mu for every beta
+                self.constant, self.share = _sphere_constant(self.wp)
+            pre = self.constant * math.sin(rho) ** (-mu)
+            if self.variant == FRAKA_MINUS:
+                pre = pre * self.phase
+            out = out.scaled_rounded(pre, self.share)
+        # a constant or a product past the double range: the kernel never
+        # returns nan or inf
         if not (cmath.isfinite(out.value) and math.isfinite(out.abs_err_est)):
-            raise self._overflow(rho)
-        return out if self.sign == PLUS else out.with_flags(CANDIDATE)
-
-    def _overflow(self, rho: float) -> RangeError:
-        """The refusal of a value or estimate that is not finite (a
-        constant or a product past the double range): the kernel never
-        returns nan or inf."""
-        return RangeError(f"{self.variant} leaves the double range at "
-                          f"beta = {self.beta}, rho = {rho}")
+            raise RangeError(f"{self.variant} leaves the double range at "
+                             f"beta = {self.beta}, rho = {rho}")
+        return (out if self.kind == HYPERBOLOID or self.sign == PLUS
+                else out.with_flags(CANDIDATE))

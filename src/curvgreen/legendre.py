@@ -216,17 +216,20 @@ def _p_series(h: Hyp2F1, half_mu: complex, t: float,
     return h.regularized((1.0 - t) / 2.0).scaled(ratio ** half_mu)
 
 
-def _fp_conical(f, x: float, _rho=None) -> EvalResult | None:
+def _fp_conical(f, x: float) -> EvalResult | None:
     """FP_nu^mu(x) at a conical degree nu = -1/2 + i tau and a real order
     mu < 1 (f's) by the defining series of ``_p_series`` at any loss and
-    any s = (1 - x)/2 < 1, or None past the term gate.  Its terms are all
-    positive, as (-nu + n)(nu + 1 + n) = (n + 1/2)^2 + tau^2 and
+    any s = (1 - x)/2 < 1, or None at any other (nu, mu) or past the
+    term gate.  Its terms are all positive, as
+    (-nu + n)(nu + 1 + n) = (n + 1/2)^2 + tau^2 and
     c + n = 1 - mu + n are, so it cannot cancel, and the engine runs it
     in float.  It takes about g = tau sqrt(s/(1 - s)) terms to pass its
     peak and 37/|log s| more to settle (e^-37 is 1e-16); past _FP_TERMS
     of them the Mehler integral (``_large_degree``) is cheaper.
     Estimate: the engine's, plus eps (4 + g) of the value for the
     rounding of s, which moves log FP by about g eps."""
+    if f.nu.real != -0.5 or f.mu.imag or f.mu.real >= 1.0:
+        return None
     s = (1.0 - x) / 2.0
     g = abs(f.nu.imag) * math.sqrt(s / (1.0 - s))
     if g - 37.0 / math.log(s) > _FP_TERMS:
@@ -253,8 +256,11 @@ def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult | None:
     prefactor.  The parts that depend only on (nu, mu) are kept on f:
     the engine, log Gamma(nu + mu + 1) - log Gamma(nu + 3/2) as one
     Stirling difference (``_lgamma_gap``) and the phase.  nu rho, the
-    exponent's large part, enters exactly (``_two_product``), so no
-    rounding of it reaches the value.  Estimate: the engine's times
+    exponent's large part, enters exactly (``_two_product``), and the
+    whole exponent takes one exponential, its difference exact too
+    (``_two_sum``): no rounding of either reaches the value, and the
+    prefactor stays in range wherever Q does, where e^{-nu rho} and the
+    rest apart need not.  Estimate: the engine's times
     |prefactor|, plus eps times the sizes of the rest of the exponent,
     plus 4, plus eps |nu| rho, what a rounding of nu itself (a degree
     formed from beta) moves."""
@@ -276,12 +282,15 @@ def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult | None:
     h, lg, size, phase = f.w
     w = math.exp(-2.0 * rho)
     s = h.regularized(w, True) if h.c_pole[0] else h(w, True)
-    # e^{-(nu + 1) rho} as e^{-p} e^{-rho} (1 - d), p + d = nu rho exactly
+    # e^{x - nu rho} as e^e (1 + r - d), p + d = nu rho and e + r = x - p
+    # exactly
+    x = lg + mu * math.log(-math.expm1(-2.0 * rho)) - rho
     p_re, d_re = _two_product(nu.real, rho)
     p_im, d_im = _two_product(nu.imag, rho)
-    x = lg + mu * math.log(-math.expm1(-2.0 * rho)) - rho
-    pre = (phase * cmath.exp(complex(-p_re, -p_im)) * cmath.exp(x)
-           * complex(1.0 - d_re, -d_im))
+    e_re, r_re = _two_sum(x.real, -p_re)
+    e_im, r_im = _two_sum(x.imag, -p_im)
+    pre = (phase * cmath.exp(complex(e_re, e_im))
+           * complex(1.0 + r_re - d_re, r_im - d_im))
     return s.scaled_rounded(pre, _EPS * (size + abs(x) + abs(nu) * rho))
 
 
@@ -298,6 +307,13 @@ def _two_product(a: float, b: float) -> tuple:
     bh = c - (c - b)
     al, bl = a - ah, b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a: float, b: float) -> tuple:
+    """(a + b rounded, the rest of the exact sum) by Knuth's TwoSum."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
 
 def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
@@ -755,9 +771,9 @@ class _Route(NamedTuple):
     at_neg: Callable  # (kind, nu, m, arg) -> kind at order -m
     # None, or (nu, mu) -> (pole route or None, series at any loss)
     setup: Callable = None
-    # None, or (nu, mu) -> None or the kind's series of positive terms
-    # at (nu, mu): (f, arg, rho) -> its value, or None where it does not
-    # serve arg (rho: Q's distance, where the caller has it)
+    # None, or (f, arg, rho) -> the kind's series of positive terms, or
+    # None where it does not serve (f's (nu, mu), arg); rho is Q's
+    # distance, where the caller has it
     positive: Callable = None
 
 
@@ -779,15 +795,13 @@ ROUTES = {
         lambda f, z: _legendre_q_series(f.h, f.nu, f.mu, z),
         lambda k, nu, m, z: _conical_legendre_q_integral(
             nu, -m, math.acosh(z)),
-        _q_setup, lambda nu, mu: _legendre_q_w),
+        _q_setup, _legendre_q_w),
     "FP": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, x: _p_series(f.h, f.half_mu, x, (1.0 + x) / (1.0 - x)),
-        _ferrers_at_neg, None,
-        lambda nu, mu: (_fp_conical if nu.real == -0.5 and not mu.imag
-                        and mu.real < 1.0 else None)),
+        _ferrers_at_neg, None, lambda f, x, rho: _fp_conical(f, x)),
     "FQ": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * max(
@@ -804,7 +818,7 @@ class _Prepared:
     (nu, mu): the constructor does the work that depends only on (nu, mu),
     a call runs the route ladder (module docstring) on the argument."""
 
-    kind = row = h = pole = positive = w = None
+    kind = row = h = pole = w = None
     half = series_only = False
 
     def __init__(self, nu, mu):
@@ -817,8 +831,6 @@ class _Prepared:
             self.half = True
         elif self.row.setup:
             self.pole, self.series_only = self.row.setup(nu, mu)
-        if self.row.positive:
-            self.positive = self.row.positive(nu, mu)
 
     def __call__(self, arg: float, rho: float | None = None) -> EvalResult:
         """The kind at arg; an OverflowError, a RangeError from inside, or
@@ -833,8 +845,8 @@ class _Prepared:
             elif self.pole is not None:
                 out = self.pole(arg)
             # the positive series where it serves, else the rest
-            elif not (self.positive and (out := self.positive(self, arg,
-                                                              rho))):
+            elif not (row.positive and (out := row.positive(self, arg,
+                                                            rho))):
                 if self.series_only or row.loss(self, arg) <= _LOSS_MAX:
                     if self.h is None:
                         self.h = row.engine(self.nu, self.mu)

@@ -113,3 +113,20 @@ def test_by_cell_run():
     for c in cells:
         assert (c["workload"], c["seed"]) == ("large_degree", 1)
         assert c["rev_ms_per_op"] >= 0.0 and c["src_ms_per_op"] >= 0.0
+
+
+def test_run_pass_by_cell_keeps_the_op_order(abtime):
+    """With keys each op runs in its place in the list, and its time goes
+    to its cell's figure."""
+    seen = []
+
+    def run_op(op):
+        seen.append(op)
+        if op == "b":
+            raise ValueError("a refusal is timed too")
+
+    ops, keys = ["a", "b", "c", "d"], [1, 0, 1, 2]
+    got = abtime.run_pass(run_op, ops, keys)
+    assert seen == ops and len(got) == 3 and min(got) >= 0.0
+    seen.clear()
+    assert len(abtime.run_pass(run_op, ops)) == 1 and seen == ops

@@ -352,7 +352,7 @@ def _fp_grid(seed=21, size=120):
         mu = rng.choice((0.0, -1.0, -2.0, rng.uniform(-3.0, 1.0)))
         x = math.cos(rng.uniform(0.01, 3.1))
         f = legendre.FerrersP(nu, mu)
-        if f.positive and f.positive(f, x, None) is not None:
+        if f.row.positive(f, x, None) is not None:
             out.append((nu, mu, x))
     return out
 
@@ -382,6 +382,25 @@ class TestPositiveSeries:
         alone = legendre_q(nu, mu, z)
         assert relerr(alone.value, _mp_legendre("Q", nu, mu, z)) <= 1e-13
 
+    @pytest.mark.parametrize("nu,mu,z", [(85.0, 85.0, 4000.0),
+                                         (1000.0, 110.0, math.cosh(1.0))])
+    def test_large_order_prefactor_in_range(self, nu, mu, z):
+        """e^{-nu rho} and the rest of the prefactor each leave the double
+        range, their product does not (Q about -1e-158 and 3e-103): at z
+        within the estimate of mpmath and 1e-12 (the second is
+        conditioned by (nu + 1) z/sinh rho, about 1300), and at rho
+        itself within 1e-13."""
+        got = legendre_q(nu, mu, z)
+        ref = _mp_legendre("Q", nu, mu, z)
+        assert abs(got.value - ref) <= got.abs_err_est
+        assert relerr(got.value, ref) <= 1e-12
+        rho = math.acosh(z)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.legenq(nu, mu, mpmath.cosh(rho), type=3))
+        f = legendre.LegendreQ(nu, mu)
+        assert relerr(f(z, rho).value, ref) <= 1e-13 and f.w is not None
+
     @pytest.mark.parametrize("nu,mu,x", _fp_grid())
     def test_conical_fp_grid(self, nu, mu, x):
         got = ferrers_p(nu, mu, x)
@@ -397,11 +416,11 @@ class TestPositiveSeries:
         for tau in (12.0, 25.0, 60.0):
             f = legendre.FerrersP(complex(-0.5, tau), 0.0)
             for theta in (0.5, 1.5, 2.2, 2.9, 3.1):
-                got = f.positive(f, math.cos(theta), None)
+                got = f.row.positive(f, math.cos(theta), None)
                 if got is not None:
                     assert got.terms_used <= 1.5 * legendre._FP_TERMS
-            assert f.positive(f, math.cos(2.9), None) is None
-            assert f.positive(f, math.cos(1.5), None) is not None
+            assert f.row.positive(f, math.cos(2.9), None) is None
+            assert f.row.positive(f, math.cos(1.5), None) is not None
 
     def test_below_rho_0_keeps_the_old_route(self):
         f = legendre.LegendreQ(30.3, 0.2)
@@ -1332,18 +1351,14 @@ class TestRouteCells:
         for name, label in _BACKENDS.items():
             monkeypatch.setattr(legendre, name,
                                 spy(label, getattr(legendre, name)))
-        def positive(pick):
+        def positive(fn):
             # a positive series counts where it serves (returns a value)
-            def picked(nu, mu):
-                fn = pick(nu, mu)
-
-                def entered(*args):
-                    out = fn(*args)
-                    if out is not None and not depth[0]:
-                        hits.append("positive series")
-                    return out
-                return fn and entered
-            return picked
+            def entered(*args):
+                out = fn(*args)
+                if out is not None and not depth[0]:
+                    hits.append("positive series")
+                return out
+            return entered
 
         for cls in legendre._PREPARED.values():
             monkeypatch.setattr(cls, "row", cls.row._replace(
@@ -1359,8 +1374,8 @@ class TestRouteCells:
                     for nu, mu, arg in itertools.product(
                             nus, orders, _CELL_ARGS[kind]):
                         f = cls(nu, mu)
-                        side = ("positive" if f.positive and
-                                f.positive(f, arg, None) is not None
+                        side = ("positive" if f.row.positive and
+                                f.row.positive(f, arg, None) is not None
                                 else "below" if f.row.loss(f, arg)
                                 <= legendre._LOSS_MAX else "above")
                         reached.clear()

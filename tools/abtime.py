@@ -24,9 +24,11 @@ timed.  Prints one JSON line per workload:
   per-round ratios src/rev (below 1: this checkout is faster);
 * ``won``: the number of rounds in which src took less time than rev.
 
-With ``--by-cell`` each pass also times the ops of each (variant, d)
-cell apart, and each workload's line is followed by one line per cell,
-sorted by cell: ``workload``, ``seed``, ``cell``, ``ops``, each side's
+With ``--by-cell`` each pass runs the same ops in the same order but
+reads the clock after each op and adds its time to its (variant, d)
+cell's, so the workload line also carries one clock read per op.  Each
+workload's line is then followed by one line per cell, sorted by cell:
+``workload``, ``seed``, ``cell``, ``ops``, each side's
 median CPU milliseconds per op of the cell (``rev_ms_per_op``,
 ``src_ms_per_op``) and the median of the per-round ratios src/rev
 (``ratio``, None where no rev round took measurable time).
@@ -88,32 +90,43 @@ def make_runner(pkg):
             sys.modules[PACKAGE] = saved
 
 
-def run_pass(run_op, groups) -> list:
-    """CPU seconds of one pass over the op lists of groups, one figure
-    per group."""
+def run_pass(run_op, ops, keys=None) -> list:
+    """CPU seconds of one pass over ops, in their order: one figure, or
+    with keys (each op's cell index) one per index, each op timed on its
+    own and added to its cell's."""
     gc.collect()
-    out = []
-    for ops in groups:
-        start = time.process_time()
+    clock = time.process_time
+    if keys is None:
+        start = clock()
         for op in ops:
             try:
                 run_op(op)
             except Exception:  # a refusal is an outcome, timed as such
                 pass
-        out.append(time.process_time() - start)
+        return [clock() - start]
+    out = [0.0] * (max(keys) + 1)
+    start = clock()
+    for op, key in zip(ops, keys):
+        try:
+            run_op(op)
+        except Exception:
+            pass
+        now = clock()
+        out[key] += now - start
+        start = now
     return out
 
 
-def time_rounds(run_rev, run_src, groups, rounds: int) -> tuple:
-    """(rev, src): per round, each side's run_pass over groups, the first
+def time_rounds(run_rev, run_src, ops, rounds: int, keys=None) -> tuple:
+    """(rev, src): per round, each side's run_pass over ops, the first
     side alternating, after one untimed pass of each."""
-    run_pass(run_rev, groups)
-    run_pass(run_src, groups)
+    run_pass(run_rev, ops, keys)
+    run_pass(run_src, ops, keys)
     rev, src = [], []
     for r in range(rounds):
         sides = [(run_rev, rev), (run_src, src)]
         for run_op, out in sides if r % 2 == 0 else sides[::-1]:
-            out.append(run_pass(run_op, groups))
+            out.append(run_pass(run_op, ops, keys))
     return rev, src
 
 
@@ -175,15 +188,19 @@ def main() -> int:
                                                       args.seconds)
                    for op in chunk]
             by_cell = cells(ops) if args.by_cell else {}
-            groups = list(by_cell.values()) or [ops]
-            rev, src = time_rounds(run_rev, run_src, groups, args.rounds)
+            # each op's cell index in sorted order; one past the last for
+            # an op of no cell
+            index = {cell: i for i, cell in enumerate(sorted(by_cell))}
+            keys = [index.get(op[1:3], len(index))
+                    for op in ops] if index else None
+            rev, src = time_rounds(run_rev, run_src, ops, args.rounds, keys)
             print(json.dumps({"rev": args.rev, "workload": name,
                               "seed": args.seed, "ops": len(ops),
                               "rounds": args.rounds,
                               **summary([sum(t) for t in rev],
                                         [sum(t) for t in src])}),
                   flush=True)
-            for i, cell in sorted(enumerate(by_cell), key=lambda c: c[1]):
+            for cell, i in index.items():
                 print(json.dumps({
                     "workload": name, "seed": args.seed, "cell": cell,
                     **cell_summary(by_cell[cell], [t[i] for t in rev],
