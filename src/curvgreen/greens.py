@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
-from .legendre import _LOG_2, FerrersP, LegendreQ, ferrers_q
+from .legendre import FerrersP, LegendreQ, ferrers_q
 from .result import CANDIDATE, EvalResult, merge_flags
 from .specfun import _EPS, _lgamma, cyl
 
@@ -58,6 +58,7 @@ EUCLID_MINUS = "EUCLID_MINUS"
 LAPLACE_H = "LAPLACE_H"
 LAPLACE_S = "LAPLACE_S"
 
+_LOG_2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 
 CANDIDATE_VARIANTS = (SF_MINUS, FRAK_MINUS, AF_MINUS, FRAKA_MINUS)

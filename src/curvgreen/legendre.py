@@ -25,20 +25,21 @@ are the kinds at a fixed (nu, mu), called with the argument (the public
 functions build one per call; ``LegendreQ`` also takes the distance rho,
 z = cosh rho, where the caller has it).  All four run one route ladder
 over their kind's row of ``ROUTES``: the argument check; orders +-1/2
-by their closed forms; Q's paired poles; a series of positive terms
-where the row has one that serves: Q from rho = _RHO_MIN on by its
-series in w = e^{-2 rho} (``_legendre_q_w``, any degree and order), FP
-at a conical degree and a real order below 1 by its defining series
-while its predicted term count is within _FP_TERMS (``_fp_conical``);
-the hypergeometric series while the row's loss estimate (about
-2|nu + 1/2| sqrt(|w|) digits at series argument w) is at most
-_LOSS_MAX, and for Q at any loss while |Im nu| < 12; else
-``_large_degree``: a half-odd order by its closed form, an order below
-0.35 by the row's backend at -mu, any other order by the order
-connection ``_connect`` (DLMF 14.9) from -mu.  Backends: P the
+by their closed forms; Q's paired poles; FP at a conical degree and a
+real order below 1 by its defining series of positive terms while its
+predicted term count is within _FP_TERMS (``_fp_conical``); the row's
+series while its loss estimate is at most _LOSS_MAX (for P, FP and FQ
+about 2|nu + 1/2| sqrt(|w|) digits at series argument w), and for Q at
+any loss while |Im nu| < 12; else ``_large_degree``: a half-odd order
+by its closed form, an order below 0.35 by the row's backend at -mu,
+any other order by the order connection ``_connect`` (DLMF 14.9) from
+-mu.  Q's series is one form at every rho, in w = e^{-2 rho}
+(``_legendre_q_w``), summed by its defining series or the engine's
+1 - w connection (``_q_sum``), whose loss passes _LOSS_MAX only where
+neither holds digits: |tau| rho > 4 below rho = 0.003.  Backends: P the
 Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
 sinh/cosh in place of sin/cos), with Q by Q's own ladder as partner; Q
-(below _RHO_MIN only) a contour-rotated Laplace-type integral; FP and FQ
+a contour-rotated Laplace-type integral; FP and FQ
 (``_ferrers_at_neg``) the degree recurrence (DLMF 14.10.3) from series
 seeds at a real degree 0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the
 Mehler integral (FQ from two).  Every public function refuses a nan or
@@ -58,11 +59,10 @@ from . import quadrature
 from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
-from .specfun import (_EPS, Hyp2F1, _cgamma, _finite, _lgamma, _lgamma_gap,
-                      _near_nonpos_int, _real, gamma_ratio)
+from .specfun import (_EPS, _MAX_TERMS, Hyp2F1, _cgamma, _finite, _lgamma,
+                      _lgamma_gap, _near_nonpos_int, _real, gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
-_LOG_2 = math.log(2.0)
 # beyond this estimated digit-loss exponent (~5 digits) the series route
 # is abandoned for an integral representation
 _LOSS_MAX = 12.0
@@ -71,10 +71,9 @@ _QUAD_RTOL = 5e-13
 _MILLER_MAX = 100000
 # the highest degree the degree recurrence climbs to (about 0.1 s)
 _DEGREE_MAX = 100000.0
-# Q takes its series in w = e^{-2 rho} from this rho on (rho_0); below,
-# the series needs up to 6000 terms (about 36/rho)
+# Q sums its series in w = e^{-2 rho} by the defining series from this
+# rho on (rho_0); below, only where the 1 - w connection loses (_q_sum)
 _RHO_MIN = 0.1
-_Z_MIN = math.cosh(_RHO_MIN)
 # the most terms (predicted) of the conical FP series, where it meets
 # the cost of the Mehler integral
 _FP_TERMS = 500.0
@@ -207,13 +206,12 @@ def _conical_legendre_q_integral(nu, mu, xi: float) -> EvalResult:
 # Hypergeometric (series) routes
 # ----------------------------------------------------------------------
 
-def _p_series(h: Hyp2F1, half_mu: complex, t: float,
-              ratio: float) -> EvalResult:
-    """P_nu^mu(t) or FP_nu^mu(t) by the defining series ratio^{mu/2}
-    2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), h that 2F1 (the P and FP rows'
-    engine), half_mu the complex mu/2; ratio is (t + 1)/(t - 1) for
-    Legendre, (1 + t)/(1 - t) for Ferrers."""
-    return h.regularized((1.0 - t) / 2.0).scaled(ratio ** half_mu)
+def _p_series(f, t: float) -> EvalResult:
+    """P_nu^mu(t) or FP_nu^mu(t) (f's) by the defining series
+    |(1 + t)/(1 - t)|^{mu/2} 2F1~(-nu, nu + 1; 1 - mu; (1 - t)/2), f.h
+    that 2F1 (the P and FP rows' engine)."""
+    return f.h.regularized((1.0 - t) / 2.0).scaled(
+        abs((1.0 + t) / (1.0 - t)) ** f.half_mu)
 
 
 def _fp_conical(f, x: float) -> EvalResult | None:
@@ -240,48 +238,66 @@ def _fp_conical(f, x: float) -> EvalResult | None:
         ((1.0 + x) / (1.0 - x)) ** f.half_mu, _EPS * (4.0 + g))
 
 
-def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult | None:
+def _q_engine(nu, mu) -> tuple:
+    """The (nu, mu) parts of ``_legendre_q_w``, kept as f.h: the 2F1
+    engine; log Gamma(nu + mu + 1) - log Gamma(nu + 3/2) as one Stirling
+    difference (``_lgamma_gap``), at an anomalous degree (a pole of c,
+    which the regularized engine absorbs) the first alone; that sum's
+    size plus 4; the phase sqrt(pi) e^{i pi mu}."""
+    h = Hyp2F1(nu + mu + 1.0, mu + 0.5, nu + 1.5)
+    if h.c_pole[0]:
+        lg = _lgamma(nu + mu + 1.0)
+        size = abs(lg)
+    else:
+        lg, size = _lgamma_gap(nu + 1.5, mu - 0.5)
+    return h, lg, size + 4.0, _SQRT_PI * cmath.exp(1j * math.pi * mu)
+
+
+def _q_sum(f, rho: float) -> tuple:
+    """(defining, loss): Q's series in w at rho by its defining series,
+    which loses nothing, or by the engine's 1 - w connection, which
+    loses about (12 |Re nu + 1/2| + 3 |Im nu|) rho (two sums about
+    e^{2 nu rho} larger than Q, with rounded log-gamma coefficients,
+    cancel; at a conical degree each sum cancels within itself).  The
+    first serves from rho_0 on, and below where that loss passes
+    _LOSS_MAX and its (25 + 5 mu)/(1 - w) terms or so, counted as 32 +
+    5 mu, fit _MAX_TERMS; factors fitted on a grid below rho_0."""
+    if rho >= _RHO_MIN:
+        return True, 0.0
+    loss = (12.0 * abs(f.nu.real + 0.5) + 3.0 * abs(f.nu.imag)) * rho
+    if (loss > _LOSS_MAX and (32.0 + 5.0 * max(f.mu.real, 0.0))
+            <= _MAX_TERMS * -math.expm1(-2.0 * rho)):
+        return True, 0.0
+    return False, loss
+
+
+def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult:
     """Q_nu^mu(cosh rho) by its series in w = e^{-2 rho} (DLMF 14.3.7
     under a quadratic transformation of DLMF 15.8),
 
         sqrt(pi) e^{i pi mu} Gamma(nu + mu + 1)/Gamma(nu + 3/2)
         (1 - w)^mu e^{-(nu + 1) rho} F(nu + mu + 1, mu + 1/2; nu + 3/2; w),
 
-    at rho >= _RHO_MIN (rho = acosh z where the caller has only z), else
-    None.  At a real degree nu >= 0 and mu > -1/2 every term is
-    positive, and at a conical degree no term outgrows the sum, so the
-    defining series runs at any w below e^{-2 rho_0}.  Its c is that of
-    ``_legendre_q_series``, so are the anomalous degrees, where the
-    regularized engine absorbs Gamma(c) and Gamma(nu + 3/2) leaves the
-    prefactor.  The parts that depend only on (nu, mu) are kept on f:
-    the engine, log Gamma(nu + mu + 1) - log Gamma(nu + 3/2) as one
-    Stirling difference (``_lgamma_gap``) and the phase.  nu rho, the
-    exponent's large part, enters exactly (``_two_product``), and the
-    whole exponent takes one exponential, its difference exact too
-    (``_two_sum``): no rounding of either reaches the value, and the
+    rho = acosh z where the caller has only z, f.h from ``_q_engine``, F
+    summed as ``_q_sum`` chooses (at a real nu >= 0 and mu > -1/2 every
+    term is positive; at a conical nu none outgrows the sum).  nu rho
+    enters exactly (``_two_product``) and the whole exponent takes one
+    exponential, its difference exact too (``_two_sum``), so the
     prefactor stays in range wherever Q does, where e^{-nu rho} and the
-    rest apart need not.  Estimate: the engine's times
-    |prefactor|, plus eps times the sizes of the rest of the exponent,
-    plus 4, plus eps |nu| rho, what a rounding of nu itself (a degree
-    formed from beta) moves."""
+    rest apart need not.  Estimate: the engine's times |prefactor|, plus
+    eps times the rest of the exponent's size, plus 4, plus eps |nu| rho
+    for a rounding of nu itself; off the defining series also
+    eps (1 + 2 |mu|) w/(1 - w) for the rounded w that the connection
+    forms 1 - w from, and eps g e^{2 |Re nu + 1/2| rho} for its
+    coefficients, g = 2 a (log(a + 1) + 1) about their log-gammas' size,
+    a = |nu + 1|."""
     if rho is None:
-        if z < _Z_MIN:
-            return None
         rho = math.acosh(z)
-    elif rho < _RHO_MIN:
-        return None
     nu, mu = f.nu, f.mu
-    if f.w is None:
-        h = Hyp2F1(nu + mu + 1.0, mu + 0.5, nu + 1.5)
-        if h.c_pole[0]:
-            lg = _lgamma(nu + mu + 1.0)
-            size = abs(lg)
-        else:
-            lg, size = _lgamma_gap(nu + 1.5, mu - 0.5)
-        f.w = (h, lg, size + 4.0, _SQRT_PI * cmath.exp(1j * math.pi * mu))
-    h, lg, size, phase = f.w
+    h, lg, size, phase = f.h
     w = math.exp(-2.0 * rho)
-    s = h.regularized(w, True) if h.c_pole[0] else h(w, True)
+    defining = _q_sum(f, rho)[0]
+    s = h.regularized(w, defining) if h.c_pole[0] else h(w, defining)
     # e^{x - nu rho} as e^e (1 + r - d), p + d = nu rho and e + r = x - p
     # exactly
     x = lg + mu * math.log(-math.expm1(-2.0 * rho)) - rho
@@ -291,7 +307,13 @@ def _legendre_q_w(f, z: float, rho: float | None) -> EvalResult | None:
     e_im, r_im = _two_sum(x.imag, -p_im)
     pre = (phase * cmath.exp(complex(e_re, e_im))
            * complex(1.0 + r_re - d_re, r_im - d_im))
-    return s.scaled_rounded(pre, _EPS * (size + abs(x) + abs(nu) * rho))
+    share = _EPS * (size + abs(x) + abs(nu) * rho)
+    if not defining:
+        a = abs(nu + 1.0)
+        share += _EPS * ((1.0 + 2.0 * abs(mu)) * w / (1.0 - w)
+                         + 2.0 * a * (math.log(a + 1.0) + 1.0)
+                         * math.exp(2.0 * abs(nu.real + 0.5) * rho))
+    return s.scaled_rounded(pre, share)
 
 
 def _two_product(a: float, b: float) -> tuple:
@@ -314,29 +336,6 @@ def _two_sum(a: float, b: float) -> tuple:
     s = a + b
     t = s - a
     return s, (a - (s - t)) + (b - t)
-
-
-def _legendre_q_series(h: Hyp2F1, nu, mu, z: float) -> EvalResult:
-    """Paper-convention Q via the 1/z^2 hypergeometric representation,
-    h its 2F1 (the Q row's engine); Q's pole route takes nu + mu in -N.
-    The prefactor is sqrt(pi) e^{i pi mu} times the exponential of one
-    log sum, log-gammas, powers of 2 and z and (mu/2)(log(z - 1) +
-    log(z + 1)), so it stays in range wherever Q does; the estimate adds
-    that sum's rounding, eps times its terms' sizes, relative to Q."""
-    w = 1.0 / (z * z)
-    anomalous = h.c_pole[0]
-    # at an anomalous degree the regularized engine absorbs the Gamma(c)
-    # pole, and its -log Gamma(nu + 3/2) leaves the sum
-    f = h.regularized(w) if anomalous else h(w)
-    top = nu + mu + 1.0
-    a, b, c = _lgamma(top), -(nu + 1.0) * _LOG_2, -top * math.log(z)
-    e = (mu / 2.0) * (math.log(z - 1.0) + math.log(z + 1.0))
-    lg, size = a + b + c + e, abs(a) + abs(b) + abs(c) + abs(e)
-    if not anomalous:
-        g = -_lgamma(nu + 1.5)
-        lg, size = lg + g, size + abs(g)
-    return f.scaled_rounded(
-        _SQRT_PI * cmath.exp(1j * math.pi * mu) * cmath.exp(lg), _EPS * size)
 
 
 # ----------------------------------------------------------------------
@@ -748,18 +747,16 @@ def _q_pole(z: float):
     raise ParamPoleError("Q_nu^mu undefined: nu + mu in -N")
 
 
-def _q_setup(nu, mu) -> tuple:
-    """Q's pole route and its series-at-any-loss rule.  At paired poles
-    of the series, nu + 3/2 = -n and nu + mu + 1 = -k, the order
-    n - k + 1/2 is half-odd and its closed form (``half_odd_eval``) is
-    the limit in nu, or ParamPoleError where Q has a pole (k >= 2n + 2);
-    other nu + mu in -N is ParamPoleError.  A conical degree with
-    |tau| < 12 keeps the series at any loss."""
+def _q_setup(nu, mu):
+    """Q's pole route, or None.  At paired poles of the series,
+    nu + 3/2 = -n and nu + mu + 1 = -k, the order n - k + 1/2 is
+    half-odd and its closed form (``half_odd_eval``) is the limit in nu,
+    or ParamPoleError where Q has a pole (k >= 2n + 2); other nu + mu in
+    -N is ParamPoleError."""
     nm_pole, k = _near_nonpos_int(nu + mu + 1.0)
     anom, n = _near_nonpos_int(nu + 1.5)
-    pole = (functools.partial(half_odd_eval, "Q", nu, n - k + 0.5) if anom
+    return (functools.partial(half_odd_eval, "Q", nu, n - k + 0.5) if anom
             else _q_pole) if nm_pole else None
-    return pole, abs((nu + 0.5).imag) < 12.0
 
 
 class _Route(NamedTuple):
@@ -767,13 +764,11 @@ class _Route(NamedTuple):
     check: Callable   # arg -> the checked float argument, or DomainError
     loss: Callable    # (f, arg) -> the series' estimated digit loss
     engine: Callable  # (nu, mu) -> the series' 2F1 engine(s), kept as f.h
-    series: Callable  # (f, arg) -> the series value
+    series: Callable  # (f, arg, rho) -> the series value (rho: Q's)
     at_neg: Callable  # (kind, nu, m, arg) -> kind at order -m
-    # None, or (nu, mu) -> (pole route or None, series at any loss)
-    setup: Callable = None
-    # None, or (f, arg, rho) -> the kind's series of positive terms, or
-    # None where it does not serve (f's (nu, mu), arg); rho is Q's
-    # distance, where the caller has it
+    setup: Callable = None  # None, or (nu, mu) -> pole route or None
+    # None, or (f, arg) -> the kind's series of positive terms, or None
+    # where it does not serve (f's (nu, mu), arg)
     positive: Callable = None
 
 
@@ -784,24 +779,25 @@ ROUTES = {
         # cancellation for z > 1; real parts produce same-sign terms
         lambda f, z: 2.0 * abs(f.nu.imag) * math.sqrt((z - 1.0) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
-        lambda f, z: _p_series(f.h, f.half_mu, z, (z + 1.0) / (z - 1.0)),
+        lambda f, z, rho: _p_series(f, z),
         lambda k, nu, m, z: (_mehler_p(nu, m, math.acosh(z), True)
                              if k == "P" else legendre_q(nu, -m, z))),
     "Q": _Route(
         _check_hyperbolic,
-        lambda f, z: abs((f.nu + 0.5).imag) * 2.0 * math.atanh(1.0 / z),
-        lambda nu, mu: Hyp2F1((nu + mu + 1.0) / 2.0, (nu + mu + 2.0) / 2.0,
-                              nu + 1.5),
-        lambda f, z: _legendre_q_series(f.h, f.nu, f.mu, z),
+        # the contour takes over only at |Im nu| >= 12
+        lambda f, z: (_q_sum(f, math.acosh(z))[1]
+                      if abs(f.nu.imag) >= 12.0 else 0.0),
+        _q_engine,
+        _legendre_q_w,
         lambda k, nu, m, z: _conical_legendre_q_integral(
             nu, -m, math.acosh(z)),
-        _q_setup, _legendre_q_w),
+        _q_setup),
     "FP": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
-        lambda f, x: _p_series(f.h, f.half_mu, x, (1.0 + x) / (1.0 - x)),
-        _ferrers_at_neg, None, lambda f, x, rho: _fp_conical(f, x)),
+        lambda f, x, rho: _p_series(f, x),
+        _ferrers_at_neg, None, _fp_conical),
     "FQ": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * max(
@@ -809,7 +805,7 @@ ROUTES = {
         lambda nu, mu: (
             Hyp2F1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
             Hyp2F1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)),
-        _fq_series, _ferrers_at_neg),
+        lambda f, x, rho: _fq_series(f, x), _ferrers_at_neg),
 }
 
 
@@ -818,8 +814,8 @@ class _Prepared:
     (nu, mu): the constructor does the work that depends only on (nu, mu),
     a call runs the route ladder (module docstring) on the argument."""
 
-    kind = row = h = pole = w = None
-    half = series_only = False
+    kind = row = h = pole = None
+    half = False
 
     def __init__(self, nu, mu):
         self.nu, self.mu = nu, mu = (_finite("nu", complex(nu)),
@@ -830,13 +826,13 @@ class _Prepared:
         if mu == 0.5 or mu == -0.5:
             self.half = True
         elif self.row.setup:
-            self.pole, self.series_only = self.row.setup(nu, mu)
+            self.pole = self.row.setup(nu, mu)
 
     def __call__(self, arg: float, rho: float | None = None) -> EvalResult:
         """The kind at arg; an OverflowError, a RangeError from inside, or
         a non-finite value or estimate, is a RangeError that names the
         kind.  rho, where the caller has it, is Q's distance, arg =
-        cosh rho, which Q's positive series reads in place of arg."""
+        cosh rho, which Q's series reads in place of arg."""
         row = self.row
         try:
             arg = row.check(arg)
@@ -845,12 +841,11 @@ class _Prepared:
             elif self.pole is not None:
                 out = self.pole(arg)
             # the positive series where it serves, else the rest
-            elif not (row.positive and (out := row.positive(self, arg,
-                                                            rho))):
-                if self.series_only or row.loss(self, arg) <= _LOSS_MAX:
+            elif not (row.positive and (out := row.positive(self, arg))):
+                if row.loss(self, arg) <= _LOSS_MAX:
                     if self.h is None:
                         self.h = row.engine(self.nu, self.mu)
-                    out = row.series(self, arg)
+                    out = row.series(self, arg, rho)
                 else:
                     out = _large_degree(self.kind, self.nu, self.mu, arg,
                                         row.at_neg)

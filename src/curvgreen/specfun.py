@@ -659,10 +659,10 @@ class Hyp2F1:
 
     # kept by the first call that needs it: the snapped a and b with the
     # polynomial's step cap, 1/Gamma(c), the engines of the transformed
-    # functions (one level down), the 1-z connection's case and
-    # coefficients, and the psi gaps of the logarithmic case's log sum,
-    # a float and a complex pair
-    _snapped = _rgamma = _pfaff = _connection = _gaps = None
+    # functions (one level down; at a pole of c the shifted one), the 1-z
+    # connection's case and coefficients, and the psi gaps of the
+    # logarithmic case's log sum, a float and a complex pair
+    _snapped = _rgamma = _pfaff = _shifted = _connection = _gaps = None
 
     def __init__(self, a, b, c, depth: int = 0):
         self.a, self.b, self.c = (_finite("a", complex(a)),
@@ -707,8 +707,10 @@ class Hyp2F1:
             if not cmath.isfinite(pref):
                 raise RangeError(f"regularized 2F1 at the pole c = {-m}: "
                                  "its prefactor leaves the double range")
-            v, e, t, f = Hyp2F1(self.a + m + 1.0, self.b + m + 1.0,
-                                m + 2.0)._route(z, defining)
+            if self._shifted is None:
+                self._shifted = Hyp2F1(self.a + m + 1.0, self.b + m + 1.0,
+                                       m + 2.0)
+            v, e, t, f = self._shifted._route(z, defining)
             return EvalResult(pref * v, abs(pref) * e, t, f)
         # c is more than 1e-10 (so more than 1/Gamma's 1e-13) from a pole
         v, e, t, f = self._route(z, defining)

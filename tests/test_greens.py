@@ -426,9 +426,9 @@ class TestGreenKernel:
     changes a value, an estimate, a term count, a flag or a refusal."""
 
     # rho < pi/3 puts FP(-cos rho) on the 2F1's 1-z connection and
-    # rho > 2 pi/3 the odd part's FP(cos rho); from rho = 0.1 on
-    # Q(cosh rho) takes its series in e^{-2 rho}, below it the 1/cosh^2
-    # series on the 1-z connection (1/cosh^2 > 0.75).
+    # rho > 2 pi/3 the odd part's FP(cos rho); Q(cosh rho) takes its
+    # series in w = e^{-2 rho}, from rho = 0.1 on by the defining series,
+    # at rho = 0.05 (a small degree) on the 1-z connection (w > 0.75).
     # c - a - b = +-mu is an integer (the logarithmic case) at d = 2, 4;
     # at d = 3 the order +-1/2 takes its closed form and builds no 2F1.
     # No Green's function reaches the Pfaff map (its
@@ -467,9 +467,9 @@ class TestGreenKernel:
         if d == 3:
             assert kernel.fn.h is None
         else:
-            assert kernel.fn.h._connection[0] is not None  # the log case
-            if kernel.kind == HYPERBOLOID:
-                assert kernel.fn.w is not None  # the e^{-2 rho} series
+            # Q's engine comes with its prefactor's parts
+            h = kernel.fn.h[0] if kernel.kind == HYPERBOLOID else kernel.fn.h
+            assert h._connection[0] is not None  # the log case
 
     @pytest.mark.parametrize("variant,kind,beta,rho,exc,msg", [
         ("H_PLUS", HYPERBOLOID, 1.0, -1.0, RangeError,

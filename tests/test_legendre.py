@@ -321,10 +321,10 @@ class TestConicalMehler:
                 assert got.terms_used <= 15, (tau, theta)
 
 
-def _q_grid(seed=20, size=120):
+def _q_grid(seed=20, size=120, low=legendre._RHO_MIN, high=30.0):
     """(nu, mu, rho): real nu in [0, 100] at mu in [-3, 3] off the poles
     nu + mu + 1 in -N0, and conical nu = -1/2 + i tau, tau in [0, 100],
-    at mu in {0, 1} or [-3, 3]; rho log-uniform in [rho_0, 30]."""
+    at mu in {0, 1} or [-3, 3]; rho log-uniform in [low, high]."""
     rng = random.Random(seed)
     out = []
     while len(out) < size:
@@ -336,8 +336,8 @@ def _q_grid(seed=20, size=120):
         else:
             nu = complex(-0.5, rng.uniform(0.0, 100.0))
             mu = rng.choice((0.0, 1.0, rng.uniform(-3.0, 3.0)))
-        out.append((nu, mu, math.exp(rng.uniform(math.log(legendre._RHO_MIN),
-                                                 math.log(30.0)))))
+        out.append((nu, mu, math.exp(rng.uniform(math.log(low),
+                                                 math.log(high)))))
     return out
 
 
@@ -352,18 +352,22 @@ def _fp_grid(seed=21, size=120):
         mu = rng.choice((0.0, -1.0, -2.0, rng.uniform(-3.0, 1.0)))
         x = math.cos(rng.uniform(0.01, 3.1))
         f = legendre.FerrersP(nu, mu)
-        if f.row.positive(f, x, None) is not None:
+        if f.row.positive(f, x) is not None:
             out.append((nu, mu, x))
     return out
 
 
 class TestPositiveSeries:
-    """Q from rho_0 on by its series in e^{-2 rho}, and FP at a conical
-    degree by its defining series within the term gate: every term
-    positive (or, for conical Q, none above the sum), so no cancellation;
-    within 1e-13 of mpmath, with the error inside the estimate."""
+    """Q by its series in e^{-2 rho}, and FP at a conical degree by its
+    defining series within the term gate: every term positive (or, for
+    conical Q, none above the sum), so no cancellation; from rho_0 on
+    within 1e-13 of mpmath, with the error inside the estimate.  Below
+    rho_0 Q takes the defining series or the engine's 1 - w connection
+    (``_q_sum``), within 1e-12 of mpmath beyond what the rounding of w
+    moves there (ROADMAP item 14), again inside the estimate."""
 
-    @pytest.mark.parametrize("nu,mu,rho", _q_grid())
+    @pytest.mark.parametrize("nu,mu,rho", _q_grid() + _q_grid(
+        22, 60, 1e-6, legendre._RHO_MIN))
     def test_q_grid(self, nu, mu, rho):
         z = math.cosh(rho)
         mpmath = pytest.importorskip("mpmath")
@@ -371,13 +375,20 @@ class TestPositiveSeries:
             ref = complex(mpmath.legenq(nu, mu, mpmath.cosh(rho), type=3))
         f = legendre.LegendreQ(nu, mu)
         got = f(z, rho)
-        assert f.w is not None and f.h is None  # the e^{-2 rho} series
         if abs(ref) < 1e-290:  # past the double range: no digits to check
             assert abs(got.value) < 1e-290  # and no flag (ROADMAP item 17)
             return
         err = abs(got.value - ref)
-        assert err <= 1e-13 * abs(ref)
         assert err <= got.abs_err_est
+        if rho < legendre._RHO_MIN:
+            # the engine forms 1 - w from the rounded w: its estimate's
+            # eps (1 + 2 |mu|) w/(1 - w)
+            w = math.exp(-2.0 * rho)
+            moved = 2.2e-16 * (1.0 + 2.0 * abs(mu)) * w / (1.0 - w)
+            assert err <= (1e-12 + moved) * abs(ref)
+            return
+        assert f.h[0]._connection is None  # the defining series
+        assert err <= 1e-13 * abs(ref)
         # from z alone (rho = acosh z) within the same bound of Q at z
         alone = legendre_q(nu, mu, z)
         assert relerr(alone.value, _mp_legendre("Q", nu, mu, z)) <= 1e-13
@@ -399,7 +410,7 @@ class TestPositiveSeries:
         with mpmath.workdps(30):
             ref = complex(mpmath.legenq(nu, mu, mpmath.cosh(rho), type=3))
         f = legendre.LegendreQ(nu, mu)
-        assert relerr(f(z, rho).value, ref) <= 1e-13 and f.w is not None
+        assert relerr(f(z, rho).value, ref) <= 1e-13
 
     @pytest.mark.parametrize("nu,mu,x", _fp_grid())
     def test_conical_fp_grid(self, nu, mu, x):
@@ -416,26 +427,79 @@ class TestPositiveSeries:
         for tau in (12.0, 25.0, 60.0):
             f = legendre.FerrersP(complex(-0.5, tau), 0.0)
             for theta in (0.5, 1.5, 2.2, 2.9, 3.1):
-                got = f.row.positive(f, math.cos(theta), None)
+                got = f.row.positive(f, math.cos(theta))
                 if got is not None:
                     assert got.terms_used <= 1.5 * legendre._FP_TERMS
-            assert f.row.positive(f, math.cos(2.9), None) is None
-            assert f.row.positive(f, math.cos(1.5), None) is not None
+            assert f.row.positive(f, math.cos(2.9)) is None
+            assert f.row.positive(f, math.cos(1.5)) is not None
 
-    def test_below_rho_0_keeps_the_old_route(self):
-        f = legendre.LegendreQ(30.3, 0.2)
-        f(math.cosh(0.05))
-        assert f.w is None and f.h is not None
+    def test_below_rho_0_chooses_its_sum(self):
+        """Below rho_0 the engine's 1 - w connection serves while its loss
+        estimate is small (2.5 at 0.05), the defining series past it
+        (30.3 at 0.05), each within 1e-12 of mpmath and its estimate;
+        where that series would not settle within the term budget a real
+        degree keeps the connection at any loss (1000.7 at 0.002), and
+        its estimate shows the loss."""
+        mpmath = pytest.importorskip("mpmath")
+        for nu, rho, defining in ((2.5, 0.05, False), (30.3, 0.05, True),
+                                  (1000.7, 0.002, False)):
+            f = legendre.LegendreQ(nu, 0.2)
+            assert legendre._q_sum(f, rho)[0] is defining
+            got = f(math.cosh(rho), rho)
+            assert (f.h[0]._connection is None) is defining
+            with mpmath.workdps(30):
+                ref = complex(mpmath.legenq(nu, 0.2, mpmath.cosh(rho),
+                                            type=3))
+            assert abs(got.value - ref) <= got.abs_err_est
+            if nu < 1000.0:
+                assert relerr(got.value, ref) <= 1e-12
+        assert legendre._q_sum(f, 0.002)[1] > legendre._LOSS_MAX
+        assert f.row.loss(f, math.cosh(0.002)) <= legendre._LOSS_MAX
+        assert got.abs_err_est > 1e-11 * abs(got.value)
+
+    @pytest.mark.parametrize("nu,mu,rho", [(300.3, 0.0, 0.09),
+                                           (1000.7, 1.0, 0.05)])
+    def test_below_rho_0_values(self, nu, mu, rho):
+        """Q below rho_0 from z alone: the former 1/z^2 series returned
+        -1.66e-5 for 4.19e-13 at the first and refused the second (about
+        -3.2e-20)."""
+        z = math.cosh(rho)
+        got = legendre_q(nu, mu, z)
+        ref = _mp_legendre("Q", nu, mu, z)
+        assert abs(got.value - ref) <= got.abs_err_est
+        assert relerr(got.value, ref) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_below_rho_0_green(self, d):
+        """H_PLUS near its flat limit: at d = 4, beta = 1000, rho = 0.05
+        the former series refused (RangeError); the CLI's flat sweep
+        (beta = 0.5, r = 0.6, R = 500, rho = 1.2e-3) was 4e-11 and 1e-10
+        off at d = 2 and 4.  Against mpmath at the library's degree."""
+        mpmath = pytest.importorskip("mpmath")
+        for beta, R, rho in ((1000.0, 1.0, 0.05), (0.5, 500.0, 0.6 / 500.0)):
+            m = ManifoldSpec("hyperboloid", d, R)
+            got = green_value("H_PLUS", m, beta, rho)
+            nu, mu = WaveParams(m, beta, PLUS).nu, 0.5 * (d - 2)
+            with mpmath.workdps(30):
+                r = mpmath.mpf(rho)
+                ref = complex(mpmath.expjpi(-mu)
+                              * (2 * mpmath.pi) ** (-0.5 * d)
+                              * mpmath.mpf(R) ** (2 - d)
+                              * mpmath.sinh(r) ** -mu
+                              * mpmath.legenq(mpmath.mpmathify(nu), mu,
+                                              mpmath.cosh(r), type=3))
+            assert relerr(got.value, ref) <= 1e-12, (beta, R)
 
 
-# below rho = 0.1 Q keeps the 1/z^2 series and the rotated contour
-_Z_BELOW = math.cosh(0.05)
+# where neither of Q's sums in e^{-2 rho} holds digits (tau = 3000 at
+# rho = 0.002), Q takes the rotated contour
+_TAU_CORNER, _Z_CORNER = 3000.0, math.cosh(0.002)
 
 
 class TestConicalQ:
     """Q at a strongly conical degree and an order of at least 0.35 that
-    is not half-odd: the series in e^{-2 rho} from rho = 0.1 on, below it
-    the rotated contour at -mu, then _connect."""
+    is not half-odd: the series in e^{-2 rho}, and in its corner the
+    rotated contour at -mu, then _connect."""
 
     @pytest.mark.parametrize("mu", [1.0, 2.0, 3.0, 0.37, 0.8])
     @pytest.mark.parametrize("z", [1.3, 3.0])
@@ -463,13 +527,11 @@ class TestConicalQ:
 
     @pytest.mark.parametrize("tau", [1.5, 3.0, 8.0, 11.9])
     def test_weakly_conical_series(self, tau):
-        """|tau| < 12 keeps the series even past the loss threshold; its
-        estimate is the engine's, with no flag and no floor."""
+        """|tau| < 12 keeps the series at every rho; its estimate is the
+        engine's, with no flag and no floor."""
         nu = complex(-0.5, tau)
         for rho in (0.01, 0.3, 1.2):
             z = math.cosh(rho)
-            if tau * 2.0 * math.atanh(1.0 / z) <= legendre._LOSS_MAX:
-                continue
             for mu in (0.0, 0.5, -0.5, 0.3, 1.0):
                 got = legendre_q(nu, mu, z)
                 assert not got.flags, (rho, mu)
@@ -481,18 +543,28 @@ class TestConicalQ:
         def no_series(*args):
             raise AssertionError("Q series called")
 
-        monkeypatch.setattr(legendre, "_legendre_q_series", no_series)
-        assert legendre_q(complex(-0.5, 25.0), 1.0, _Z_BELOW).terms_used > 0
+        monkeypatch.setattr(legendre.LegendreQ, "row",
+                            legendre.LegendreQ.row._replace(series=no_series))
+        assert legendre_q(complex(-0.5, _TAU_CORNER), 1.0,
+                          _Z_CORNER).terms_used > 0
 
     def test_complex_order_refused(self):
-        """Below rho = 0.1 the large-degree route refuses a complex order;
-        from there on the e^{-2 rho} series takes it."""
-        nu, mu = complex(-0.5, 25.0), 1.0 + 0.3j
+        """In the contour's corner the large-degree route refuses a complex
+        order; elsewhere the e^{-2 rho} series takes it: from rho_0 on
+        (z = 1.3) within 1e-14 of mpmath, below it (rho = 0.05, the
+        engine's 1 - w connection) within test_q_grid's 1e-12."""
         with pytest.raises(DomainError, match="real order"):
-            legendre_q(nu, mu, _Z_BELOW)
+            legendre_q(complex(-0.5, _TAU_CORNER), 1.0 + 0.3j, _Z_CORNER)
+        nu, mu = complex(-0.5, 25.0), 1.0 + 0.3j
         got = legendre_q(nu, mu, 1.3)
         ref = _mp_legendre("Q", nu, mu, 1.3)
         assert relerr(got.value, ref) <= 1e-14
+        assert abs(got.value - ref) <= got.abs_err_est
+        got = legendre.LegendreQ(nu, mu)(math.cosh(0.05), 0.05)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.legenq(nu, mu, mpmath.cosh(0.05), type=3))
+        assert relerr(got.value, ref) <= 1e-12
         assert abs(got.value - ref) <= got.abs_err_est
 
 
@@ -660,9 +732,9 @@ class TestHalfOdd:
         # independent path is the first-kind series
         got = half_odd_eval("FERRERS_P", 0.5, 0.5, 0.4).value
         x = 0.4
-        # _p_series takes mu/2
-        ref = legendre._p_series(legendre.ROUTES["FP"].engine(0.5, 0.5),
-                                 0.25, x, (1.0 + x) / (1.0 - x)).value
+        f = legendre.FerrersP(0.5, 0.5)
+        f.h = f.row.engine(0.5, 0.5)
+        ref = legendre._p_series(f, x).value
         assert abs(got - ref) < 1e-10 * abs(ref)
 
     def test_recurrence_vs_hypergeometric(self):
@@ -1257,12 +1329,13 @@ class TestLargeDegreeLadder:
 
 
 # the route cells: kind x degree class x order class x side, the side
-# "positive" where the kind's positive series serves (Q from rho = 0.1
-# on, FP at a conical degree and a real order below 1 within its term
-# gate), else the side of the series' loss threshold read from its
-# kind's row of ROUTES; P and Q at a real degree have no loss, and FQ's
-# is at least sqrt(2) |nu + 1/2|, so those cells exist on one side only.
-# The conical classes take a degree on each side of Q's |tau| = 12.
+# "positive" where the kind's positive series serves (FP at a conical
+# degree and a real order below 1 within its term gate), else the side
+# of the series' loss threshold read from its kind's row of ROUTES; P at
+# a real degree has no loss, FQ's is at least sqrt(2) |nu + 1/2|, and
+# Q's passes the threshold only in its corner (test_q_corner), so those
+# cells exist on one side only.  The conical classes take a degree on
+# each side of Q's |tau| = 12.
 _DEGREE_CLASSES = {"real": (6.3,),
                    "conical": (complex(-0.5, 8.0), complex(-0.5, 11.5)),
                    "strongly conical": (complex(-0.5, 12.5),
@@ -1289,15 +1362,9 @@ _ROUTE_CELLS = {
     ('P', 'complex', 'below'): _SERIES,
     ('P', 'complex', 'above'): _LARGE,
     ('Q', 'real', 'below'): _SERIES,
-    ('Q', 'real', 'positive'): _POSITIVE,
-    ('Q', 'conical', 'above'): _SERIES,
-    ('Q', 'conical', 'positive'): _POSITIVE,
-    ('Q', 'strongly conical', 'above'):
-        ('closed form', 'closed form', 'rotated contour', 'connection'),
-    ('Q', 'strongly conical', 'positive'): _POSITIVE,
-    ('Q', 'complex', 'above'):
-        ('closed form', 'closed form', 'rotated contour', 'connection'),
-    ('Q', 'complex', 'positive'): _POSITIVE,
+    ('Q', 'conical', 'below'): _SERIES,
+    ('Q', 'strongly conical', 'below'): _SERIES,
+    ('Q', 'complex', 'below'): _SERIES,
     ('FP', 'real', 'below'): _SERIES,
     ('FP', 'real', 'above'):
         ('closed form', 'closed form', 'degree recurrence', 'connection'),
@@ -1375,7 +1442,7 @@ class TestRouteCells:
                             nus, orders, _CELL_ARGS[kind]):
                         f = cls(nu, mu)
                         side = ("positive" if f.row.positive and
-                                f.row.positive(f, arg, None) is not None
+                                f.row.positive(f, arg) is not None
                                 else "below" if f.row.loss(f, arg)
                                 <= legendre._LOSS_MAX else "above")
                         reached.clear()
@@ -1386,6 +1453,22 @@ class TestRouteCells:
         assert all(len(s) <= 1 for v in cells.values() for s in v)
         assert {k: tuple(s.pop() if s else None for s in v)
                 for k, v in cells.items()} == _ROUTE_CELLS
+
+    def test_q_corner(self, reached):
+        """Where neither of Q's sums in e^{-2 rho} holds digits, a strongly
+        conical degree at rho below about 0.003, its loss passes the
+        threshold, and the orders reach the closed forms, the rotated
+        contour and the connection from it."""
+        want = ('closed form', 'closed form', 'rotated contour',
+                'connection')
+        for orders, backend in zip(_ORDER_CLASSES, want):
+            for mu in orders:
+                f = legendre.LegendreQ(complex(-0.5, _TAU_CORNER), mu)
+                if backend != 'closed form':
+                    assert f.row.loss(f, _Z_CORNER) > legendre._LOSS_MAX
+                reached.clear()
+                f(_Z_CORNER)
+                assert reached == [backend], mu
 
     def test_q_pole_route(self, reached):
         """At paired poles (nu = -5/2, nu + mu + 1 = -3) Q takes the
@@ -1614,10 +1697,9 @@ class TestIdentities:
 
     @_IDENTITY
     @given(_LEGENDRE_POINTS, _ORDERS)
-    @example((-0.5, 1.00000001), 1.0).xfail(
-        raises=AssertionError, reason="z - 1 = 1e-8 (ROADMAP item 14)")
-    # Q at a real degree past about 20 near z = 1 lost digits to the
-    # 1/z^2 series; its e^{-2 rho} series holds them
+    # Q near z = 1, and at a real degree past about 20, lost digits to
+    # its former 1/z^2 series; its e^{-2 rho} series holds them
+    @example((-0.5, 1.00000001), 1.0)
     @example((35.17826049481216, 1.141124544242478), -0.7381015528725752)
     def test_legendre_wronskian(self, point, mu):
         nu, z = point

@@ -364,7 +364,7 @@ class TestPrepared2F1:
             if engine._connection:
                 cases.add("generic" if engine._connection[0] is None
                           else "log")
-        assert {"_snapped", "_rgamma", "_pfaff", "_connection",
+        assert {"_snapped", "_rgamma", "_pfaff", "_shifted", "_connection",
                 "_gaps"} <= kept
         assert cases == {"generic", "log"}
 
@@ -996,6 +996,25 @@ class TestRegularized2F1:
         assert abs(got - lim) < 2e-6 * abs(got)
         # closed form: F-reg(1,1;0;z) = z/(1-z)^2
         assert got.real == pytest.approx(0.3 / 0.49, rel=1e-13)
+
+    def test_pole_keeps_its_shifted_engine(self, monkeypatch):
+        """At a pole of c the shifted engine is built by the first call
+        and kept (a Legendre Q at an anomalous degree reaches it at every
+        z), with the bits of a one-shot call."""
+        built = []
+
+        class Spy(Hyp2F1):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "Hyp2F1", Spy)
+        engine = Spy(0.5, 0.7, -1.0)
+        for z in (0.3, 0.9):
+            assert _result_outcome(engine.regularized, z) == \
+                _result_outcome(lambda z: regularized_2f1(0.5, 0.7, -1.0, z),
+                                z)
+        assert built.count((2.5, 2.7, 3.0)) == 3  # once here, two one-shots
 
     def test_c_negative_terminating(self):
         got = regularized_2f1(-2.0, 3.0, -1.0, 0.4)
