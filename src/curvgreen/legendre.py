@@ -22,24 +22,24 @@ functions,
 Degrees may be complex; the conical family nu = -1/2 + i tau is fully
 supported.  ``LegendreP``, ``LegendreQ``, ``FerrersP`` and ``FerrersQ``
 are the kinds at a fixed (nu, mu), called with the argument (the public
-functions build one per call; ``LegendreQ`` also takes the distance rho,
+functions build one per call; P and Q also take the distance rho,
 z = cosh rho, where the caller has it).  All four run one route ladder
 over their kind's row of ``ROUTES``: the argument check; orders +-1/2
 by their closed forms; Q's paired poles; FP at a conical degree and a
 real order below 1 by its defining series of positive terms while its
 predicted term count is within _FP_TERMS (``_fp_conical``); the row's
 series while its loss estimate is at most _LOSS_MAX (for P, FP and FQ
-about 2|nu + 1/2| sqrt(|w|) digits at series argument w), and for Q at
-any loss while |Im nu| < 12; else ``_large_degree``: a half-odd order
-by its closed form, an order below 0.35 by the row's backend at -mu,
-any other order by the order connection ``_connect`` (DLMF 14.9) from
--mu.  Q's series is one form at every rho, in w = e^{-2 rho}
+about 2|nu + 1/2| sqrt(|w|) digits at series argument w, P counting
+only Im nu), and for Q at any loss while |Im nu| < 12; else the row's
+``large`` rung.  Q's series is one form at every rho, in w = e^{-2 rho}
 (``_legendre_q_w``), summed by its defining series or the engine's
 1 - w connection (``_q_sum``), whose loss passes _LOSS_MAX only where
-neither holds digits: |tau| rho > 4 below rho = 0.003.  Backends: P the
-Mehler-Dirichlet integral (one kernel for Legendre and Ferrers,
-sinh/cosh in place of sin/cos), with Q by Q's own ladder as partner; Q
-a contour-rotated Laplace-type integral; FP and FQ
+neither holds digits: |tau| rho > 4 below rho = 0.003.  P past its
+series is two Q's, at nu and -nu - 1 (``_p_from_q``, DLMF 14.9).  Q, FP
+and FQ take ``_large_degree``: a half-odd order by its closed form, an
+order below 0.35 by the row's backend at -mu, any other order by the
+order connection ``_connect`` from -mu; the backends are, for Q, a
+contour-rotated Laplace-type integral, and for FP and FQ
 (``_ferrers_at_neg``) the degree recurrence (DLMF 14.10.3) from series
 seeds at a real degree 0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the
 Mehler integral (FQ from two).  Every public function refuses a nan or
@@ -108,18 +108,14 @@ def _halfodd_part(mu) -> int | None:
 # Integral representations (large-degree backends)
 # ----------------------------------------------------------------------
 
-def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
-    """FP_nu^{-m}(cos angle), or P_nu^{-m}(cosh angle) if hyperbolic, by
-    the Mehler-Dirichlet integral (DLMF 14.12), Re m > -1/2.
-
-    One integrand for every geometry, degree and order: sin/cos on the
-    sphere, sinh/cosh on the hyperboloid, the kernel cos((nu + 1/2) t)
-    in real arithmetic when nu + 1/2 is real or imaginary
-    (cos(i tau t) = cosh(tau t)).  It is integrated in the distance h
-    from the singular endpoint, cos t - cos angle formed as
+def _mehler_p(nu, m, angle: float) -> EvalResult:
+    """FP_nu^{-m}(cos angle) by the Mehler-Dirichlet integral (DLMF
+    14.12), Re m > -1/2: the kernel cos((nu + 1/2) t), in real arithmetic
+    as cosh(tau t) at a conical degree, integrated in the distance h from
+    the singular endpoint, cos t - cos angle formed as
     2 sin(angle - h/2) sin(h/2), whose power m - 1/2 the quadrature's
-    endpoint map takes (u = sqrt(h) at an integer m, where the
-    integrand is analytic in u).  A real degree from m = 3/2 on takes
+    endpoint map takes (u = sqrt(h) at an integer m, where the integrand
+    is analytic in u).  A real degree from m = 3/2 on takes
     h = u^(1/(m + 1/2)), which removes the power: there the integrand
     cancels to well below its size, and the analytic map stopped on
     rounding-level estimates farther off (ferrers_q(25.3, 2, 0.921)
@@ -129,18 +125,17 @@ def _mehler_p(nu, m, angle: float, hyperbolic: bool) -> EvalResult:
     """
     nu = complex(nu)
     m = float(complex(m).real)
-    sin = math.sinh if hyperbolic else math.sin
     kern = nu + 0.5
     if kern.imag == 0.0:
-        a, cos = kern.real, math.cosh if hyperbolic else math.cos
+        a, cos = kern.real, math.cos
     elif kern.real == 0.0:
-        a, cos = kern.imag, math.cos if hyperbolic else math.cosh
+        a, cos = kern.imag, math.cosh
     else:
-        a, cos = kern, cmath.cosh if hyperbolic else cmath.cos
-    pre = math.sqrt(2.0 / math.pi) * sin(angle) ** (-m) / _cgamma(m + 0.5)
+        a, cos = kern, cmath.cos
+    pre = math.sqrt(2.0 / math.pi) * math.sin(angle) ** (-m) / _cgamma(m + 0.5)
 
     def f(h):
-        base = 2.0 * sin(angle - 0.5 * h) * sin(0.5 * h)
+        base = 2.0 * math.sin(angle - 0.5 * h) * math.sin(0.5 * h)
         return cos(a * (angle - h)) * base ** (m - 0.5)
 
     p = 0.5 - m
@@ -418,13 +413,12 @@ def _connect(kind: str, nu, mu, at_neg) -> EvalResult:
                   gr, abs(first) + abs(t))
 
 
-def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
-    """kind (P, Q, FP or FQ) past the series' loss threshold, the last
-    rung of the route ladder: a complex order is refused (DomainError), a
-    half-odd order takes its closed form (``half_odd_eval``), an order
-    below 0.35 is at_neg at -mu, any other order is connected from -mu
-    (``_connect``).  at_neg(k, nu, m, arg) is the row's backend for k,
-    kind or its connection partner, at order -m."""
+def _large_degree(f, arg: float, at_neg) -> EvalResult:
+    """f's kind (Q, FP or FQ) past its series: a complex order is refused
+    (DomainError), a half-odd order takes ``half_odd_eval``, an order
+    below 0.35 is at_neg(kind, nu, -mu, arg), the row's backend, and any
+    other is connected (``_connect``) from at_neg at -mu."""
+    kind, nu, mu = f.kind, f.nu, f.mu
     if abs(mu.imag) > 1e-12:
         raise DomainError("large-degree route requires real order")
     if _halfodd_part(mu) is not None:
@@ -432,6 +426,23 @@ def _large_degree(kind: str, nu, mu, arg: float, at_neg) -> EvalResult:
     if mu.real < 0.35:
         return at_neg(kind, nu, -mu.real, arg)
     return _connect(kind, nu, mu, lambda k: at_neg(k, nu, mu.real, arg))
+
+
+def _p_from_q(f, z: float, rho: float | None) -> EvalResult:
+    """P_nu^mu(z) past its series (f's) from Q at nu and -nu - 1, the same
+    mu and rho (where the caller has it), by DLMF 14.9's
+    pi e^{i pi mu} cos(nu pi) P = sin((nu + mu) pi) Q_nu
+    - sin((nu - mu) pi) Q_{-nu-1}, each ratio taken as (tan(nu pi)
+    cos(mu pi) +- sin(mu pi)) e^{-i pi mu}/pi, finite at any |Im nu|.
+    Estimate: the Q estimates times the ratios, plus eps times the two
+    products for the rounding of the ratios and of the difference."""
+    nu, mu = f.nu, f.mu
+    t = cmath.tan(math.pi * nu) * cmath.cos(math.pi * mu)
+    s, phase = cmath.sin(math.pi * mu), cmath.exp(-1j * math.pi * mu) / math.pi
+    q1 = LegendreQ(nu, mu)(z, rho).scaled_rounded((t + s) * phase, _EPS)
+    q2 = LegendreQ(-nu - 1.0, mu)(z, rho).scaled_rounded((t - s) * phase, _EPS)
+    return EvalResult(q1.value - q2.value, q1.abs_err_est + q2.abs_err_est,
+                      q1.terms_used + q2.terms_used, merge_flags(q1, q2))
 
 
 def _fq_undefined(nu, order) -> bool:
@@ -624,8 +635,8 @@ def _ferrers_q_reflection(nu, m, theta: float) -> EvalResult:
         raise NoConvergenceError(
             "reflection route degenerate: sin(pi(nu - mu)) ~ 0")
     c = cmath.cos(math.pi * (nu - m))
-    p1 = _mehler_p(nu, m, theta, False)
-    p2 = _mehler_p(nu, m, math.pi - theta, False)
+    p1 = _mehler_p(nu, m, theta)
+    p2 = _mehler_p(nu, m, math.pi - theta)
     val = (c * p1.value - p2.value) * math.pi / (2.0 * s)
     err = (abs(c) * p1.abs_err_est + p2.abs_err_est) * math.pi / (2.0 * abs(s))
     return EvalResult(val, err, p1.terms_used + p2.terms_used,
@@ -739,7 +750,7 @@ def _ferrers_at_neg(kind: str, nu, m, x: float) -> EvalResult:
     if nu.imag == 0.0 and 0.0 <= nu.real <= _DEGREE_MAX and abs(m) <= 1.0:
         return _degree_recurrence(kind, nu.real, m, x)
     if kind == "FP":
-        return _mehler_p(nu, m, math.acos(x), False)
+        return _mehler_p(nu, m, math.acos(x))
     return _ferrers_q_reflection(nu, m, math.acos(x))
 
 
@@ -765,7 +776,7 @@ class _Route(NamedTuple):
     loss: Callable    # (f, arg) -> the series' estimated digit loss
     engine: Callable  # (nu, mu) -> the series' 2F1 engine(s), kept as f.h
     series: Callable  # (f, arg, rho) -> the series value (rho: Q's)
-    at_neg: Callable  # (kind, nu, m, arg) -> kind at order -m
+    large: Callable   # (f, arg, rho) -> the value past the series
     setup: Callable = None  # None, or (nu, mu) -> pole route or None
     # None, or (f, arg) -> the kind's series of positive terms, or None
     # where it does not serve (f's (nu, mu), arg)
@@ -780,8 +791,7 @@ ROUTES = {
         lambda f, z: 2.0 * abs(f.nu.imag) * math.sqrt((z - 1.0) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, z, rho: _p_series(f, z),
-        lambda k, nu, m, z: (_mehler_p(nu, m, math.acosh(z), True)
-                             if k == "P" else legendre_q(nu, -m, z))),
+        lambda f, z, rho: _p_from_q(f, z, rho)),
     "Q": _Route(
         _check_hyperbolic,
         # the contour takes over only at |Im nu| >= 12
@@ -789,15 +799,17 @@ ROUTES = {
                       if abs(f.nu.imag) >= 12.0 else 0.0),
         _q_engine,
         _legendre_q_w,
-        lambda k, nu, m, z: _conical_legendre_q_integral(
-            nu, -m, math.acosh(z)),
+        lambda f, z, rho: _large_degree(
+            f, z, lambda k, nu, m, z: _conical_legendre_q_integral(
+                nu, -m, math.acosh(z))),
         _q_setup),
     "FP": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * math.sin(math.acos(x) / 2.0),
         lambda nu, mu: Hyp2F1(-nu, nu + 1.0, 1.0 - mu),
         lambda f, x, rho: _p_series(f, x),
-        _ferrers_at_neg, None, _fp_conical),
+        lambda f, x, rho: _large_degree(f, x, _ferrers_at_neg),
+        None, _fp_conical),
     "FQ": _Route(
         _check_ferrers,
         lambda f, x: f.loss_scale * max(
@@ -805,7 +817,8 @@ ROUTES = {
         lambda nu, mu: (
             Hyp2F1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
             Hyp2F1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)),
-        lambda f, x, rho: _fq_series(f, x), _ferrers_at_neg),
+        lambda f, x, rho: _fq_series(f, x),
+        lambda f, x, rho: _large_degree(f, x, _ferrers_at_neg)),
 }
 
 
@@ -831,8 +844,8 @@ class _Prepared:
     def __call__(self, arg: float, rho: float | None = None) -> EvalResult:
         """The kind at arg; an OverflowError, a RangeError from inside, or
         a non-finite value or estimate, is a RangeError that names the
-        kind.  rho, where the caller has it, is Q's distance, arg =
-        cosh rho, which Q's series reads in place of arg."""
+        kind.  rho, arg = cosh rho, where the caller has it, is read in
+        place of arg by Q's series, and so by P past its own."""
         row = self.row
         try:
             arg = row.check(arg)
@@ -847,8 +860,7 @@ class _Prepared:
                         self.h = row.engine(self.nu, self.mu)
                     out = row.series(self, arg, rho)
                 else:
-                    out = _large_degree(self.kind, self.nu, self.mu, arg,
-                                        row.at_neg)
+                    out = row.large(self, arg, rho)
             if cmath.isfinite(out.value) and math.isfinite(out.abs_err_est):
                 return out
         except (OverflowError, RangeError):

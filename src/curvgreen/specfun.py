@@ -754,9 +754,12 @@ class Hyp2F1:
         if defining:
             # a long run: its terms carry the rounding of every step's
             # ratio, which adds up like a random walk to about sqrt(n)
-            # times the engine's 2 eps per term (18 eps at 166 terms)
+            # times the engine's 2 eps per term (18 eps at 166 terms);
+            # past a thousand terms |z| is near 1, and the tail the stop
+            # rule leaves, about |last term| |z|/(1 - |z|), outgrows that
             v, e, t, f = _series_2f1(self.a, self.b, self.c, z)
-            return v, e * (1.0 + math.sqrt(t)), t, f
+            tail = abs(z) / (1.0 - abs(z)) if t > 1000 else 0.0
+            return v, e * (1.0 + math.sqrt(t) + tail), t, f
         if abs(z) <= 0.75:
             return _series_2f1(self.a, self.b, self.c, z)
         if z.real >= 1.0 and abs(z.imag) < 1e-14:

@@ -1,14 +1,19 @@
 """Entry checks of the public numerical functions and of an expansion's
 two-point config: a nan or infinite number in any position is refused
 with DomainError, "<name> must be finite", before any work; a value
-past the double range is RangeError, never inf or nan."""
+past the double range is RangeError, never inf or nan; and the work of
+a call is bounded (``legendre_p`` at conical degrees)."""
 
+import cmath
 import functools
 import math
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from curvgreen.errors import DomainError, RangeError
+from curvgreen.errors import CurvGreenError, DomainError, RangeError
 from curvgreen.expansions import TwoPointConfig
 from curvgreen.legendre import (ferrers_p, ferrers_q, gegenbauer_function,
                                 half_odd_eval, legendre_p, legendre_q)
@@ -87,3 +92,23 @@ def test_overflow_is_refused(call, want):
             call()
     else:
         assert call() == want
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1000.0), st.floats(-3.0, 3.0),
+       st.floats(1.0 + 1e-6, 1e6))
+# past its series P had spent 0.6-0.7 s in the hyperbolic Mehler
+# integral before it refused
+@example(25.0, -2.3, math.cosh(2.0))
+def test_legendre_p_work_is_bounded(tau, mu, z):
+    """legendre_p at a conical degree returns a finite value with a
+    finite estimate, or refuses with a CurvGreenError, within 50 ms of
+    process CPU."""
+    start = time.process_time()
+    try:
+        out = legendre_p(complex(-0.5, tau), mu, z)
+    except CurvGreenError:
+        pass
+    else:
+        assert cmath.isfinite(out.value) and math.isfinite(out.abs_err_est)
+    assert time.process_time() - start < 0.05
