@@ -1254,16 +1254,16 @@ _LADDER_THETAS = (0.3, 1.2, 2.6)
 # the orders that reach each branch (orders +-1/2 take their closed form
 # before the ladder); reflected FP puts -mu on the ladder, so its orders
 # are positive and never reach the connection; P's rung (_p_from_q)
-# takes every order alike
+# takes every order alike, and its rows keep the Ferrers branch names
 _LADDER_ORDERS = {"half-odd": (-1.5, -0.5, 0.5, 1.5), "at_neg": (0.0, -1.0),
-                  "connect": (0.7, 1.0),
-                  "Q pair": (-1.5, 1.5, 0.0, -1.0, 0.7, 1.0)}
+                  "connect": (0.7, 1.0)}
 _REFLECTED_ORDERS = {"half-odd": (0.5, 1.5), "at_neg": (0.7, 1.0)}
 # worst relative error against mpmath over each branch's cells, recorded
 # when the four ladders became one (P's when its rung became two Q's); a
 # change may only lower a ceiling
 _LADDER_CEILINGS = {
-    ("P", "Q pair"): 1e-13,
+    ("P", "half-odd"): 1e-13, ("P", "at_neg"): 1e-13,
+    ("P", "connect"): 1e-13,
     ("FP", "half-odd"): 1e-12, ("FP", "at_neg"): 3e-11,
     ("FP", "connect"): 3e-11,
     ("FQ", "half-odd"): 1e-12, ("FQ", "at_neg"): 3e-11,
