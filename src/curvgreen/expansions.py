@@ -67,9 +67,9 @@ from itertools import count
 from .errors import (DomainError, DomainViolationError, NoConvergenceError,
                      RangeError, WrongCaseError, WrongVariantError)
 from .geometry import composite_hyperbolic, composite_spherical
-from .greens import (A_PLUS, FRAK_MINUS, H_MINUS, H_PLUS, MINUS, PLUS,
-                     S_PLUS, SF_MINUS, VARIANT_SPACES, GreenKernel,
-                     WaveParams, euclidean_green)
+from .greens import (A_PLUS, AF_MINUS, FRAK_MINUS, FRAKA_MINUS, H_MINUS,
+                     H_PLUS, MINUS, PLUS, S_PLUS, SF_MINUS, VARIANT_SPACES,
+                     GreenKernel, WaveParams, euclidean_green)
 from .legendre import evaluator, order_sequence
 from .result import NONCONVERGENT
 from .specfun import (_cgamma, _cyl, _finite, _gegenbauer_terms, _real,
@@ -504,7 +504,8 @@ def addition_special(case: str, params: dict, cfg: TwoPointConfig,
 # functions
 # ----------------------------------------------------------------------
 
-_EXPANDABLE = (H_PLUS, H_MINUS, S_PLUS, A_PLUS, SF_MINUS, FRAK_MINUS)
+_EXPANDABLE = (H_PLUS, H_MINUS, S_PLUS, A_PLUS, SF_MINUS, FRAK_MINUS,
+               AF_MINUS, FRAKA_MINUS)
 
 
 def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
@@ -546,9 +547,12 @@ def _green_series(variant: str, wp: WaveParams, cfg: TwoPointConfig,
         parts = [("FQ", False, 1.0), ("FP", False, 0.5j * math.pi)]
     else:
         # the addition theorem's 2^mu times the closed form's constant
+        # (and FRAKA_MINUS's phase 1 + e^{i pi (nu - mu)})
         c = 2.0 ** mu * kernel.constant
+        if variant == FRAKA_MINUS:
+            c = c * kernel.phase
         parts = [("FP", True, 1.0)]
-        if variant == A_PLUS:
+        if variant in (A_PLUS, AF_MINUS, FRAKA_MINUS):
             # antipodal bracket: the unreflected parent series carries
             # (-1)^l, so odd orders add instead of subtract
             parts.append(("FP", False, -1.0))

@@ -38,7 +38,7 @@ from .errors import (DomainError, EigenvaluePoleError, RangeError,
                      WrongVariantError)
 from .geometry import EUCLIDEAN, HYPERBOLOID, HYPERSPHERE, ManifoldSpec
 from .legendre import FerrersP, LegendreQ, ferrers_q
-from .result import CANDIDATE, EvalResult, merge_flags
+from .result import CANDIDATE, EvalResult
 from .specfun import _EPS, _lgamma, cyl
 
 PLUS = "plus"
@@ -339,22 +339,17 @@ class GreenKernel:
                     raise EigenvaluePoleError(
                         "beta within refusal window of a "
                         "Laplace-Beltrami eigenvalue")
-            # FQ(cos rho), FP(-cos), FP(-cos) - e^{i pi (nu - mu)} FP(cos)
-            # or the odd f(cos), times the constant over sin(rho)^mu (and
+            # FQ(cos rho), FP(-cos), or FP(-cos) - c FP(cos) (``reflect``)
+            # with FRAK_MINUS's c = e^{i pi (nu - mu)} and the antipodal
+            # variants' c = 1, times the constant over sin(rho)^mu (and
             # FRAKA's phase)
             if self.variant == LAPLACE_S:
                 out = self.fn(math.cos(rho))
             elif self.variant in (S_PLUS, SF_MINUS):
                 out = self.fn(-math.cos(rho))
-            elif self.variant == FRAK_MINUS:
-                pm = self.fn(-math.cos(rho))
-                pp = self.fn(math.cos(rho))
-                out = EvalResult(pm.value - self.phase * pp.value,
-                                 pm.abs_err_est + pp.abs_err_est,
-                                 pm.terms_used + pp.terms_used,
-                                 merge_flags(pm, pp))
             else:
-                out = self.fn.odd(math.cos(rho))
+                out = self.fn.reflect(math.cos(rho), self.phase
+                                      if self.variant == FRAK_MINUS else 1.0)
             if self.constant is None and self.variant == LAPLACE_S:
                 d, R = self.m.d, self.m.R
                 self.constant, self.share = math.gamma(d - 1.0) * (

@@ -8,7 +8,9 @@ functions,
 * Ferrers functions ``FP_nu^mu(x)``, ``FQ_nu^mu(x)`` on -1 < x < 1,
 * the reflected first-kind function FP_nu^{-mu}(-x), which is FP at
   -mu and -x,
-* the odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x),
+* the combinations FP_nu^mu(-x) - c FP_nu^mu(x) of the sphere's
+  antipodal and FRAK Green's functions (``FerrersP.reflect``), among
+  them the odd one f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x),
 * orders +-1/2 by their elementary closed forms at every degree, and
   the other half-odd-integer orders lifted from them by the order
   recurrence (a path independent of the hypergeometric one),
@@ -42,7 +44,11 @@ order connection ``_connect`` from -mu; the backends are, for Q, a
 contour-rotated Laplace-type integral, and for FP and FQ
 (``_ferrers_at_neg``) the degree recurrence (DLMF 14.10.3) from series
 seeds at a real degree 0 <= nu <= _DEGREE_MAX and |mu| <= 1, else the
-Mehler integral (FQ from two).  Every public function refuses a nan or
+Mehler integral (FQ from two).  FP at x < 0 climbs from three seeds,
+two at -x and one at x, the fourth from the degree Casoratian of FP(x)
+and FP(-x) (``_fp_reflect``); so does ``FerrersP.reflect`` past the
+series at a real degree and an order the ladder passes to -mu, for
+both of its terms at once.  Every public function refuses a nan or
 infinite number with DomainError and a value beyond the double range
 with RangeError, never returning inf/nan.  The module keeps no state.
 """
@@ -60,7 +66,8 @@ from .errors import (DomainError, NoConvergenceError, ParamPoleError,
                      RangeError, UndefinedError)
 from .result import NEAR_POLE, RECURRENCE_UNSTABLE, EvalResult, merge_flags
 from .specfun import (_EPS, _MAX_TERMS, Hyp2F1, _cgamma, _finite, _lgamma,
-                      _lgamma_gap, _near_nonpos_int, _real, gamma_ratio)
+                      _lgamma_gap, _near_nonpos_int, _real, _sincospi,
+                      gamma_ratio)
 
 _SQRT_PI = 1.7724538509055160273
 # beyond this estimated digit-loss exponent (~5 digits) the series route
@@ -664,16 +671,40 @@ def _degree_recurrence(kind: str, nu: float, m: float,
     alike in both seeds, so y_N by dx (l_0 y_0' + l_1 y_1'), the slopes
     from DLMF 14.10.4-5.  Near x = -1 at mu = 0, FP's log singularity,
     that term outweighs the rest.
+
+    FP at x < 0 is ``_fp_reflect`` at -x with c = 0: three seeds, one of
+    them at x, in place of two there.
     """
+    if kind == "FP" and x < 0.0:
+        return _fp_reflect(nu, m, -x, 0.0)
     prepared = _PREPARED[kind]
     start = nu - math.floor(nu)
     if _fq_undefined(start, -m):
         start += 1.0
     a, b = prepared(start, -m)(x), prepared(start + 1.0, -m)(x)
     f0, f1 = a.value.real, b.value.real
-    # (1 - x^2) y_0' and (1 - x^2) y_1'
-    s0 = (start + 1.0) * x * f0 - (start + m + 1.0) * f1
-    s1 = (start + 1.0 - m) * f0 - (start + 1.0) * x * f1
+    s0, s1 = _slopes(start, m, x, f0, f1)
+    f1, err, lam0, lam, steps = _climb(nu, start, m, x, f0, f1)
+    dx = _EPS * (1.0 - x if kind == "FP" else abs(x)) / (1.0 - x * x)
+    err = (err + abs(lam0) * a.abs_err_est
+           + abs(lam) * b.abs_err_est + dx * abs(lam0 * s0 + lam * s1))
+    return EvalResult(complex(f1), err, a.terms_used + b.terms_used + steps)
+
+
+def _slopes(start: float, m: float, x: float, f0, f1) -> tuple:
+    """(1 - x^2) y_0' and (1 - x^2) y_1' of the degree recurrence's seeds
+    y_0 = F_start(x) = f0 and y_1 = F_{start+1}(x) = f1 at order -m
+    (DLMF 14.10.4-5)."""
+    return ((start + 1.0) * x * f0 - (start + m + 1.0) * f1,
+            (start + 1.0 - m) * f0 - (start + 1.0) * x * f1)
+
+
+def _climb(nu: float, start: float, m: float, x: float, f0, f1) -> tuple:
+    """(y_N, its rounding's share of the estimate, l_0, l_1, steps): the
+    degree recurrence of ``_degree_recurrence`` at order -m and x from
+    y_0 = f0 at degree start and y_1 = f1 at start + 1 up to degree nu,
+    and its adjoint, l_i = dy_N/dy_i.  Any solution climbs, real or
+    complex, and so does any combination of solutions."""
     rounding = []
     n = start + 1.0
     for _ in range(round(nu - start) - 1):
@@ -691,11 +722,100 @@ def _degree_recurrence(kind: str, nu: float, m: float,
                      - (n - m) / (n + m + 1.0) * lam1), lam
         n -= 1.0
     lam0 = -(start + 1.0 - m) / (start + m + 2.0) * lam1
-    dx = _EPS * (1.0 - x if kind == "FP" else abs(x)) / (1.0 - x * x)
-    err = (2.0 * _EPS * err + abs(lam0) * a.abs_err_est
-           + abs(lam) * b.abs_err_est + dx * abs(lam0 * s0 + lam * s1))
-    return EvalResult(complex(f1), err,
-                      a.terms_used + b.terms_used + len(rounding))
+    return f1, 2.0 * _EPS * err, lam0, lam, len(rounding)
+
+
+def _casoratian(s: float, m: float) -> tuple:
+    """(C, its error): the degree Casoratian of FP(x) and FP(-x) at order
+    -m and degree s in [0, 1), |m| <= 1,
+
+        FP_s(x) FP_{s+1}(-x) + FP_{s+1}(x) FP_s(-x)
+          = 2 sin(pi (m - s)) Gamma(s - m + 1)/(pi Gamma(s + m + 2))
+          = 2/(Gamma(m - s) Gamma(s + m + 2)),
+
+    from their Wronskian (DLMF 14.2) and DLMF 14.10.5, the same at every
+    x.  1/Gamma(t), t = m - s, is taken directly above t = 1/2, else by
+    reflection as sin(pi t) Gamma(1 - t)/pi, the sine at an integer m as
+    -(-1)^m sin(pi s) with s exact (the rounding of m - s would cost
+    eps/s next to s = 0).  Error: 8 eps |C|, and at a non-integer m the
+    rounding of t, eps |t| times the sine's slope bound
+    2 Gamma(1 - t)/Gamma(s + m + 2)."""
+    t = m - s
+    g = math.gamma(s + m + 2.0)
+    if t > 0.5:
+        c = 2.0 / (math.gamma(t) * g)
+        return c, 8.0 * _EPS * abs(c)
+    whole = m == round(m)
+    gr = math.gamma((1.0 - m) + s) / g
+    sine = (_sincospi(s)[0] * (1.0 if m % 2 else -1.0) if whole
+            else _sincospi(t)[0])
+    c = 2.0 * sine * gr / math.pi
+    return c, _EPS * (8.0 * abs(c) + (0.0 if whole else 2.0 * abs(t) * gr))
+
+
+def _fp_reflect(nu: float, m: float, x: float, c) -> EvalResult:
+    """FP_nu^{-m}(-x) - c FP_nu^{-m}(x) at a real degree 1 < nu <=
+    _DEGREE_MAX and |m| <= 1 by one degree recurrence from three seeds
+    (``FerrersP.reflect``; c = 0 is FP at -x alone).
+
+    With y = |x|, s = nu - floor(nu) and K = floor(nu), the seeds are
+    u_k = FP_{s+k}(y) and v_k = FP_{s+k}(-y), k = 0, 1: both u by their
+    series, one v_i by its series (at -y, past y = 1/2 the engine's
+    logarithmic case at an integer m), and the other from the
+    Casoratian u_0 v_1 + u_1 v_0 = C (``_casoratian``),
+    v_j = (C - u_j v_i)/u_i.  That division loses digits where
+    |u_j v_i| >> |u_i v_j|, so i makes |u_i v_j| the larger product, as
+    predicted with |v_1/v_0| at its limit y -> 1: the ratio
+    (1 + s - m)/(1 + s + m) of the (1 - y)^{-m/2} coefficients at m > 0,
+    where FP_s(-y) is the larger near y = 1, and 1 at m <= 0.  (Dividing
+    by the larger |u_i| instead put an AF_MINUS value at d = 4,
+    nu = 53.001, x = 0.958 8e-12 farther from mpmath.)  G_k = (-1)^k v_k
+    obeys the recurrence at +y as u_k does, so H_k = a G_k + b u_k
+    climbs once (``_climb``), with (a, b) = ((-1)^K, -c) at x > 0 and
+    (-c (-1)^K, 1) else; H_K is the value.
+
+    Estimate: the climb's rounding and each H seed's error times its
+    |l_i|, as in ``_degree_recurrence``.  A seed H_k's error is its
+    parts' times |a| and |b| plus eps (|a v_k| + |b u_k|) for forming
+    it; a series seed's error includes its argument's rounding
+    (eps (1 -+ y) in 1 -+ y) times its slope (``_slopes``); v_j's is
+    (err C + |u_j| err v_i + |v_i| err u_j + |v_j| err u_i)/|u_i| plus
+    eps (|u_j v_i|/|u_i| + 2 |v_j|) for its own rounding."""
+    y = abs(x)
+    start = nu - math.floor(nu)
+    pu = FerrersP(start, -m)(y), FerrersP(start + 1.0, -m)(y)
+    u = pu[0].value.real, pu[1].value.real
+    du = _EPS / (1.0 + y)
+    eu = [f.abs_err_est + du * abs(sl)
+          for f, sl in zip(pu, _slopes(start, m, y, *u))]
+    # v_i by its series, v_j = (C - u_j v_i)/u_i from the Casoratian
+    m_pos = max(m, 0.0)
+    i = int(abs(u[1]) * (1.0 + start + m_pos)
+            >= abs(u[0]) * (1.0 + start - m_pos))
+    j = 1 - i
+    pv = FerrersP(start + i, -m)(-y)
+    cas, cas_err = _casoratian(start, m)
+    v, ev = [0.0, 0.0], [0.0, 0.0]
+    v[i] = pv.value.real
+    p = u[j] * v[i]
+    v[j] = (cas - p) / u[i]
+    ev[i] = (pv.abs_err_est
+             + _EPS / (1.0 - y) * abs(_slopes(start, m, -y, *v)[i]))
+    ev[j] = ((cas_err + abs(u[j]) * ev[i] + abs(v[i]) * eu[j]
+              + abs(v[j]) * eu[i]) / abs(u[i])
+             + _EPS * (abs(p) / abs(u[i]) + 2.0 * abs(v[j])))
+    sign = -1.0 if math.floor(nu) % 2 else 1.0
+    a, b = (sign, -c) if x > 0.0 else (-c * sign, 1.0)
+    h, err, lam0, lam1, steps = _climb(nu, start, m, y, a * v[0] + b * u[0],
+                                       b * u[1] - a * v[1])
+    # each H_k seed's error: its parts', and the rounding of forming it
+    a, b = abs(a), abs(b)
+    err += (abs(lam0) * (a * (ev[0] + _EPS * abs(v[0]))
+                         + b * (eu[0] + _EPS * abs(u[0])))
+            + abs(lam1) * (a * (ev[1] + _EPS * abs(v[1]))
+                           + b * (eu[1] + _EPS * abs(u[1]))))
+    return EvalResult(complex(h), err, pu[0].terms_used + pu[1].terms_used
+                      + pv.terms_used + steps)
 
 
 def _fq_series(fq, x: float) -> EvalResult:
@@ -882,16 +1002,37 @@ class FerrersP(_Prepared):
     """FP_nu^mu at a fixed (nu, mu), called with x in (-1, 1)."""
     kind, row = "FP", ROUTES["FP"]
 
-    def odd(self, x: float) -> EvalResult:
-        """The odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)
-        (``odd_ferrers_f``)."""
-        x = _check_ferrers(x)
-        if x == 0.0:
-            return EvalResult(0.0, 0.0, 0)
+    def reflect(self, x: float, c) -> EvalResult:
+        """FP_nu^mu(-x) - c FP_nu^mu(x) for a factor c of modulus 1: the
+        odd combination at c = 1, the sphere's FRAK candidate at
+        c = e^{i pi (nu + mu)}.  Where the series' loss at -|x|, the
+        larger of the two, passes _LOSS_MAX at a real degree
+        0 <= nu <= _DEGREE_MAX and a real order -1 <= mu < 0.35 other
+        than -1/2 (those ``_large_degree`` hands to the degree recurrence
+        at -mu), both terms come from one climb from three seeds
+        (``_fp_reflect``); else they are self(-x) and self(x), the second
+        estimate taken once (|c| = 1).  loss_scale is tested first: at
+        2 |nu + 1/2| <= _LOSS_MAX neither term passes, and self checks
+        x."""
+        if self.loss_scale > _LOSS_MAX:
+            x = _check_ferrers(x)
+            nu, mu = self.nu, self.mu
+            if (not (self.half or nu.imag or mu.imag)
+                    and 0.0 <= nu.real <= _DEGREE_MAX
+                    and -1.0 <= mu.real < 0.35
+                    and self.row.loss(self, -abs(x)) > _LOSS_MAX):
+                return _fp_reflect(nu.real, -mu.real, x, c)
         a = self(-x)
         b = self(x)
-        return EvalResult(a.value - b.value, a.abs_err_est + b.abs_err_est,
+        return EvalResult(a.value - c * b.value, a.abs_err_est + b.abs_err_est,
                           a.terms_used + b.terms_used, merge_flags(a, b))
+
+    def odd(self, x: float) -> EvalResult:
+        """The odd combination f_nu^mu(x) = FP_nu^mu(-x) - FP_nu^mu(x)
+        (``odd_ferrers_f``): ``reflect(x, 1.0)``, exactly 0 at x = 0."""
+        if _check_ferrers(x) == 0.0:
+            return EvalResult(0.0, 0.0, 0)
+        return self.reflect(x, 1.0)
 
 
 class FerrersQ(_Prepared):

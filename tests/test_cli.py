@@ -76,6 +76,16 @@ class TestExpand:
             assert key in doc
         assert doc["rel_err"] < 1e-7
 
+    @pytest.mark.parametrize("variant", ["AF_MINUS", "FRAKA_MINUS"])
+    def test_antipodal_candidate_report(self, variant):
+        code, out = capture([
+            "expand", "--variant", variant, "--manifold", "hypersphere",
+            "--d", "3", "--beta", "1.7", "--theta", "0.4",
+            "--theta-prime", "0.8", "--gamma", "1.2", "--lmax", "60"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rel_err"] < 1e-10
+
     def test_domain_violation_exit_code(self):
         code, _ = capture([
             "expand", "--variant", "S_PLUS", "--manifold", "hypersphere",

@@ -296,6 +296,29 @@ class TestGreenExpansions:
         assert NONCONVERGENT in rep.flags
         assert math.isfinite(abs(rep.value))
 
+    @pytest.mark.parametrize("variant", ["AF_MINUS", "FRAKA_MINUS"])
+    def test_antipodal_candidates_expand(self, variant):
+        """AF_MINUS and FRAKA_MINUS take A_PLUS's antipodal bracket, FRAKA
+        its constant times 1 + e^{i pi (nu - mu)}: within 1e-10 of the
+        closed form over d = 2-5, beta in [0.2, 4] and radii whose tail
+        ratio is at most 0.6, at l_max = 80."""
+        rng = np.random.default_rng(22)
+        worst, n = 0.0, 0
+        while n < 24:
+            d = int(rng.integers(2, 6))
+            beta = float(rng.uniform(0.2, 4.0))
+            t1, t2 = rng.uniform(0.05, 3.0, 2)
+            ok, ratio = convergence_domain(min(t1, t2), max(t1, t2), True)
+            if not ok or ratio > 0.6 or abs(t1 - t2) < 1e-3:
+                continue
+            wp = WaveParams(ManifoldSpec(HYPERSPHERE, d, 1.0), beta, MINUS)
+            cfg = TwoPointConfig(float(t1), float(t2),
+                                 float(rng.uniform(0.0, math.pi)))
+            series = fourier_2d if d == 2 else green_expansion
+            worst = max(worst, series(variant, wp, cfg, 80).rel_err)
+            n += 1
+        assert worst < 1e-10
+
     def test_rejects_equal_radii(self):
         wp = WaveParams(ManifoldSpec(HYPERSPHERE, 3, 1.0), 1.3, PLUS)
         with pytest.raises(DomainViolationError):

@@ -1357,6 +1357,76 @@ class TestLargeDegreeLadder:
             assert abs(got.value - _mp_legendre("P", nu, mu, z)) \
                 <= got.abs_err_est
 
+    def test_af_minus_cancelling_pair(self):
+        """large_degree seed 46, op 320 (d = 2): FP_nu(-cos rho) and
+        FP_nu(cos rho) at nu = 15.247 agree to three digits.  Two
+        recurrences left their difference 1.97e-9 off; one climb of the
+        difference (``FerrersP.reflect``) leaves 1.9e-12, inside its
+        estimate.  Reference: the AF_MINUS closed form at 30 digits,
+        Gamma(nu + 1) Gamma(-nu)/(4 pi) [FP_nu(-cos rho) - FP_nu(cos rho)],
+        nu = -1/2 + sqrt(1 + 4 beta^2)/2."""
+        mpmath = pytest.importorskip("mpmath")
+        beta, rho = 15.739314613312217, 0.7732925591510755
+        got = green_value("AF_MINUS", ManifoldSpec("hypersphere", 2, 1.0),
+                          beta, rho)
+        with mpmath.workdps(30):
+            nu = -0.5 + mpmath.sqrt(1 + 4 * mpmath.mpf(beta) ** 2) / 2
+            x = mpmath.cos(mpmath.mpf(rho))
+            ref = complex(mpmath.gamma(nu + 1) * mpmath.gamma(-nu)
+                          / (4 * mpmath.pi)
+                          * (mpmath.legenp(nu, 0, -x, type=2)
+                             - mpmath.legenp(nu, 0, x, type=2)))
+        assert abs(got.value - ref) <= 1e-11 * abs(ref)
+        assert abs(got.value - ref) <= got.abs_err_est
+
+    def test_reflect_takes_three_seeds(self, monkeypatch):
+        """Past the series, reflect(x, c) = FP(-x) - c FP(x) reads FP at
+        the degrees s = nu - floor(nu) and s + 1 at y = |x|, one of them
+        at -y, and climbs once; so does FP at x < 0 alone.  At
+        2 |nu + 1/2| <= _LOSS_MAX, and at order -1/2, it reads self(-x)
+        and self(x), the two calls verify's _SharedFerrersP keeps."""
+        mpmath = pytest.importorskip("mpmath")
+        calls, climbs = [], []
+        call, climb = legendre._Prepared.__call__, legendre._climb
+
+        def spy(self, arg, rho=None):
+            calls.append((self, arg))
+            return call(self, arg, rho)
+
+        def spy_climb(*args):
+            climbs.append(args)
+            return climb(*args)
+
+        monkeypatch.setattr(legendre._Prepared, "__call__", spy)
+        monkeypatch.setattr(legendre, "_climb", spy_climb)
+        for nu, mu in ((30.3, 0.0), (30.3, -1.0), (47.0, 0.2), (61.7, -0.6)):
+            s = nu - math.floor(nu)
+            for x in (0.4, -0.7):
+                c = cmath.exp(1j * math.pi * (nu + mu))
+                calls.clear(), climbs.clear()
+                f = legendre.FerrersP(nu, mu)
+                got = f.reflect(x, c)
+                assert [(g.nu, g.mu) for g, _ in calls[:2]] \
+                    == [(s, mu), (s + 1.0, mu)]
+                assert [t for _, t in calls] == [abs(x), abs(x), -abs(x)]
+                assert calls[2][0].nu in (s, s + 1.0)
+                assert len(climbs) == 1
+                with mpmath.workdps(30):
+                    ref = complex(
+                        mpmath.legenp(nu, mu, -mpmath.mpf(x), type=2)
+                        - c * mpmath.legenp(nu, mu, mpmath.mpf(x), type=2))
+                assert abs(got.value - ref) <= got.abs_err_est
+            calls.clear(), climbs.clear()
+            f(-0.7)
+            assert [t for _, t in calls] == [-0.7, 0.7, 0.7, -0.7]
+            assert len(climbs) == 1
+        for nu, mu in ((4.2, 0.0), (4.2, -1.0), (30.3, -0.5)):
+            f = legendre.FerrersP(nu, mu)
+            calls.clear(), climbs.clear()
+            f.reflect(0.4, -1.0)
+            assert calls == [(f, -0.4), (f, 0.4)]
+            assert not climbs
+
     def test_af_minus_large_degree(self):
         """A d = 3 sphere op whose Mehler route lost 2.7e-9; the half-odd
         closed forms give 1.5e-10.  Reference: the AF_MINUS closed form
@@ -1725,6 +1795,11 @@ _LEGENDRE_POINTS = st.one_of(st.tuples(_CONICAL, _ZS),
 _IDENTITY = settings(database=None, derandomize=True, deadline=None)
 
 
+def _off_integer(t, width):
+    """True unless t lies within width of an integer without being one."""
+    return t == round(t) or abs(t - round(t)) > width
+
+
 class TestIdentities:
     """Wronskians (DLMF 14.2.3-4) and conical conjugation symmetry, within
     1e-10 of the sizes of the products they form plus the error the
@@ -1775,6 +1850,71 @@ class TestIdentities:
              3.5566275608852735)
     def test_legendre_conjugation(self, nu, mu, z):
         gap, tol = _conjugates(legendre_p, nu, mu, z)
+        assert gap <= tol
+
+    @_IDENTITY
+    @given(st.floats(0.0, 2.0, exclude_max=True), _ORDERS, _XS)
+    @example(5e-15, 0.0, 0.0).xfail(
+        raises=AssertionError, reason="the 2F1 engine takes -nu within "
+        "1e-10 of an integer as terminating: FP_{5e-15}(0) sums one term, "
+        "3.4e-15 off with an estimate of 4.4e-16")
+    @example(0.0, -0.9999999999999999, 0.0).xfail(
+        raises=AssertionError, reason="the regularized 2F1 takes c = 1 - mu "
+        "within 1e-10 of 0 as its pole: FP_0^{1 - 1e-16}(0) is 0 with an "
+        "estimate of 0, not 1.1e-16")
+    @example(1.5, 0.99999, 0.75).xfail(
+        raises=AssertionError, reason="next to an integer c - a - b the "
+        "engine's 1 - z form loses eps/delta^2 and estimates eps/delta: "
+        "FP_{2.5}^{-0.99999}(-0.75) is 2.8e-7 off, estimate 2.5e-11")
+    def test_ferrers_degree_casoratian(self, s, m, x):
+        """FP_s(x) FP_{s+1}(-x) + FP_{s+1}(x) FP_s(-x) at order -m is
+        2 sin(pi (m - s)) Gamma(s - m + 1)/(pi Gamma(s + m + 2)) (DLMF
+        14.2 and 14.10.5), taken as 2/(Gamma(m - s) Gamma(s + m + 2)); at
+        s < 1 ``legendre._casoratian`` gives it within its estimate.  The
+        xfail examples' defects are left out of the draws: a degree within
+        1e-10 of an integer, an order within 1e-3 of one (ROADMAP item 4),
+        but not on it."""
+        assume(_off_integer(s, 1e-10) and _off_integer(m, 1e-3))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            s_, m_ = mpmath.mpf(s), mpmath.mpf(m)
+            want = float(2 * mpmath.rgamma(m_ - s_)
+                         * mpmath.rgamma(s_ + m_ + 2))
+        u0, u1, v0, v1 = (ferrers_p(s + k, -m, t) for k in (0.0, 1.0)
+                          for t in (x, -x))
+        products = ((u0, v1), (v0, u1))
+        gap = abs(sum(a.value * b.value for a, b in products) - want)
+        tol = sum(1e-10 * abs(a.value * b.value) + abs(a.value) * b.abs_err_est
+                  + abs(b.value) * a.abs_err_est for a, b in products)
+        assert gap <= tol
+        if s < 1.0:
+            c, err = legendre._casoratian(s, m)
+            assert abs(c - want) <= err
+
+    @_IDENTITY
+    @given(st.floats(0.0, 40.0), _ORDERS, _XS)
+    @example(0.0, 0.9999999999999999, 0.0).xfail(
+        raises=AssertionError, reason="the regularized 2F1 takes c = 1 - mu "
+        "within 1e-10 of 0 as its pole")
+    def test_ferrers_p_reflection(self, nu, mu, x):
+        """FP(-x) = cos((nu + mu) pi) FP(x) - (2/pi) sin((nu + mu) pi) FQ(x)
+        (DLMF 14.9), the factors exact (mpmath); FP(-x) and FP(x) come
+        from their own routes, past the series from the three-seed
+        recurrence (x < 0) or the two-seed one (x > 0), FQ from its
+        own.  The draws leave out the Casoratian's xfail windows."""
+        assume(nu + mu + 1.0 > 1e-9)
+        assume(_off_integer(nu, 1e-10) and _off_integer(mu, 1e-3))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            t = mpmath.mpf(nu) + mpmath.mpf(mu)
+            factors = (1.0, float(mpmath.cospi(t)),
+                       float(-2 * mpmath.sinpi(t) / mpmath.pi))
+        values = (ferrers_p(nu, mu, -x), ferrers_p(nu, mu, x),
+                  ferrers_q(nu, mu, x))
+        gap = abs(values[0].value - factors[1] * values[1].value
+                  - factors[2] * values[2].value)
+        tol = sum(1e-10 * abs(c * r.value) + abs(c) * r.abs_err_est
+                  for c, r in zip(factors, values))
         assert gap <= tol
 
     @_IDENTITY

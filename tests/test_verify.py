@@ -216,8 +216,10 @@ def test_suite_keeps_no_module_state():
 
 def test_suite_evaluator_calls(monkeypatch):
     """The sphere variants of a family read one shared FerrersP: a suite
-    makes 1436 prepared Legendre/Ferrers calls (2396 with one evaluator
-    per variant), the same on every run."""
+    makes 1433 prepared Legendre/Ferrers calls (2393 with one evaluator
+    per variant), the same on every run.  The flat-limit FRAK_MINUS,
+    d = 2 row reads three series seeds at each of its points past the
+    loss threshold (R = 30, 100, 300)."""
     calls = []
     call = legendre._Prepared.__call__
 
@@ -231,7 +233,7 @@ def test_suite_evaluator_calls(monkeypatch):
         calls.clear()
         default_suite()
         counts.append(len(calls))
-    assert counts == [1436, 1436]
+    assert counts == [1433, 1433]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
